@@ -8,14 +8,13 @@ Typical use:
     >>> mz.event_probabilities(p).P_em
     0.0237...
 
-The heavy lifting lives in the submodules: extended-range arithmetic
-(extrange), scaled special functions (specfun), per-segment solution bases
-(segment_basis), potential discretization (grid), the transfer-matrix sweep
-(transfer), branch combination (mazer), closed-form references (oracles),
-and the CSV front end (cli).
+The heavy lifting lives in the submodules: exponentially scaled special
+functions (specfun), per-segment solution bases with a factored-out log
+scale (segment_basis), potential discretization (grid), the float64
+node-state sweep (transfer), branch combination (mazer), closed-form
+references (oracles), and the CSV front end (cli).
 """
 
-from .extrange import RangeFlag, XComplex, XReal
 from .grid import (
     Grid,
     ModeProfile,
@@ -56,7 +55,6 @@ from .transfer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "RangeFlag", "XComplex", "XReal",
     "Grid", "ModeProfile", "ModeShape",
     "build_grid", "eval_mode", "find_turning_points", "load_tabulated",
     "ConvergenceStudy", "EventProbabilities", "MazerParams",

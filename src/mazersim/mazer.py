@@ -128,7 +128,7 @@ def _transparent(params: MazerParams) -> ScatterResult:
     k = params.k_over_kappa
     return ScatterResult(
         t=1.0 + 0.0j, r=0.0 + 0.0j, unitarity_defect=0.0,
-        E=0.5 * k * k, k=k, t_log10_mag=0.0, log10_scale=0)
+        E=0.5 * k * k, k=k, t_log10_mag=0.0, log10_scale=0.0)
 
 
 def elementary_amplitudes(params: MazerParams, branch: int) -> ScatterResult:

@@ -12,12 +12,16 @@ whether the segment actually slopes.  Five regimes cover every case:
 * sloped, z < 0:  {sqrt(-z) I_{1/3}(w), sqrt(-z) K_{1/3}(w)}
 
 with w = (2 / (3|b|)) |z|^{3/2}.  Values and x-derivatives are returned as
-extended-range reals so the growing exponential branches survive arbitrarily
-wide classically forbidden stretches.
+plain floats with one log scale s factored out: f+ and its derivative carry
+e**+s, f- and its derivative e**-s.  s is w on sloped forbidden segments
+(outside the turning-point series), -rho (x - x_ref) on flat forbidden ones
+and 0 elsewhere, so the growing and decaying branches both stay finite
+across arbitrarily wide classically forbidden stretches.
 
 Near a turning point (w below a fixed switch) the cylinder functions are
 replaced by short power series in z that remain exact at z = 0; the two
-representations agree to ~1e-13 at the switch, so joins never see a jump.
+representations agree to ~1e-13 at the switch, so propagators never see a
+jump.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .extrange import XReal, exp_as_xreal, xadd, xmul
 from .specfun import (
     ORDER_THIRD,
     ORDER_TWO_THIRDS,
@@ -148,14 +152,18 @@ class Segment:
         return self.x_lo <= x <= self.x_hi
 
 
-@dataclass(frozen=True)
-class BasisEval:
-    """Values and x-derivatives of the two fundamental solutions at one x."""
+class BasisEval(NamedTuple):
+    """Values and x-derivatives of the two fundamental solutions at one x.
 
-    f_plus: XReal
-    f_minus: XReal
-    g_plus: XReal
-    g_minus: XReal
+    The true values are f_plus * e**s, f_minus * e**-s, g_plus * e**s and
+    g_minus * e**-s; the Wronskian f+ g- - f- g+ needs no scale at all.
+    """
+
+    f_plus: float
+    f_minus: float
+    g_plus: float
+    g_minus: float
+    s: float = 0.0
 
 
 def classify_regime(z_lo: float, z_hi: float, b: float) -> Regime:
@@ -220,8 +228,8 @@ def make_segment(
 def analytic_wronskian(seg: Segment) -> float:
     """Exact Wronskian f+ g- - f- g+ of the segment's basis pair.
 
-    Constant across the segment; transfer matrices divide by it instead of
-    differencing two nearly equal extended-range products.
+    Constant across the segment; propagators divide by it instead of
+    differencing two nearly equal products.
     """
     r = seg.regime
     if r is Regime.FLAT_FREE:
@@ -317,12 +325,7 @@ def _basis_series(seg: Segment, z: float) -> BasisEval:
         f_minus = (math.pi / _SQRT3) * (q - p)
         g_plus = -b * dp
         g_minus = -(math.pi / _SQRT3) * b * (dq - dp)
-    return BasisEval(
-        f_plus=XReal.from_float(f_plus),
-        f_minus=XReal.from_float(f_minus),
-        g_plus=XReal.from_float(g_plus),
-        g_minus=XReal.from_float(g_minus),
-    )
+    return BasisEval(f_plus, f_minus, g_plus, g_minus)
 
 
 def _basis_slope_allowed(seg: Segment, z: float, w: float) -> BasisEval:
@@ -332,38 +335,30 @@ def _basis_slope_allowed(seg: Segment, z: float, w: float) -> BasisEval:
     j23 = cyl_bessel(BesselKind.J, ORDER_TWO_THIRDS, w)
     y23 = cyl_bessel(BesselKind.Y, ORDER_TWO_THIRDS, w)
     # order -2/3 via the reflection identities for order 2/3
-    jm23 = xadd(j23.scaled_by(-0.5), y23.scaled_by(-_SQRT3 / 2.0))
-    ym23 = xadd(j23.scaled_by(_SQRT3 / 2.0), y23.scaled_by(-0.5))
-    sqz = XReal.from_float(math.sqrt(z))
-    zs = XReal.from_float(sb * z)
-    return BasisEval(
-        f_plus=xmul(sqz, j13),
-        f_minus=xmul(sqz, y13),
-        g_plus=xmul(zs, jm23),
-        g_minus=xmul(zs, ym23),
-    )
+    jm23 = -0.5 * j23 - (_SQRT3 / 2.0) * y23
+    ym23 = (_SQRT3 / 2.0) * j23 - 0.5 * y23
+    sqz = math.sqrt(z)
+    zs = sb * z
+    return BasisEval(sqz * j13, sqz * y13, zs * jm23, zs * ym23)
 
 
 def _basis_slope_forbidden(seg: Segment, z: float, w: float) -> BasisEval:
     sb = 1.0 if seg.b > 0.0 else -1.0
     zeta = -z
-    i13 = cyl_bessel(BesselKind.I, ORDER_THIRD, w, scaled=True)
-    k13 = cyl_bessel(BesselKind.K, ORDER_THIRD, w, scaled=True)
-    i23 = cyl_bessel(BesselKind.I, ORDER_TWO_THIRDS, w, scaled=True)
-    k23 = cyl_bessel(BesselKind.K, ORDER_TWO_THIRDS, w, scaled=True)
-    im23 = xadd(i23, k23.scaled_by(_SQRT3 / math.pi))
-    sqzeta = XReal.from_float(math.sqrt(zeta))
-    zetas = XReal.from_float(sb * zeta)
-    return BasisEval(
-        f_plus=xmul(sqzeta, i13),
-        f_minus=xmul(sqzeta, k13),
-        g_plus=-xmul(zetas, im23),
-        g_minus=xmul(zetas, k23),
-    )
+    # scaled forms: I carries e**w, K carries e**-w, so s = w
+    i13 = cyl_bessel(BesselKind.I, ORDER_THIRD, w)
+    k13 = cyl_bessel(BesselKind.K, ORDER_THIRD, w)
+    i23 = cyl_bessel(BesselKind.I, ORDER_TWO_THIRDS, w)
+    k23 = cyl_bessel(BesselKind.K, ORDER_TWO_THIRDS, w)
+    # I_{-2/3} = I_{2/3} + (sqrt3/pi) K_{2/3}; the K term is e**-2w down
+    im23 = i23 + (_SQRT3 / math.pi) * k23 * math.exp(-2.0 * w)
+    sqzeta = math.sqrt(zeta)
+    zetas = sb * zeta
+    return BasisEval(sqzeta * i13, sqzeta * k13, -zetas * im23, zetas * k23, w)
 
 
 def basis_eval(seg: Segment, x: float) -> BasisEval:
-    """Evaluate (f+, f-, f+', f-') of the segment's basis at position x.
+    """Evaluate (f+, f-, f+', f-') and their log scale s at position x.
 
     x may be a hair outside [x_lo, x_hi] (endpoint roundoff) but the local
     coefficient must match the regime's sign up to turning-point slack.
@@ -374,30 +369,15 @@ def basis_eval(seg: Segment, x: float) -> BasisEval:
     dx = x - seg.x_ref
 
     if r is Regime.FLAT_FREE:
-        return BasisEval(
-            f_plus=XReal.from_float(1.0),
-            f_minus=XReal.from_float(dx),
-            g_plus=XReal.zero(),
-            g_minus=XReal.from_float(1.0),
-        )
+        return BasisEval(1.0, dx, 0.0, 1.0)
     if r is Regime.FLAT_ALLOWED:
         k = math.sqrt(seg.z_flat)
-        return BasisEval(
-            f_plus=XReal.from_float(math.cos(k * dx)),
-            f_minus=XReal.from_float(math.sin(k * dx)),
-            g_plus=XReal.from_float(-k * math.sin(k * dx)),
-            g_minus=XReal.from_float(k * math.cos(k * dx)),
-        )
+        cs, sn = math.cos(k * dx), math.sin(k * dx)
+        return BasisEval(cs, sn, -k * sn, k * cs)
     if r is Regime.FLAT_FORBIDDEN:
+        # f+ = e**(-rho dx), f- = e**(+rho dx): all of it is the scale
         rho = math.sqrt(-seg.z_flat)
-        e_dn = exp_as_xreal(-rho * dx)
-        e_up = exp_as_xreal(rho * dx)
-        return BasisEval(
-            f_plus=e_dn,
-            f_minus=e_up,
-            g_plus=xmul(XReal.from_float(-rho), e_dn),
-            g_minus=xmul(XReal.from_float(rho), e_up),
-        )
+        return BasisEval(1.0, 1.0, -rho, rho, -rho * dx)
 
     z = seg.z(x)
     slack = _SIGN_SLACK * max(seg.z_scale, 1.0e-300)

@@ -1,10 +1,10 @@
 """Bessel and gamma kernels for the segment basis functions.
 
 Only four cylinder families at the two orders 1/3 and 2/3 are ever needed.
-Values come back as :class:`~mazersim.extrange.XReal` so that the modified
-functions stay usable deep inside classically forbidden regions, where
-I and K carry factors like e**40000: scipy's exponentially scaled forms
-supply the mantissa and the extended exponent absorbs e**(+-y).
+The modified functions come back exponentially scaled (e**-y I and e**+y K,
+scipy's ``ive``/``kve``), so they stay finite deep inside classically
+forbidden regions, where I and K carry factors like e**40000; the caller
+keeps the exponent y as a log scale of its own.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import enum
 import math
 
 from scipy import special as _sp
-
-from .extrange import XReal, exp_as_xreal, xmul
 
 __all__ = ["BesselKind", "ORDER_THIRD", "ORDER_TWO_THIRDS", "cyl_bessel", "log_gamma_complex"]
 
@@ -33,7 +31,7 @@ class BesselKind(enum.Enum):
     K = "K"
 
 
-def cyl_bessel(kind: BesselKind, order: float, y: float, scaled: bool = False) -> XReal:
+def cyl_bessel(kind: BesselKind, order: float, y: float) -> float:
     """Evaluate one cylinder function at positive real argument.
 
     Parameters
@@ -44,16 +42,12 @@ def cyl_bessel(kind: BesselKind, order: float, y: float, scaled: bool = False) -
         1/3 or 2/3 only.
     y : float
         Argument, strictly positive.
-    scaled : bool
-        For I and K, build the result from the exponentially scaled
-        mantissa (e**-y I, e**+y K) and carry e**(+-y) in the extended
-        exponent; this is the only route that survives y beyond ~700.
-        Ignored for J and Y.
 
     Returns
     -------
-    XReal
-        The true (unscaled) function value in every case.
+    float
+        J or Y as they are; I and K exponentially scaled, e**-y I(y) and
+        e**+y K(y), the only forms that survive y beyond ~700.
     """
     if order not in _ORDERS:
         raise ValueError(f"unsupported order {order!r}; need 1/3 or 2/3")
@@ -63,22 +57,13 @@ def cyl_bessel(kind: BesselKind, order: float, y: float, scaled: bool = False) -
         raise ValueError(f"argument {y:g} beyond scaled-Bessel reliability limit")
 
     if kind is BesselKind.J:
-        return XReal.from_float(float(_sp.jv(order, y)))
+        return float(_sp.jv(order, y))
     if kind is BesselKind.Y:
-        return XReal.from_float(float(_sp.yv(order, y)))
-    if kind is BesselKind.I:
-        if scaled:
-            m = float(_sp.ive(order, y))
-            if math.isnan(m):
-                raise ValueError(f"scaled I({order}, {y:g}) not representable")
-            return xmul(XReal.from_float(m), exp_as_xreal(y))
-        return XReal.from_float(float(_sp.iv(order, y)))
-    if scaled:
-        m = float(_sp.kve(order, y))
-        if math.isnan(m):
-            raise ValueError(f"scaled K({order}, {y:g}) not representable")
-        return xmul(XReal.from_float(m), exp_as_xreal(-y))
-    return XReal.from_float(float(_sp.kv(order, y)))
+        return float(_sp.yv(order, y))
+    m = float(_sp.ive(order, y) if kind is BesselKind.I else _sp.kve(order, y))
+    if math.isnan(m):
+        raise ValueError(f"scaled {kind.value}({order}, {y:g}) not representable")
+    return m
 
 
 def log_gamma_complex(z: complex) -> complex:

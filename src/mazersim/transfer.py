@@ -1,83 +1,64 @@
-"""Coefficient propagation across segment joins and amplitude extraction.
+"""Node-state sweep across the segments and amplitude extraction.
 
-Matching the wavefunction and its derivative at a join gives a 2x2 map
-between the coefficient pairs of adjacent segments.  Chaining those maps
-from the outgoing side back to the incoming side turns the two-point
-boundary problem into a single backward sweep; the incoming-side pair then
-yields the complex transmission and reflection amplitudes.
+The wavefunction and its derivative are continuous, so the node state
+(phi, phi') is shared by the two segments meeting at a node and the joins
+are identities.  Inside a segment the exact basis carries the state from
+one end to the other through the 2x2 propagator M(x_to) M(x_from)^-1.
+Chaining the propagators from the outgoing side back to the incoming side
+turns the two-point boundary problem into a single backward sweep; the
+state at the first node then yields the complex transmission and
+reflection amplitudes.
 
-Forbidden regions make the pair grow like exp(rho*dx), far beyond float
-range at large interaction lengths, so the pair lives in extended-range
-complex numbers and is renormalized after every join with the shift
-accumulated in a decimal-scale ledger.
+Forbidden regions make the state grow like exp(rho*dx), far beyond float
+range at large interaction lengths.  Each propagator therefore comes with
+its dominant exponential e**|s_to - s_from| factored out of the basis
+scales analytically, so every entry is O(1); the state is two complex
+float64 values plus one float log scale, renormalised after every segment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .extrange import RangeFlag, XComplex, XReal, to_float_checked, xadd, xmul
 from .grid import Grid
 from .segment_basis import Segment, analytic_wronskian, basis_eval
 
 __all__ = [
-    "CoeffPair",
     "ScatterResult",
-    "SegmentCoeffs",
+    "SegmentState",
     "TransferError",
-    "join_matrix",
-    "step_backward",
-    "step_forward",
+    "propagator",
     "solve_scattering",
+    "sweep",
     "wavefunction",
 ]
 
+_LN2 = math.log(2.0)
+_LN10 = math.log(10.0)
+
 
 class TransferError(Exception):
-    """Degenerate join or amplitude extraction."""
+    """Collapsed node state or degenerate amplitude extraction."""
 
 
 @dataclass(frozen=True)
-class CoeffPair:
-    """Coefficient pair of one segment plus the accumulated rescale shift.
+class SegmentState:
+    """Recorded node state of one segment, for wavefunction reconstruction.
 
-    True coefficients are the stored values times 10**log10_scale; after
-    every join the larger of |C|, |D| is normalized into [1, 10).
+    (phi, dphi) at the segment's node ``x`` (its right end; the left end
+    for the outgoing segment), true values being these times
+    e**log_scale.
     """
 
-    C: XComplex
-    D: XComplex
-    log10_scale: int
-
-    def rescaled(self) -> "CoeffPair":
-        mag2 = self.C.abs2()
-        d2 = self.D.abs2()
-        if d2 > mag2:
-            mag2 = d2
-        if mag2.is_zero():
-            raise TransferError("coefficient pair collapsed to zero")
-        shift = math.floor(0.5 * mag2.log10_abs())
-        if shift == 0:
-            return self
-        return CoeffPair(
-            self.C.scaled10(-shift),
-            self.D.scaled10(-shift),
-            self.log10_scale + shift,
-        )
-
-
-@dataclass(frozen=True)
-class SegmentCoeffs:
-    """Recorded pair for one segment, for wavefunction reconstruction."""
-
     index: int
-    C: XComplex
-    D: XComplex
-    log10_scale: int
+    x: float
+    phi: complex
+    dphi: complex
+    log_scale: float
 
 
 @dataclass(frozen=True)
@@ -95,110 +76,95 @@ class ScatterResult:
     E: float
     k: float
     t_log10_mag: float
-    log10_scale: int
-    coefficients: tuple[SegmentCoeffs, ...] | None = None
+    log10_scale: float
+    coefficients: tuple[SegmentState, ...] | None = None
 
 
-def join_matrix(
-    base: Segment, other: Segment, x_join: float,
-) -> tuple[XReal, XReal, XReal, XReal]:
-    """Matrix mapping ``other``-side coefficients to ``base``-side ones.
+def propagator(
+    seg: Segment, x_from: float, x_to: float,
+) -> tuple[float, float, float, float, float]:
+    """Block-scaled map of (phi, phi') at x_from to (phi, phi') at x_to.
 
-    Row-major (b11, b12, b21, b22) of M_base(x)^-1 * M_other(x), the
-    division done through the analytic Wronskian of ``base``.
+    Returns (p11, p12, p21, p22, log_factor): the true matrix
+    M(x_to) M(x_from)^-1 is the four entries times e**log_factor.  With
+    d = s_to - s_from the entries hold e**(d - |d|) and e**(-d - |d|),
+    one of which is 1 and the other at most 1.
     """
-    pb = basis_eval(base, x_join)
-    nb = basis_eval(other, x_join)
-    w = analytic_wronskian(base)
-    if w == 0.0:
-        raise TransferError("degenerate basis: zero Wronskian")
-    winv = XReal.from_float(w).reciprocal()
-    b11 = xadd(xmul(pb.g_minus, nb.f_plus), -xmul(pb.f_minus, nb.g_plus))
-    b12 = xadd(xmul(pb.g_minus, nb.f_minus), -xmul(pb.f_minus, nb.g_minus))
-    b21 = xadd(xmul(pb.f_plus, nb.g_plus), -xmul(pb.g_plus, nb.f_plus))
-    b22 = xadd(xmul(pb.f_plus, nb.g_minus), -xmul(pb.g_plus, nb.f_minus))
-    return (xmul(b11, winv), xmul(b12, winv),
-            xmul(b21, winv), xmul(b22, winv))
+    fp1, fm1, gp1, gm1, s1 = basis_eval(seg, x_from)
+    fp2, fm2, gp2, gm2, s2 = basis_eval(seg, x_to)
+    w = analytic_wronskian(seg)
+    d = s2 - s1
+    up = math.exp(min(2.0 * d, 0.0)) / w
+    dn = math.exp(min(-2.0 * d, 0.0)) / w
+    return (fp2 * gm1 * up - fm2 * gp1 * dn,
+            fm2 * fp1 * dn - fp2 * fm1 * up,
+            gp2 * gm1 * up - gm2 * gp1 * dn,
+            gm2 * fp1 * dn - gp2 * fm1 * up,
+            abs(d))
 
 
-def _apply(mat, coeffs: CoeffPair) -> CoeffPair:
-    b11, b12, b21, b22 = mat
-    c_new = coeffs.C.scale(b11) + coeffs.D.scale(b12)
-    d_new = coeffs.C.scale(b21) + coeffs.D.scale(b22)
-    return CoeffPair(c_new, d_new, coeffs.log10_scale).rescaled()
+def _coefficients(seg: Segment, x: float, phi: complex, dphi: complex):
+    """Basis coefficients (C, D) of the state (phi, dphi) at x."""
+    fp, fm, gp, gm, s = basis_eval(seg, x)
+    w = analytic_wronskian(seg)
+    return ((gm * phi - fm * dphi) / w * math.exp(-s),
+            (fp * dphi - gp * phi) / w * math.exp(s))
 
 
-def step_backward(
-    seg_prev: Segment, seg_next: Segment, x_join: float, coeffs: CoeffPair,
-) -> CoeffPair:
-    """Pair on seg_next -> pair on seg_prev, same value and slope at the join."""
-    return _apply(join_matrix(seg_prev, seg_next, x_join), coeffs)
+def sweep(
+    segments: Sequence[Segment], c: complex, d: complex, record: bool = False,
+) -> tuple[complex, complex, float, list[SegmentState]]:
+    """Carry the solution c f+ + d f- of the last segment back to the first.
+
+    Returns (C0, D0, log_scale, states): the first segment's coefficients,
+    true values being these times e**log_scale, and, when ``record``, the
+    node state of every segment from left to right.  After each segment
+    the state is divided by the power of two nearest its magnitude.
+    """
+    last = segments[-1]
+    fp, fm, gp, gm, s = basis_eval(last, last.x_lo)
+    phi = c * fp * math.exp(s) + d * fm * math.exp(-s)
+    dphi = c * gp * math.exp(s) + d * gm * math.exp(-s)
+    log_scale = 0.0
+    states: list[SegmentState] = []
+    if record:
+        states.append(SegmentState(len(segments) - 1, last.x_lo, phi, dphi, 0.0))
+    for j in range(len(segments) - 2, 0, -1):
+        seg = segments[j]
+        if record:
+            states.append(SegmentState(j, seg.x_hi, phi, dphi, log_scale))
+        p11, p12, p21, p22, log_factor = propagator(seg, seg.x_hi, seg.x_lo)
+        phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
+        mag = max(abs(phi), abs(dphi))
+        if mag == 0.0:
+            raise TransferError("node state collapsed to zero")
+        shift = round(math.log2(mag))
+        factor = math.ldexp(1.0, -shift)
+        phi, dphi = factor * phi, factor * dphi
+        log_scale += log_factor + shift * _LN2
+    first = segments[0]
+    if record:
+        states.append(SegmentState(0, first.x_hi, phi, dphi, log_scale))
+        states.reverse()
+    c0, d0 = _coefficients(first, first.x_hi, phi, dphi)
+    return c0, d0, log_scale, states
 
 
-def step_forward(
-    seg_prev: Segment, seg_next: Segment, x_join: float, coeffs: CoeffPair,
-) -> CoeffPair:
-    """Pair on seg_prev -> pair on seg_next; inverse of step_backward."""
-    return _apply(join_matrix(seg_next, seg_prev, x_join), coeffs)
-
-
-def _component(x: XReal) -> float:
-    """Stored-mantissa component to float; underflow is a physical zero."""
-    v = to_float_checked(x)
-    if isinstance(v, RangeFlag):
-        if v is RangeFlag.UNDERFLOW:
-            return 0.0
-        raise TransferError("coefficient overflow despite rescaling")
-    return v
-
-
-def _as_complex(xc: XComplex) -> complex:
-    return complex(_component(xc.re), _component(xc.im))
-
-
-def solve_scattering(
-    grid: Grid,
-    record_coefficients: bool = False,
-    debug_stream: IO[str] | None = None,
-) -> ScatterResult:
+def solve_scattering(grid: Grid, record_coefficients: bool = False) -> ScatterResult:
     """Backward sweep from the outgoing free region to the incoming one.
 
     Seeds (C, D) = (1, i) on the rightmost segment, i.e. a unit outgoing
-    plane wave in its {cos kx, sin kx} basis, and unwinds every join.  The
-    left-side pair then gives t and r; the accumulated decimal shift
+    plane wave in its {cos kx, sin kx} basis, and carries it to the left.
+    The first segment's pair then gives t and r; the accumulated log scale
     re-enters t because the seed fixed the transmitted amplitude, not the
     incident one.
     """
-    segs = grid.segments
-    coeffs = CoeffPair(
-        XComplex.from_complex(1.0 + 0.0j),
-        XComplex.from_complex(1.0j),
-        0,
-    )
-    recorded: list[SegmentCoeffs] = []
-    if record_coefficients:
-        recorded.append(SegmentCoeffs(len(segs) - 1, coeffs.C, coeffs.D, 0))
-    if debug_stream is not None:
-        debug_stream.write("# x_join,regime,log10_C,log10_D,log10_scale\n")
-    for j in range(len(segs) - 2, -1, -1):
-        x_join = segs[j].x_hi
-        coeffs = step_backward(segs[j], segs[j + 1], x_join, coeffs)
-        if record_coefficients:
-            recorded.append(
-                SegmentCoeffs(j, coeffs.C, coeffs.D, coeffs.log10_scale))
-        if debug_stream is not None:
-            debug_stream.write(
-                f"{x_join:.17g},{segs[j].regime.name},"
-                f"{0.5 * coeffs.C.abs2().log10_abs():.6f},"
-                f"{0.5 * coeffs.D.abs2().log10_abs():.6f},"
-                f"{coeffs.log10_scale}\n")
-
-    c0 = _as_complex(coeffs.C)
-    d0 = _as_complex(coeffs.D)
+    c0, d0, log_scale, states = sweep(
+        grid.segments, 1.0 + 0.0j, 1.0j, record_coefficients)
     denom = c0 - 1j * d0
     if denom == 0.0:
         raise TransferError("C0 - i*D0 vanished: degenerate normalization")
-    sigma = coeffs.log10_scale
+    sigma = log_scale / _LN10
     amp = 2.0 / denom
     t_log10_mag = math.log10(abs(amp)) - sigma
     if -300.0 < t_log10_mag < 300.0:
@@ -206,7 +172,7 @@ def solve_scattering(
     elif t_log10_mag <= -300.0:
         t = 0.0 + 0.0j
     else:
-        raise TransferError("transmission overflow: scale ledger negative")
+        raise TransferError("transmission overflow: log scale negative")
     r = (c0 + 1j * d0) / denom
     defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
     return ScatterResult(
@@ -217,7 +183,7 @@ def solve_scattering(
         k=grid.k,
         t_log10_mag=t_log10_mag,
         log10_scale=sigma,
-        coefficients=tuple(reversed(recorded)) if record_coefficients else None,
+        coefficients=tuple(states) if record_coefficients else None,
     )
 
 
@@ -236,12 +202,10 @@ def wavefunction(
         raise ValueError("solve_scattering must record coefficients first")
     pad = 2.0 * grid.profile.length
     lo, hi = grid.window[0] - pad, grid.window[1] + pad
-    by_index = {sc.index: sc for sc in result.coefficients}
-    sigma0 = by_index[0].log10_scale
-    c0 = _as_complex(by_index[0].C)
-    d0 = _as_complex(by_index[0].D)
-    denom = c0 - 1j * d0
-    norm = 2.0 / denom
+    states = result.coefficients
+    first = states[0]
+    c0, d0 = _coefficients(grid.segments[0], first.x, first.phi, first.dphi)
+    norm = 2.0 / (c0 - 1j * d0)
     pts = grid.points
     out: list[tuple[float, complex]] = []
     for x in positions:
@@ -253,9 +217,9 @@ def wavefunction(
             idx = len(grid.segments) - 1
         else:
             idx = int(np.searchsorted(pts, x, side="right"))
-        sc = by_index[idx]
-        be = basis_eval(grid.segments[idx], float(x))
-        combo = sc.C.scale(be.f_plus) + sc.D.scale(be.f_minus)
-        combo = combo.scaled10(sc.log10_scale - sigma0)
-        out.append((float(x), _as_complex(combo) * norm))
+        st = states[idx]
+        p11, p12, _, _, log_factor = propagator(grid.segments[idx], st.x, float(x))
+        phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
+            log_factor + st.log_scale - first.log_scale)
+        out.append((float(x), phi * norm))
     return out

@@ -15,7 +15,6 @@ import math
 import numpy as np
 import pytest
 
-from mazersim.extrange import XComplex
 from mazersim.grid import ModeProfile, ModeShape, build_grid
 from mazersim.mazer import (
     MazerParams,
@@ -30,12 +29,7 @@ from mazersim.segment_basis import (
     basis_eval,
     make_segment,
 )
-from mazersim.transfer import (
-    CoeffPair,
-    join_matrix,
-    solve_scattering,
-    step_backward,
-)
+from mazersim.transfer import propagator, solve_scattering, sweep
 
 import sine_oracle
 
@@ -253,6 +247,22 @@ def test_gaussian_decay_length_ratio():
         f"gauss 10% at {gauss_at}, sech2 at {sech2_at}, ratio {ratio:.2f}")
 
 
+def true_value(ev, pick):
+    """One basis value with its log scale multiplied back in."""
+    sign = 1.0 if pick.endswith("plus") else -1.0
+    return getattr(ev, pick) * math.exp(sign * ev.s)
+
+
+def _unscaled(prop):
+    p11, p12, p21, p22, log_factor = prop
+    return tuple(math.exp(log_factor) * p for p in (p11, p12, p21, p22))
+
+
+def _matmul(A, B):
+    return (A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
+            A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3])
+
+
 @pytest.mark.criterion(9, "property suite independent of published values")
 class TestProperties:
     def test_ode_residuals(self):
@@ -271,7 +281,7 @@ class TestProperties:
                 z = seg.a + seg.b * x
                 for pick in ("f_plus", "f_minus"):
                     v = [
-                        getattr(basis_eval(seg, xx), pick).to_float_checked()
+                        true_value(basis_eval(seg, xx), pick)
                         for xx in (x - 2 * h, x - h, x, x + h, x + 2 * h)
                     ]
                     second = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3]
@@ -289,7 +299,8 @@ class TestProperties:
             seg = make_segment(0.0, float(rng.uniform(0.5, 2.0)), z0, z1)
             x = rng.uniform(seg.x_lo, seg.x_hi)
             ev = basis_eval(seg, float(x))
-            w = (ev.f_plus * ev.g_minus - ev.f_minus * ev.g_plus).to_float_checked()
+            # the log scales of the plus and minus pairs cancel
+            w = ev.f_plus * ev.g_minus - ev.f_minus * ev.g_plus
             want = analytic_wronskian(seg)
             assert abs(w - want) <= WRONSKIAN_TOL * max(1.0, abs(want))
 
@@ -307,10 +318,12 @@ class TestProperties:
                 right = make_segment(x1, x2, float(z[1]), float(z[2]))
             except ValueError:
                 continue
-            B = [v.to_float_checked() for v in join_matrix(left, right, x1)]
-            A = [v.to_float_checked() for v in join_matrix(right, left, x1)]
-            prod = (A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
-                    A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3])
+            # backward across both segments, then forward again
+            B = _matmul(_unscaled(propagator(left, x1, x0)),
+                        _unscaled(propagator(right, x2, x1)))
+            A = _matmul(_unscaled(propagator(right, x1, x2)),
+                        _unscaled(propagator(left, x0, x1)))
+            prod = _matmul(A, B)
             scale = max(abs(v) for v in A + B)
             assert abs(prod[0] - 1) <= ROUNDTRIP_TOL * scale
             assert abs(prod[3] - 1) <= ROUNDTRIP_TOL * scale
@@ -324,20 +337,21 @@ class TestProperties:
         result = solve_scattering(grid, record_coefficients=True)
         _note(result.unitarity_defect)
         points = np.asarray(grid.points)
+        states = result.coefficients
         for x_t in grid.turning_points:
             idx = int(np.argmin(np.abs(points - x_t)))
             x_node = float(points[idx])
-            # the node joins segments idx and idx+1; both coefficient sets
-            # must describe the same wavefunction value there
+            # the node joins segments idx and idx+1: phi carried to it
+            # forward across segment idx from its left end and backward
+            # across segment idx+1 from its right end must agree there
             reps = []
-            for seg_idx in (idx, idx + 1):
-                seg = grid.segments[seg_idx]
-                coeff = result.coefficients[seg_idx]
-                ev = basis_eval(seg, x_node)
-                phi = coeff.C.scale(ev.f_plus) + coeff.D.scale(ev.f_minus)
-                shift = coeff.log10_scale - result.log10_scale
-                reps.append(phi.scaled10(shift).to_complex_checked())
-            assert all(isinstance(v, complex) for v in reps)
+            for seg_idx, st in ((idx, states[idx - 1]), (idx + 1, states[idx + 1])):
+                p11, p12, _, _, log_factor = propagator(
+                    grid.segments[seg_idx], st.x, x_node)
+                phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
+                    log_factor + st.log_scale - states[idx].log_scale)
+                reps.append(phi)
+            assert all(math.isfinite(abs(v)) for v in reps)
             peak = max(abs(reps[0]), abs(reps[1]), 1e-30)
             assert abs(reps[0] - reps[1]) <= TURNING_CONTINUITY_TOL * peak
 
@@ -346,15 +360,8 @@ class TestProperties:
         base = solve_scattering(grid)
         _note(base.unitarity_defect)
         scale = (0.4 - 0.9j) * 10.0 ** 120
-        segs = grid.segments
-        coeffs = CoeffPair(
-            XComplex.from_complex(scale),
-            XComplex.from_complex(1j * scale), 0)
-        for j in range(len(segs) - 2, -1, -1):
-            coeffs = step_backward(segs[j], segs[j + 1], segs[j].x_hi, coeffs)
-        c0 = coeffs.C.to_complex_checked()
-        d0 = coeffs.D.to_complex_checked()
-        t = scale * 2.0 * 10.0 ** (-coeffs.log10_scale) / (c0 - 1j * d0)
+        c0, d0, log_scale, _ = sweep(grid.segments, scale, 1j * scale)
+        t = scale * 2.0 * math.exp(-log_scale) / (c0 - 1j * d0)
         r = (c0 + 1j * d0) / (c0 - 1j * d0)
         assert t == pytest.approx(base.t, rel=SEED_SCALE_TOL)
         assert r == pytest.approx(base.r, rel=SEED_SCALE_TOL)

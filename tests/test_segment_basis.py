@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from mazersim.extrange import XReal, to_float_checked, xadd, xmul
 from mazersim.segment_basis import (
     Regime,
     Segment,
@@ -29,14 +28,23 @@ from mazersim.segment_basis import (
 mpmath.mp.dps = 50
 
 
-def flt(x: XReal) -> float:
-    v = to_float_checked(x)
-    assert isinstance(v, float), f"value out of double range: {x!r}"
-    return v
+def true_eval(seg, x):
+    """basis_eval with the log scale s multiplied back in (s then 0)."""
+    be = basis_eval(seg, x)
+    up, dn = math.exp(be.s), math.exp(-be.s)
+    return be._replace(f_plus=be.f_plus * up, f_minus=be.f_minus * dn,
+                       g_plus=be.g_plus * up, g_minus=be.g_minus * dn, s=0.0)
 
 
-def wronskian_of(be) -> XReal:
-    return xadd(xmul(be.f_plus, be.g_minus), -xmul(be.f_minus, be.g_plus))
+def log10_true(be, which):
+    """log10 of |f+| or |f-| from the float part and the log scale."""
+    sign = 1.0 if which == "f_plus" else -1.0
+    return math.log10(abs(getattr(be, which))) + sign * be.s / math.log(10.0)
+
+
+def wronskian_of(be) -> float:
+    # e**s of the plus pair cancels e**-s of the minus pair
+    return be.f_plus * be.g_minus - be.f_minus * be.g_plus
 
 
 # --- regime classification and construction ------------------------------
@@ -98,22 +106,22 @@ def test_flat_allowed_matches_trig():
     seg = Segment(x_lo=-5.0, x_hi=5.0, a=2.0, b=0.0, regime=Regime.FLAT_ALLOWED)
     k = math.sqrt(2.0)
     for x in (-4.0, -0.3, 0.0, 1.7):
-        be = basis_eval(seg, x)
-        assert flt(be.f_plus) == pytest.approx(math.cos(k * x), abs=1e-15)
-        assert flt(be.f_minus) == pytest.approx(math.sin(k * x), abs=1e-15)
-        assert flt(be.g_plus) == pytest.approx(-k * math.sin(k * x), abs=1e-15)
-        assert flt(be.g_minus) == pytest.approx(k * math.cos(k * x), abs=1e-15)
+        be = true_eval(seg, x)
+        assert be.f_plus == pytest.approx(math.cos(k * x), abs=1e-15)
+        assert be.f_minus == pytest.approx(math.sin(k * x), abs=1e-15)
+        assert be.g_plus == pytest.approx(-k * math.sin(k * x), abs=1e-15)
+        assert be.g_minus == pytest.approx(k * math.cos(k * x), abs=1e-15)
     assert analytic_wronskian(seg) == pytest.approx(k, rel=1e-15)
 
 
 def test_flat_free_is_affine():
     seg = Segment(x_lo=0.0, x_hi=4.0, a=0.0, b=0.0, regime=Regime.FLAT_FREE,
                   x_ref=1.0)
-    be = basis_eval(seg, 3.5)
-    assert flt(be.f_plus) == 1.0
-    assert flt(be.f_minus) == 2.5
-    assert be.g_plus.is_zero()
-    assert flt(be.g_minus) == 1.0
+    be = true_eval(seg, 3.5)
+    assert be.f_plus == 1.0
+    assert be.f_minus == 2.5
+    assert be.g_plus == 0.0
+    assert be.g_minus == 1.0
     assert analytic_wronskian(seg) == 1.0
 
 
@@ -124,13 +132,13 @@ def test_flat_forbidden_survives_huge_width():
     rho = 0.8
     be = basis_eval(seg, 5000.0)
     expect_log10 = rho * 5000.0 / math.log(10.0)
-    assert be.f_minus.log10_abs() == pytest.approx(expect_log10, rel=1e-13)
-    assert be.f_plus.log10_abs() == pytest.approx(-expect_log10, rel=1e-13)
+    assert log10_true(be, "f_minus") == pytest.approx(expect_log10, rel=1e-13)
+    assert log10_true(be, "f_plus") == pytest.approx(-expect_log10, rel=1e-13)
     # decaying branch derivative stays locked to -rho * f
     ratio = be.g_plus / be.f_plus
-    assert flt(ratio) == pytest.approx(-rho, rel=1e-14)
+    assert ratio == pytest.approx(-rho, rel=1e-14)
     w = wronskian_of(be)
-    assert flt(w) == pytest.approx(2.0 * rho, rel=1e-12)
+    assert w == pytest.approx(2.0 * rho, rel=1e-12)
 
 
 # --- turning-point values against gamma closed forms ---------------------
@@ -150,15 +158,15 @@ def test_turning_point_allowed_side(b):
         seg = make_segment(0.0, 1.0, 0.0, b)
     else:
         seg = make_segment(-1.0, 0.0, -b, 0.0)
-    be = basis_eval(seg, 0.0)
+    be = true_eval(seg, 0.0)
     cb = (3.0 * abs(b)) ** (1.0 / 3.0)
-    assert flt(be.f_plus) == 0.0
-    assert flt(be.f_minus) == pytest.approx(-cb * gamma13() / math.pi, rel=1e-14)
+    assert be.f_plus == 0.0
+    assert be.f_minus == pytest.approx(-cb * gamma13() / math.pi, rel=1e-14)
     # slopes of both members track the sign of b: d/dx = b d/dz, and Q'(0) = 0
-    assert flt(be.g_plus) == pytest.approx(b / (cb * math.gamma(4.0 / 3.0)),
+    assert be.g_plus == pytest.approx(b / (cb * math.gamma(4.0 / 3.0)),
                                            rel=1e-14)
     expect_gm = (2.0 / math.sqrt(3.0)) * b * 0.5 / (cb * math.gamma(4.0 / 3.0))
-    assert flt(be.g_minus) == pytest.approx(expect_gm, rel=1e-14)
+    assert be.g_minus == pytest.approx(expect_gm, rel=1e-14)
 
 
 @pytest.mark.parametrize("b", [1.0, 0.37, -2.4])
@@ -168,15 +176,15 @@ def test_turning_point_forbidden_side(b):
         seg = make_segment(-1.0, 0.0, -b, 0.0)
     else:
         seg = make_segment(0.0, 1.0, 0.0, b)
-    be = basis_eval(seg, 0.0)
+    be = true_eval(seg, 0.0)
     cb = (3.0 * abs(b)) ** (1.0 / 3.0)
-    assert flt(be.f_plus) == 0.0
-    assert flt(be.f_minus) == pytest.approx(
+    assert be.f_plus == 0.0
+    assert be.f_minus == pytest.approx(
         (math.pi / math.sqrt(3.0)) * cb / gamma23(), rel=1e-14)
     sb = math.copysign(1.0, b)
-    assert flt(be.g_plus) == pytest.approx(
+    assert be.g_plus == pytest.approx(
         -sb * abs(b) / (cb * math.gamma(4.0 / 3.0)), rel=1e-14)
-    assert flt(be.g_minus) == pytest.approx(
+    assert be.g_minus == pytest.approx(
         (math.pi / math.sqrt(3.0)) * sb * abs(b) / (cb * math.gamma(4.0 / 3.0)),
         rel=1e-14)
 
@@ -186,8 +194,8 @@ def test_turning_point_wronskians_match_analytic():
                             (-3.0, lambda b: 1.5 * b)):
         for lo, hi, xs in (((0.0), z_other, 0.0), (z_other, 0.0, 1.0)):
             seg = make_segment(0.0, 1.0, lo, hi)
-            be = basis_eval(seg, xs)
-            assert flt(wronskian_of(be)) == pytest.approx(
+            be = true_eval(seg, xs)
+            assert wronskian_of(be) == pytest.approx(
                 expect(seg.b), rel=1e-13)
             assert analytic_wronskian(seg) == pytest.approx(
                 expect(seg.b), rel=1e-15)
@@ -200,15 +208,15 @@ def test_allowed_interior_matches_mpmath():
     for x in (0.2, 1.0, 7.5, 33.0):
         z = seg.z(x)
         w = mpmath.mpf(2.0) * mpmath.mpf(z) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(seg.b))
-        be = basis_eval(seg, x)
+        be = true_eval(seg, x)
         sz = mpmath.sqrt(z)
-        assert flt(be.f_plus) == pytest.approx(
+        assert be.f_plus == pytest.approx(
             float(sz * mpmath.besselj(mpmath.mpf(1) / 3, w)), rel=1e-12)
-        assert flt(be.f_minus) == pytest.approx(
+        assert be.f_minus == pytest.approx(
             float(sz * mpmath.bessely(mpmath.mpf(1) / 3, w)), rel=1e-12)
-        assert flt(be.g_plus) == pytest.approx(
+        assert be.g_plus == pytest.approx(
             float(z * mpmath.besselj(mpmath.mpf(-2) / 3, w)), rel=1e-12)
-        assert flt(be.g_minus) == pytest.approx(
+        assert be.g_minus == pytest.approx(
             float(z * mpmath.bessely(mpmath.mpf(-2) / 3, w)), rel=1e-12)
 
 
@@ -217,16 +225,16 @@ def test_forbidden_interior_matches_mpmath():
     for x in (0.2, 1.0, 7.5, 33.0):
         zeta = -seg.z(x)
         w = mpmath.mpf(2.0) * mpmath.mpf(zeta) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(-seg.b))
-        be = basis_eval(seg, x)
+        be = true_eval(seg, x)
         sz = mpmath.sqrt(zeta)
-        assert flt(be.f_plus) == pytest.approx(
+        assert be.f_plus == pytest.approx(
             float(sz * mpmath.besseli(mpmath.mpf(1) / 3, w)), rel=1e-12)
-        assert flt(be.f_minus) == pytest.approx(
+        assert be.f_minus == pytest.approx(
             float(sz * mpmath.besselk(mpmath.mpf(1) / 3, w)), rel=1e-12)
         # b < 0 here: sign(b) = -1
-        assert flt(be.g_plus) == pytest.approx(
+        assert be.g_plus == pytest.approx(
             float(zeta * mpmath.besseli(mpmath.mpf(-2) / 3, w)), rel=1e-12)
-        assert flt(be.g_minus) == pytest.approx(
+        assert be.g_minus == pytest.approx(
             float(-zeta * mpmath.besselk(mpmath.mpf(2) / 3, w)), rel=1e-12)
 
 
@@ -242,9 +250,9 @@ def test_forbidden_deep_zone_exponents():
         + 0.5 * math.log10(zeta)
     expect_fp = w * log10e - 0.5 * math.log10(2 * math.pi * w) \
         + 0.5 * math.log10(zeta)
-    assert be.f_plus.log10_abs() == pytest.approx(expect_fp, abs=1e-3)
-    assert be.f_minus.log10_abs() == pytest.approx(expect_fm, abs=1e-3)
-    assert flt(wronskian_of(be)) == pytest.approx(1.5 * seg.b, rel=1e-11)
+    assert log10_true(be, "f_plus") == pytest.approx(expect_fp, abs=1e-3)
+    assert log10_true(be, "f_minus") == pytest.approx(expect_fm, abs=1e-3)
+    assert wronskian_of(be) == pytest.approx(1.5 * seg.b, rel=1e-11)
 
 
 # --- Airy oracle: independent solution of the same equation --------------
@@ -258,15 +266,15 @@ def test_airy_oracle_forbidden_side():
     c = 2.0 ** (1.0 / 3.0)
     cases = ((0, 5.0, (0.4, 2.0, 3.5)), (2, 1.0, (2.0, 3.5, 5.0)))
     for which, x0, targets in cases:
-        be0 = basis_eval(seg, x0)
-        m = np.array([[flt(be0.f_plus), flt(be0.f_minus)],
-                      [flt(be0.g_plus), flt(be0.g_minus)]])
+        be0 = true_eval(seg, x0)
+        m = np.array([[be0.f_plus, be0.f_minus],
+                      [be0.g_plus, be0.g_minus]])
         v = sp.airy(c * x0)
         rhs = np.array([v[which], c * v[which + 1]])
         coef = np.linalg.solve(m, rhs)
         for x in targets:
-            be = basis_eval(seg, x)
-            got = coef[0] * flt(be.f_plus) + coef[1] * flt(be.f_minus)
+            be = true_eval(seg, x)
+            got = coef[0] * be.f_plus + coef[1] * be.f_minus
             want = sp.airy(c * x)[which]
             assert got == pytest.approx(want, rel=2e-10), (which, x)
 
@@ -276,16 +284,16 @@ def test_airy_oracle_allowed_side():
     seg = make_segment(-6.0, -1e-9, 12.0, 2e-9)
     c = 2.0 ** (1.0 / 3.0)
     x0 = -1.0
-    be0 = basis_eval(seg, x0)
-    m = np.array([[flt(be0.f_plus), flt(be0.f_minus)],
-                  [flt(be0.g_plus), flt(be0.g_minus)]])
+    be0 = true_eval(seg, x0)
+    m = np.array([[be0.f_plus, be0.f_minus],
+                  [be0.g_plus, be0.g_minus]])
     for which in (0, 2):
         v = sp.airy(c * x0)
         rhs = np.array([v[which], c * v[which + 1]])
         coef = np.linalg.solve(m, rhs)
         for x in (-0.4, -2.0, -3.5, -5.0):
-            be = basis_eval(seg, x)
-            got = coef[0] * flt(be.f_plus) + coef[1] * flt(be.f_minus)
+            be = true_eval(seg, x)
+            got = coef[0] * be.f_plus + coef[1] * be.f_minus
             want = sp.airy(c * x)[which]
             assert got == pytest.approx(want, rel=2e-10, abs=1e-13), (which, x)
 
@@ -319,17 +327,17 @@ def test_ode_residual_and_derivative_by_fd():
         for x in xs:
             x = float(x)
             z = seg.z(x)
-            bm = basis_eval(seg, x - h)
-            b0 = basis_eval(seg, x)
-            bp = basis_eval(seg, x + h)
+            bm = true_eval(seg, x - h)
+            b0 = true_eval(seg, x)
+            bp = true_eval(seg, x + h)
             for fm, f0, fp, g0 in (
                 (bm.f_plus, b0.f_plus, bp.f_plus, b0.g_plus),
                 (bm.f_minus, b0.f_minus, bp.f_minus, b0.g_minus),
             ):
-                if f0.is_zero():
+                if f0 == 0.0:
                     continue
-                rm = flt(fm / f0)
-                rp = flt(fp / f0)
+                rm = fm / f0
+                rp = fp / f0
                 if abs(rm) + abs(rp) > 50.0:
                     continue   # x sits at a node of f: ratios lose accuracy
                 # second derivative over f: must equal -z
@@ -338,7 +346,7 @@ def test_ode_residual_and_derivative_by_fd():
                     (seg.regime, x)
                 # first derivative over f: must equal g/f
                 d1 = (rp - rm) / (2.0 * h)
-                want = flt(g0 / f0)
+                want = g0 / f0
                 assert d1 == pytest.approx(want, rel=2e-7, abs=2e-7), \
                     (seg.regime, x)
 
@@ -351,12 +359,12 @@ def test_flat_regimes_ode_residual():
         Segment(x_lo=-2.0, x_hi=2.0, a=0.0, b=0.0, regime=Regime.FLAT_FREE),
     ):
         for x in (-1.0, 0.3):
-            bm, b0, bp = (basis_eval(seg, xx) for xx in (x - h, x, x + h))
+            bm, b0, bp = (true_eval(seg, xx) for xx in (x - h, x, x + h))
             for fm, f0, fp in ((bm.f_plus, b0.f_plus, bp.f_plus),
                                (bm.f_minus, b0.f_minus, bp.f_minus)):
-                if f0.is_zero() or abs(flt(f0)) < 1e-3:
+                if f0 == 0.0 or abs(f0) < 1e-3:
                     continue
-                d2 = (flt(fm / f0) + flt(fp / f0) - 2.0) / (h * h)
+                d2 = (fm / f0 + fp / f0 - 2.0) / (h * h)
                 assert d2 == pytest.approx(-seg.z(x), abs=5e-5)
 
 
@@ -383,7 +391,7 @@ def test_series_switch_handoff_matches_mpmath(z_sign, slope_sign):
         t = (1.5 * abs(seg.b) * w_target) ** (2.0 / 3.0)   # |z| at the probe
         x = (z_sign * t - seg.z_ref) / seg.b
         assert seg.x_lo < x < seg.x_hi
-        be = basis_eval(seg, x)
+        be = true_eval(seg, x)
         wm = 2 * mpmath.mpf(t) ** mpmath.mpf(1.5) / (3 * abs(mpmath.mpf(seg.b)))
         sq = mpmath.sqrt(t)
         if z_sign > 0:
@@ -398,7 +406,7 @@ def test_series_switch_handoff_matches_mpmath(z_sign, slope_sign):
                     sb * t * mpmath.besselk(2 * third, wm))
         got = (be.f_plus, be.f_minus, be.g_plus, be.g_minus)
         for g, w_ref in zip(got, want):
-            assert flt(g) == pytest.approx(float(w_ref), rel=5e-12), w_target
+            assert g == pytest.approx(float(w_ref), rel=5e-12), w_target
 
 
 # --- Wronskian constancy across each regime ------------------------------
@@ -409,8 +417,8 @@ def test_wronskian_constant_over_segments():
         expect = analytic_wronskian(seg)
         xs = np.linspace(seg.x_lo, seg.x_hi, 9)
         for x in xs:
-            w = wronskian_of(basis_eval(seg, float(x)))
-            assert flt(w) == pytest.approx(expect, rel=1e-10), (seg.regime, x)
+            w = wronskian_of(true_eval(seg, float(x)))
+            assert w == pytest.approx(expect, rel=1e-10), (seg.regime, x)
 
 
 def test_mirror_symmetry():
@@ -420,9 +428,9 @@ def test_mirror_symmetry():
         seg_l = make_segment(-2.5, 0.0, z_hi, 0.0)
         # anchor of seg_l is at -2.5; shift reference so z matches at +-x
         for x in (0.3, 1.1, 2.2):
-            br = basis_eval(seg_r, x)
-            bl = basis_eval(seg_l, -x)
-            assert flt(bl.f_plus) == pytest.approx(flt(br.f_plus), rel=1e-10)
-            assert flt(bl.f_minus) == pytest.approx(flt(br.f_minus), rel=1e-10)
-            assert flt(bl.g_plus) == pytest.approx(-flt(br.g_plus), rel=1e-10)
-            assert flt(bl.g_minus) == pytest.approx(-flt(br.g_minus), rel=1e-10)
+            br = true_eval(seg_r, x)
+            bl = true_eval(seg_l, -x)
+            assert bl.f_plus == pytest.approx(br.f_plus, rel=1e-10)
+            assert bl.f_minus == pytest.approx(br.f_minus, rel=1e-10)
+            assert bl.g_plus == pytest.approx(-br.g_plus, rel=1e-10)
+            assert bl.g_minus == pytest.approx(-br.g_minus, rel=1e-10)

@@ -4,7 +4,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mazersim.extrange import RangeFlag, XReal, xadd, xmul
 from mazersim.specfun import (
     BesselKind,
     ORDER_THIRD,
@@ -18,9 +17,13 @@ mp.mp.dps = 50
 J, Y, I, K = BesselKind.J, BesselKind.Y, BesselKind.I, BesselKind.K
 
 
-def val(kind, order, y, scaled=False) -> float:
-    out = cyl_bessel(kind, order, y, scaled=scaled).to_float_checked()
-    assert not isinstance(out, RangeFlag)
+def val(kind, order, y) -> float:
+    """J and Y as they are, I and K with their exponential scale restored."""
+    out = cyl_bessel(kind, order, y)
+    if kind is I:
+        return out * math.exp(y)
+    if kind is K:
+        return out * math.exp(-y)
     return out
 
 
@@ -42,19 +45,18 @@ def bessely_deriv_third(y: float) -> float:
 
 
 def test_wronskian_modified_pair():
-    # K(y) I'(y) - K'(y) I(y) = 1/y, derivatives through order-2/3 values
+    # K(y) I'(y) - K'(y) I(y) = 1/y, derivatives through order-2/3 values;
+    # the scales e**y of I and e**-y of K cancel in every product
     for y in (1.0, 10.0, 100.0):
-        i13 = cyl_bessel(I, ORDER_THIRD, y, scaled=True)
-        k13 = cyl_bessel(K, ORDER_THIRD, y, scaled=True)
-        i23 = cyl_bessel(I, ORDER_TWO_THIRDS, y, scaled=True)
-        k23 = cyl_bessel(K, ORDER_TWO_THIRDS, y, scaled=True)
-        third = XReal.from_float(1.0 / (3.0 * y))
-        root3_over_pi = XReal.from_float(math.sqrt(3.0) / math.pi)
-        i_m23 = xadd(i23, xmul(root3_over_pi, k23))
-        i_prime = xadd(i_m23, -xmul(third, i13))
-        k_prime = xadd(-k23, -xmul(third, k13))
-        w = xadd(xmul(k13, i_prime), -xmul(k_prime, i13))
-        got = w.to_float_checked()
+        i13 = cyl_bessel(I, ORDER_THIRD, y)
+        k13 = cyl_bessel(K, ORDER_THIRD, y)
+        i23 = cyl_bessel(I, ORDER_TWO_THIRDS, y)
+        k23 = cyl_bessel(K, ORDER_TWO_THIRDS, y)
+        third = 1.0 / (3.0 * y)
+        i_m23 = i23 + math.sqrt(3.0) / math.pi * k23 * math.exp(-2.0 * y)
+        i_prime = i_m23 - third * i13
+        k_prime = -k23 - third * k13
+        got = k13 * i_prime - k_prime * i13
         assert abs(got - 1.0 / y) <= 1e-12 / y
 
 
@@ -117,34 +119,26 @@ def test_matches_mpmath_across_range():
             assert abs(got - float(want)) <= 5e-12 * scale
         if y <= 500.0:
             for kind, fn in ((I, mp.besseli), (K, mp.besselk)):
-                got = val(kind, ORDER_THIRD, y, scaled=True)
+                got = val(kind, ORDER_THIRD, y)
                 want = float(fn(mp.mpf(1) / 3, y))
                 assert abs(got - want) <= 5e-12 * abs(want)
 
 
-def test_scaled_unscaled_consistency():
-    for y in np.logspace(-3, math.log10(500.0), 25):
-        y = float(y)
-        for kind in (I, K):
-            for order in (ORDER_THIRD, ORDER_TWO_THIRDS):
-                a = val(kind, order, y, scaled=True)
-                b = val(kind, order, y, scaled=False)
-                assert abs(a - b) <= 1e-13 * abs(b)
-
-
 def test_scaled_survives_huge_argument():
-    x = cyl_bessel(I, ORDER_THIRD, 1e6, scaled=True)
-    # e**1e6 ~ 10**434294; mantissa from asymptotics ~ 1/sqrt(2 pi y)
-    assert x.e > 400_000
-    assert abs(x.log10_abs() - (1e6 * math.log10(math.e) + math.log10(1.0 / math.sqrt(2 * math.pi * 1e6)))) < 1e-6
-    k = cyl_bessel(K, ORDER_THIRD, 1e6, scaled=True)
-    assert k.e < -400_000
+    # e**1e6 ~ 10**434294 stays out of the value: the scaled forms follow
+    # the asymptotics 1/sqrt(2 pi y) and sqrt(pi / (2 y))
+    y = 1e6
+    x = cyl_bessel(I, ORDER_THIRD, y)
+    assert abs(math.log10(x) - math.log10(1.0 / math.sqrt(2 * math.pi * y))) < 1e-6
+    k = cyl_bessel(K, ORDER_THIRD, y)
+    assert abs(math.log10(k) - math.log10(math.sqrt(math.pi / (2 * y)))) < 1e-6
 
 
 def test_monotonicity_modified():
+    # in log form, log I = y + log(scaled I) and log K = -y + log(scaled K)
     ys = np.logspace(-3, 3, 60)
-    ivals = [cyl_bessel(I, ORDER_THIRD, float(y), scaled=True) for y in ys]
-    kvals = [cyl_bessel(K, ORDER_THIRD, float(y), scaled=True) for y in ys]
+    ivals = [float(y) + math.log(cyl_bessel(I, ORDER_THIRD, float(y))) for y in ys]
+    kvals = [-float(y) + math.log(cyl_bessel(K, ORDER_THIRD, float(y))) for y in ys]
     for a, b in zip(ivals, ivals[1:]):
         assert a < b
     for a, b in zip(kvals, kvals[1:]):
@@ -159,7 +153,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         cyl_bessel(J, 0.5, 1.0)
     with pytest.raises(ValueError):
-        cyl_bessel(I, ORDER_THIRD, 1e12, scaled=True)
+        cyl_bessel(I, ORDER_THIRD, 1e12)
 
 
 def test_log_gamma_special_values():

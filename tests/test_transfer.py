@@ -1,31 +1,21 @@
-"""Join matrices, backward/forward sweeps, amplitude extraction."""
+"""Segment propagators, the node-state sweep, amplitude extraction."""
 
 import cmath
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from mazersim.extrange import XComplex, XReal, to_float_checked
 from mazersim.grid import ModeProfile, ModeShape, build_grid
-from mazersim.segment_basis import Regime, Segment, analytic_wronskian, make_segment
+from mazersim.segment_basis import Regime, Segment, make_segment
 from mazersim.transfer import (
-    CoeffPair,
     TransferError,
-    join_matrix,
+    propagator,
     solve_scattering,
-    step_backward,
-    step_forward,
+    sweep,
     wavefunction,
 )
-
-
-def flt(x: XReal) -> float:
-    v = to_float_checked(x)
-    assert isinstance(v, float)
-    return v
 
 
 def mesa_closed(k: float, V0: float, a: float) -> tuple[complex, complex]:
@@ -76,35 +66,53 @@ def random_adjacent_pair(rng) -> tuple[Segment, Segment, float]:
     return segs[0], segs[1], x_join
 
 
-def matrix_floats(mat) -> np.ndarray:
-    return np.array([[flt(mat[0]), flt(mat[1])], [flt(mat[2]), flt(mat[3])]])
+def matrix_floats(seg, x_from, x_to) -> np.ndarray:
+    """The propagator with its log factor multiplied back in."""
+    p11, p12, p21, p22, log_factor = propagator(seg, x_from, x_to)
+    return math.exp(log_factor) * np.array([[p11, p12], [p21, p22]])
 
 
-# --- join algebra ---------------------------------------------------------
+def across_pair(prev, nxt, forward):
+    """Propagator over two adjacent segments, left to right or back."""
+    if forward:
+        return (matrix_floats(nxt, nxt.x_lo, nxt.x_hi)
+                @ matrix_floats(prev, prev.x_lo, prev.x_hi))
+    return (matrix_floats(prev, prev.x_hi, prev.x_lo)
+            @ matrix_floats(nxt, nxt.x_hi, nxt.x_lo))
+
+
+# --- propagator algebra ---------------------------------------------------
 
 def test_identity_join():
+    # joins are identities: the node state is shared, and a propagator of
+    # zero length is the unit matrix
     seg = make_segment(0.0, 1.0, 0.5, 2.0)
-    mat = matrix_floats(join_matrix(seg, seg, 1.0))
+    mat = matrix_floats(seg, 1.0, 1.0)
     assert np.allclose(mat, np.eye(2), rtol=0.0, atol=1e-14)
-    pair = CoeffPair(XComplex.from_complex(0.3 - 0.4j),
-                     XComplex.from_complex(1.1 + 0.2j), 0)
-    out = step_backward(seg, seg, 1.0, pair)
-    assert out.C.to_complex_checked() * 10.0 ** out.log10_scale == pytest.approx(
-        0.3 - 0.4j, abs=1e-14)
-    assert out.D.to_complex_checked() * 10.0 ** out.log10_scale == pytest.approx(
-        1.1 + 0.2j, abs=1e-14)
+    state = mat @ np.array([0.3 - 0.4j, 1.1 + 0.2j])
+    assert state[0] == pytest.approx(0.3 - 0.4j, abs=1e-14)
+    assert state[1] == pytest.approx(1.1 + 0.2j, abs=1e-14)
 
 
 def test_free_to_forbidden_join_hand_algebra():
     # {cos kx, sin kx} anchored at the join meeting {e^-rho x, e^+rho x}:
-    # value/slope matching gives B = [[1, 1], [-rho/k, rho/k]]
-    k, rho = 0.3, 0.7
-    free = Segment(x_lo=-math.inf, x_hi=0.0, a=k * k, b=0.0,
+    # the outgoing wave (C, D) = (1, i) gives the node state (1, i k); the
+    # forbidden segment of width h carries it back by the hyperbolic
+    # rotation [[cosh, -sinh/rho], [-rho sinh, cosh]] of rho h
+    k, rho, h = 0.3, 0.7, 4.0
+    forb = make_segment(-h, 0.0, -rho * rho, -rho * rho)
+    free = Segment(x_lo=0.0, x_hi=math.inf, a=k * k, b=0.0,
                    regime=Regime.FLAT_ALLOWED, x_ref=0.0, z_ref=k * k)
-    forb = make_segment(0.0, 4.0, -rho * rho, -rho * rho)
-    mat = matrix_floats(join_matrix(free, forb, 0.0))
-    want = np.array([[1.0, 1.0], [-rho / k, rho / k]])
+    left = Segment(x_lo=-math.inf, x_hi=-h, a=k * k, b=0.0,
+                   regime=Regime.FLAT_ALLOWED, x_ref=-h, z_ref=k * k)
+    mat = matrix_floats(forb, 0.0, -h)
+    ch, sh = math.cosh(rho * h), math.sinh(rho * h)
+    want = np.array([[ch, -sh / rho], [-rho * sh, ch]])
     assert np.allclose(mat, want, rtol=1e-14, atol=0.0)
+    c0, d0, log_scale, _ = sweep([left, forb, free], 1.0, 1.0j)
+    phi, dphi = want @ np.array([1.0, 1.0j * k])
+    assert c0 * math.exp(log_scale) == pytest.approx(phi, rel=1e-14)
+    assert d0 * math.exp(log_scale) == pytest.approx(dphi / k, rel=1e-14)
 
 
 def test_round_trip_and_determinant():
@@ -112,28 +120,24 @@ def test_round_trip_and_determinant():
     checked = 0
     while checked < 100:
         prev, nxt, x_join = random_adjacent_pair(rng)
-        B = matrix_floats(join_matrix(prev, nxt, x_join))
-        A = matrix_floats(join_matrix(nxt, prev, x_join))
+        B = across_pair(prev, nxt, forward=False)
+        A = across_pair(prev, nxt, forward=True)
         scale = max(1.0, np.max(np.abs(A)) * np.max(np.abs(B)))
         assert np.allclose(A @ B, np.eye(2), rtol=0.0, atol=1e-12 * scale)
+        # M(x_lo) M(x_hi)^-1 within one segment has unit determinant
         det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        want = analytic_wronskian(nxt) / analytic_wronskian(prev)
-        assert det == pytest.approx(want, rel=1e-11)
+        assert det == pytest.approx(1.0, rel=1e-11)
         checked += 1
 
 
-def test_step_forward_inverts_step_backward():
+def test_forward_sweep_inverts_backward_sweep():
     rng = np.random.default_rng(7)
     for _ in range(40):
         prev, nxt, x_join = random_adjacent_pair(rng)
-        pair = CoeffPair(XComplex.from_complex(complex(*rng.uniform(-2, 2, 2))),
-                         XComplex.from_complex(complex(*rng.uniform(-2, 2, 2))), 0)
-        back = step_backward(prev, nxt, x_join, pair)
-        again = step_forward(prev, nxt, x_join, back)
-        for orig, new in ((pair.C, again.C), (pair.D, again.D)):
-            got = new.to_complex_checked() * 10.0 ** again.log10_scale
-            assert got == pytest.approx(orig.to_complex_checked(),
-                                        rel=1e-12, abs=1e-12)
+        state = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2)
+        again = across_pair(prev, nxt, True) @ (across_pair(prev, nxt, False) @ state)
+        for orig, got in zip(state, again):
+            assert got == pytest.approx(orig, rel=1e-12, abs=1e-12)
 
 
 # --- scattering solutions -------------------------------------------------
@@ -143,7 +147,7 @@ def test_zero_potential_identity():
     res = solve_scattering(build_grid(p, +1, 0.1, 5))
     assert res.t == pytest.approx(1.0 + 0.0j, abs=1e-14)
     assert res.r == pytest.approx(0.0 + 0.0j, abs=1e-14)
-    assert res.log10_scale == 0
+    assert res.log10_scale == 0.0
     assert res.unitarity_defect <= 1e-14
 
 
@@ -205,13 +209,8 @@ def test_seed_scale_invariance():
     g = build_grid(ModeProfile(ModeShape.SECH2, 10.0), +1, 0.1, 200)
     base = solve_scattering(g)
     s = (0.3 - 0.7j) * 10.0 ** 150
-    segs = g.segments
-    coeffs = CoeffPair(XComplex.from_complex(s), XComplex.from_complex(1j * s), 0)
-    for j in range(len(segs) - 2, -1, -1):
-        coeffs = step_backward(segs[j], segs[j + 1], segs[j].x_hi, coeffs)
-    c0 = coeffs.C.to_complex_checked()
-    d0 = coeffs.D.to_complex_checked()
-    t = s * 2.0 * 10.0 ** (-coeffs.log10_scale) / (c0 - 1j * d0)
+    c0, d0, log_scale, _ = sweep(g.segments, s, 1j * s)
+    t = s * 2.0 * math.exp(-log_scale) / (c0 - 1j * d0)
     r = (c0 + 1j * d0) / (c0 - 1j * d0)
     assert t == pytest.approx(base.t, rel=1e-12)
     assert r == pytest.approx(base.r, rel=1e-12)
@@ -236,19 +235,7 @@ def test_record_coefficients_indexing():
     res = solve_scattering(g, record_coefficients=True)
     assert res.coefficients is not None
     assert [sc.index for sc in res.coefficients] == list(range(len(g.segments)))
-    assert res.coefficients[-1].log10_scale == 0     # the seed itself
-
-
-def test_debug_stream_format():
-    g = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
-    buf = io.StringIO()
-    res = solve_scattering(g, debug_stream=buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 1 + len(g.segments) - 1
-    last = lines[-1].split(",")
-    assert len(last) == 5
-    assert int(last[4]) == res.log10_scale
+    assert res.coefficients[-1].log_scale == 0.0     # the seed itself
 
 
 # --- wavefunction reconstruction ------------------------------------------
@@ -294,19 +281,15 @@ def test_wavefunction_evanescent_profile():
 
 
 def test_wavefunction_continuity_and_turning_points():
-    from mazersim.segment_basis import basis_eval
-
     k, L = 0.1, 10.0
     g = build_grid(ModeProfile(ModeShape.SECH2, L), +1, k, 200)
     res = solve_scattering(g, record_coefficients=True)
 
     def phi_from_segment(idx: int, x: float) -> complex:
-        sc = res.coefficients[idx]
-        be = basis_eval(g.segments[idx], x)
-        combo = sc.C.scale(be.f_plus) + sc.D.scale(be.f_minus)
-        combo = combo.scaled10(sc.log10_scale - res.coefficients[0].log10_scale)
-        v = combo.to_complex_checked()
-        return v if isinstance(v, complex) else 0.0 + 0.0j
+        st = res.coefficients[idx]
+        p11, p12, _, _, log_factor = propagator(g.segments[idx], st.x, x)
+        return (p11 * st.phi + p12 * st.dphi) * math.exp(
+            log_factor + st.log_scale - res.coefficients[0].log_scale)
 
     # both representations of phi at each join, before normalization
     peak = max(abs(phi_from_segment(i, float(x)))
