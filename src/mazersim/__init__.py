@@ -17,6 +17,7 @@ references (oracles), and the CSV front end (cli).
 
 from .grid import (
     Grid,
+    GridResolutionError,
     ModeProfile,
     ModeShape,
     build_grid,
@@ -55,7 +56,7 @@ from .transfer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "ModeProfile", "ModeShape",
+    "Grid", "GridResolutionError", "ModeProfile", "ModeShape",
     "build_grid", "eval_mode", "find_turning_points", "load_tabulated",
     "ConvergenceStudy", "EventProbabilities", "MazerParams",
     "SweepRow", "SweepTable",

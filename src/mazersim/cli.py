@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grid import ModeShape, build_grid
+from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid
 from .mazer import MazerParams, convergence_study, sweep_kappaL
 from .oracles import mesa_analytic, sech2_analytic
 from .transfer import solve_scattering, wavefunction
@@ -126,8 +126,7 @@ def _base_params(args, *, J: int | None = None) -> MazerParams:
     try:
         return MazerParams.for_shape(
             shape, args.k, kappaL, J if J is not None else args.J,
-            window_factor=args.window_factor,
-            renormalize=not args.no_renormalize)
+            window_factor=args.window_factor)
     except (TypeError, ValueError) as exc:
         raise _ConfigError(str(exc))
 
@@ -151,7 +150,6 @@ def _cmd_sweep(args) -> int:
         ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
         ("range", args.range), ("J", args.J),
         ("window_factor", _fmt(args.window_factor)),
-        ("renormalize", not args.no_renormalize),
     ])
     lines.append(_SWEEP_COLUMNS)
     for row in table.rows:
@@ -167,7 +165,6 @@ def _cmd_converge(args) -> int:
         ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
         ("kappaL", _fmt(args.kappaL)), ("J", args.J),
         ("window_factor", _fmt(args.window_factor)),
-        ("renormalize", not args.no_renormalize),
     ])
     lines.append("J,P_em")
     try:
@@ -205,7 +202,6 @@ def _cmd_compare_oracle(args) -> int:
         ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
         ("range", args.range), ("J", args.J),
         ("window_factor", _fmt(args.window_factor)),
-        ("renormalize", not args.no_renormalize),
     ])
     lines.append(_SWEEP_COLUMNS + ",P_em_oracle,abs_dev")
     max_dev = 0.0
@@ -234,8 +230,7 @@ def _cmd_wavefunction(args) -> int:
     try:
         grid = build_grid(
             params.profile, branch, params.k_over_kappa, params.J,
-            window_factor=params.window_factor,
-            renormalize=params.renormalize)
+            window_factor=params.window_factor)
         result = solve_scattering(grid, record_coefficients=True)
     except Exception as exc:
         raise _ConfigError(f"solve failed: {type(exc).__name__}: {exc}")
@@ -247,7 +242,6 @@ def _cmd_wavefunction(args) -> int:
         ("kappaL", _fmt(args.kappaL)), ("J", args.J),
         ("branch", f"{branch:+d}"),
         ("window_factor", _fmt(args.window_factor)),
-        ("renormalize", not args.no_renormalize),
         ("samples", args.samples),
     ])
     lines.append("x,re_psi,im_psi,abs2_psi")
@@ -264,10 +258,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=float, required=True,
                         help="atomic momentum over coupling wavenumber")
     parser.add_argument("--window-factor", dest="window_factor",
-                        type=float, default=16.0,
+                        type=float, default=DEFAULT_WINDOW_FACTOR,
                         help="total simulation window in units of kappaL")
-    parser.add_argument("--no-renormalize", action="store_true",
-                        help="skip area renormalization of the sampled mode")
     parser.add_argument("--output", default=None,
                         help="output CSV path (default: stdout)")
 

@@ -34,6 +34,7 @@ __all__ = [
     "ModeShape",
     "ModeProfile",
     "Grid",
+    "GridResolutionError",
     "DEFAULT_WINDOW_FACTOR",
     "TURNING_MERGE_TOL",
     "eval_mode",
@@ -55,6 +56,12 @@ _ALPHA_FIXED_POINT_TOL = 1.0e-14
 _MAX_ALPHA_ITER = 8
 
 
+class GridResolutionError(ValueError):
+    """The grid cannot represent the mode: its node samples have zero
+    interpolant area while the mode does not, or the renormalized grid
+    fails its area self-check."""
+
+
 class ModeShape(enum.Enum):
     MESA = "mesa"
     SECH2 = "sech2"
@@ -62,6 +69,10 @@ class ModeShape(enum.Enum):
     SIN_FIRST_EXCITED = "sin2"
     GAUSSIAN = "gauss"
     TABULATED = "tabulated"
+
+
+# sinusoidal modes sin(n pi x / L) on [0, L], by their number n of half waves
+_SINES = {ModeShape.SIN_FUNDAMENTAL: 1.0, ModeShape.SIN_FIRST_EXCITED: 2.0}
 
 
 @dataclass(frozen=True)
@@ -153,17 +164,13 @@ def eval_mode(profile: ModeProfile, x: float) -> float:
         e = math.exp(-t)
         sech = 2.0 * e / (1.0 + e * e)
         return sech * sech
-    if s is ModeShape.SIN_FUNDAMENTAL:
-        return math.sin(math.pi * x / L) if 0.0 < x < L else 0.0
-    if s is ModeShape.SIN_FIRST_EXCITED:
-        return math.sin(2.0 * math.pi * x / L) if 0.0 < x < L else 0.0
+    if s in _SINES:
+        return math.sin(_SINES[s] * math.pi * x / L) if 0.0 < x < L else 0.0
     if s is ModeShape.GAUSSIAN:
         t = x / profile.sigma
         arg = 0.5 * t * t
         return math.exp(-arg) if arg < 745.0 else 0.0
-    xs = np.array([p[0] for p in profile.table])
-    us = np.array([p[1] for p in profile.table])
-    return float(np.interp(x, xs, us, left=0.0, right=0.0))
+    return float(eval_mode_array(profile, x))
 
 
 def eval_mode_array(profile: ModeProfile, xs: np.ndarray) -> np.ndarray:
@@ -180,12 +187,9 @@ def eval_mode_array(profile: ModeProfile, xs: np.ndarray) -> np.ndarray:
         out = sech * sech
         out[np.abs(xs) / L > 350.0] = 0.0
         return out
-    if s is ModeShape.SIN_FUNDAMENTAL:
+    if s in _SINES:
         inside = (xs > 0.0) & (xs < L)
-        return np.where(inside, np.sin(np.pi * xs / L), 0.0)
-    if s is ModeShape.SIN_FIRST_EXCITED:
-        inside = (xs > 0.0) & (xs < L)
-        return np.where(inside, np.sin(2.0 * np.pi * xs / L), 0.0)
+        return np.where(inside, np.sin(_SINES[s] * np.pi * xs / L), 0.0)
     if s is ModeShape.GAUSSIAN:
         t = xs / profile.sigma
         arg = 0.5 * t * t
@@ -201,6 +205,18 @@ def _clip(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
     return max(a, lo), min(b, hi)
 
 
+def _table_samples(profile: ModeProfile, a: float, b: float,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints of a table inside [a, b] plus the clipped ends, with u
+    there; the linear interpolant through them is the tabulated mode."""
+    tbl = profile.table
+    lo, hi = _clip(a, b, tbl[0][0], tbl[-1][0])
+    if hi <= lo:
+        return np.empty(0), np.empty(0)
+    xs = np.array([lo] + [x for x, _ in tbl if lo < x < hi] + [hi])
+    return xs, eval_mode_array(profile, xs)
+
+
 def signed_area(profile: ModeProfile, a: float, b: float) -> float:
     """Exact integral of u over [a, b], by closed form."""
     if b <= a:
@@ -212,17 +228,11 @@ def signed_area(profile: ModeProfile, a: float, b: float) -> float:
         return max(hi - lo, 0.0)
     if s is ModeShape.SECH2:
         return L * (math.tanh(b / L) - math.tanh(a / L))
-    if s is ModeShape.SIN_FUNDAMENTAL:
+    if s in _SINES:
         lo, hi = _clip(a, b, 0.0, L)
         if hi <= lo:
             return 0.0
-        c = math.pi / L
-        return (math.cos(c * lo) - math.cos(c * hi)) / c
-    if s is ModeShape.SIN_FIRST_EXCITED:
-        lo, hi = _clip(a, b, 0.0, L)
-        if hi <= lo:
-            return 0.0
-        c = 2.0 * math.pi / L
+        c = _SINES[s] * math.pi / L
         return (math.cos(c * lo) - math.cos(c * hi)) / c
     if s is ModeShape.GAUSSIAN:
         sg = profile.sigma
@@ -230,13 +240,8 @@ def signed_area(profile: ModeProfile, a: float, b: float) -> float:
         return sg * math.sqrt(math.pi / 2.0) * (
             math.erf(b / (sg * rt2)) - math.erf(a / (sg * rt2)))
     # tabulated: trapezoid over the table restricted to [a, b] is exact
-    pts = [(x, u) for x, u in profile.table if a < x < b]
-    lo, hi = _clip(a, b, profile.table[0][0], profile.table[-1][0])
-    if hi <= lo:
-        return 0.0
-    pts = [(lo, eval_mode(profile, lo))] + pts + [(hi, eval_mode(profile, hi))]
-    return math.fsum(0.5 * (u0 + u1) * (x1 - x0)
-                     for (x0, u0), (x1, u1) in zip(pts, pts[1:]))
+    xs, us = _table_samples(profile, a, b)
+    return math.fsum(0.5 * (us[:-1] + us[1:]) * np.diff(xs))
 
 
 def abs_area(profile: ModeProfile, a: float, b: float) -> float:
@@ -246,38 +251,13 @@ def abs_area(profile: ModeProfile, a: float, b: float) -> float:
     excited sinusoid and sign-changing tables are split at their zero
     crossings first.
     """
-    if b <= a:
-        return 0.0
     s = profile.shape
-    L = profile.length
     if s is ModeShape.SIN_FIRST_EXCITED:
-        lo, hi = _clip(a, b, 0.0, L)
-        if hi <= lo:
-            return 0.0
-        total = 0.0
-        half = 0.5 * L
-        edges = [lo]
-        if lo < half < hi:
-            edges.append(half)
-        edges.append(hi)
-        for p, q in zip(edges, edges[1:]):
-            total += abs(signed_area(profile, p, q))
-        return total
+        half = 0.5 * profile.length
+        return (abs(signed_area(profile, a, min(b, half)))
+                + abs(signed_area(profile, max(a, half), b)))
     if s is ModeShape.TABULATED:
-        total = 0.0
-        tbl = profile.table
-        lo, hi = _clip(a, b, tbl[0][0], tbl[-1][0])
-        if hi <= lo:
-            return 0.0
-        xs = [lo] + [x for x, _ in tbl if lo < x < hi] + [hi]
-        for x0, x1 in zip(xs, xs[1:]):
-            u0, u1 = eval_mode(profile, x0), eval_mode(profile, x1)
-            h = x1 - x0
-            if u0 * u1 < 0.0:
-                total += 0.5 * h * (u0 * u0 + u1 * u1) / (abs(u0) + abs(u1))
-            else:
-                total += 0.5 * h * (abs(u0) + abs(u1))
-        return total
+        return interp_abs_area(*_table_samples(profile, a, b))
     return abs(signed_area(profile, a, b))
 
 
@@ -287,15 +267,14 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
     Not the trapezoid rule on |u_i|: an interval whose endpoints differ in
     sign contributes the two-triangle area h*(u0^2+u1^2)/(2(|u0|+|u1|)).
     """
-    total = []
-    for i in range(len(xs) - 1):
-        u0, u1 = float(us[i]), float(us[i + 1])
-        h = float(xs[i + 1] - xs[i])
-        if u0 * u1 < 0.0:
-            total.append(0.5 * h * (u0 * u0 + u1 * u1) / (abs(u0) + abs(u1)))
-        else:
-            total.append(0.5 * h * (abs(u0) + abs(u1)))
-    return math.fsum(total)
+    u0, u1 = np.abs(us[:-1]), np.abs(us[1:])
+    h = np.diff(xs)
+    cross = us[:-1] * us[1:] < 0.0
+    # only crossing intervals divide, so u0 = u1 = 0 yields no 0/0
+    denom = np.where(cross, u0 + u1, 1.0)
+    area = np.where(cross, 0.5 * h * (u0 * u0 + u1 * u1) / denom,
+                    0.5 * h * (u0 + u1))
+    return math.fsum(area)
 
 
 # --- turning points -------------------------------------------------------
@@ -329,16 +308,10 @@ def find_turning_points(
 
     xs = np.linspace(a, b, max(int(scan_points), 16))
     hs = sign * alpha * eval_mode_array(profile, xs) * 0.5 - E
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        h0, h1 = float(hs[i]), float(hs[i + 1])
-        if h0 == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if h0 * h1 >= 0.0:
-            continue
+    roots = xs[hs == 0.0].tolist()
+    for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
         lo, hi = float(xs[i]), float(xs[i + 1])
-        flo = h0
+        flo = float(hs[i])
         tol = max(1.0e-12, 4.0 * math.ulp(max(abs(lo), abs(hi))))
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -351,8 +324,6 @@ def find_turning_points(
             else:
                 lo, flo = mid, fm
         roots.append(0.5 * (lo + hi))
-    if float(hs[-1]) == 0.0:
-        roots.append(float(xs[-1]))
     # merge duplicates (tangent grazing finds the same root twice)
     merged: list[float] = []
     for r in sorted(roots):
@@ -369,13 +340,13 @@ class Grid:
     """The full segmentation of one scattering problem.
 
     ``segments`` starts and ends with the semi-infinite free regions; the
-    interior entries tile the window.  ``V_values`` are the renormalized
-    potential samples alpha*V at ``points``; turning nodes carry V = E
-    exactly so no segment straddles a sign change of E - V.
+    interior entries tile the window.  ``z`` holds the solver's coefficient
+    z = k^2 - 2*alpha*V at ``points``; turning nodes carry z = 0 exactly so
+    no segment straddles a sign change of z.
     """
 
     points: np.ndarray
-    V_values: np.ndarray
+    z: np.ndarray
     alpha: float
     E: float
     k: float
@@ -387,13 +358,13 @@ class Grid:
 
     def __post_init__(self) -> None:
         self.points.flags.writeable = False
-        self.V_values.flags.writeable = False
+        self.z.flags.writeable = False
 
 
 def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> np.ndarray:
     """Insert roots into the node array; a root within the merge tolerance
     of an interior node replaces that node (window edges stay put)."""
-    nodes = list(map(float, uniform))
+    nodes = uniform.tolist()
     for r in roots:
         if r <= nodes[0] or r >= nodes[-1]:
             continue
@@ -420,13 +391,13 @@ def build_grid(
     *,
     window: tuple[float, float] | None = None,
     window_factor: float = DEFAULT_WINDOW_FACTOR,
-    renormalize: bool = True,
 ) -> Grid:
     """Uniform J-point grid over the window, turning points inserted,
     potential samples renormalized, segments tagged.
 
     sign selects the dressed-potential branch: +1 for the repulsive
-    barrier, -1 for the attractive well.
+    barrier, -1 for the attractive well.  Raises GridResolutionError when
+    the J uniform nodes cannot resolve the mode.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -455,11 +426,13 @@ def build_grid(
     area_exact = abs_area(profile, x_a, x_b)
 
     def alpha_for(nodes: np.ndarray, u_nodes: np.ndarray) -> float:
-        if not renormalize:
+        if area_exact == 0.0:
             return 1.0
         denom = interp_abs_area(nodes, u_nodes)
-        if area_exact == 0.0 or denom == 0.0:
-            return 1.0
+        if denom == 0.0:
+            raise GridResolutionError(
+                f"every one of the J = {J} nodes sits on a zero of the "
+                "mode; increase J")
         return area_exact / denom
 
     alpha = alpha_for(uniform, u_uniform)
@@ -497,12 +470,9 @@ def build_grid(
     nodes, z, extra = _split_residual_crossings(nodes, z)
     root_positions = sorted(root_positions + extra)
 
-    segments = _segments_from_samples(nodes, z, z_free)
-    V_values = 0.5 * (z_free - z)
-
     grid = Grid(
         points=nodes,
-        V_values=V_values,
+        z=z,
         alpha=float(alpha),
         E=E,
         k=k,
@@ -510,9 +480,9 @@ def build_grid(
         profile=profile,
         window=(x_a, x_b),
         turning_points=tuple(root_positions),
-        segments=tuple(segments),
+        segments=_segments_from_samples(nodes, z, z_free),
     )
-    _verify_grid(grid, area_exact, renormalize)
+    _verify_grid(grid, area_exact)
     return grid
 
 
@@ -525,10 +495,9 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
     z_top = z_free - sign * 1.0
     nodes = np.array([lo, hi])
     z = np.array([z_top, z_top])
-    segments = _segments_from_samples(nodes, z, z_free)
     return Grid(
         points=nodes,
-        V_values=np.array([0.5 * sign, 0.5 * sign]),
+        z=z,
         alpha=1.0,
         E=E,
         k=k,
@@ -536,72 +505,62 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
         profile=profile,
         window=(lo, hi),
         turning_points=(),
-        segments=tuple(segments),
+        segments=_segments_from_samples(nodes, z, z_free),
     )
 
 
 def _split_residual_crossings(
     nodes: np.ndarray, z: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    out_x: list[float] = [float(nodes[0])]
-    out_z: list[float] = [float(z[0])]
-    inserted: list[float] = []
-    for i in range(len(nodes) - 1):
-        z0, z1 = float(z[i]), float(z[i + 1])
-        if z0 * z1 < 0.0:
-            xc = float(nodes[i]) + (float(nodes[i + 1]) - float(nodes[i])) * (
-                z0 / (z0 - z1))
-            if xc > out_x[-1]:
-                out_x.append(xc)
-                out_z.append(0.0)
-                inserted.append(xc)
-        out_x.append(float(nodes[i + 1]))
-        out_z.append(z1)
-    return np.array(out_x), np.array(out_z), inserted
+    """Make the linear zero of every sign-changing interval a z = 0 node."""
+    z0, z1 = z[:-1], z[1:]
+    idx = np.flatnonzero(z0 * z1 < 0.0)
+    x0, x1 = nodes[idx], nodes[idx + 1]
+    xc = x0 + (x1 - x0) * (z0[idx] / (z0[idx] - z1[idx]))
+    keep = xc > x0
+    idx, xc = idx[keep], xc[keep]
+    return (np.insert(nodes, idx + 1, xc), np.insert(z, idx + 1, 0.0),
+            xc.tolist())
+
+
+_DEMOTED_REGIMES = np.array(
+    [Regime.FLAT_FORBIDDEN, Regime.FLAT_FREE, Regime.FLAT_ALLOWED, None],
+    dtype=object)
 
 
 def _segments_from_samples(
     nodes: np.ndarray, z: np.ndarray, z_free: float,
-) -> list[Segment]:
-    segs: list[Segment] = [
-        Segment(x_lo=-math.inf, x_hi=float(nodes[0]), a=z_free, b=0.0,
-                regime=Regime.FLAT_ALLOWED, x_ref=0.0, z_ref=z_free)
-    ]
-    for i in range(len(nodes) - 1):
-        x0, x1 = float(nodes[i]), float(nodes[i + 1])
-        z0, z1 = float(z[i]), float(z[i + 1])
-        regime = None
-        if z1 != z0:
-            b = (z1 - z0) / (x1 - x0)
-            w_max = max(_w_of(z0, b), _w_of(z1, b))
-            if w_max > W_FLAT_COLLAPSE:
-                zm = 0.5 * (z0 + z1)
-                regime = (Regime.FLAT_ALLOWED if zm > 0.0 else
-                          Regime.FLAT_FORBIDDEN if zm < 0.0 else
-                          Regime.FLAT_FREE)
-        segs.append(make_segment(x0, x1, z0, z1, regime=regime))
-    segs.append(
-        Segment(x_lo=float(nodes[-1]), x_hi=math.inf, a=z_free, b=0.0,
-                regime=Regime.FLAT_ALLOWED, x_ref=0.0, z_ref=z_free)
+) -> tuple[Segment, ...]:
+    """Outer free segments plus one segment per interval.  A sloped interval
+    whose cylinder argument exceeds W_FLAT_COLLAPSE at either end is demoted
+    to the flat regime of its midpoint value."""
+    z0, z1 = z[:-1], z[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (z1 - z0) / np.diff(nodes)
+        w0, w1 = (2.0 * np.abs(zv) * np.sqrt(np.abs(zv)) / (3.0 * np.abs(b))
+                  for zv in (z0, z1))
+    demoted = (z1 != z0) & (np.maximum(w0, w1) > W_FLAT_COLLAPSE)
+    # regime by the sign of the midpoint value; None lets make_segment classify
+    code = np.where(demoted, np.sign(0.5 * (z0 + z1)).astype(int) + 1, 3)
+    regimes = _DEMOTED_REGIMES[code].tolist()
+    x, zs = nodes.tolist(), z.tolist()
+    outer = dict(a=z_free, b=0.0, regime=Regime.FLAT_ALLOWED, x_ref=0.0,
+                 z_ref=z_free)
+    return (
+        Segment(x_lo=-math.inf, x_hi=x[0], **outer),
+        *(make_segment(x[i], x[i + 1], zs[i], zs[i + 1], regime=regimes[i])
+          for i in range(len(x) - 1)),
+        Segment(x_lo=x[-1], x_hi=math.inf, **outer),
     )
-    return segs
 
 
-def _w_of(zv: float, b: float) -> float:
-    return 2.0 * abs(zv) * math.sqrt(abs(zv)) / (3.0 * abs(b))
-
-
-def _verify_grid(grid: Grid, area_exact: float, renormalize: bool) -> None:
+def _verify_grid(grid: Grid, area_exact: float) -> None:
     pts = grid.points
     if not np.all(np.diff(pts) > 0.0):
-        raise AssertionError("grid nodes not strictly increasing")
-    if renormalize and area_exact > 0.0:
-        u_eff = (grid.k * grid.k - _z_of_grid(grid)) * grid.branch_sign / grid.alpha
+        raise GridResolutionError("grid nodes not strictly increasing")
+    if area_exact > 0.0:
+        u_eff = (grid.k * grid.k - grid.z) * grid.branch_sign / grid.alpha
         approx = grid.alpha * interp_abs_area(pts, u_eff)
         if abs(approx - area_exact) > 1.0e-11 * area_exact:
-            raise AssertionError(
+            raise GridResolutionError(
                 f"area renormalization off: {approx} vs {area_exact}")
-
-
-def _z_of_grid(grid: Grid) -> np.ndarray:
-    return grid.k * grid.k - 2.0 * grid.V_values

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .grid import ModeProfile, ModeShape, build_grid
+from .grid import DEFAULT_WINDOW_FACTOR, ModeProfile, ModeShape, build_grid
 from .transfer import ScatterResult, solve_scattering
 
 __all__ = [
@@ -41,8 +41,7 @@ class MazerParams:
     kappaL: float
     profile: ModeProfile
     J: int
-    window_factor: float = 16.0
-    renormalize: bool = True
+    window_factor: float = DEFAULT_WINDOW_FACTOR
 
     def __post_init__(self) -> None:
         if not self.k_over_kappa > 0.0:
@@ -63,8 +62,7 @@ class MazerParams:
         kappaL: float,
         J: int,
         *,
-        window_factor: float = 16.0,
-        renormalize: bool = True,
+        window_factor: float = DEFAULT_WINDOW_FACTOR,
     ) -> "MazerParams":
         return cls(
             k_over_kappa=k_over_kappa,
@@ -72,7 +70,6 @@ class MazerParams:
             profile=ModeProfile(shape, kappaL),
             J=J,
             window_factor=window_factor,
-            renormalize=renormalize,
         )
 
     def with_kappaL(self, kappaL: float) -> "MazerParams":
@@ -139,7 +136,7 @@ def elementary_amplitudes(params: MazerParams, branch: int) -> ScatterResult:
         return _transparent(params)
     grid = build_grid(
         params.profile, branch, params.k_over_kappa, params.J,
-        window_factor=params.window_factor, renormalize=params.renormalize)
+        window_factor=params.window_factor)
     return solve_scattering(grid)
 
 

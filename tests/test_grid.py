@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mazersim.grid import (
+    _split_residual_crossings,
     DEFAULT_WINDOW_FACTOR,
     Grid,
+    GridResolutionError,
     ModeProfile,
     ModeShape,
     abs_area,
@@ -156,6 +158,16 @@ def test_interp_abs_area_sign_change_exact():
     assert interp_abs_area(xs, us) == pytest.approx(0.125 + 1.125, rel=1e-15)
 
 
+def test_interp_abs_area_zero_endpoints():
+    # u0 = u1 = 0, one zero endpoint, a crossing, one zero endpoint; no
+    # interval may compute 0/0
+    xs = np.array([0.0, 1.0, 3.0, 4.0, 6.0])
+    us = np.array([0.0, 0.0, 2.0, -2.0, 0.0])
+    with np.errstate(all="raise"):
+        assert interp_abs_area(xs, us) == 0.0 + 2.0 + 1.0 + 2.0
+        assert interp_abs_area(xs[:2], us[:2]) == 0.0
+
+
 # --- turning points -------------------------------------------------------
 
 def test_turning_points_mesa_empty():
@@ -166,6 +178,15 @@ def test_turning_points_mesa_empty():
 def test_turning_points_attractive_branch_empty():
     p = ModeProfile(ModeShape.SECH2, 10.0)
     assert find_turning_points(p, -1, 0.005, (-80.0, 80.0)) == []
+
+
+def test_turning_points_on_scan_points():
+    # scan points 0, 1, ..., 15; u*0.5 == E exactly at x = 0, 7 and 15 and
+    # nowhere else on the scan, so the roots come from exact zeros only
+    p = ModeProfile(ModeShape.TABULATED, 0.0, table=(
+        (0.0, 0.5), (3.5, 1.0), (7.0, 0.5), (11.0, 0.0), (15.0, 0.5)))
+    roots = find_turning_points(p, +1, 0.25, (0.0, 15.0), scan_points=16)
+    assert roots == [0.0, 7.0, 15.0]
 
 
 def test_turning_points_require_positive_energy():
@@ -222,7 +243,7 @@ def test_zero_potential_single_free_regime():
     assert g.alpha == 1.0
     assert g.turning_points == ()
     assert all(s.regime is Regime.FLAT_ALLOWED for s in g.segments)
-    assert np.all(g.V_values == 0.0)
+    assert np.all(g.z == 2.0 * g.E)
 
 
 def test_linear_tabulated_alpha_exactly_one():
@@ -297,10 +318,10 @@ def test_grid_invariants(shape, L, sign, k, J, window):
     for r in g.turning_points:
         assert np.min(np.abs(g.points - r)) <= 1e-12
 
-    # potential sample at a turning node equals E exactly (z snapped to 0)
+    # z at a turning node is snapped to exactly 0
     for r in g.turning_points:
         i = int(np.argmin(np.abs(g.points - r)))
-        assert g.V_values[i] == g.E
+        assert g.z[i] == 0.0
 
     # no segment straddles a sign change
     assert all(segment_sign_ok(s) for s in g.segments)
@@ -337,7 +358,7 @@ def test_gaussian_tail_segments_demoted_to_flat():
 
 def test_refinement_nesting_and_quadratic_convergence():
     # doubling the resolution (2J-1 keeps nodes nested) changes the sampled
-    # potential by O(1/J^2) for smooth profiles
+    # coefficient z by O(1/J^2) for smooth profiles
     for shape in (ModeShape.SECH2, ModeShape.GAUSSIAN):
         p = ModeProfile(shape, 10.0)
         Js = [50, 100, 200, 400]
@@ -346,8 +367,8 @@ def test_refinement_nesting_and_quadratic_convergence():
             gc = build_grid(p, -1, 0.1, J)
             gf = build_grid(p, -1, 0.1, 2 * J - 1)
             assert np.allclose(gc.points, gf.points[::2], rtol=0.0, atol=1e-12)
-            coarse_on_fine = np.interp(gf.points, gc.points, gc.V_values)
-            diffs.append(float(np.max(np.abs(coarse_on_fine - gf.V_values))))
+            coarse_on_fine = np.interp(gf.points, gc.points, gc.z)
+            diffs.append(float(np.max(np.abs(coarse_on_fine - gf.z))))
         slope = -float(np.polyfit(np.log(Js), np.log(diffs), 1)[0])
         assert 1.7 <= slope <= 2.3
 
@@ -373,4 +394,21 @@ def test_grid_arrays_immutable():
     with pytest.raises(ValueError):
         g.points[0] = 0.0
     with pytest.raises(ValueError):
-        g.V_values[0] = 0.0
+        g.z[0] = 0.0
+
+
+def test_split_residual_crossings_inserts_linear_zero():
+    nodes = np.array([0.0, 1.0, 2.0, 3.0])
+    z = np.array([1.0, 0.5, -1.5, 0.0])
+    # the crossing at x = 1 + 0.5/2 becomes a node; the zero endpoint at
+    # x = 3 is already a node and adds nothing
+    new_nodes, new_z, inserted = _split_residual_crossings(nodes, z)
+    assert new_nodes.tolist() == [0.0, 1.0, 1.25, 2.0, 3.0]
+    assert new_z.tolist() == [1.0, 0.5, 0.0, -1.5, 0.0]
+    assert inserted == [1.25]
+
+
+def test_unresolvable_mode_raises_typed_error():
+    # at J = 2 both nodes of the sine's window sit on zeros of the mode
+    with pytest.raises(GridResolutionError, match="J = 2"):
+        build_grid(ModeProfile(ModeShape.SIN_FUNDAMENTAL, 10.0), +1, 0.1, 2)

@@ -213,6 +213,12 @@ class TestSweep:
         assert table.rows[0].error is None
         assert table.rows[2].error is None
 
+    def test_unresolved_grid_row_names_typed_error(self):
+        # three nodes cannot carry the sech2 area through renormalization
+        table = sweep_kappaL(make_params(ModeShape.SECH2, 0.01, 10.0, 3),
+                             10.0, 10.0, 1.0)
+        assert table.rows[0].error.startswith("GridResolutionError: ")
+
     def test_parallel_matches_serial(self):
         p = make_params(ModeShape.MESA, 0.4, 1.0, 2)
         serial = sweep_kappaL(p, 0.0, 3.0, 0.5)
