@@ -13,6 +13,12 @@ Two refinements keep that approximation honest:
 * the sampled potential is rescaled by alpha so its trapezoid area equals
   the exact area of the mode, which removes the leading quadrature bias of
   the linear interpolation.
+
+The nodes and their coefficients z = k^2 - 2*alpha*V go to
+:func:`segment_basis.build_segments`, which slopes, classifies, demotes and
+anchors every segment, the two outer free ones included, in one array pass.
+Length tolerances (root bisection, root stability, turning-node merging)
+scale with min(1, window width), so tiny cavities keep their resolution.
 """
 
 from __future__ import annotations
@@ -23,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segment_basis import (
-    Regime,
-    Segment,
-    W_FLAT_COLLAPSE,
-    make_segment,
-)
+from .segment_basis import Segment, build_segments
 
 __all__ = [
     "ModeShape",
@@ -44,12 +45,15 @@ __all__ = [
     "abs_area",
     "interp_abs_area",
     "find_turning_points",
+    "check_k_over_kappa",
     "build_grid",
 ]
 
 DEFAULT_WINDOW_FACTOR = 16.0
 
-# a turning point closer than this to an existing node replaces the node
+# a turning point closer than this to an existing node replaces the node;
+# like every length tolerance of the builder it is scaled by
+# min(1, window width), so it never spans a tiny window
 TURNING_MERGE_TOL = 1.0e-10
 
 _ALPHA_FIXED_POINT_TOL = 1.0e-14
@@ -291,9 +295,10 @@ def find_turning_points(
     """All solutions of sign * alpha * u(x)/2 = E inside the window.
 
     Each root is bracketed by a sign change on a uniform scan and refined
-    by bisection to 1e-12 absolute (or a few ulps at large |x|, whichever
-    is coarser).  Mesa is special: its edges are potential jumps, handled
-    as segment boundaries rather than roots, so the list is empty.
+    by bisection to 1e-12 times min(1, window width) (or a few ulps at
+    large |x|, whichever is coarser).  Mesa is special: its edges are
+    potential jumps, handled as segment boundaries rather than roots, so
+    the list is empty.
     """
     if E <= 0.0:
         raise ValueError("turning points are defined for E > 0")
@@ -302,6 +307,7 @@ def find_turning_points(
     a, b = window
     if not a < b:
         raise ValueError(f"empty window [{a}, {b}]")
+    scale = min(1.0, b - a)
 
     def h(x: float) -> float:
         return sign * alpha * eval_mode(profile, x) * 0.5 - E
@@ -312,7 +318,7 @@ def find_turning_points(
     for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
         lo, hi = float(xs[i]), float(xs[i + 1])
         flo = float(hs[i])
-        tol = max(1.0e-12, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+        tol = max(1.0e-12 * scale, 4.0 * math.ulp(max(abs(lo), abs(hi))))
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             fm = h(mid)
@@ -327,7 +333,7 @@ def find_turning_points(
     # merge duplicates (tangent grazing finds the same root twice)
     merged: list[float] = []
     for r in sorted(roots):
-        if merged and r - merged[-1] <= TURNING_MERGE_TOL:
+        if merged and r - merged[-1] <= TURNING_MERGE_TOL * scale:
             continue
         merged.append(r)
     return merged
@@ -361,17 +367,27 @@ class Grid:
         self.z.flags.writeable = False
 
 
+def check_k_over_kappa(k_over_kappa: float) -> None:
+    """Raise ValueError unless the energy k^2/2 and the free coefficient
+    k^2 are positive finite floats (k = inf, 1e300 and 1e-300 fail)."""
+    k = k_over_kappa
+    if not (k > 0.0 and 0.5 * k * k > 0.0 and math.isfinite(k * k)):
+        raise ValueError(f"k_over_kappa = {k!r} is out of range: k^2/2 "
+                         "must be a positive finite float")
+
+
 def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> np.ndarray:
     """Insert roots into the node array; a root within the merge tolerance
     of an interior node replaces that node (window edges stay put)."""
     nodes = uniform.tolist()
+    tol = TURNING_MERGE_TOL * min(1.0, nodes[-1] - nodes[0])
     for r in roots:
         if r <= nodes[0] or r >= nodes[-1]:
             continue
         idx = int(np.searchsorted(nodes, r))
         near = None
         for j in (idx - 1, idx):
-            if 0 <= j < len(nodes) and abs(nodes[j] - r) <= TURNING_MERGE_TOL:
+            if 0 <= j < len(nodes) and abs(nodes[j] - r) <= tol:
                 near = j
                 break
         if near is not None:
@@ -403,8 +419,7 @@ def build_grid(
         raise ValueError("sign must be +1 or -1")
     if J < 2:
         raise ValueError("J must be at least 2")
-    if not k_over_kappa > 0.0:
-        raise ValueError("k_over_kappa must be positive")
+    check_k_over_kappa(k_over_kappa)
     k = float(k_over_kappa)
     E = 0.5 * k * k
     z_free = k * k     # 2E
@@ -421,6 +436,7 @@ def build_grid(
     if profile.shape is ModeShape.MESA:
         return _build_mesa_grid(profile, sign, k, E, (x_a, x_b))
 
+    scale = min(1.0, x_b - x_a)
     uniform = np.linspace(x_a, x_b, J)
     u_uniform = eval_mode_array(profile, uniform)
     area_exact = abs_area(profile, x_a, x_b)
@@ -449,13 +465,15 @@ def build_grid(
         stable_alpha = abs(new_alpha - alpha) <= _ALPHA_FIXED_POINT_TOL * max(
             abs(new_alpha), 1.0)
         stable_roots = len(roots) == len(prev_roots) and all(
-            abs(r - p) <= 1.0e-11 for r, p in zip(roots, prev_roots))
+            abs(r - p) <= 1.0e-11 * scale for r, p in zip(roots, prev_roots))
         alpha = new_alpha
         prev_roots = roots
         if stable_alpha and stable_roots:
             break
 
     z = z_free - sign * alpha * u_nodes
+    # the mode value that z = 0 stands for
+    u_turn = sign * z_free / alpha
     # a converged root satisfies its equation to ~1e-12 in x; snap the
     # sampled z there to exactly zero so the adjacent tags come out clean
     root_positions = []
@@ -463,14 +481,16 @@ def build_grid(
         if nodes[0] < r < nodes[-1]:
             i = int(np.argmin(np.abs(nodes - r)))
             z[i] = 0.0
+            u_nodes[i] = u_turn
             root_positions.append(float(nodes[i]))
 
     # safety net: any residual sign change inside an interval is a turning
     # point of the interpolant itself and must become a node
-    nodes, z, extra = _split_residual_crossings(nodes, z)
+    nodes, z, u_nodes, extra = _split_residual_crossings(nodes, z, u_nodes, u_turn)
     root_positions = sorted(root_positions + extra)
+    _verify_grid(nodes, u_nodes, alpha, area_exact)
 
-    grid = Grid(
+    return Grid(
         points=nodes,
         z=z,
         alpha=float(alpha),
@@ -480,10 +500,8 @@ def build_grid(
         profile=profile,
         window=(x_a, x_b),
         turning_points=tuple(root_positions),
-        segments=_segments_from_samples(nodes, z, z_free),
+        segments=build_segments(nodes, z, z_free),
     )
-    _verify_grid(grid, area_exact)
-    return grid
 
 
 def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
@@ -505,14 +523,15 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
         profile=profile,
         window=(lo, hi),
         turning_points=(),
-        segments=_segments_from_samples(nodes, z, z_free),
+        segments=build_segments(nodes, z, z_free),
     )
 
 
 def _split_residual_crossings(
-    nodes: np.ndarray, z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Make the linear zero of every sign-changing interval a z = 0 node."""
+    nodes: np.ndarray, z: np.ndarray, u: np.ndarray, u_turn: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Make the linear zero of every sign-changing interval a z = 0 node,
+    with mode value u_turn."""
     z0, z1 = z[:-1], z[1:]
     idx = np.flatnonzero(z0 * z1 < 0.0)
     x0, x1 = nodes[idx], nodes[idx + 1]
@@ -520,47 +539,19 @@ def _split_residual_crossings(
     keep = xc > x0
     idx, xc = idx[keep], xc[keep]
     return (np.insert(nodes, idx + 1, xc), np.insert(z, idx + 1, 0.0),
-            xc.tolist())
+            np.insert(u, idx + 1, u_turn), xc.tolist())
 
 
-_DEMOTED_REGIMES = np.array(
-    [Regime.FLAT_FORBIDDEN, Regime.FLAT_FREE, Regime.FLAT_ALLOWED, None],
-    dtype=object)
-
-
-def _segments_from_samples(
-    nodes: np.ndarray, z: np.ndarray, z_free: float,
-) -> tuple[Segment, ...]:
-    """Outer free segments plus one segment per interval.  A sloped interval
-    whose cylinder argument exceeds W_FLAT_COLLAPSE at either end is demoted
-    to the flat regime of its midpoint value."""
-    z0, z1 = z[:-1], z[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = (z1 - z0) / np.diff(nodes)
-        w0, w1 = (2.0 * np.abs(zv) * np.sqrt(np.abs(zv)) / (3.0 * np.abs(b))
-                  for zv in (z0, z1))
-    demoted = (z1 != z0) & (np.maximum(w0, w1) > W_FLAT_COLLAPSE)
-    # regime by the sign of the midpoint value; None lets make_segment classify
-    code = np.where(demoted, np.sign(0.5 * (z0 + z1)).astype(int) + 1, 3)
-    regimes = _DEMOTED_REGIMES[code].tolist()
-    x, zs = nodes.tolist(), z.tolist()
-    outer = dict(a=z_free, b=0.0, regime=Regime.FLAT_ALLOWED, x_ref=0.0,
-                 z_ref=z_free)
-    return (
-        Segment(x_lo=-math.inf, x_hi=x[0], **outer),
-        *(make_segment(x[i], x[i + 1], zs[i], zs[i + 1], regime=regimes[i])
-          for i in range(len(x) - 1)),
-        Segment(x_lo=x[-1], x_hi=math.inf, **outer),
-    )
-
-
-def _verify_grid(grid: Grid, area_exact: float) -> None:
-    pts = grid.points
-    if not np.all(np.diff(pts) > 0.0):
+def _verify_grid(nodes: np.ndarray, u: np.ndarray, alpha: float,
+                 area_exact: float) -> None:
+    """Nodes strictly increasing, and alpha times the |u| area of the
+    interpolant through the mode samples u equal to the exact area.  u is
+    the builder's own sample array: rebuilding it as (k^2 - z)/alpha would
+    cancel at large k."""
+    if not np.all(np.diff(nodes) > 0.0):
         raise GridResolutionError("grid nodes not strictly increasing")
     if area_exact > 0.0:
-        u_eff = (grid.k * grid.k - grid.z) * grid.branch_sign / grid.alpha
-        approx = grid.alpha * interp_abs_area(pts, u_eff)
+        approx = alpha * interp_abs_area(nodes, u)
         if abs(approx - area_exact) > 1.0e-11 * area_exact:
             raise GridResolutionError(
                 f"area renormalization off: {approx} vs {area_exact}")

@@ -15,7 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .grid import DEFAULT_WINDOW_FACTOR, ModeProfile, ModeShape, build_grid
+from .grid import (
+    DEFAULT_WINDOW_FACTOR,
+    ModeProfile,
+    ModeShape,
+    build_grid,
+    check_k_over_kappa,
+)
 from .transfer import ScatterResult, solve_scattering
 
 __all__ = [
@@ -44,8 +50,7 @@ class MazerParams:
     window_factor: float = DEFAULT_WINDOW_FACTOR
 
     def __post_init__(self) -> None:
-        if not self.k_over_kappa > 0.0:
-            raise ValueError("k_over_kappa must be positive")
+        check_k_over_kappa(self.k_over_kappa)
         if self.kappaL < 0.0:
             raise ValueError("kappaL must be nonnegative")
         if self.J < 2:

@@ -1,9 +1,10 @@
 """Fundamental-solution pairs for one linear-potential segment.
 
 On a segment where the coefficient of the wave equation varies linearly,
-``phi'' + (a + b*x) phi = 0``, the solution space is spanned by a pair of
-real functions that depends only on the sign of ``z = a + b*x`` and on
-whether the segment actually slopes.  Five regimes cover every case:
+``phi'' + z(x) phi = 0`` with ``z(x) = z_ref + b*(x - x_ref)``, the solution
+space is spanned by a pair of real functions that depends only on the sign
+of z and on whether the segment actually slopes.  Five regimes cover every
+case:
 
 * flat, z == 0:   {1, x - x_ref}
 * flat, z > 0:    {cos k(x - x_ref), sin k(x - x_ref)},  k = sqrt(z)
@@ -22,14 +23,22 @@ Near a turning point (w below a fixed switch) the cylinder functions are
 replaced by short power series in z that remain exact at z = 0; the two
 representations agree to ~1e-13 at the switch, so propagators never see a
 jump.
+
+Every segment comes from :func:`build_segments`, one array pass over the
+node values that computes the slope, the regime (including the demotion of
+sloped segments whose argument w passes W_FLAT_COLLAPSE to the flat regime
+of their midpoint value), the anchor, the flat constant and the sign-check
+scale; :func:`make_segment` is its two-node call.  A regime is always
+derived from the values, so it cannot contradict them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .specfun import (
     ORDER_THIRD,
@@ -43,7 +52,7 @@ __all__ = [
     "Segment",
     "BasisEval",
     "SegmentRegimeError",
-    "classify_regime",
+    "build_segments",
     "make_segment",
     "basis_eval",
     "analytic_wronskian",
@@ -54,10 +63,10 @@ __all__ = [
 # Below this Bessel argument the power-series representation is used.
 W_SERIES_SWITCH = 1.0e-2
 
-# Above this Bessel argument at either endpoint a sloped segment must be
-# demoted to a flat one by the grid builder: the cylinder routines lose the
-# oscillation phase (J, Y) or overflow their scaled forms (I, K) long before
-# the linear tilt of the potential matters physically.
+# Above this Bessel argument at either endpoint build_segments demotes a
+# sloped segment to a flat one: the cylinder routines lose the oscillation
+# phase (J, Y) or overflow their scaled forms (I, K) long before the linear
+# tilt of the potential matters physically.
 W_FLAT_COLLAPSE = 1.0e8
 
 _SQRT3 = math.sqrt(3.0)
@@ -68,7 +77,7 @@ _SIGN_SLACK = 1.0e-9
 
 
 class SegmentRegimeError(ValueError):
-    """Segment regime tag contradicts the local value of a + b*x."""
+    """The local value of z contradicts the segment's regime."""
 
 
 class Regime(enum.Enum):
@@ -79,77 +88,40 @@ class Regime(enum.Enum):
     SLOPE_FORBIDDEN = "slope_forbidden"
 
 
-_FLAT_REGIMES = (Regime.FLAT_FREE, Regime.FLAT_ALLOWED, Regime.FLAT_FORBIDDEN)
+# regime codes of build_segments follow the definition order above
+_REGIME_OF_CODE = tuple(Regime)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One piece of the piecewise-linear coefficient z(x) = a + b*x.
+class Segment(NamedTuple):
+    """One piece of the piecewise-linear coefficient z(x).
 
-    ``x_ref`` anchors the basis functions; keeping it inside the segment
-    keeps every evaluation numerically local even when x itself is ~1e5.
-    ``z_ref`` is z at the anchor, stored separately because recomputing it
-    as a + b*x_ref would shred the tiny z values near turning points.
+    Built by :func:`build_segments`, which derives every field from the
+    node values.  ``x_ref`` anchors the basis functions; keeping it inside
+    the segment keeps every evaluation numerically local even when x itself
+    is ~1e5.  ``z_ref`` is z at the anchor, kept as sampled because
+    recomputing it would shred the tiny z values near turning points.
+    ``z_flat`` is the constant of the flat regimes (z at the midpoint, the
+    best single value for a demoted stretch), ``z_scale`` the larger |z| at
+    the two ends, which scales the sign check of :func:`basis_eval`.
     """
 
     x_lo: float
     x_hi: float
-    a: float
     b: float
     regime: Regime
-    x_ref: float = 0.0
-    z_ref: float | None = None
-    z_flat: float = field(init=False)
-    z_scale: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.x_lo < self.x_hi:
-            raise ValueError(f"empty segment [{self.x_lo}, {self.x_hi}]")
-        if self.z_ref is None:
-            object.__setattr__(self, "z_ref", self.a + self.b * self.x_ref)
-        if self.regime in _FLAT_REGIMES:
-            zf = self._flat_coefficient()
-        else:
-            if self.b == 0.0:
-                raise ValueError("sloped regime tag on a segment with b = 0")
-            zf = math.nan
-        object.__setattr__(self, "z_flat", zf)
-        scale = max(abs(self.z(self.x_lo)) if math.isfinite(self.x_lo) else 0.0,
-                    abs(self.z(self.x_hi)) if math.isfinite(self.x_hi) else 0.0,
-                    abs(self.z_ref))
-        object.__setattr__(self, "z_scale", scale)
-        self._check_tag()
-
-    def _flat_coefficient(self) -> float:
-        # A genuinely flat segment uses z at the anchor.  A demoted sloped
-        # segment (b != 0 but tagged flat) uses the midpoint value, the
-        # best single constant for the stretch.
-        if self.b == 0.0:
-            return self.z_ref
-        if math.isfinite(self.x_lo) and math.isfinite(self.x_hi):
-            return self.z(0.5 * (self.x_lo + self.x_hi))
-        return self.z_ref
-
-    def _check_tag(self) -> None:
-        r, zf = self.regime, self.z_flat
-        if r is Regime.FLAT_FREE and zf != 0.0:
-            raise SegmentRegimeError(f"FLAT_FREE with z = {zf}")
-        if r is Regime.FLAT_ALLOWED and not zf > 0.0:
-            raise SegmentRegimeError(f"FLAT_ALLOWED with z = {zf}")
-        if r is Regime.FLAT_FORBIDDEN and not zf < 0.0:
-            raise SegmentRegimeError(f"FLAT_FORBIDDEN with z = {zf}")
+    x_ref: float
+    z_ref: float
+    z_flat: float
+    z_scale: float
 
     def z(self, x: float) -> float:
-        """Coefficient a + b*x, evaluated relative to the anchor."""
+        """Coefficient z_ref + b*(x - x_ref), evaluated relative to the anchor."""
         return self.z_ref + self.b * (x - self.x_ref)
 
     def w(self, x: float) -> float:
         """Cylinder-function argument (2 / 3|b|) |z|^{3/2}; sloped only."""
         z = self.z(x)
         return 2.0 * abs(z) * math.sqrt(abs(z)) / (3.0 * abs(self.b))
-
-    def contains(self, x: float) -> bool:
-        return self.x_lo <= x <= self.x_hi
 
 
 class BasisEval(NamedTuple):
@@ -166,63 +138,74 @@ class BasisEval(NamedTuple):
     s: float = 0.0
 
 
-def classify_regime(z_lo: float, z_hi: float, b: float) -> Regime:
-    """Regime for a segment whose coefficient runs from z_lo to z_hi.
+def build_segments(x, z, z_free: float | None = None) -> tuple[Segment, ...]:
+    """Segments between consecutive finite nodes ``x`` with coefficients ``z``.
 
-    The endpoints may sit exactly on zero (turning points); a genuine sign
-    change in the interior is a grid-construction bug and raises.
+    Each interval is anchored at its left node and classified in one array
+    pass.  A level interval (b = 0) takes the flat regime of its value.  A
+    sloped interval whose cylinder argument exceeds W_FLAT_COLLAPSE at
+    either end is demoted to the flat regime of its midpoint value; every
+    other sloped interval takes the sloped regime of its sign.  A sign
+    change of z inside an interval raises ValueError: a turning point must
+    be a node.
+
+    With ``z_free`` the tuple starts and ends with the two semi-infinite
+    free segments z = z_free beyond the nodes, anchored at x = 0, whose
+    plane waves define the scattering amplitudes; z_free must be positive.
     """
-    if b == 0.0:
-        if z_lo != z_hi:
-            raise ValueError("b = 0 but z_lo != z_hi")
-        if z_lo > 0.0:
-            return Regime.FLAT_ALLOWED
-        if z_lo < 0.0:
-            return Regime.FLAT_FORBIDDEN
-        return Regime.FLAT_FREE
-    if z_lo * z_hi < 0.0:
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    x_lo, x_hi, z_lo, z_hi = x[:-1], x[1:], z[:-1], z[1:]
+    cross = z_lo * z_hi < 0.0
+    if cross.any():
+        i = int(np.argmax(cross))
         raise ValueError(
-            f"coefficient changes sign inside a segment (z: {z_lo} .. {z_hi}); "
-            "a turning point must be a segment endpoint"
-        )
-    z_mid = 0.5 * (z_lo + z_hi)
-    if z_mid > 0.0:
-        return Regime.SLOPE_ALLOWED
-    if z_mid < 0.0:
-        return Regime.SLOPE_FORBIDDEN
-    # z_lo == z_hi == 0 with b != 0 cannot happen for a straight line.
-    raise ValueError("degenerate segment: z vanishes identically but b != 0")
+            f"coefficient changes sign inside a segment (z: {z_lo[i]} .. "
+            f"{z_hi[i]} on [{x_lo[i]}, {x_hi[i]}]); a turning point must be "
+            "a segment endpoint")
+    b = (z_hi - z_lo) / (x_hi - x_lo)
+    z_scale = np.maximum(np.abs(z_lo), np.abs(z_hi))
+    # w grows with |z|, so its larger end value is w at z_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_max = 2.0 * z_scale * np.sqrt(z_scale) / (3.0 * np.abs(b))
+    flat = (b == 0.0) | (w_max > W_FLAT_COLLAPSE)
+    z_flat = z_lo + b * (0.5 * (x_lo + x_hi) - x_lo)
+    z_sign = np.where(flat, z_flat, z_lo + z_hi)
+    neg = z_sign < 0.0
+    code = np.where(flat, (z_sign > 0.0) + 2 * neg, 3 + neg)
+    segments = map(Segment, x_lo.tolist(), x_hi.tolist(), b.tolist(),
+                   [_REGIME_OF_CODE[c] for c in code.tolist()],
+                   x_lo.tolist(), z_lo.tolist(), z_flat.tolist(),
+                   z_scale.tolist())
+    if z_free is None:
+        return tuple(segments)
+    if not 0.0 < z_free < math.inf:
+        raise ValueError(f"free coefficient z = {z_free} carries no plane wave")
+    free = dict(b=0.0, regime=Regime.FLAT_ALLOWED, x_ref=0.0, z_ref=z_free,
+                z_flat=z_free, z_scale=z_free)
+    return (Segment(-math.inf, float(x[0]), **free), *segments,
+            Segment(float(x[-1]), math.inf, **free))
 
 
-def make_segment(
-    x_lo: float,
-    x_hi: float,
-    z_lo: float,
-    z_hi: float,
-    *,
-    regime: Regime | None = None,
-) -> Segment:
-    """Build a segment from endpoint coefficients, anchored at x_lo.
+def make_segment(x_lo: float, x_hi: float, z_lo: float, z_hi: float) -> Segment:
+    """One segment from its endpoint coefficients: the two-node call of
+    :func:`build_segments`.
 
     The slope is taken from the endpoint values.  For infinite outer
     segments pass z_lo == z_hi; the anchor then moves to the finite end.
     """
-    lo_fin = math.isfinite(x_lo)
-    hi_fin = math.isfinite(x_hi)
-    if lo_fin and hi_fin:
-        b = (z_hi - z_lo) / (x_hi - x_lo)
-        x_ref, z_ref = x_lo, z_lo
-    else:
-        if z_lo != z_hi:
-            raise ValueError("infinite segment must have constant z")
-        b = 0.0
-        x_ref = x_lo if lo_fin else (x_hi if hi_fin else 0.0)
-        z_ref = z_lo
-    if regime is None:
-        regime = classify_regime(z_lo, z_hi, b)
-    a = z_ref - b * x_ref
-    return Segment(x_lo=x_lo, x_hi=x_hi, a=a, b=b, regime=regime,
-                   x_ref=x_ref, z_ref=z_ref)
+    if not x_lo < x_hi:
+        raise ValueError(f"empty segment [{x_lo}, {x_hi}]")
+    if not (math.isfinite(z_lo) and math.isfinite(z_hi)):
+        raise ValueError(f"non-finite coefficient z: {z_lo} .. {z_hi}")
+    if math.isfinite(x_lo) and math.isfinite(x_hi):
+        return build_segments((x_lo, x_hi), (z_lo, z_hi))[0]
+    if z_lo != z_hi:
+        raise ValueError("infinite segment must have constant z")
+    # a level segment: build it on a unit stretch at its anchor, then widen
+    x_ref = x_lo if math.isfinite(x_lo) else (x_hi if math.isfinite(x_hi) else 0.0)
+    seg = build_segments((x_ref, x_ref + 1.0), (z_lo, z_lo))[0]
+    return seg._replace(x_lo=x_lo, x_hi=x_hi)
 
 
 def analytic_wronskian(seg: Segment) -> float:
@@ -388,10 +371,6 @@ def basis_eval(seg: Segment, x: float) -> BasisEval:
         raise SegmentRegimeError(
             f"z = {z} > 0 at x = {x} in a forbidden sloped segment")
     w = seg.w(x)
-    if w > W_FLAT_COLLAPSE:
-        raise ValueError(
-            f"cylinder argument w = {w:.3g} beyond safe range; the grid "
-            "should have demoted this segment to a flat one")
     if w < W_SERIES_SWITCH:
         return _basis_series(seg, z)
     if r is Regime.SLOPE_ALLOWED:

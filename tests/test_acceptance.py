@@ -24,7 +24,6 @@ from mazersim.mazer import (
 )
 from mazersim.oracles import mesa_analytic, sech2_analytic, wkb_first_excited
 from mazersim.segment_basis import (
-    Regime,
     analytic_wronskian,
     basis_eval,
     make_segment,
@@ -269,16 +268,16 @@ class TestProperties:
         cases = [
             make_segment(0.0, 2.0, 0.8, 1.9),
             make_segment(0.0, 2.0, -0.3, -1.7),
-            make_segment(0.0, 2.0, 1.3, 1.3, regime=Regime.FLAT_ALLOWED),
-            make_segment(0.0, 2.0, -0.9, -0.9, regime=Regime.FLAT_FORBIDDEN),
-            make_segment(0.0, 2.0, 0.0, 0.0, regime=Regime.FLAT_FREE),
+            make_segment(0.0, 2.0, 1.3, 1.3),
+            make_segment(0.0, 2.0, -0.9, -0.9),
+            make_segment(0.0, 2.0, 0.0, 0.0),
         ]
         # five-point stencil: the h^2 truncation of the three-point one is
         # already ~1e-6 where the fourth derivative dominates the value
         h = 1e-3
         for seg in cases:
             for x in (0.4, 1.1, 1.7):
-                z = seg.a + seg.b * x
+                z = seg.z(x)
                 for pick in ("f_plus", "f_minus"):
                     v = [
                         true_value(basis_eval(seg, xx), pick)

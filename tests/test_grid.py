@@ -21,7 +21,10 @@ from mazersim.grid import (
     load_tabulated,
     signed_area,
 )
-from mazersim.segment_basis import Regime, W_FLAT_COLLAPSE
+from mazersim.mazer import MazerParams, event_probabilities
+from mazersim.segment_basis import Regime, W_FLAT_COLLAPSE, make_segment
+
+import test_grid_golden as golden
 
 # alpha for the repulsive sech2 branch at k/kappa=0.1, J=200, default window,
 # recorded once from this implementation and pinned against drift
@@ -260,7 +263,7 @@ def test_mesa_grid_is_single_flat_segment():
     left, top, right = g.segments
     assert left.regime is Regime.FLAT_ALLOWED and left.b == 0.0
     assert right.regime is Regime.FLAT_ALLOWED and right.b == 0.0
-    assert left.a == right.a == 2.0 * g.E
+    assert left.z_ref == right.z_ref == 2.0 * g.E
     assert top.regime is Regime.FLAT_FORBIDDEN
     assert top.x_lo == 0.0 and top.x_hi == 5.0
     assert top.z_flat == pytest.approx(0.1 ** 2 - 1.0, rel=1e-15)
@@ -274,7 +277,7 @@ def test_asymptotic_segments_free_and_absolute():
     g = build_grid(ModeProfile(ModeShape.SECH2, 10.0), +1, 0.1, 100)
     first, last = g.segments[0], g.segments[-1]
     for seg in (first, last):
-        assert seg.a == 2.0 * g.E
+        assert seg.z_ref == 2.0 * g.E
         assert seg.b == 0.0
         assert seg.x_ref == 0.0     # asymptotic basis anchored at the origin
     assert first.x_lo == -math.inf and first.x_hi == g.points[0]
@@ -400,11 +403,13 @@ def test_grid_arrays_immutable():
 def test_split_residual_crossings_inserts_linear_zero():
     nodes = np.array([0.0, 1.0, 2.0, 3.0])
     z = np.array([1.0, 0.5, -1.5, 0.0])
-    # the crossing at x = 1 + 0.5/2 becomes a node; the zero endpoint at
-    # x = 3 is already a node and adds nothing
-    new_nodes, new_z, inserted = _split_residual_crossings(nodes, z)
+    u = 1.0 - z        # z = k^2 - alpha*u with k^2 = alpha = 1: z = 0 at u = 1
+    # the crossing at x = 1 + 0.5/2 becomes a node carrying u = 1; the zero
+    # endpoint at x = 3 is already a node and adds nothing
+    new_nodes, new_z, new_u, inserted = _split_residual_crossings(nodes, z, u, 1.0)
     assert new_nodes.tolist() == [0.0, 1.0, 1.25, 2.0, 3.0]
     assert new_z.tolist() == [1.0, 0.5, 0.0, -1.5, 0.0]
+    assert new_u.tolist() == [0.0, 0.5, 1.0, 2.5, 1.0]
     assert inserted == [1.25]
 
 
@@ -412,3 +417,48 @@ def test_unresolvable_mode_raises_typed_error():
     # at J = 2 both nodes of the sine's window sit on zeros of the mode
     with pytest.raises(GridResolutionError, match="J = 2"):
         build_grid(ModeProfile(ModeShape.SIN_FUNDAMENTAL, 10.0), +1, 0.1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_segments_match_make_segment(name):
+    # one classifier: every interior segment of a grid is exactly the
+    # segment make_segment builds from the grid's own node values, demoted
+    # tail segments included
+    shape, kappaL, k, J, sign = golden.CASES[name]
+    table = golden.TABLE if shape is ModeShape.TABULATED else None
+    g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
+    x, z = g.points.tolist(), g.z.tolist()
+    for i, seg in enumerate(g.segments[1:-1]):
+        assert make_segment(x[i], x[i + 1], z[i], z[i + 1]) == seg, (name, i)
+
+
+def test_high_energy_grid_passes_area_check():
+    # at k = 1e4 (k^2 = 1e8) rebuilding u as (k^2 - z)/alpha kept only ~8
+    # digits; the check now reads the mode samples themselves
+    p = MazerParams.for_shape(ModeShape.GAUSSIAN, 1.0e4, 10.0, 200)
+    ev = event_probabilities(p)
+    assert ev.closure_defect <= 1e-8
+    # eikonal limit: P_em = sin^2(A / 2k) with the mode area A = 20
+    eikonal = math.sin(1.0e-3) ** 2
+    assert ev.P_em == pytest.approx(eikonal, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape,k,kappaL,J", [
+    (ModeShape.GAUSSIAN, 0.3602, 4.143394380809843e-06, 375),
+    (ModeShape.SIN_FUNDAMENTAL, 0.0552, 6.953018434360892e-05, 263),
+])
+def test_tiny_window_builds(shape, k, kappaL, J):
+    # length tolerances scale with min(1, window width), so windows of
+    # 1e-4 and below keep their turning points resolved; both branches
+    # build and the row closes
+    ev = event_probabilities(MazerParams.for_shape(shape, k, kappaL, J))
+    assert ev.closure_defect <= 1e-8
+
+
+@pytest.mark.parametrize("k", [math.inf, 1.0e300, 1.0e-300])
+@pytest.mark.parametrize("shape", [ModeShape.MESA, ModeShape.SECH2])
+def test_build_grid_rejects_momentum_outside_float_range(shape, k):
+    # k^2 overflows, or k^2 underflows to 0 and the outer segments would
+    # lose their plane waves
+    with pytest.raises(ValueError, match="k_over_kappa"):
+        build_grid(ModeProfile(shape, 5.0), +1, k, 50)

@@ -34,6 +34,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             make_params(k=-0.5)
 
+    @pytest.mark.parametrize("k", [math.inf, 1.0e300, 1.0e-300, math.nan])
+    def test_rejects_momentum_outside_float_range(self, k):
+        # k^2 overflows (inf, 1e300) or E = k^2/2 underflows to 0 (1e-300)
+        with pytest.raises(ValueError, match="k_over_kappa"):
+            make_params(k=k)
+
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
             make_params(L=-1.0)

@@ -15,13 +15,11 @@ import scipy.special as sp
 
 from mazersim.segment_basis import (
     Regime,
-    Segment,
     SegmentRegimeError,
     W_FLAT_COLLAPSE,
     W_SERIES_SWITCH,
     analytic_wronskian,
     basis_eval,
-    classify_regime,
     make_segment,
 )
 
@@ -50,27 +48,32 @@ def wronskian_of(be) -> float:
 # --- regime classification and construction ------------------------------
 
 def test_classify_regime_all_cases():
-    assert classify_regime(2.0, 2.0, 0.0) is Regime.FLAT_ALLOWED
-    assert classify_regime(-3.0, -3.0, 0.0) is Regime.FLAT_FORBIDDEN
-    assert classify_regime(0.0, 0.0, 0.0) is Regime.FLAT_FREE
-    assert classify_regime(0.0, 4.0, 2.0) is Regime.SLOPE_ALLOWED
-    assert classify_regime(4.0, 0.0, -2.0) is Regime.SLOPE_ALLOWED
-    assert classify_regime(-4.0, 0.0, 2.0) is Regime.SLOPE_FORBIDDEN
+    def regime(z_lo, z_hi):
+        return make_segment(0.0, 2.0, z_lo, z_hi).regime
+
+    assert regime(2.0, 2.0) is Regime.FLAT_ALLOWED
+    assert regime(-3.0, -3.0) is Regime.FLAT_FORBIDDEN
+    assert regime(0.0, 0.0) is Regime.FLAT_FREE
+    assert regime(0.0, 4.0) is Regime.SLOPE_ALLOWED
+    assert regime(4.0, 0.0) is Regime.SLOPE_ALLOWED
+    assert regime(-4.0, 0.0) is Regime.SLOPE_FORBIDDEN
     with pytest.raises(ValueError):
-        classify_regime(-1.0, 1.0, 1.0)      # interior sign change
+        regime(-1.0, 1.0)                    # interior sign change
     with pytest.raises(ValueError):
-        classify_regime(1.0, 2.0, 0.0)       # b = 0 but z not constant
+        make_segment(0.0, math.inf, 1.0, 2.0)   # level end, z not constant
 
 
 def test_segment_tag_validation():
-    with pytest.raises(SegmentRegimeError):
-        Segment(x_lo=0.0, x_hi=1.0, a=-1.0, b=0.0, regime=Regime.FLAT_ALLOWED)
-    with pytest.raises(SegmentRegimeError):
-        Segment(x_lo=0.0, x_hi=1.0, a=1.0, b=0.0, regime=Regime.FLAT_FORBIDDEN)
+    # the tag is derived from the values, so it cannot contradict them
+    assert make_segment(0.0, 1.0, -1.0, -1.0).regime is Regime.FLAT_FORBIDDEN
+    assert make_segment(0.0, 1.0, 1.0, 1.0).regime is Regime.FLAT_ALLOWED
+    assert make_segment(0.0, 1.0, 1.0, 1.0).b == 0.0
     with pytest.raises(ValueError):
-        Segment(x_lo=0.0, x_hi=1.0, a=1.0, b=0.0, regime=Regime.SLOPE_ALLOWED)
+        make_segment(1.0, 1.0, 1.0, 1.0)     # empty
     with pytest.raises(ValueError):
-        Segment(x_lo=1.0, x_hi=1.0, a=1.0, b=0.0, regime=Regime.FLAT_ALLOWED)
+        make_segment(2.0, 1.0, 1.0, 1.0)     # reversed
+    with pytest.raises(ValueError):
+        make_segment(0.0, 1.0, math.nan, 1.0)
 
 
 def test_make_segment_infinite_sides():
@@ -93,30 +96,33 @@ def test_eval_rejects_sign_violation():
 
 
 def test_eval_rejects_oversized_argument():
-    # z = b*x with b = 1e17: w(1) = (2/3) sqrt(b) ~ 2e8, past the collapse cap
+    # z = b*x with b = 1e17: w(1) = (2/3) sqrt(b) ~ 2e8, past the collapse
+    # cap, so the segment comes out demoted to the flat regime of its
+    # midpoint value and never reaches the cylinder functions
     seg = make_segment(0.0, 1.0, 0.0, 1.0e17)
     assert seg.w(1.0) > W_FLAT_COLLAPSE
-    with pytest.raises(ValueError):
-        basis_eval(seg, 1.0)
+    assert seg.regime is Regime.FLAT_ALLOWED
+    assert seg.z_flat == 0.5e17
+    assert all(math.isfinite(v) for v in basis_eval(seg, 1.0))
 
 
 # --- flat regimes against elementary forms -------------------------------
 
 def test_flat_allowed_matches_trig():
-    seg = Segment(x_lo=-5.0, x_hi=5.0, a=2.0, b=0.0, regime=Regime.FLAT_ALLOWED)
+    seg = make_segment(-5.0, 5.0, 2.0, 2.0)   # anchored at x_ref = -5
     k = math.sqrt(2.0)
     for x in (-4.0, -0.3, 0.0, 1.7):
+        dx = x - seg.x_ref
         be = true_eval(seg, x)
-        assert be.f_plus == pytest.approx(math.cos(k * x), abs=1e-15)
-        assert be.f_minus == pytest.approx(math.sin(k * x), abs=1e-15)
-        assert be.g_plus == pytest.approx(-k * math.sin(k * x), abs=1e-15)
-        assert be.g_minus == pytest.approx(k * math.cos(k * x), abs=1e-15)
+        assert be.f_plus == pytest.approx(math.cos(k * dx), abs=1e-15)
+        assert be.f_minus == pytest.approx(math.sin(k * dx), abs=1e-15)
+        assert be.g_plus == pytest.approx(-k * math.sin(k * dx), abs=1e-15)
+        assert be.g_minus == pytest.approx(k * math.cos(k * dx), abs=1e-15)
     assert analytic_wronskian(seg) == pytest.approx(k, rel=1e-15)
 
 
 def test_flat_free_is_affine():
-    seg = Segment(x_lo=0.0, x_hi=4.0, a=0.0, b=0.0, regime=Regime.FLAT_FREE,
-                  x_ref=1.0)
+    seg = make_segment(1.0, 4.0, 0.0, 0.0)    # anchored at x_ref = 1
     be = true_eval(seg, 3.5)
     assert be.f_plus == 1.0
     assert be.f_minus == 2.5
@@ -127,8 +133,7 @@ def test_flat_free_is_affine():
 
 def test_flat_forbidden_survives_huge_width():
     # rho = 0.8, width 5000: the growing branch tops 10^1700
-    seg = Segment(x_lo=0.0, x_hi=5000.0, a=-0.64, b=0.0,
-                  regime=Regime.FLAT_FORBIDDEN)
+    seg = make_segment(0.0, 5000.0, -0.64, -0.64)
     rho = 0.8
     be = basis_eval(seg, 5000.0)
     expect_log10 = rho * 5000.0 / math.log(10.0)
@@ -354,9 +359,9 @@ def test_ode_residual_and_derivative_by_fd():
 def test_flat_regimes_ode_residual():
     h = 1e-5
     for seg in (
-        Segment(x_lo=-2.0, x_hi=2.0, a=1.3, b=0.0, regime=Regime.FLAT_ALLOWED),
-        Segment(x_lo=-2.0, x_hi=2.0, a=-1.3, b=0.0, regime=Regime.FLAT_FORBIDDEN),
-        Segment(x_lo=-2.0, x_hi=2.0, a=0.0, b=0.0, regime=Regime.FLAT_FREE),
+        make_segment(-2.0, 2.0, 1.3, 1.3),
+        make_segment(-2.0, 2.0, -1.3, -1.3),
+        make_segment(-2.0, 2.0, 0.0, 0.0),
     ):
         for x in (-1.0, 0.3):
             bm, b0, bp = (true_eval(seg, xx) for xx in (x - h, x, x + h))

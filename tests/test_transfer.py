@@ -8,7 +8,7 @@ import pytest
 from scipy.special import loggamma
 
 from mazersim.grid import ModeProfile, ModeShape, build_grid
-from mazersim.segment_basis import Regime, Segment, make_segment
+from mazersim.segment_basis import Segment, make_segment
 from mazersim.transfer import (
     TransferError,
     propagator,
@@ -101,10 +101,8 @@ def test_free_to_forbidden_join_hand_algebra():
     # rotation [[cosh, -sinh/rho], [-rho sinh, cosh]] of rho h
     k, rho, h = 0.3, 0.7, 4.0
     forb = make_segment(-h, 0.0, -rho * rho, -rho * rho)
-    free = Segment(x_lo=0.0, x_hi=math.inf, a=k * k, b=0.0,
-                   regime=Regime.FLAT_ALLOWED, x_ref=0.0, z_ref=k * k)
-    left = Segment(x_lo=-math.inf, x_hi=-h, a=k * k, b=0.0,
-                   regime=Regime.FLAT_ALLOWED, x_ref=-h, z_ref=k * k)
+    free = make_segment(0.0, math.inf, k * k, k * k)      # anchored at 0
+    left = make_segment(-math.inf, -h, k * k, k * k)      # anchored at -h
     mat = matrix_floats(forb, 0.0, -h)
     ch, sh = math.cosh(rho * h), math.sinh(rho * h)
     want = np.array([[ch, -sh / rho], [-rho * sh, ch]])
