@@ -19,6 +19,11 @@ e**+s, f- and its derivative e**-s.  s is w on sloped forbidden segments
 and 0 elsewhere, so the growing and decaying branches both stay finite
 across arbitrarily wide classically forbidden stretches.
 
+A sloped endpoint makes one :func:`~mazersim.specfun.cyl_bessel` call,
+which returns its family (J, Y or scaled I, K) at both orders 1/3 and 2/3;
+the derivatives need order -2/3, which the reflection identities give from
+order 2/3.
+
 Near a turning point (w below a fixed switch) the cylinder functions are
 replaced by short power series in z that remain exact at z = 0; the two
 representations agree to ~1e-13 at the switch, so propagators never see a
@@ -40,12 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import (
-    ORDER_THIRD,
-    ORDER_TWO_THIRDS,
-    BesselKind,
-    cyl_bessel,
-)
+from .specfun import BesselFamily, cyl_bessel
 
 __all__ = [
     "Regime",
@@ -313,10 +313,7 @@ def _basis_series(seg: Segment, z: float) -> BasisEval:
 
 def _basis_slope_allowed(seg: Segment, z: float, w: float) -> BasisEval:
     sb = 1.0 if seg.b > 0.0 else -1.0
-    j13 = cyl_bessel(BesselKind.J, ORDER_THIRD, w)
-    y13 = cyl_bessel(BesselKind.Y, ORDER_THIRD, w)
-    j23 = cyl_bessel(BesselKind.J, ORDER_TWO_THIRDS, w)
-    y23 = cyl_bessel(BesselKind.Y, ORDER_TWO_THIRDS, w)
+    j13, j23, y13, y23 = cyl_bessel(BesselFamily.JY, w)
     # order -2/3 via the reflection identities for order 2/3
     jm23 = -0.5 * j23 - (_SQRT3 / 2.0) * y23
     ym23 = (_SQRT3 / 2.0) * j23 - 0.5 * y23
@@ -329,10 +326,7 @@ def _basis_slope_forbidden(seg: Segment, z: float, w: float) -> BasisEval:
     sb = 1.0 if seg.b > 0.0 else -1.0
     zeta = -z
     # scaled forms: I carries e**w, K carries e**-w, so s = w
-    i13 = cyl_bessel(BesselKind.I, ORDER_THIRD, w)
-    k13 = cyl_bessel(BesselKind.K, ORDER_THIRD, w)
-    i23 = cyl_bessel(BesselKind.I, ORDER_TWO_THIRDS, w)
-    k23 = cyl_bessel(BesselKind.K, ORDER_TWO_THIRDS, w)
+    i13, i23, k13, k23 = cyl_bessel(BesselFamily.IK, w)
     # I_{-2/3} = I_{2/3} + (sqrt3/pi) K_{2/3}; the K term is e**-2w down
     im23 = i23 + (_SQRT3 / math.pi) * k23 * math.exp(-2.0 * w)
     sqzeta = math.sqrt(zeta)

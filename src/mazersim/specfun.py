@@ -1,10 +1,14 @@
 """Bessel and gamma kernels for the segment basis functions.
 
-Only four cylinder families at the two orders 1/3 and 2/3 are ever needed.
-The modified functions come back exponentially scaled (e**-y I and e**+y K,
-scipy's ``ive``/``kve``), so they stay finite deep inside classically
-forbidden regions, where I and K carry factors like e**40000; the caller
-keeps the exponent y as a log scale of its own.
+A sloped segment needs one family of cylinder functions at the two orders
+1/3 and 2/3: J and Y on the classically allowed side, I and K on the
+forbidden side.  :func:`cyl_bessel` returns all four values of a family
+from one scipy ufunc call per function on the order pair, which runs the
+same Amos kernel on each order as two scalar calls would, so the values are
+bit-identical to them.  The modified functions come back exponentially
+scaled (e**-y I and e**+y K, scipy's ``ive``/``kve``), so they stay finite
+deep inside classically forbidden regions, where I and K carry factors like
+e**40000; the caller keeps the exponent y as a log scale of its own.
 """
 
 from __future__ import annotations
@@ -12,58 +16,50 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
 from scipy import special as _sp
 
-__all__ = ["BesselKind", "ORDER_THIRD", "ORDER_TWO_THIRDS", "cyl_bessel", "log_gamma_complex"]
+__all__ = ["BesselFamily", "cyl_bessel", "log_gamma_complex"]
 
-ORDER_THIRD = 1.0 / 3.0
-ORDER_TWO_THIRDS = 2.0 / 3.0
-_ORDERS = (ORDER_THIRD, ORDER_TWO_THIRDS)
+_ORDERS = np.array([1.0 / 3.0, 2.0 / 3.0])
 
-# scipy's scaled I/K go NaN somewhere past 1e9; refuse before that
-ARG_LIMIT = 2.0e9
-
-
-class BesselKind(enum.Enum):
-    J = "J"
-    Y = "Y"
-    I = "I"
-    K = "K"
+# scipy's scaled I/K go NaN from about 1.0737e9 (just below 2**30);
+# refuse before that
+ARG_LIMIT = 1.0e9
 
 
-def cyl_bessel(kind: BesselKind, order: float, y: float) -> float:
-    """Evaluate one cylinder function at positive real argument.
+class BesselFamily(enum.Enum):
+    JY = "JY"   # oscillatory J, Y
+    IK = "IK"   # modified I, K, exponentially scaled
+
+
+def cyl_bessel(family: BesselFamily, y: float) -> list[float]:
+    """Evaluate one family of cylinder functions at orders 1/3 and 2/3.
 
     Parameters
     ----------
-    kind : BesselKind
-        J, Y (oscillatory) or I, K (modified).
-    order : float
-        1/3 or 2/3 only.
+    family : BesselFamily
+        JY (oscillatory) or IK (modified).
     y : float
-        Argument, strictly positive.
+        Argument, strictly positive and finite; at most ARG_LIMIT for IK.
 
     Returns
     -------
-    float
-        J or Y as they are; I and K exponentially scaled, e**-y I(y) and
-        e**+y K(y), the only forms that survive y beyond ~700.
+    list of float
+        [J_1/3, J_2/3, Y_1/3, Y_2/3] for JY.  [I_1/3, I_2/3, K_1/3, K_2/3]
+        for IK, exponentially scaled, e**-y I(y) and e**+y K(y), the only
+        forms that survive y beyond ~700.
     """
-    if order not in _ORDERS:
-        raise ValueError(f"unsupported order {order!r}; need 1/3 or 2/3")
-    if not (y > 0.0) or not math.isfinite(y):
+    if not 0.0 < y < math.inf:
         raise ValueError(f"argument must be positive and finite, got {y!r}")
-    if kind in (BesselKind.I, BesselKind.K) and y > ARG_LIMIT:
+    if family is BesselFamily.JY:
+        return _sp.jv(_ORDERS, y).tolist() + _sp.yv(_ORDERS, y).tolist()
+    if y > ARG_LIMIT:
         raise ValueError(f"argument {y:g} beyond scaled-Bessel reliability limit")
-
-    if kind is BesselKind.J:
-        return float(_sp.jv(order, y))
-    if kind is BesselKind.Y:
-        return float(_sp.yv(order, y))
-    m = float(_sp.ive(order, y) if kind is BesselKind.I else _sp.kve(order, y))
-    if math.isnan(m):
-        raise ValueError(f"scaled {kind.value}({order}, {y:g}) not representable")
-    return m
+    out = _sp.ive(_ORDERS, y).tolist() + _sp.kve(_ORDERS, y).tolist()
+    if any(map(math.isnan, out)):
+        raise ValueError(f"scaled I, K at {y:g} not representable")
+    return out
 
 
 def log_gamma_complex(z: complex) -> complex:

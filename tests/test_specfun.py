@@ -3,55 +3,49 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 
+from mazersim import specfun
+from mazersim.segment_basis import W_FLAT_COLLAPSE
 from mazersim.specfun import (
-    BesselKind,
-    ORDER_THIRD,
-    ORDER_TWO_THIRDS,
+    BesselFamily,
     cyl_bessel,
     log_gamma_complex,
 )
 
 mp.mp.dps = 50
 
-J, Y, I, K = BesselKind.J, BesselKind.Y, BesselKind.I, BesselKind.K
-
-
-def val(kind, order, y) -> float:
-    """J and Y as they are, I and K with their exponential scale restored."""
-    out = cyl_bessel(kind, order, y)
-    if kind is I:
-        return out * math.exp(y)
-    if kind is K:
-        return out * math.exp(-y)
-    return out
+JY, IK = BesselFamily.JY, BesselFamily.IK
 
 
 # derivative building blocks from the two supported orders only
 def besselj_deriv_third(y: float) -> float:
-    j13 = val(J, ORDER_THIRD, y)
-    j23 = val(J, ORDER_TWO_THIRDS, y)
-    y23 = val(Y, ORDER_TWO_THIRDS, y)
+    j13, j23, _, y23 = cyl_bessel(JY, y)
     j_m23 = -0.5 * j23 - 0.5 * math.sqrt(3.0) * y23
     return j_m23 - j13 / (3.0 * y)
 
 
 def bessely_deriv_third(y: float) -> float:
-    y13 = val(Y, ORDER_THIRD, y)
-    j23 = val(J, ORDER_TWO_THIRDS, y)
-    y23 = val(Y, ORDER_TWO_THIRDS, y)
+    _, j23, y13, y23 = cyl_bessel(JY, y)
     y_m23 = 0.5 * math.sqrt(3.0) * j23 - 0.5 * y23
     return y_m23 - y13 / (3.0 * y)
+
+
+def test_order_pair_bit_identical_to_scalar_calls():
+    # the w range sloped segments reach before W_FLAT_COLLAPSE demotes them
+    kernels = ((JY, sp.jv, sp.yv), (IK, sp.ive, sp.kve))
+    for y in np.geomspace(1e-3, W_FLAT_COLLAPSE, 1001).tolist():
+        for family, first, second in kernels:
+            want = [float(fn(order, y)) for fn in (first, second)
+                    for order in (1.0 / 3.0, 2.0 / 3.0)]
+            assert cyl_bessel(family, y) == want
 
 
 def test_wronskian_modified_pair():
     # K(y) I'(y) - K'(y) I(y) = 1/y, derivatives through order-2/3 values;
     # the scales e**y of I and e**-y of K cancel in every product
     for y in (1.0, 10.0, 100.0):
-        i13 = cyl_bessel(I, ORDER_THIRD, y)
-        k13 = cyl_bessel(K, ORDER_THIRD, y)
-        i23 = cyl_bessel(I, ORDER_TWO_THIRDS, y)
-        k23 = cyl_bessel(K, ORDER_TWO_THIRDS, y)
+        i13, i23, k13, k23 = cyl_bessel(IK, y)
         third = 1.0 / (3.0 * y)
         i_m23 = i23 + math.sqrt(3.0) / math.pi * k23 * math.exp(-2.0 * y)
         i_prime = i_m23 - third * i13
@@ -62,8 +56,7 @@ def test_wronskian_modified_pair():
 
 def test_wronskian_oscillatory_pair():
     for y in (0.5, 5.0, 50.0):
-        j13 = val(J, ORDER_THIRD, y)
-        y13 = val(Y, ORDER_THIRD, y)
+        j13, _, y13, _ = cyl_bessel(JY, y)
         w = j13 * bessely_deriv_third(y) - besselj_deriv_third(y) * y13
         want = 2.0 / (math.pi * y)
         assert abs(w - want) <= 1e-12 * max(1.0, want)
@@ -71,7 +64,7 @@ def test_wronskian_oscillatory_pair():
 
 def test_small_argument_leading_term():
     y = 1e-6
-    got = val(J, ORDER_THIRD, y)
+    got = cyl_bessel(JY, y)[0]
     want = (y / 2.0) ** (1.0 / 3.0) / math.gamma(4.0 / 3.0)
     assert abs(got - want) <= 1e-6 * want
 
@@ -94,9 +87,7 @@ def test_recurrence_against_independent_series():
     nu = mp.mpf(1) / 3
     for _ in range(20):
         y = float(rng.uniform(0.05, 50.0))
-        j13 = val(J, ORDER_THIRD, y)
-        j23 = val(J, ORDER_TWO_THIRDS, y)
-        y23 = val(Y, ORDER_TWO_THIRDS, y)
+        j13, j23, _, y23 = cyl_bessel(JY, y)
         j_m23 = -0.5 * j23 - 0.5 * math.sqrt(3.0) * y23
         # J_{4/3} = (2 nu / y) J_{1/3} - J_{-2/3}
         got = (2.0 / (3.0 * y)) * j13 - j_m23
@@ -108,18 +99,21 @@ def test_matches_mpmath_across_range():
     pts = np.logspace(-6, 4, 41)
     for y in pts:
         y = float(y)
+        j13, j23, y13, y23 = cyl_bessel(JY, y)
         pairs = [
-            (val(J, ORDER_THIRD, y), mp.besselj(mp.mpf(1) / 3, y)),
-            (val(Y, ORDER_THIRD, y), mp.bessely(mp.mpf(1) / 3, y)),
-            (val(J, ORDER_TWO_THIRDS, y), mp.besselj(mp.mpf(2) / 3, y)),
-            (val(Y, ORDER_TWO_THIRDS, y), mp.bessely(mp.mpf(2) / 3, y)),
+            (j13, mp.besselj(mp.mpf(1) / 3, y)),
+            (y13, mp.bessely(mp.mpf(1) / 3, y)),
+            (j23, mp.besselj(mp.mpf(2) / 3, y)),
+            (y23, mp.bessely(mp.mpf(2) / 3, y)),
         ]
         scale = max(abs(float(w)) for _, w in pairs) + 1e-300
         for got, want in pairs:
             assert abs(got - float(want)) <= 5e-12 * scale
         if y <= 500.0:
-            for kind, fn in ((I, mp.besseli), (K, mp.besselk)):
-                got = val(kind, ORDER_THIRD, y)
+            # I and K with their exponential scale restored
+            i13, _, k13, _ = cyl_bessel(IK, y)
+            for got, fn in ((i13 * math.exp(y), mp.besseli),
+                            (k13 * math.exp(-y), mp.besselk)):
                 want = float(fn(mp.mpf(1) / 3, y))
                 assert abs(got - want) <= 5e-12 * abs(want)
 
@@ -128,17 +122,16 @@ def test_scaled_survives_huge_argument():
     # e**1e6 ~ 10**434294 stays out of the value: the scaled forms follow
     # the asymptotics 1/sqrt(2 pi y) and sqrt(pi / (2 y))
     y = 1e6
-    x = cyl_bessel(I, ORDER_THIRD, y)
+    x, _, k, _ = cyl_bessel(IK, y)
     assert abs(math.log10(x) - math.log10(1.0 / math.sqrt(2 * math.pi * y))) < 1e-6
-    k = cyl_bessel(K, ORDER_THIRD, y)
     assert abs(math.log10(k) - math.log10(math.sqrt(math.pi / (2 * y)))) < 1e-6
 
 
 def test_monotonicity_modified():
     # in log form, log I = y + log(scaled I) and log K = -y + log(scaled K)
     ys = np.logspace(-3, 3, 60)
-    ivals = [float(y) + math.log(cyl_bessel(I, ORDER_THIRD, float(y))) for y in ys]
-    kvals = [-float(y) + math.log(cyl_bessel(K, ORDER_THIRD, float(y))) for y in ys]
+    ivals = [float(y) + math.log(cyl_bessel(IK, float(y))[0]) for y in ys]
+    kvals = [-float(y) + math.log(cyl_bessel(IK, float(y))[2]) for y in ys]
     for a, b in zip(ivals, ivals[1:]):
         assert a < b
     for a, b in zip(kvals, kvals[1:]):
@@ -147,13 +140,24 @@ def test_monotonicity_modified():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        cyl_bessel(J, ORDER_THIRD, 0.0)
+        cyl_bessel(JY, 0.0)
     with pytest.raises(ValueError):
-        cyl_bessel(K, ORDER_THIRD, -1.0)
+        cyl_bessel(IK, -1.0)
+    for y in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cyl_bessel(JY, y)
     with pytest.raises(ValueError):
-        cyl_bessel(J, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        cyl_bessel(I, ORDER_THIRD, 1e12)
+        cyl_bessel(IK, 1e12)
+    # between the limit and scipy's NaN onset near 1.0737e9 the limit,
+    # not the NaN check, refuses
+    with pytest.raises(ValueError, match="reliability limit"):
+        cyl_bessel(IK, 1.5e9)
+
+
+def test_nan_from_scaled_kernel_raises(monkeypatch):
+    monkeypatch.setattr(specfun._sp, "kve", lambda order, y: np.full(2, np.nan))
+    with pytest.raises(ValueError, match="not representable"):
+        cyl_bessel(IK, 10.0)
 
 
 def test_log_gamma_special_values():

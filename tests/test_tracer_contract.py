@@ -1,0 +1,31 @@
+"""The benchmark's tracer wraps program functions by module and name.
+
+``perfbench/tracing.py`` lists them in ``WRAPS``; a name the program no
+longer has is skipped there and its metrics read null.  This test reads
+that list as plain data, without importing or changing the benchmark, and
+requires every listed name to exist, so a rename or deletion of a traced
+function fails here and not only in the benchmark's own tests.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _wraps():
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRAPS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no WRAPS in {TRACING}")
+
+
+@pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _ in _wraps()])
+def test_wrapped_name_resolves(module_name, attr):
+    module = importlib.import_module(module_name)
+    assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is gone"
