@@ -16,7 +16,9 @@ Two refinements keep that approximation honest:
 
 The nodes and their coefficients z = k^2 - 2*alpha*V go to
 :func:`segment_basis.build_segments`, which slopes, classifies, demotes and
-anchors every segment, the two outer free ones included, in one array pass.
+anchors every segment between the nodes in one array pass.  The grid keeps
+those arrays for the sweep, and their records, framed by the two outer free
+segments, as its tuple of segments.
 Length tolerances (root bisection, root stability, turning-node merging)
 scale with min(1, window width), so tiny cavities keep their resolution.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segment_basis import Segment, build_segments
+from .segment_basis import Segment, SegmentArrays, build_segments
 
 __all__ = [
     "ModeShape",
@@ -346,9 +348,10 @@ class Grid:
     """The full segmentation of one scattering problem.
 
     ``segments`` starts and ends with the semi-infinite free regions; the
-    interior entries tile the window.  ``z`` holds the solver's coefficient
-    z = k^2 - 2*alpha*V at ``points``; turning nodes carry z = 0 exactly so
-    no segment straddles a sign change of z.
+    interior entries tile the window.  ``arrays`` holds the interior
+    entries as arrays, entry i being ``segments[i + 1]``.  ``z`` holds the
+    solver's coefficient z = k^2 - 2*alpha*V at ``points``; turning nodes
+    carry z = 0 exactly so no segment straddles a sign change of z.
     """
 
     points: np.ndarray
@@ -361,6 +364,7 @@ class Grid:
     window: tuple[float, float]
     turning_points: tuple[float, ...]
     segments: tuple[Segment, ...]
+    arrays: SegmentArrays
 
     def __post_init__(self) -> None:
         self.points.flags.writeable = False
@@ -489,6 +493,7 @@ def build_grid(
     nodes, z, u_nodes, extra = _split_residual_crossings(nodes, z, u_nodes, u_turn)
     root_positions = sorted(root_positions + extra)
     _verify_grid(nodes, u_nodes, alpha, area_exact)
+    arrays = build_segments(nodes, z)
 
     return Grid(
         points=nodes,
@@ -500,7 +505,8 @@ def build_grid(
         profile=profile,
         window=(x_a, x_b),
         turning_points=tuple(root_positions),
-        segments=build_segments(nodes, z, z_free),
+        segments=arrays.records(z_free),
+        arrays=arrays,
     )
 
 
@@ -513,6 +519,7 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
     z_top = z_free - sign * 1.0
     nodes = np.array([lo, hi])
     z = np.array([z_top, z_top])
+    arrays = build_segments(nodes, z)
     return Grid(
         points=nodes,
         z=z,
@@ -523,7 +530,8 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
         profile=profile,
         window=(lo, hi),
         turning_points=(),
-        segments=build_segments(nodes, z, z_free),
+        segments=arrays.records(z_free),
+        arrays=arrays,
     )
 
 

@@ -55,6 +55,9 @@ class MazerParams:
             raise ValueError("kappaL must be nonnegative")
         if self.J < 2:
             raise ValueError("J must be at least 2")
+        if not 0.0 < self.window_factor < math.inf:
+            raise ValueError(f"window_factor = {self.window_factor!r} must be "
+                             "positive and finite")
         if self.profile.length != self.kappaL:
             raise ValueError(
                 f"profile length {self.profile.length} != kappaL {self.kappaL}")

@@ -14,6 +14,13 @@ range at large interaction lengths.  Each propagator therefore comes with
 its dominant exponential e**|s_to - s_from| factored out of the basis
 scales analytically, so every entry is O(1); the state is two complex
 float64 values plus one float log scale, renormalised after every segment.
+
+The propagators of the sloped segments are formed before the sweep, one
+batch per sloped regime from the grid's segment arrays: one
+``basis_eval`` call covers both ends of every segment of the regime.  The
+sweep itself is a loop over Python floats that applies them, and forms the
+flat segments' propagators from their scalar closed forms on the way.
+:func:`wavefunction` batches its samples on sloped segments the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Grid
-from .segment_basis import Segment, analytic_wronskian, basis_eval
+from .segment_basis import (
+    Regime,
+    Segment,
+    SegmentArrays,
+    analytic_wronskian,
+    basis_eval,
+)
 
 __all__ = [
     "ScatterResult",
@@ -39,6 +52,11 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
+
+_SLOPED = (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN)
+# (regime, code) of the sloped regimes; SegmentArrays.code numbers the
+# regimes in their definition order
+_SLOPED_CODES = tuple((regime, list(Regime).index(regime)) for regime in _SLOPED)
 
 
 class TransferError(Exception):
@@ -80,27 +98,58 @@ class ScatterResult:
     coefficients: tuple[SegmentState, ...] | None = None
 
 
-def propagator(
-    seg: Segment, x_from: float, x_to: float,
-) -> tuple[float, float, float, float, float]:
+def propagator(seg: Segment, x_from, x_to) -> tuple:
     """Block-scaled map of (phi, phi') at x_from to (phi, phi') at x_to.
 
     Returns (p11, p12, p21, p22, log_factor): the true matrix
     M(x_to) M(x_from)^-1 is the four entries times e**log_factor.  With
     d = s_to - s_from the entries hold e**(d - |d|) and e**(-d - |d|),
     one of which is 1 and the other at most 1.
+
+    On a sloped regime one basis evaluation covers both ends, and ``seg``
+    may be a batch with x_from, x_to arrays of its shape: the five entries
+    are then arrays, one value per segment of the batch.
     """
-    fp1, fm1, gp1, gm1, s1 = basis_eval(seg, x_from)
-    fp2, fm2, gp2, gm2, s2 = basis_eval(seg, x_to)
+    if seg.regime in _SLOPED:
+        (fp1, fp2), (fm1, fm2), (gp1, gp2), (gm1, gm2), (s1, s2) = basis_eval(
+            seg, np.array((x_from, x_to)))
+        exp = np.exp
+    else:
+        fp1, fm1, gp1, gm1, s1 = basis_eval(seg, x_from)
+        fp2, fm2, gp2, gm2, s2 = basis_eval(seg, x_to)
+        exp = math.exp
     w = analytic_wronskian(seg)
     d = s2 - s1
-    up = math.exp(min(2.0 * d, 0.0)) / w
-    dn = math.exp(min(-2.0 * d, 0.0)) / w
+    up = exp(d - abs(d)) / w
+    dn = exp(-d - abs(d)) / w
     return (fp2 * gm1 * up - fm2 * gp1 * dn,
             fm2 * fp1 * dn - fp2 * fm1 * up,
             gp2 * gm1 * up - gm2 * gp1 * dn,
             gm2 * fp1 * dn - gp2 * fm1 * up,
             abs(d))
+
+
+def _sloped_propagators(arrays: SegmentArrays, x_from: np.ndarray,
+                        x_to: np.ndarray, entry: np.ndarray | None = None) -> list:
+    """Propagator of segment ``entry[i]`` of ``arrays`` (segment i when
+    ``entry`` is None) from x_from[i] to x_to[i], as a tuple of floats, for
+    every item whose segment is sloped, and None for the others.  Each
+    sloped regime present is one batch."""
+    code = arrays.code if entry is None else arrays.code[entry]
+    out = [None] * len(code)
+    # a list lookup keeps grids without sloped segments (the mesa) as cheap
+    # as a scalar sweep
+    present = code.tolist()
+    for regime, regime_code in _SLOPED_CODES:
+        if regime_code in present:
+            sel = np.flatnonzero(code == regime_code)
+            batch = propagator(
+                arrays.take(sel if entry is None else entry[sel], regime),
+                x_from[sel], x_to[sel])
+            for i, entries in zip(sel.tolist(),
+                                  zip(*(e.tolist() for e in batch))):
+                out[i] = entries
+    return out
 
 
 def _coefficients(seg: Segment, x: float, phi: complex, dphi: complex):
@@ -112,15 +161,23 @@ def _coefficients(seg: Segment, x: float, phi: complex, dphi: complex):
 
 
 def sweep(
-    segments: Sequence[Segment], c: complex, d: complex, record: bool = False,
+    grid: Grid, c: complex, d: complex, record: bool = False,
 ) -> tuple[complex, complex, float, list[SegmentState]]:
-    """Carry the solution c f+ + d f- of the last segment back to the first.
+    """Carry the solution c f+ + d f- of the grid's last segment back to
+    the first.
 
     Returns (C0, D0, log_scale, states): the first segment's coefficients,
     true values being these times e**log_scale, and, when ``record``, the
-    node state of every segment from left to right.  After each segment
-    the state is divided by the power of two nearest its magnitude.
+    node state of every segment from left to right.  The propagators of
+    the sloped segments come first, one batch per sloped regime; the loop
+    then applies them, and those of the flat segments, one by one.  After
+    each segment the state is divided by the power of two nearest its
+    magnitude.
     """
+    segments = grid.segments
+    arrays = grid.arrays
+    # interior segment j is entry j - 1 of the arrays
+    sloped = _sloped_propagators(arrays, arrays.x_hi, arrays.x_lo)
     last = segments[-1]
     fp, fm, gp, gm, s = basis_eval(last, last.x_lo)
     phi = c * fp * math.exp(s) + d * fm * math.exp(-s)
@@ -133,7 +190,8 @@ def sweep(
         seg = segments[j]
         if record:
             states.append(SegmentState(j, seg.x_hi, phi, dphi, log_scale))
-        p11, p12, p21, p22, log_factor = propagator(seg, seg.x_hi, seg.x_lo)
+        p11, p12, p21, p22, log_factor = (
+            sloped[j - 1] or propagator(seg, seg.x_hi, seg.x_lo))
         phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         mag = max(abs(phi), abs(dphi))
         if mag == 0.0:
@@ -160,7 +218,7 @@ def solve_scattering(grid: Grid, record_coefficients: bool = False) -> ScatterRe
     incident one.
     """
     c0, d0, log_scale, states = sweep(
-        grid.segments, 1.0 + 0.0j, 1.0j, record_coefficients)
+        grid, 1.0 + 0.0j, 1.0j, record_coefficients)
     denom = c0 - 1j * d0
     if denom == 0.0:
         raise TransferError("C0 - i*D0 vanished: degenerate normalization")
@@ -202,24 +260,27 @@ def wavefunction(
         raise ValueError("solve_scattering must record coefficients first")
     pad = 2.0 * grid.profile.length
     lo, hi = grid.window[0] - pad, grid.window[1] + pad
+    xs = np.asarray(positions, dtype=float)
+    outside = ~((lo <= xs) & (xs <= hi))
+    if outside.any():
+        raise ValueError(f"sample {xs[np.argmax(outside)]} outside [{lo}, {hi}]")
     states = result.coefficients
     first = states[0]
     c0, d0 = _coefficients(grid.segments[0], first.x, first.phi, first.dphi)
     norm = 2.0 / (c0 - 1j * d0)
-    pts = grid.points
+    # the segment of each sample; 0 and len(segments) - 1 are the free ends
+    seg_of = np.searchsorted(grid.points, xs, side="right")
+    inner = np.flatnonzero((seg_of > 0) & (seg_of < len(grid.segments) - 1))
+    x_from = np.array([states[j].x for j in seg_of[inner].tolist()])
+    props = [None] * len(xs)
+    batched = _sloped_propagators(grid.arrays, x_from, xs[inner], seg_of[inner] - 1)
+    for i, entries in zip(inner.tolist(), batched):
+        props[i] = entries
     out: list[tuple[float, complex]] = []
-    for x in positions:
-        if not lo <= x <= hi:
-            raise ValueError(f"sample {x} outside [{lo}, {hi}]")
-        if x < pts[0]:
-            idx = 0
-        elif x >= pts[-1]:
-            idx = len(grid.segments) - 1
-        else:
-            idx = int(np.searchsorted(pts, x, side="right"))
-        st = states[idx]
-        p11, p12, _, _, log_factor = propagator(grid.segments[idx], st.x, float(x))
+    for x, j, entries in zip(xs.tolist(), seg_of.tolist(), props):
+        st = states[j]
+        p11, p12, _, _, log_factor = entries or propagator(grid.segments[j], st.x, x)
         phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
             log_factor + st.log_scale - first.log_scale)
-        out.append((float(x), phi * norm))
+        out.append((x, phi * norm))
     return out

@@ -359,7 +359,7 @@ class TestProperties:
         base = solve_scattering(grid)
         _note(base.unitarity_defect)
         scale = (0.4 - 0.9j) * 10.0 ** 120
-        c0, d0, log_scale, _ = sweep(grid.segments, scale, 1j * scale)
+        c0, d0, log_scale, _ = sweep(grid, scale, 1j * scale)
         t = scale * 2.0 * math.exp(-log_scale) / (c0 - 1j * d0)
         r = (c0 + 1j * d0) / (c0 - 1j * d0)
         assert t == pytest.approx(base.t, rel=SEED_SCALE_TOL)

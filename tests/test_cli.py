@@ -112,6 +112,12 @@ class TestConfigErrors:
         ["wavefunction", "--profile", "mesa", "--k", "0.5", "--kappaL", "1",
          "--J", "2", "--branch", "both"],
         ["no-such-command"],
+        ["sweep", "--profile", "sech2", "--k", "0.5", "--range", "0:1:0.5",
+         "--J", "20", "--window-factor", "-1"],
+        ["sweep", "--profile", "sech2", "--k", "0.5", "--range", "0:1:0.5",
+         "--J", "20", "--window-factor", "nan"],
+        ["converge", "--profile", "gauss", "--k", "0.5", "--kappaL", "1",
+         "--J", "20,40", "--window-factor", "inf"],
     ])
     def test_exit_1(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -40,6 +40,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="k_over_kappa"):
             make_params(k=k)
 
+    @pytest.mark.parametrize("window_factor", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_window_factor_outside_domain(self, window_factor):
+        # each of these left every sweep row failing with "empty window" or
+        # "grid nodes not strictly increasing"
+        with pytest.raises(ValueError, match="window_factor"):
+            make_params(window_factor=window_factor)
+
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
             make_params(L=-1.0)

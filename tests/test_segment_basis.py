@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from mazersim import specfun
 from mazersim.segment_basis import (
     Regime,
     SegmentRegimeError,
@@ -20,8 +21,10 @@ from mazersim.segment_basis import (
     W_SERIES_SWITCH,
     analytic_wronskian,
     basis_eval,
+    build_segments,
     make_segment,
 )
+from mazersim.transfer import propagator
 
 mpmath.mp.dps = 50
 
@@ -104,6 +107,41 @@ def test_eval_rejects_oversized_argument():
     assert seg.regime is Regime.FLAT_ALLOWED
     assert seg.z_flat == 0.5e17
     assert all(math.isfinite(v) for v in basis_eval(seg, 1.0))
+
+
+def forbidden_batch():
+    """Three sloped forbidden segments of slope -1 as one batch."""
+    arrays = build_segments([0.0, 1.0, 2.0, 3.0], [-1.0, -2.0, -3.0, -4.0])
+    return arrays.take(np.arange(3), Regime.SLOPE_FORBIDDEN)
+
+
+def test_batch_errors_name_their_segment(monkeypatch):
+    batch = forbidden_batch()
+    x = batch.x_lo.copy()
+    x[1] = -5.0                    # z = +4 on the middle segment's line
+    with pytest.raises(SegmentRegimeError,
+                       match=r"slope_forbidden segment 1 at x = -5\.0$"):
+        basis_eval(batch, x)
+    # both ends at once: the error still names the segment, not the end
+    with pytest.raises(SegmentRegimeError, match=r"segment 1 at x = -5\.0$"):
+        propagator(batch, x, batch.x_hi)
+    allowed = build_segments([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]).take(
+        np.arange(2), Regime.SLOPE_ALLOWED)
+    with pytest.raises(SegmentRegimeError,
+                       match=r"< 0 in slope_allowed segment 0 at x = -3\.0$"):
+        basis_eval(allowed, np.array([-3.0, 1.5]))
+    # w ~ 7e9 on the middle segment passes ARG_LIMIT
+    far = batch._replace(b=np.array([-1.0, -1.0e-10, -1.0]))
+    with pytest.raises(ValueError, match=r"^slope_forbidden segment 1 at "
+                       r"x = 1\.0: argument beyond scaled-Bessel"):
+        basis_eval(far, batch.x_lo)
+    # a NaN from the kernel at the largest argument, that of segment 2
+    kve = specfun._sp.kve
+    monkeypatch.setattr(specfun._sp, "kve", lambda order, y: np.where(
+        y == y.max(), np.nan, kve(order, y)))
+    with pytest.raises(ValueError, match=r"^slope_forbidden segment 2 at "
+                       r"x = 2\.0: scaled I, K not representable"):
+        basis_eval(batch, batch.x_lo)
 
 
 # --- flat regimes against elementary forms -------------------------------

@@ -32,13 +32,19 @@ def bessely_deriv_third(y: float) -> float:
 
 
 def test_order_pair_bit_identical_to_scalar_calls():
-    # the w range sloped segments reach before W_FLAT_COLLAPSE demotes them
+    # the w range sloped segments reach before W_FLAT_COLLAPSE demotes them;
+    # a scalar argument, a vector and a (2, n) array of segment ends all
+    # give the values of separate scalar scipy calls, bit for bit
     kernels = ((JY, sp.jv, sp.yv), (IK, sp.ive, sp.kve))
-    for y in np.geomspace(1e-3, W_FLAT_COLLAPSE, 1001).tolist():
-        for family, first, second in kernels:
-            want = [float(fn(order, y)) for fn in (first, second)
-                    for order in (1.0 / 3.0, 2.0 / 3.0)]
-            assert cyl_bessel(family, y) == want
+    ys = np.geomspace(1e-3, W_FLAT_COLLAPSE, 1000)
+    for family, first, second in kernels:
+        want = [[float(fn(order, y)) for fn in (first, second)
+                 for order in (1.0 / 3.0, 2.0 / 3.0)] for y in ys.tolist()]
+        assert [cyl_bessel(family, y).tolist() for y in ys.tolist()] == want
+        assert cyl_bessel(family, ys).T.tolist() == want
+        ends = cyl_bessel(family, ys.reshape(2, -1))
+        assert ends.shape == (4, 2, 500)
+        assert ends.reshape(4, -1).T.tolist() == want
 
 
 def test_wronskian_modified_pair():

@@ -29,3 +29,29 @@ def _wraps():
 def test_wrapped_name_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is gone"
+
+
+def test_basis_batches_carry_one_regime(monkeypatch):
+    # the tracer counts segment_basis.evals.<regime> from the first argument
+    # of each transfer.basis_eval call, so a batch of sloped segments must
+    # still be one Segment with one Regime; a deep_sin row (sin, k 0.01,
+    # J 100, kappaL 1e5) must reach the forbidden sloped regime
+    from mazersim import transfer
+    from mazersim.grid import ModeShape
+    from mazersim.mazer import MazerParams, event_probabilities
+    from mazersim.segment_basis import Regime
+
+    regimes = []
+    basis_eval = transfer.basis_eval
+
+    def counting(seg, x):
+        regimes.append(seg.regime)
+        return basis_eval(seg, x)
+
+    monkeypatch.setattr(transfer, "basis_eval", counting)
+    event_probabilities(MazerParams.for_shape(
+        ModeShape.SIN_FUNDAMENTAL, 0.01, 1.0e5, 100))
+    assert all(isinstance(r, Regime) for r in regimes)
+    # one batch per sloped regime per branch solve
+    assert 1 <= regimes.count(Regime.SLOPE_FORBIDDEN) <= 2
+    assert regimes.count(Regime.SLOPE_ALLOWED) <= 2

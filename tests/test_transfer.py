@@ -8,7 +8,7 @@ import pytest
 from scipy.special import loggamma
 
 from mazersim.grid import ModeProfile, ModeShape, build_grid
-from mazersim.segment_basis import Segment, make_segment
+from mazersim.segment_basis import Regime, Segment, make_segment
 from mazersim.transfer import (
     TransferError,
     propagator,
@@ -16,6 +16,8 @@ from mazersim.transfer import (
     sweep,
     wavefunction,
 )
+
+import test_grid_golden as golden
 
 
 def mesa_closed(k: float, V0: float, a: float) -> tuple[complex, complex]:
@@ -95,22 +97,46 @@ def test_identity_join():
 
 
 def test_free_to_forbidden_join_hand_algebra():
-    # {cos kx, sin kx} anchored at the join meeting {e^-rho x, e^+rho x}:
-    # the outgoing wave (C, D) = (1, i) gives the node state (1, i k); the
-    # forbidden segment of width h carries it back by the hyperbolic
+    # a mesa barrier of width h: {cos kx, sin kx} anchored at 0 on both
+    # sides of {e^-rho x, e^+rho x}, z = k^2 - 1 = -rho^2 on [0, h].  The
+    # outgoing wave (C, D) = (1, i) gives the node state e^{ikh} (1, i k) at
+    # x = h; the forbidden segment carries it back by the hyperbolic
     # rotation [[cosh, -sinh/rho], [-rho sinh, cosh]] of rho h
-    k, rho, h = 0.3, 0.7, 4.0
-    forb = make_segment(-h, 0.0, -rho * rho, -rho * rho)
-    free = make_segment(0.0, math.inf, k * k, k * k)      # anchored at 0
-    left = make_segment(-math.inf, -h, k * k, k * k)      # anchored at -h
-    mat = matrix_floats(forb, 0.0, -h)
+    k, h = 0.3, 4.0
+    g = build_grid(ModeProfile(ModeShape.MESA, h), +1, k, 2)
+    forb = g.segments[1]
+    rho = math.sqrt(-forb.z_flat)
+    mat = matrix_floats(forb, h, 0.0)
     ch, sh = math.cosh(rho * h), math.sinh(rho * h)
     want = np.array([[ch, -sh / rho], [-rho * sh, ch]])
     assert np.allclose(mat, want, rtol=1e-14, atol=0.0)
-    c0, d0, log_scale, _ = sweep([left, forb, free], 1.0, 1.0j)
-    phi, dphi = want @ np.array([1.0, 1.0j * k])
+    c0, d0, log_scale, _ = sweep(g, 1.0, 1.0j)
+    phi, dphi = cmath.exp(1j * k * h) * (want @ np.array([1.0, 1.0j * k]))
+    # the left free segment ends at its anchor 0: C = phi, D = phi'/k there
     assert c0 * math.exp(log_scale) == pytest.approx(phi, rel=1e-14)
     assert d0 * math.exp(log_scale) == pytest.approx(dphi / k, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_batched_propagators_match_scalar_calls(name):
+    # the sweep evaluates each sloped regime of a grid as one batch, both
+    # ends of every segment at once; each segment's five entries match its
+    # own propagator call within 1e-14 of their largest magnitude
+    shape, kappaL, k, J, sign = golden.CASES[name]
+    table = golden.TABLE if shape is ModeShape.TABULATED else None
+    g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
+    checked = 0
+    for regime in (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN):
+        idx = np.flatnonzero(g.arrays.code == list(Regime).index(regime))
+        batch = g.arrays.take(idx, regime)
+        got = np.array(propagator(batch, batch.x_hi, batch.x_lo))
+        for entries, j in zip(got.T, idx.tolist()):
+            seg = g.segments[j + 1]
+            assert seg.regime is regime
+            want = np.array(propagator(seg, seg.x_hi, seg.x_lo))
+            assert np.abs(entries - want).max() <= 1e-14 * np.abs(want).max()
+            checked += 1
+    assert checked or shape is ModeShape.MESA
 
 
 def test_round_trip_and_determinant():
@@ -207,7 +233,7 @@ def test_seed_scale_invariance():
     g = build_grid(ModeProfile(ModeShape.SECH2, 10.0), +1, 0.1, 200)
     base = solve_scattering(g)
     s = (0.3 - 0.7j) * 10.0 ** 150
-    c0, d0, log_scale, _ = sweep(g.segments, s, 1j * s)
+    c0, d0, log_scale, _ = sweep(g, s, 1j * s)
     t = s * 2.0 * math.exp(-log_scale) / (c0 - 1j * d0)
     r = (c0 + 1j * d0) / (c0 - 1j * d0)
     assert t == pytest.approx(base.t, rel=1e-12)
