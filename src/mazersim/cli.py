@@ -58,6 +58,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise _ConfigError(f"range {text!r} must be finite")
     if step <= 0.0:
         raise _ConfigError("range step must be positive")
+    if lo < 0.0:
+        raise _ConfigError("range lower bound must not be negative")
     if hi < lo:
         raise _ConfigError("range upper bound below lower bound")
     return lo, hi, step

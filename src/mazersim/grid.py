@@ -14,11 +14,20 @@ Two refinements keep that approximation honest:
   the exact area of the mode, which removes the leading quadrature bias of
   the linear interpolation.
 
+The turning points move with alpha and alpha with the nodes, so the builder
+iterates to a fixed point, one :func:`find_turning_points` call per pass.
+The mode does not depend on alpha: a build samples it once on the
+turning-point scan and keeps every bisection midpoint it evaluates, so a
+pass forms alpha*V - E from that scan and reuses the midpoints of the
+passes before it, with the roots a fresh pass would find.  A pass that finds the
+previous pass's roots, or leaves alpha unchanged, ends the iteration,
+since the next pass would repeat it.
+
 The nodes and their coefficients z = k^2 - 2*alpha*V go to
 :func:`segment_basis.build_segments`, which slopes, classifies, demotes and
 anchors every segment between the nodes in one array pass.  The grid keeps
-those arrays for the sweep, and their records, framed by the two outer free
-segments, as its tuple of segments.
+those arrays for the sweep; their records, framed by the two outer free
+segments, are built the first time ``Grid.segments`` is read.
 Length tolerances (root bisection, root stability, turning-node merging)
 scale with min(1, window width), so tiny cavities keep their resolution.
 """
@@ -28,6 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +87,11 @@ class ModeShape(enum.Enum):
     TABULATED = "tabulated"
 
 
-# sinusoidal modes sin(n pi x / L) on [0, L], by their number n of half waves
-_SINES = {ModeShape.SIN_FUNDAMENTAL: 1.0, ModeShape.SIN_FIRST_EXCITED: 2.0}
+# module-level names for the per-build paths: looking a member up on the
+# enum class costs about 0.2 us on CPython 3.11, and hashing one runs
+# Python code.  The sinusoidal modes are sin(n pi x / L) on [0, L], with
+# n = 1 (_SIN1) or 2 (_SIN2) half waves.
+_MESA, _SECH2, _SIN1, _SIN2, _GAUSS, _TABULATED = ModeShape
 
 
 @dataclass(frozen=True)
@@ -97,7 +110,7 @@ class ModeProfile:
     table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.shape is ModeShape.TABULATED:
+        if self.shape is _TABULATED:
             if self.table is None or len(self.table) < 2:
                 raise ValueError("TABULATED profile needs at least two points")
             xs = [p[0] for p in self.table]
@@ -115,16 +128,16 @@ class ModeProfile:
     @property
     def sigma(self) -> float:
         """Gaussian width, tied to the length so the area matches sech2."""
-        if self.shape is not ModeShape.GAUSSIAN:
+        if self.shape is not _GAUSS:
             raise ValueError("sigma is defined for the Gaussian mode only")
         return math.sqrt(2.0 / math.pi) * self.length
 
     def support(self) -> tuple[float, float]:
         """Interval outside which u is identically zero (or negligible)."""
-        if self.shape in (ModeShape.MESA, ModeShape.SIN_FUNDAMENTAL,
-                          ModeShape.SIN_FIRST_EXCITED):
+        s = self.shape
+        if s is _MESA or s is _SIN1 or s is _SIN2:
             return (0.0, self.length)
-        if self.shape is ModeShape.TABULATED:
+        if s is _TABULATED:
             return (self.table[0][0], self.table[-1][0])
         return (-math.inf, math.inf)
 
@@ -132,7 +145,7 @@ class ModeProfile:
                        ) -> tuple[float, float]:
         """Solution window: the support, or window_factor * length centered
         on the peak for the unbounded profiles."""
-        if self.shape in (ModeShape.SECH2, ModeShape.GAUSSIAN):
+        if self.shape is _SECH2 or self.shape is _GAUSS:
             half = 0.5 * window_factor * self.length
             return (-half, half)
         return self.support()
@@ -154,25 +167,26 @@ def load_tabulated(path: str) -> ModeProfile:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not numeric") from exc
             pts.append((x, u))
-    return ModeProfile(shape=ModeShape.TABULATED, length=0.0, table=tuple(pts))
+    return ModeProfile(shape=_TABULATED, length=0.0, table=tuple(pts))
 
 
 def eval_mode(profile: ModeProfile, x: float) -> float:
     """Mode value u(x); exactly zero outside the support."""
     L = profile.length
     s = profile.shape
-    if s is ModeShape.MESA:
+    if s is _MESA:
         return 1.0 if 0.0 <= x <= L else 0.0
-    if s is ModeShape.SECH2:
+    if s is _SECH2:
         t = abs(x) / L
         if t > 350.0:
             return 0.0
         e = math.exp(-t)
         sech = 2.0 * e / (1.0 + e * e)
         return sech * sech
-    if s in _SINES:
-        return math.sin(_SINES[s] * math.pi * x / L) if 0.0 < x < L else 0.0
-    if s is ModeShape.GAUSSIAN:
+    if s is _SIN1 or s is _SIN2:
+        n = 1.0 if s is _SIN1 else 2.0
+        return math.sin(n * math.pi * x / L) if 0.0 < x < L else 0.0
+    if s is _GAUSS:
         t = x / profile.sigma
         arg = 0.5 * t * t
         return math.exp(-arg) if arg < 745.0 else 0.0
@@ -184,19 +198,20 @@ def eval_mode_array(profile: ModeProfile, xs: np.ndarray) -> np.ndarray:
     L = profile.length
     s = profile.shape
     xs = np.asarray(xs, dtype=float)
-    if s is ModeShape.MESA:
+    if s is _MESA:
         return np.where((xs >= 0.0) & (xs <= L), 1.0, 0.0)
-    if s is ModeShape.SECH2:
+    if s is _SECH2:
         t = np.minimum(np.abs(xs) / L, 350.0)
         e = np.exp(-t)
         sech = 2.0 * e / (1.0 + e * e)
         out = sech * sech
         out[np.abs(xs) / L > 350.0] = 0.0
         return out
-    if s in _SINES:
+    if s is _SIN1 or s is _SIN2:
+        n = 1.0 if s is _SIN1 else 2.0
         inside = (xs > 0.0) & (xs < L)
-        return np.where(inside, np.sin(_SINES[s] * np.pi * xs / L), 0.0)
-    if s is ModeShape.GAUSSIAN:
+        return np.where(inside, np.sin(n * np.pi * xs / L), 0.0)
+    if s is _GAUSS:
         t = xs / profile.sigma
         arg = 0.5 * t * t
         return np.where(arg < 745.0, np.exp(-np.minimum(arg, 745.0)), 0.0)
@@ -229,18 +244,19 @@ def signed_area(profile: ModeProfile, a: float, b: float) -> float:
         return 0.0
     L = profile.length
     s = profile.shape
-    if s is ModeShape.MESA:
+    if s is _MESA:
         lo, hi = _clip(a, b, 0.0, L)
         return max(hi - lo, 0.0)
-    if s is ModeShape.SECH2:
+    if s is _SECH2:
         return L * (math.tanh(b / L) - math.tanh(a / L))
-    if s in _SINES:
+    if s is _SIN1 or s is _SIN2:
+        n = 1.0 if s is _SIN1 else 2.0
         lo, hi = _clip(a, b, 0.0, L)
         if hi <= lo:
             return 0.0
-        c = _SINES[s] * math.pi / L
+        c = n * math.pi / L
         return (math.cos(c * lo) - math.cos(c * hi)) / c
-    if s is ModeShape.GAUSSIAN:
+    if s is _GAUSS:
         sg = profile.sigma
         rt2 = math.sqrt(2.0)
         return sg * math.sqrt(math.pi / 2.0) * (
@@ -258,11 +274,11 @@ def abs_area(profile: ModeProfile, a: float, b: float) -> float:
     crossings first.
     """
     s = profile.shape
-    if s is ModeShape.SIN_FIRST_EXCITED:
+    if s is _SIN2:
         half = 0.5 * profile.length
         return (abs(signed_area(profile, a, min(b, half)))
                 + abs(signed_area(profile, max(a, half), b)))
-    if s is ModeShape.TABULATED:
+    if s is _TABULATED:
         return interp_abs_area(*_table_samples(profile, a, b))
     return abs(signed_area(profile, a, b))
 
@@ -285,6 +301,24 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
 
 # --- turning points -------------------------------------------------------
 
+class _ModeSamples:
+    """The mode u on a uniform scan of a window, and at every bisection
+    midpoint evaluated so far (``at``, x -> u(x)).
+
+    u does not depend on alpha, so the alpha passes of one build share one
+    of these: each pass forms alpha*V - E from the same scan and finds
+    there every midpoint that an earlier pass already evaluated.
+    """
+
+    __slots__ = ("xs", "us", "at")
+
+    def __init__(self, profile: ModeProfile, window: tuple[float, float],
+                 scan_points: int) -> None:
+        self.xs = np.linspace(window[0], window[1], max(int(scan_points), 16))
+        self.us = eval_mode_array(profile, self.xs)
+        self.at: dict[float, float] = {}
+
+
 def find_turning_points(
     profile: ModeProfile,
     sign: int,
@@ -293,6 +327,7 @@ def find_turning_points(
     *,
     alpha: float = 1.0,
     scan_points: int = 4096,
+    samples: _ModeSamples | None = None,
 ) -> list[float]:
     """All solutions of sign * alpha * u(x)/2 = E inside the window.
 
@@ -300,30 +335,34 @@ def find_turning_points(
     by bisection to 1e-12 times min(1, window width) (or a few ulps at
     large |x|, whichever is coarser).  Mesa is special: its edges are
     potential jumps, handled as segment boundaries rather than roots, so
-    the list is empty.
+    the list is empty.  ``samples``, the mode on this window's scan of
+    ``scan_points`` points and at earlier midpoints, lets the passes of one
+    build share their mode values; the roots do not depend on it.
     """
     if E <= 0.0:
         raise ValueError("turning points are defined for E > 0")
-    if profile.shape is ModeShape.MESA:
+    if profile.shape is _MESA:
         return []
     a, b = window
     if not a < b:
         raise ValueError(f"empty window [{a}, {b}]")
     scale = min(1.0, b - a)
-
-    def h(x: float) -> float:
-        return sign * alpha * eval_mode(profile, x) * 0.5 - E
-
-    xs = np.linspace(a, b, max(int(scan_points), 16))
-    hs = sign * alpha * eval_mode_array(profile, xs) * 0.5 - E
+    if samples is None:
+        samples = _ModeSamples(profile, window, scan_points)
+    xs, u_at = samples.xs, samples.at
+    signed_alpha = sign * alpha
+    hs = signed_alpha * samples.us * 0.5 - E
     roots = xs[hs == 0.0].tolist()
-    for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
+    for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0).tolist():
         lo, hi = float(xs[i]), float(xs[i + 1])
         flo = float(hs[i])
         tol = max(1.0e-12 * scale, 4.0 * math.ulp(max(abs(lo), abs(hi))))
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            fm = h(mid)
+            u = u_at.get(mid)
+            if u is None:
+                u = u_at[mid] = eval_mode(profile, mid)
+            fm = signed_alpha * u * 0.5 - E
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -347,11 +386,11 @@ def find_turning_points(
 class Grid:
     """The full segmentation of one scattering problem.
 
-    ``segments`` starts and ends with the semi-infinite free regions; the
-    interior entries tile the window.  ``arrays`` holds the interior
-    entries as arrays, entry i being ``segments[i + 1]``.  ``z`` holds the
-    solver's coefficient z = k^2 - 2*alpha*V at ``points``; turning nodes
-    carry z = 0 exactly so no segment straddles a sign change of z.
+    ``arrays`` holds the segments between the nodes as arrays.  ``z``
+    holds the solver's coefficient z = k^2 - 2*alpha*V at ``points``;
+    turning nodes carry z = 0 exactly so no segment straddles a sign
+    change of z.  ``segments``, the same segments as records framed by
+    the two semi-infinite free regions, is built on first read.
     """
 
     points: np.ndarray
@@ -363,12 +402,18 @@ class Grid:
     profile: ModeProfile
     window: tuple[float, float]
     turning_points: tuple[float, ...]
-    segments: tuple[Segment, ...]
     arrays: SegmentArrays
 
     def __post_init__(self) -> None:
         self.points.flags.writeable = False
         self.z.flags.writeable = False
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """``arrays.records(k^2)``: the free region left of the nodes, one
+        record per entry of ``arrays`` (entry i is ``segments[i + 1]``),
+        and the free region right of them."""
+        return self.arrays.records(self.k * self.k)
 
 
 def check_k_over_kappa(k_over_kappa: float) -> None:
@@ -437,7 +482,7 @@ def build_grid(
     if x_b <= s_lo or x_a >= s_hi:
         raise ValueError("window does not overlap the mode support")
 
-    if profile.shape is ModeShape.MESA:
+    if profile.shape is _MESA:
         return _build_mesa_grid(profile, sign, k, E, (x_a, x_b))
 
     scale = min(1.0, x_b - x_a)
@@ -456,23 +501,30 @@ def build_grid(
         return area_exact / denom
 
     alpha = alpha_for(uniform, u_uniform)
+    # the nodes, their mode values and alpha go with the roots: the uniform
+    # nodes go with none
     nodes, u_nodes = uniform, u_uniform
     roots: list[float] = []
-    prev_roots: list[float] = []
+    scan_points = 8 * max(J, 64)
+    samples = _ModeSamples(profile, (x_a, x_b), scan_points)
     for _ in range(_MAX_ALPHA_ITER):
-        roots = find_turning_points(
+        new_roots = find_turning_points(
             profile, sign, E, (x_a, x_b), alpha=alpha,
-            scan_points=8 * max(J, 64))
-        nodes = _merge_turning_nodes(uniform, roots)
+            scan_points=scan_points, samples=samples)
+        if new_roots == roots:
+            # the same nodes again, so the same alpha: a fixed point
+            break
+        nodes = _merge_turning_nodes(uniform, new_roots)
         u_nodes = eval_mode_array(profile, nodes)
         new_alpha = alpha_for(nodes, u_nodes)
         stable_alpha = abs(new_alpha - alpha) <= _ALPHA_FIXED_POINT_TOL * max(
             abs(new_alpha), 1.0)
-        stable_roots = len(roots) == len(prev_roots) and all(
-            abs(r - p) <= 1.0e-11 * scale for r, p in zip(roots, prev_roots))
-        alpha = new_alpha
-        prev_roots = roots
-        if stable_alpha and stable_roots:
+        stable_roots = len(new_roots) == len(roots) and all(
+            abs(r - p) <= 1.0e-11 * scale for r, p in zip(new_roots, roots))
+        # with alpha unchanged the next pass would find these roots again
+        done = new_alpha == alpha or (stable_alpha and stable_roots)
+        alpha, roots = new_alpha, new_roots
+        if done:
             break
 
     z = z_free - sign * alpha * u_nodes
@@ -505,7 +557,6 @@ def build_grid(
         profile=profile,
         window=(x_a, x_b),
         turning_points=tuple(root_positions),
-        segments=arrays.records(z_free),
         arrays=arrays,
     )
 
@@ -530,7 +581,6 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
         profile=profile,
         window=(lo, hi),
         turning_points=(),
-        segments=arrays.records(z_free),
         arrays=arrays,
     )
 
@@ -542,6 +592,8 @@ def _split_residual_crossings(
     with mode value u_turn."""
     z0, z1 = z[:-1], z[1:]
     idx = np.flatnonzero(z0 * z1 < 0.0)
+    if not idx.size:
+        return nodes, z, u, []
     x0, x1 = nodes[idx], nodes[idx + 1]
     xc = x0 + (x1 - x0) * (z0[idx] / (z0[idx] - z1[idx]))
     keep = xc > x0

@@ -196,6 +196,8 @@ def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo+step, ... inclusive of hi whenever it lands within half a step."""
     if not step > 0.0:
         raise ValueError("step must be positive")
+    if lo < 0.0:
+        raise ValueError("range lower bound must not be negative")
     if hi < lo:
         raise ValueError("range upper bound below lower bound")
     n = int(math.floor((hi - lo) / step + 0.5))

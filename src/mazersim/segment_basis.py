@@ -37,8 +37,9 @@ node values that computes the slope, the regime (including the demotion of
 sloped segments whose argument w passes W_FLAT_COLLAPSE to the flat regime
 of their midpoint value), the anchor, the flat constant and the sign-check
 scale, and keeps them as :class:`SegmentArrays`; the grid takes its
-batches from there and its tuple of records from
-:meth:`SegmentArrays.records`.  :func:`make_segment` is the two-node call.
+batches from there, its tuple of records from
+:meth:`SegmentArrays.records` and single records from
+:meth:`SegmentArrays.record`.  :func:`make_segment` is the two-node call.
 A regime is always derived from the values, so it cannot contradict them.
 """
 
@@ -189,11 +190,28 @@ class SegmentArrays(NamedTuple):
             self.z_scale.tolist())
         if z_free is None:
             return tuple(segments)
+        return (self.record(0, z_free), *segments,
+                self.record(len(self.code) + 1, z_free))
+
+    def record(self, j: int, z_free: float) -> Segment:
+        """Segment j of ``records(z_free)`` alone: entry j - 1, or one of
+        the two free segments for j = 0 and j = len + 1."""
+        n = len(self.code)
+        if 0 < j <= n:
+            i = j - 1
+            return Segment(
+                float(self.x_lo[i]), float(self.x_hi[i]), float(self.b[i]),
+                _REGIME_OF_CODE[self.code[i]], float(self.x_ref[i]),
+                float(self.z_ref[i]), float(self.z_flat[i]),
+                float(self.z_scale[i]))
+        if j != 0 and j != n + 1:
+            raise IndexError(f"no segment {j} among {n + 2}")
         if not 0.0 < z_free < math.inf:
             raise ValueError(f"free coefficient z = {z_free} carries no plane wave")
         free = (0.0, _FLAT_ALLOWED, 0.0, z_free, z_free, z_free)
-        return (Segment(-math.inf, float(self.x_lo[0]), *free), *segments,
-                Segment(float(self.x_hi[-1]), math.inf, *free))
+        if j == 0:
+            return Segment(-math.inf, float(self.x_lo[0]), *free)
+        return Segment(float(self.x_hi[-1]), math.inf, *free)
 
 
 def build_segments(x, z) -> SegmentArrays:
@@ -211,22 +229,26 @@ def build_segments(x, z) -> SegmentArrays:
     z = np.asarray(z, dtype=float)
     x_lo, x_hi, z_lo, z_hi = x[:-1], x[1:], z[:-1], z[1:]
     cross = z_lo * z_hi < 0.0
-    if cross.any():
+    if np.count_nonzero(cross):
         i = int(np.argmax(cross))
         raise ValueError(
             f"coefficient changes sign inside a segment (z: {z_lo[i]} .. "
             f"{z_hi[i]} on [{x_lo[i]}, {x_hi[i]}]); a turning point must be "
             "a segment endpoint")
     b = (z_hi - z_lo) / (x_hi - x_lo)
-    z_scale = np.maximum(np.abs(z_lo), np.abs(z_hi))
-    # w grows with |z|, so its larger end value is w at z_scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_max = 2.0 * z_scale * np.sqrt(z_scale) / (3.0 * np.abs(b))
-    flat = (b == 0.0) | (w_max > W_FLAT_COLLAPSE)
+    z_abs = np.abs(z)
+    z_scale = np.maximum(z_abs[:-1], z_abs[1:])
+    level = b == 0.0
+    # w grows with |z|, so its larger end value is w at z_scale; only a
+    # sloped segment divides, so a level one raises no 0/0
+    w_max = 2.0 * z_scale * np.sqrt(z_scale)
+    np.divide(w_max, 3.0 * np.abs(b), out=w_max, where=~level)
+    flat = level | (w_max > W_FLAT_COLLAPSE)
     z_flat = z_lo + b * (0.5 * (x_lo + x_hi) - x_lo)
     z_sign = np.where(flat, z_flat, z_lo + z_hi)
     neg = z_sign < 0.0
-    code = np.where(flat, (z_sign > 0.0) + 2 * neg, 3 + neg)
+    # flat: 0, 1 or 2 for z = 0, > 0 or < 0; sloped: 3 or 4 for z > 0 or < 0
+    code = neg + np.where(flat, (z_sign > 0.0) | neg, 3)
     return SegmentArrays(code, x_lo, x_hi, b, x_lo, z_lo, z_flat, z_scale)
 
 

@@ -19,8 +19,11 @@ The propagators of the sloped segments are formed before the sweep, one
 batch per sloped regime from the grid's segment arrays: one
 ``basis_eval`` call covers both ends of every segment of the regime.  The
 sweep itself is a loop over Python floats that applies them, and forms the
-flat segments' propagators from their scalar closed forms on the way.
-:func:`wavefunction` batches its samples on sloped segments the same way.
+flat segments' propagators from their scalar closed forms on the way.  It
+reads the nodes and the batches from the arrays and makes a record only
+for each flat segment and the two free ends, so it never builds the
+grid's tuple of segments.  :func:`wavefunction` batches its samples on
+sloped segments the same way.
 """
 
 from __future__ import annotations
@@ -174,24 +177,29 @@ def sweep(
     each segment the state is divided by the power of two nearest its
     magnitude.
     """
-    segments = grid.segments
     arrays = grid.arrays
-    # interior segment j is entry j - 1 of the arrays
+    z_free = grid.k * grid.k
+    n = len(arrays.code)
+    # segment j of grid.segments is entry j - 1 of the arrays; 0 and n + 1
+    # are the free ends
     sloped = _sloped_propagators(arrays, arrays.x_hi, arrays.x_lo)
-    last = segments[-1]
+    last = arrays.record(n + 1, z_free)
     fp, fm, gp, gm, s = basis_eval(last, last.x_lo)
     phi = c * fp * math.exp(s) + d * fm * math.exp(-s)
     dphi = c * gp * math.exp(s) + d * gm * math.exp(-s)
     log_scale = 0.0
     states: list[SegmentState] = []
     if record:
-        states.append(SegmentState(len(segments) - 1, last.x_lo, phi, dphi, 0.0))
-    for j in range(len(segments) - 2, 0, -1):
-        seg = segments[j]
+        states.append(SegmentState(n + 1, last.x_lo, phi, dphi, 0.0))
+    for j in range(n, 0, -1):
         if record:
-            states.append(SegmentState(j, seg.x_hi, phi, dphi, log_scale))
-        p11, p12, p21, p22, log_factor = (
-            sloped[j - 1] or propagator(seg, seg.x_hi, seg.x_lo))
+            states.append(SegmentState(j, float(arrays.x_hi[j - 1]), phi, dphi,
+                                       log_scale))
+        entries = sloped[j - 1]
+        if entries is None:
+            seg = arrays.record(j, z_free)
+            entries = propagator(seg, seg.x_hi, seg.x_lo)
+        p11, p12, p21, p22, log_factor = entries
         phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         mag = max(abs(phi), abs(dphi))
         if mag == 0.0:
@@ -200,7 +208,7 @@ def sweep(
         factor = math.ldexp(1.0, -shift)
         phi, dphi = factor * phi, factor * dphi
         log_scale += log_factor + shift * _LN2
-    first = segments[0]
+    first = arrays.record(0, z_free)
     if record:
         states.append(SegmentState(0, first.x_hi, phi, dphi, log_scale))
         states.reverse()

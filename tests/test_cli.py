@@ -118,6 +118,8 @@ class TestConfigErrors:
          "--J", "20", "--window-factor", "nan"],
         ["converge", "--profile", "gauss", "--k", "0.5", "--kappaL", "1",
          "--J", "20,40", "--window-factor", "inf"],
+        ["sweep", "--profile", "sech2", "--k", "0.1", "--range=-0.2:0.2:0.1",
+         "--J", "50"],
     ])
     def test_exit_1(self, capsys, argv):
         code, out, err = run(capsys, argv)

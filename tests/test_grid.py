@@ -21,8 +21,10 @@ from mazersim.grid import (
     load_tabulated,
     signed_area,
 )
+import mazersim.grid as grid_module
 from mazersim.mazer import MazerParams, event_probabilities
 from mazersim.segment_basis import Regime, W_FLAT_COLLAPSE, make_segment
+from mazersim.transfer import solve_scattering
 
 import test_grid_golden as golden
 
@@ -462,3 +464,109 @@ def test_build_grid_rejects_momentum_outside_float_range(shape, k):
     # lose their plane waves
     with pytest.raises(ValueError, match="k_over_kappa"):
         build_grid(ModeProfile(shape, 5.0), +1, k, 50)
+
+
+# --- one scan and one memoised bisection per build ------------------------
+
+def _build_or_error(profile, sign, k, J):
+    try:
+        return build_grid(profile, sign, k, J)
+    except GridResolutionError as exc:
+        return exc
+
+
+def _random_profile(rng, shape, kappaL):
+    if shape is not ModeShape.TABULATED:
+        return ModeProfile(shape, kappaL)
+    n = int(rng.integers(3, 30))
+    xs = np.sort(rng.uniform(0.0, kappaL, n))
+    us = rng.uniform(-1.0, 1.0, n)
+    table = tuple(zip(np.unique(xs).tolist(), us.tolist()))
+    return ModeProfile(shape, 0.0, table=table)
+
+
+def test_warm_build_equals_cold_build(monkeypatch):
+    # every alpha pass of a build reads the mode from one scan and one
+    # midpoint memo; a build whose passes each start from nothing, as
+    # find_turning_points does when called on its own, gives the same grid
+    warm_find = grid_module.find_turning_points
+
+    def cold_find(*args, samples=None, **kwargs):
+        return warm_find(*args, **kwargs)
+
+    rng = np.random.default_rng(20261018)
+    shapes = [ModeShape.SIN_FUNDAMENTAL, ModeShape.SIN_FIRST_EXCITED,
+              ModeShape.SECH2, ModeShape.GAUSSIAN, ModeShape.TABULATED]
+    built = 0
+    for draw in range(100):
+        shape = shapes[draw % len(shapes)]
+        kappaL = float(10.0 ** rng.uniform(-1.0, 5.0))
+        profile = _random_profile(rng, shape, kappaL)
+        k = float(10.0 ** rng.uniform(-2.5, 0.3))
+        J = int(rng.integers(3, 401))
+        sign = int(rng.choice([1, -1]))
+        warm = _build_or_error(profile, sign, k, J)
+        with monkeypatch.context() as m:
+            m.setattr(grid_module, "find_turning_points", cold_find)
+            cold = _build_or_error(profile, sign, k, J)
+        case = (shape, kappaL, k, J, sign)
+        if isinstance(warm, Exception):
+            assert str(warm) == str(cold), case
+            continue
+        built += 1
+        assert np.array_equal(warm.points, cold.points), case
+        assert np.array_equal(warm.z, cold.z), case
+        assert warm.alpha == cold.alpha, case
+        assert warm.turning_points == cold.turning_points, case
+        for a, b in zip(warm.arrays, cold.arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b), case
+    assert built >= 90
+
+
+@pytest.mark.parametrize("shape,k,kappaL,J,evals,passes", [
+    # scalar eval_mode and find_turning_points calls of the barrier build
+    # when every pass rescanned and re-bisected from scratch
+    (ModeShape.SIN_FUNDAMENTAL, 0.01, 1.0e5 + 5.0, 100, 264, 3),
+    (ModeShape.GAUSSIAN, 0.1, 10.0, 300, 288, 4),
+])
+def test_build_halves_scalar_mode_evaluations(monkeypatch, shape, k, kappaL, J,
+                                              evals, passes):
+    calls = {"eval_mode": 0, "find_turning_points": 0}
+
+    def counted(name):
+        fn = getattr(grid_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(grid_module, name, counted(name))
+    build_grid(ModeProfile(shape, kappaL), +1, k, J)
+    assert 0 < calls["eval_mode"] <= evals // 2
+    assert 0 < calls["find_turning_points"] <= passes
+
+
+@pytest.mark.parametrize("shape,k,kappaL,J,sign", [
+    (ModeShape.SIN_FUNDAMENTAL, 0.01, 1.0e5 + 5.0, 100, +1),
+    (ModeShape.GAUSSIAN, 0.1, 10.0, 300, +1),
+    (ModeShape.SECH2, 0.3, 4.0, 120, -1),
+    (ModeShape.MESA, 0.5, 3.0, 2, +1),
+])
+def test_segments_built_on_demand(shape, k, kappaL, J, sign):
+    profile = ModeProfile(shape, kappaL)
+    g = build_grid(profile, sign, k, J)
+    read_first = build_grid(profile, sign, k, J)
+    z_free = g.k * g.k
+    # a read builds the records; the sweep makes only those it needs
+    assert read_first.segments == read_first.arrays.records(z_free)
+    assert "segments" not in vars(g)
+    solved = solve_scattering(g, record_coefficients=True)
+    assert "segments" not in vars(g)
+    assert solve_scattering(read_first, record_coefficients=True) == solved
+    n = len(g.arrays.code)
+    assert [g.arrays.record(j, z_free) for j in range(n + 2)] == list(g.segments)
+    assert g.segments is g.segments
+    with pytest.raises(IndexError):
+        g.arrays.record(n + 2, z_free)

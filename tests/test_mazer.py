@@ -190,6 +190,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             kappaL_range(2.0, 1.0, 0.5)
 
+    def test_negative_lower_bound_rejected_before_any_row(self, monkeypatch):
+        with pytest.raises(ValueError, match="negative"):
+            kappaL_range(-0.2, 0.2, 0.1)
+
+        def no_solve(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr("mazersim.mazer._sweep_row", no_solve)
+        with pytest.raises(ValueError, match="negative"):
+            sweep_kappaL(make_params(), -0.2, 0.2, 0.1)
+
     def test_rows_ordered_and_complete(self):
         table = sweep_kappaL(
             make_params(ModeShape.MESA, 0.5, 1.0, 2), 0.0, 2.0, 0.25)
