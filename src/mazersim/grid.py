@@ -263,7 +263,7 @@ def signed_area(profile: ModeProfile, a: float, b: float) -> float:
             math.erf(b / (sg * rt2)) - math.erf(a / (sg * rt2)))
     # tabulated: trapezoid over the table restricted to [a, b] is exact
     xs, us = _table_samples(profile, a, b)
-    return math.fsum(0.5 * (us[:-1] + us[1:]) * np.diff(xs))
+    return math.fsum((0.5 * (us[:-1] + us[1:]) * np.diff(xs)).tolist())
 
 
 def abs_area(profile: ModeProfile, a: float, b: float) -> float:
@@ -296,7 +296,8 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
     denom = np.where(cross, u0 + u1, 1.0)
     area = np.where(cross, 0.5 * h * (u0 * u0 + u1 * u1) / denom,
                     0.5 * h * (u0 + u1))
-    return math.fsum(area)
+    # fsum reads a list faster than numpy scalars, and rounds the same
+    return math.fsum(area.tolist())
 
 
 # --- turning points -------------------------------------------------------

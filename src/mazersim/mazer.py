@@ -11,6 +11,7 @@ k_over_kappa and kappaL, plus the mode shape.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -53,6 +54,8 @@ class MazerParams:
         check_k_over_kappa(self.k_over_kappa)
         if self.kappaL < 0.0:
             raise ValueError("kappaL must be nonnegative")
+        if not isinstance(self.J, numbers.Integral):
+            raise ValueError(f"J = {self.J!r} must be an integer")
         if self.J < 2:
             raise ValueError("J must be at least 2")
         if not 0.0 < self.window_factor < math.inf:

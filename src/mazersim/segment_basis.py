@@ -21,16 +21,21 @@ across arbitrarily wide classically forbidden stretches.
 
 On the two sloped regimes :func:`basis_eval` takes a batch: a Segment
 whose numeric fields are arrays, all of one regime, and an array of
-positions.  The batch makes one :func:`~mazersim.specfun.cyl_bessel`
-call, which returns its family (J, Y or scaled I, K) at both orders 1/3
-and 2/3 for every position; the derivatives need order -2/3, which the
-reflection identities give from order 2/3.  The flat regimes make no
-special-function calls and stay scalar closed forms.
+positions.  Each entry takes one of three representations by its
+argument w, and each band is one array computation:
 
-Near a turning point (w below a fixed switch) the cylinder functions are
-replaced by short power series in z that remain exact at z = 0; the two
-representations agree to ~1e-13 at the switch, so propagators never see a
-jump.  These few entries of a batch are evaluated one by one.
+* w < W_SERIES_SWITCH (= 1): power series in z that remain exact at the
+  turning point z = 0, summed for the whole band at once;
+* W_SERIES_SWITCH <= w <= HANKEL_MIN (= 20): one
+  :func:`~mazersim.specfun.cyl_bessel` call (scipy's Amos kernels);
+* w > HANKEL_MIN: one :func:`~mazersim.specfun.hankel_bessel` call (the
+  Hankel expansions).
+
+The two kernels return the family (J, Y or scaled I, K) at both orders
+1/3 and 2/3; the derivatives need order -2/3, which the reflection
+identities give from order 2/3.  Each pair of neighbouring bands agrees
+to about 1e-14 at its switch, so propagators never see a jump.  The flat
+regimes make no special-function calls and stay scalar closed forms.
 
 Every segment comes from :func:`build_segments`, one array pass over the
 node values that computes the slope, the regime (including the demotion of
@@ -51,7 +56,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import BesselArgumentError, BesselFamily, cyl_bessel
+from .specfun import (
+    HANKEL_MIN,
+    BesselArgumentError,
+    BesselFamily,
+    cyl_bessel,
+    hankel_bessel,
+    poly_rows,
+)
 
 __all__ = [
     "Regime",
@@ -67,8 +79,10 @@ __all__ = [
     "W_FLAT_COLLAPSE",
 ]
 
-# Below this Bessel argument the power-series representation is used.
-W_SERIES_SWITCH = 1.0e-2
+# Below this Bessel argument the power-series representation is used; it
+# lies under the first zero of Y_1/3 (w = 1.36), where the series for f-
+# would cancel.
+W_SERIES_SWITCH = 1.0
 
 # Above this Bessel argument at either endpoint build_segments demotes a
 # sloped segment to a flat one: the cylinder routines lose the oscillation
@@ -302,68 +316,46 @@ def analytic_wronskian(seg: Segment) -> float:
 # in terms of which f+ = P, f- = (2/sqrt3)(P/2 - Q).  On the forbidden side
 # the same sums without the alternating sign give Pt, Qt of zeta = -z, and
 # f+ = Pt, f- = (pi/sqrt3)(Qt - Pt).  Derivatives follow term by term.
-# Using u instead of z^3 avoids underflow; u <= (W_SERIES_SWITCH/2)^2 so a
-# handful of terms reaches full precision.
+# Using u instead of z^3 avoids underflow.  u < (W_SERIES_SWITCH/2)^2 =
+# 1/4, so the terms from m = 16 on add less than 1e-30 relative.
 
-_SERIES_TERMS = 10
-_INV_G43 = [0.0] * _SERIES_TERMS   # 1 / (m! Gamma(4/3 + m))
-_INV_G23 = [0.0] * _SERIES_TERMS   # 1 / (m! Gamma(2/3 + m))
-_INV_G43[0] = 1.0 / math.gamma(4.0 / 3.0)
-_INV_G23[0] = 1.0 / math.gamma(2.0 / 3.0)
-for _m in range(1, _SERIES_TERMS):
-    _INV_G43[_m] = _INV_G43[_m - 1] / (_m * (_m + 1.0 / 3.0))
-    _INV_G23[_m] = _INV_G23[_m - 1] / (_m * (_m - 1.0 / 3.0))
+_SERIES_TERMS = 16
 
 
-def _series_sums(u: float, alternating: bool) -> tuple[float, float, float, float]:
-    """Partial sums shared by the two turning-point series.
-
-    Returns (s_p, s_q, s_dp, s_dq1) where, with sign s = -1 when
-    ``alternating`` else +1,
-
-      s_p   = sum_m s^m u^m / (m! G(4/3+m))
-      s_q   = sum_m s^m u^m / (m! G(2/3+m))
-      s_dp  = sum_m s^m (3m+1) u^m / (m! G(4/3+m))
-      s_dq1 = sum_{m>=1} s^m 3m u^{m-1} / (m! G(2/3+m))
-
-    s_dq1 carries one power of u less than the Q' series needs; the caller
-    multiplies by t^2 / (9 b^2) which restores it without ever forming the
-    underflow-prone t^3.
-    """
-    s = -1.0 if alternating else 1.0
-    s_p = s_q = s_dp = s_dq1 = 0.0
-    upow = 1.0       # u^m
-    upow_m1 = 0.0    # u^(m-1), defined for m >= 1
-    sign = 1.0
-    for m in range(_SERIES_TERMS):
-        s_p += sign * _INV_G43[m] * upow
-        s_q += sign * _INV_G23[m] * upow
-        s_dp += sign * (3.0 * m + 1.0) * _INV_G43[m] * upow
-        if m >= 1:
-            s_dq1 += sign * 3.0 * m * _INV_G23[m] * upow_m1
-        upow_m1 = upow if m == 0 else upow_m1 * u
-        upow *= u
-        sign *= s
-        if upow == 0.0 and m >= 1:
-            break
-    return s_p, s_q, s_dp, s_dq1
+def _series_coefficients() -> np.ndarray:
+    """Coefficients of the four sums of :func:`_basis_series` in powers
+    of v = -u (allowed) or u (forbidden): rows 1/(m! G(4/3+m)),
+    1/(m! G(2/3+m)), (3m+1)/(m! G(4/3+m)) and 3(m+1)/((m+1)! G(5/3+m))."""
+    g43 = np.empty(_SERIES_TERMS + 1)
+    g23 = np.empty(_SERIES_TERMS + 1)
+    g43[0] = 1.0 / math.gamma(4.0 / 3.0)
+    g23[0] = 1.0 / math.gamma(2.0 / 3.0)
+    for m in range(1, _SERIES_TERMS + 1):
+        g43[m] = g43[m - 1] / (m * (m + 1.0 / 3.0))
+        g23[m] = g23[m - 1] / (m * (m - 1.0 / 3.0))
+    m = np.arange(_SERIES_TERMS)
+    return np.stack((g43[:-1], g23[:-1], (3.0 * m + 1.0) * g43[:-1],
+                     3.0 * (m + 1.0) * g23[1:]))
 
 
-def _basis_series(b: float, t: float, allowed: bool) -> tuple[float, ...]:
-    """(f+, f-, f+', f-') of one sloped segment with slope b at |z| = t."""
-    babs = abs(b)
-    cb_m = (3.0 * babs) ** (-1.0 / 3.0)
-    cb_p = (3.0 * babs) ** (1.0 / 3.0)
-    w = 2.0 * t * math.sqrt(t) / (3.0 * babs)
+_SERIES_C = _series_coefficients()
+
+
+def _basis_series(b: np.ndarray, t: np.ndarray, w: np.ndarray,
+                  allowed: bool) -> tuple:
+    """(f+, f-, f+', f-') of sloped segments with slopes b at |z| = t and
+    argument w below W_SERIES_SWITCH, as four arrays."""
+    cb = np.cbrt(3.0 * np.abs(b))
     u = 0.25 * w * w
-    s_p, s_q, s_dp, s_dq1 = _series_sums(u, alternating=allowed)
-    p = cb_m * t * s_p
-    q = cb_p * s_q
-    dp = cb_m * s_dp
-    dq = cb_p * t * t / (9.0 * b * b) * s_dq1
+    s_p, s_q, s_dp, s_dq = poly_rows(_SERIES_C, -u if allowed else u)
+    p = t * s_p / cb
+    q = cb * s_q
+    dp = s_dp / cb
+    # the Q' sum starts at u^1: one power of u comes back as t^2 / (9 b^2)
+    dq = cb * t * t / (9.0 * b * b) * s_dq
     if allowed:
         return (p, (2.0 / _SQRT3) * (0.5 * p - q),
-                b * dp, (2.0 / _SQRT3) * b * (0.5 * dp - dq))
+                b * dp, (2.0 / _SQRT3) * b * (0.5 * dp + dq))
     return (p, (math.pi / _SQRT3) * (q - p),
             -b * dp, -(math.pi / _SQRT3) * b * (dq - dp))
 
@@ -381,9 +373,10 @@ def _basis_sloped(seg: Segment, x) -> BasisEval:
     """Both sloped regimes, on one segment or a batch.
 
     A batch is a Segment whose numeric fields are arrays; they broadcast
-    against ``x`` with the segment axis last.  The cylinder functions of
-    the whole batch come from one :func:`cyl_bessel` call; entries with w
-    below W_SERIES_SWITCH take the turning-point series instead.
+    against ``x`` with the segment axis last.  Each entry takes one of
+    three representations by its argument w: the turning-point series
+    below W_SERIES_SWITCH, the Hankel expansions above HANKEL_MIN and
+    scipy's Amos kernels between them, each band one array call.
     """
     allowed = seg.regime is _SLOPE_ALLOWED
     scalar = np.ndim(x) == 0 and np.ndim(seg.b) == 0
@@ -400,11 +393,18 @@ def _basis_sloped(seg: Segment, x) -> BasisEval:
     t = np.maximum(z if allowed else -z, 0.0)
     w = 2.0 * t * np.sqrt(t) / (3.0 * np.abs(b))
     series = w < W_SERIES_SWITCH
+    hankel = w > HANKEL_MIN
     family = BesselFamily.JY if allowed else BesselFamily.IK
-    try:
-        c13, c23, d13, d23 = cyl_bessel(family, np.where(series, 1.0, w))
-    except BesselArgumentError as exc:
-        raise ValueError(f"{_segment_at(seg, x, w.shape, exc.entry)}: {exc}") from exc
+    cyl = np.zeros((4,) + w.shape)
+    for band, kernel in ((~(series | hankel), cyl_bessel), (hankel, hankel_bessel)):
+        if band.any():
+            try:
+                cyl[:, band] = kernel(family, w[band])
+            except BesselArgumentError as exc:
+                i = int(np.flatnonzero(band)[exc.entry])
+                raise ValueError(
+                    f"{_segment_at(seg, x, w.shape, i)}: {exc}") from exc
+    c13, c23, d13, d23 = cyl
     root = np.sqrt(t)
     ts = np.where(b > 0.0, t, -t)
     if allowed:
@@ -418,13 +418,11 @@ def _basis_sloped(seg: Segment, x) -> BasisEval:
         im23 = c23 + (_SQRT3 / math.pi) * d23 * np.exp(-2.0 * w)
         out = [root * c13, root * d13, -ts * im23, ts * d23,
                np.where(series, 0.0, w)]
-    near = np.flatnonzero(series)
-    if near.size:
-        b_at = np.broadcast_to(b, w.shape)
-        for i in near.tolist():
-            values = _basis_series(float(b_at.flat[i]), float(t.flat[i]), allowed)
-            for arr, value in zip(out, values):
-                arr.flat[i] = value
+    if series.any():
+        values = _basis_series(np.broadcast_to(b, w.shape)[series], t[series],
+                               w[series], allowed)
+        for arr, value in zip(out, values):
+            arr[series] = value
     if scalar:
         return BasisEval(*(arr.item() for arr in out))
     return BasisEval(*out)

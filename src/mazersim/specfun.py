@@ -2,14 +2,20 @@
 
 A sloped segment needs one family of cylinder functions at the two orders
 1/3 and 2/3: J and Y on the classically allowed side, I and K on the
-forbidden side.  :func:`cyl_bessel` returns all four values of a family
-at every argument of an array from one scipy ufunc call per function on
-the order pair, which runs the same Amos kernel on each (order, argument)
-as a scalar call would, so the values are bit-identical to scalar calls.
-The modified functions come back exponentially
-scaled (e**-y I and e**+y K, scipy's ``ive``/``kve``), so they stay finite
-deep inside classically forbidden regions, where I and K carry factors like
-e**40000; the caller keeps the exponent y as a log scale of its own.
+forbidden side.  Two kernels return all four values of a family at every
+argument of an array, in the same (4, ...) layout:
+
+* :func:`cyl_bessel` makes one scipy ufunc call per function on the
+  order pair, which runs the same Amos kernel on each (order, argument) as
+  a scalar call would, so the values are bit-identical to scalar calls;
+* :func:`hankel_bessel` sums the Hankel expansions (DLMF 10.17.3-4 and
+  10.40.1-2) in numpy, for arguments of at least HANKEL_MIN, where 25
+  terms reach double precision.
+
+The modified functions come back exponentially scaled (e**-y I and
+e**+y K, scipy's ``ive``/``kve``), so they stay finite deep inside
+classically forbidden regions, where I and K carry factors like e**40000;
+the caller keeps the exponent y as a log scale of its own.
 """
 
 from __future__ import annotations
@@ -20,13 +26,43 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-__all__ = ["BesselArgumentError", "BesselFamily", "cyl_bessel", "log_gamma_complex"]
+__all__ = ["BesselArgumentError", "BesselFamily", "cyl_bessel", "hankel_bessel",
+           "log_gamma_complex", "poly_rows"]
 
 _ORDERS = np.array([1.0 / 3.0, 2.0 / 3.0])
 
 # scipy's scaled I/K go NaN from about 1.0737e9 (just below 2**30);
-# refuse before that
+# refuse before that, in both kernels, so the domain of a forbidden
+# segment does not depend on which kernel serves it
 ARG_LIMIT = 1.0e9
+
+# Smallest argument of hankel_bessel.  Term k of the Hankel expansions at
+# orders 1/3 and 2/3 falls below 2**-56 for y >= 20 once k >= 25, close
+# to the optimal truncation, whose error is about e**-2y = 4e-18 here.
+HANKEL_MIN = 20.0
+_HANKEL_TERMS = 25
+
+
+def _hankel_coefficients() -> np.ndarray:
+    """a_k(nu) of DLMF 10.17.1 at nu = 1/3, 2/3, split into the even and
+    odd k that the two Hankel sums take: rows [even 1/3, odd 1/3,
+    even 2/3, odd 2/3], column j holding a_2j or a_2j+1."""
+    half = (_HANKEL_TERMS + 1) // 2
+    out = np.zeros((4, half))
+    for row, nu in ((0, 1.0 / 3.0), (2, 2.0 / 3.0)):
+        a = 1.0
+        for k in range(_HANKEL_TERMS):
+            out[row + k % 2, k // 2] = a
+            a *= (4.0 * nu * nu - (2 * k + 1) ** 2) / (8.0 * (k + 1))
+    return out
+
+
+_HANKEL_A = _hankel_coefficients()
+# cos and sin of the phase shifts (nu/2 + 1/4) pi = 5 pi/12 and 7 pi/12
+_COS_SHIFT = np.array([[math.cos(5.0 * math.pi / 12.0)],
+                       [math.cos(7.0 * math.pi / 12.0)]])
+_SIN_SHIFT = np.array([[math.sin(5.0 * math.pi / 12.0)],
+                       [math.sin(7.0 * math.pi / 12.0)]])
 
 
 class BesselFamily(enum.Enum):
@@ -78,6 +114,69 @@ def cyl_bessel(family: BesselFamily, y) -> np.ndarray:
     out = np.concatenate((_sp.ive(orders, y), _sp.kve(orders, y)))
     _refuse(y, np.isnan(out).any(axis=0), "scaled I, K not representable")
     return out
+
+
+def hankel_bessel(family: BesselFamily, y) -> np.ndarray:
+    """:func:`cyl_bessel`'s values from the Hankel expansions.
+
+    Takes arguments HANKEL_MIN <= y < inf (at most ARG_LIMIT for IK) and
+    returns the same (4, *y.shape) layout, to about 2e-15 relative to the
+    modulus sqrt(J**2 + Y**2) for JY and relative for the scaled I, K.
+    With P = sum (-1)**k a_2k / y**2k and Q = sum (-1)**k a_2k+1 / y**2k+1,
+    J = m (P cos chi - Q sin chi) and Y = m (P sin chi + Q cos chi), with
+    m = sqrt(2 / (pi y)) and chi = y - (nu/2 + 1/4) pi taken by the angle
+    sum, so y is never rounded against the shift.  The scaled I and K are
+    (E - O) / sqrt(2 pi y) and (E + O) sqrt(pi / (2y)) with E, O the even
+    and odd parts of sum a_k / y**k; the e**-2y part of I is below the
+    truncation error.
+
+    Raises
+    ------
+    BesselArgumentError
+        As :func:`cyl_bessel`, and for an argument below HANKEL_MIN.
+    """
+    y = np.asarray(y, dtype=float)
+    _refuse(y, ~((y >= HANKEL_MIN) & (y < math.inf)),
+            f"argument must be finite and at least {HANKEL_MIN}")
+    jy = family is BesselFamily.JY
+    if not jy:
+        _refuse(y, y > ARG_LIMIT, "argument beyond scaled-Bessel reliability limit")
+    flat = y.ravel()
+    inv = 1.0 / flat
+    # the four sums are polynomials in -1/y**2 (JY) or 1/y**2 (IK)
+    step = inv * inv
+    sums = poly_rows(_HANKEL_A, -step if jy else step)
+    even, odd = sums[0::2], sums[1::2] * inv
+    if jy:
+        cos_y, sin_y = np.cos(flat), np.sin(flat)
+        cos_chi = cos_y * _COS_SHIFT + sin_y * _SIN_SHIFT
+        sin_chi = sin_y * _COS_SHIFT - cos_y * _SIN_SHIFT
+        scale = np.sqrt(2.0 / (math.pi * flat))
+        out = np.concatenate((even * cos_chi - odd * sin_chi,
+                              even * sin_chi + odd * cos_chi)) * scale
+    else:
+        root = np.sqrt(flat)
+        out = np.concatenate(((even - odd) / (math.sqrt(2.0 * math.pi) * root),
+                              (even + odd) * (math.sqrt(0.5 * math.pi) / root)))
+    return out.reshape((4,) + y.shape)
+
+
+def poly_rows(coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[:, k] * v**k at every v of a 1-d array, as a
+    (rows, v.size) array.
+
+    The powers come from one cumulative product along each row of a
+    (v.size, terms) table and the sums from one einsum over its rows: a
+    few numpy calls whatever the number of terms, where Horner's rule
+    would make two per term.  einsum sums each row the same way whatever
+    the number of rows (a BLAS matrix product does not), so a value does
+    not depend on the batch it is evaluated in.
+    """
+    powers = np.empty((v.size, coefficients.shape[1]))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = v[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return np.einsum("nk,rk->rn", powers, coefficients)
 
 
 def _refuse(y: np.ndarray, bad, message: str) -> None:

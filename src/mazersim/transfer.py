@@ -15,15 +15,14 @@ its dominant exponential e**|s_to - s_from| factored out of the basis
 scales analytically, so every entry is O(1); the state is two complex
 float64 values plus one float log scale, renormalised after every segment.
 
-The propagators of the sloped segments are formed before the sweep, one
-batch per sloped regime from the grid's segment arrays: one
-``basis_eval`` call covers both ends of every segment of the regime.  The
-sweep itself is a loop over Python floats that applies them, and forms the
-flat segments' propagators from their scalar closed forms on the way.  It
-reads the nodes and the batches from the arrays and makes a record only
-for each flat segment and the two free ends, so it never builds the
-grid's tuple of segments.  :func:`wavefunction` batches its samples on
-sloped segments the same way.
+The propagators are formed before the sweep from the grid's segment
+arrays: one batch per sloped regime, where one ``basis_eval`` call covers
+both ends of every segment of the regime, and a closed form per flat
+segment (a shear, a rotation, or scaled cosh and sinh), which needs no
+basis evaluation at all.  The sweep itself is a loop over Python floats
+that applies them.  It makes a record only for the two free ends, so it
+never builds the grid's tuple of segments.  :func:`wavefunction` forms
+the propagators to its samples the same way.
 """
 
 from __future__ import annotations
@@ -56,10 +55,12 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 
+# SegmentArrays.code numbers the regimes in their definition order
+_REGIMES = tuple(Regime)
+_FLAT_FREE, _FLAT_ALLOWED = Regime.FLAT_FREE, Regime.FLAT_ALLOWED
 _SLOPED = (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN)
-# (regime, code) of the sloped regimes; SegmentArrays.code numbers the
-# regimes in their definition order
-_SLOPED_CODES = tuple((regime, list(Regime).index(regime)) for regime in _SLOPED)
+# (regime, code) of the sloped regimes
+_SLOPED_CODES = tuple((regime, _REGIMES.index(regime)) for regime in _SLOPED)
 
 
 class TransferError(Exception):
@@ -111,20 +112,17 @@ def propagator(seg: Segment, x_from, x_to) -> tuple:
 
     On a sloped regime one basis evaluation covers both ends, and ``seg``
     may be a batch with x_from, x_to arrays of its shape: the five entries
-    are then arrays, one value per segment of the batch.
+    are then arrays, one value per segment of the batch.  A flat regime
+    takes its closed form from :func:`_flat_propagator`.
     """
-    if seg.regime in _SLOPED:
-        (fp1, fp2), (fm1, fm2), (gp1, gp2), (gm1, gm2), (s1, s2) = basis_eval(
-            seg, np.array((x_from, x_to)))
-        exp = np.exp
-    else:
-        fp1, fm1, gp1, gm1, s1 = basis_eval(seg, x_from)
-        fp2, fm2, gp2, gm2, s2 = basis_eval(seg, x_to)
-        exp = math.exp
+    if seg.regime not in _SLOPED:
+        return _flat_propagator(seg.regime, seg.z_flat, x_to - x_from)
+    (fp1, fp2), (fm1, fm2), (gp1, gp2), (gm1, gm2), (s1, s2) = basis_eval(
+        seg, np.array((x_from, x_to)))
     w = analytic_wronskian(seg)
     d = s2 - s1
-    up = exp(d - abs(d)) / w
-    dn = exp(-d - abs(d)) / w
+    up = np.exp(d - abs(d)) / w
+    dn = np.exp(-d - abs(d)) / w
     return (fp2 * gm1 * up - fm2 * gp1 * dn,
             fm2 * fp1 * dn - fp2 * fm1 * up,
             gp2 * gm1 * up - gm2 * gp1 * dn,
@@ -132,12 +130,32 @@ def propagator(seg: Segment, x_from, x_to) -> tuple:
             abs(d))
 
 
-def _sloped_propagators(arrays: SegmentArrays, x_from: np.ndarray,
-                        x_to: np.ndarray, entry: np.ndarray | None = None) -> list:
+def _flat_propagator(regime: Regime, z: float, dx: float) -> tuple:
+    """Closed-form propagator over dx = x_to - x_from on a flat segment
+    with constant coefficient z, in :func:`propagator`'s form: a shear for
+    z = 0, a rotation for z > 0, and for z < 0 cosh and sinh of rho*dx
+    times e**-(rho |dx|), with log factor rho |dx|."""
+    if regime is _FLAT_FREE:
+        return 1.0, dx, 0.0, 1.0, 0.0
+    if regime is _FLAT_ALLOWED:
+        k = math.sqrt(z)
+        cs, sn = math.cos(k * dx), math.sin(k * dx)
+        return cs, sn / k, -k * sn, cs, 0.0
+    rho = math.sqrt(-z)
+    a = rho * abs(dx)
+    # e**-2a - 1 without cancellation at small a
+    em1 = math.expm1(-2.0 * a)
+    ch = 1.0 + 0.5 * em1
+    sh = math.copysign(0.5 * em1, dx)
+    return ch, sh / rho, rho * sh, ch, a
+
+
+def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
+                 x_to: np.ndarray, entry: np.ndarray | None = None) -> list:
     """Propagator of segment ``entry[i]`` of ``arrays`` (segment i when
     ``entry`` is None) from x_from[i] to x_to[i], as a tuple of floats, for
-    every item whose segment is sloped, and None for the others.  Each
-    sloped regime present is one batch."""
+    every item.  Each sloped regime present is one batch; each flat
+    segment takes its closed form."""
     code = arrays.code if entry is None else arrays.code[entry]
     out = [None] * len(code)
     # a list lookup keeps grids without sloped segments (the mesa) as cheap
@@ -152,6 +170,11 @@ def _sloped_propagators(arrays: SegmentArrays, x_from: np.ndarray,
             for i, entries in zip(sel.tolist(),
                                   zip(*(e.tolist() for e in batch))):
                 out[i] = entries
+    z_flat = arrays.z_flat if entry is None else arrays.z_flat[entry]
+    for i, (regime_code, z, dx, entries) in enumerate(zip(
+            present, z_flat.tolist(), (x_to - x_from).tolist(), out)):
+        if entries is None:
+            out[i] = _flat_propagator(_REGIMES[regime_code], z, dx)
     return out
 
 
@@ -172,9 +195,9 @@ def sweep(
     Returns (C0, D0, log_scale, states): the first segment's coefficients,
     true values being these times e**log_scale, and, when ``record``, the
     node state of every segment from left to right.  The propagators of
-    the sloped segments come first, one batch per sloped regime; the loop
-    then applies them, and those of the flat segments, one by one.  After
-    each segment the state is divided by the power of two nearest its
+    all segments come first, one batch per sloped regime and a closed form
+    per flat segment; the loop then applies them one by one.  After each
+    segment the state is divided by the power of two nearest its
     magnitude.
     """
     arrays = grid.arrays
@@ -182,7 +205,7 @@ def sweep(
     n = len(arrays.code)
     # segment j of grid.segments is entry j - 1 of the arrays; 0 and n + 1
     # are the free ends
-    sloped = _sloped_propagators(arrays, arrays.x_hi, arrays.x_lo)
+    props = _propagators(arrays, arrays.x_hi, arrays.x_lo)
     last = arrays.record(n + 1, z_free)
     fp, fm, gp, gm, s = basis_eval(last, last.x_lo)
     phi = c * fp * math.exp(s) + d * fm * math.exp(-s)
@@ -195,11 +218,7 @@ def sweep(
         if record:
             states.append(SegmentState(j, float(arrays.x_hi[j - 1]), phi, dphi,
                                        log_scale))
-        entries = sloped[j - 1]
-        if entries is None:
-            seg = arrays.record(j, z_free)
-            entries = propagator(seg, seg.x_hi, seg.x_lo)
-        p11, p12, p21, p22, log_factor = entries
+        p11, p12, p21, p22, log_factor = props[j - 1]
         phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         mag = max(abs(phi), abs(dphi))
         if mag == 0.0:
@@ -273,21 +292,25 @@ def wavefunction(
     if outside.any():
         raise ValueError(f"sample {xs[np.argmax(outside)]} outside [{lo}, {hi}]")
     states = result.coefficients
+    arrays = grid.arrays
+    z_free = grid.k * grid.k
+    n = len(arrays.code)
     first = states[0]
-    c0, d0 = _coefficients(grid.segments[0], first.x, first.phi, first.dphi)
+    c0, d0 = _coefficients(arrays.record(0, z_free), first.x, first.phi, first.dphi)
     norm = 2.0 / (c0 - 1j * d0)
-    # the segment of each sample; 0 and len(segments) - 1 are the free ends
+    # the segment of each sample; 0 and n + 1 are the free ends
     seg_of = np.searchsorted(grid.points, xs, side="right")
-    inner = np.flatnonzero((seg_of > 0) & (seg_of < len(grid.segments) - 1))
+    inner = np.flatnonzero((seg_of > 0) & (seg_of <= n))
     x_from = np.array([states[j].x for j in seg_of[inner].tolist()])
     props = [None] * len(xs)
-    batched = _sloped_propagators(grid.arrays, x_from, xs[inner], seg_of[inner] - 1)
+    batched = _propagators(arrays, x_from, xs[inner], seg_of[inner] - 1)
     for i, entries in zip(inner.tolist(), batched):
         props[i] = entries
     out: list[tuple[float, complex]] = []
     for x, j, entries in zip(xs.tolist(), seg_of.tolist(), props):
         st = states[j]
-        p11, p12, _, _, log_factor = entries or propagator(grid.segments[j], st.x, x)
+        p11, p12, _, _, log_factor = entries or propagator(
+            arrays.record(j, z_free), st.x, x)
         phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
             log_factor + st.log_scale - first.log_scale)
         out.append((x, phi * norm))

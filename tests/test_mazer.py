@@ -3,6 +3,7 @@ convergence studies, and the zero-length shortcut."""
 
 import math
 
+import numpy as np
 import pytest
 
 from mazersim.grid import ModeProfile, ModeShape
@@ -54,6 +55,17 @@ class TestParamsValidation:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             make_params(J=1)
+
+    @pytest.mark.parametrize("J", [2.5, 100.0])
+    def test_rejects_non_integer_grid_size(self, J):
+        # a float J used to pass and fail later inside numpy with
+        # "TypeError: 'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_params(J=J)
+
+    def test_accepts_numpy_integer_grid_size(self):
+        params = make_params(J=np.int64(100))
+        assert event_probabilities(params).closure_defect <= 1e-8
 
     def test_rejects_length_profile_mismatch(self):
         with pytest.raises(ValueError):

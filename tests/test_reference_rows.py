@@ -3,11 +3,13 @@
 The files under ``perfbench/reference/`` hold outputs of the solver as it
 stood when the benchmark was defined, with an agreement tolerance per
 output group (a multiple of the float noise measured at capture time).
-This test re-solves a subset of those inputs through the public API, the
-same way the references were captured, and asserts each value against the
-stored tolerance.  It reads the files as plain JSON and uses nothing from
-the benchmark's own code, so a change to the numeric core is checked
-against golden outputs that predate it.
+The Tier-1 tests re-solve a subset of those inputs through the public API,
+the same way the references were captured, and assert each value against
+the stored tolerance; the ``slow`` tests replay every stored row,
+convergence row and wavefunction dump the same way.  The file reads the
+references as plain JSON and uses nothing from the benchmark's own code,
+so a change to the numeric core is checked against golden outputs that
+predate it.
 """
 
 import json
@@ -66,10 +68,7 @@ def _cli_rows(argv, tmp_path):
     return [[float(v) for v in ln.split(",")] for ln in lines[1:]]
 
 
-@pytest.mark.parametrize("name,i", [
-    (name, i) for name in LATTICES
-    for i in range(0, REFERENCE[name]["lattice"]["n"], ROW_STRIDE)])
-def test_lattice_row(name, i):
+def _check_lattice_row(name, i):
     ref = REFERENCE[name]
     assert ref["fields"][:5] == ["P_em", "Ta2", "Tb2", "Ra2", "Rb2"]
     got = _lattice_row(ref["lattice"], i)
@@ -77,27 +76,23 @@ def test_lattice_row(name, i):
     tol_p, tol_t = ref["tolerance"]["prob"], ref["tolerance"]["log10_t"]
     for field, a, b in zip(ref["fields"], got, want):
         tol = tol_p if field in ref["fields"][:5] else tol_t
-        assert abs(a - b) <= tol, (field, a, b, tol)
+        assert abs(a - b) <= tol, (name, i, field, a, b, tol)
 
 
-@pytest.mark.parametrize("kappaL", CONVERGE_KAPPAL)
-def test_converge_row(kappaL, tmp_path):
+def _check_converge_row(i, tmp_path):
     ref = REFERENCE["converge"]
     lat = ref["lattice"]
-    i = round((kappaL - lat["lo"]) / lat["step"])
-    assert _value(lat, i) == kappaL
     got = _cli_rows([
         "converge", "--profile", lat["shape"], "--k", repr(lat["k"]),
-        "--kappaL", repr(kappaL), "--window-factor", repr(WINDOW_FACTOR),
+        "--kappaL", repr(_value(lat, i)), "--window-factor", repr(WINDOW_FACTOR),
         "--J", ",".join(str(J) for J in lat["J"])], tmp_path)
     tol = ref["tolerance"]["prob"]
     assert [int(J) for J, _ in got] == lat["J"]
     for (_, P), want in zip(got, ref["rows"][i]):
-        assert abs(P - want) <= tol, (P, want, tol)
+        assert abs(P - want) <= tol, (i, P, want, tol)
 
 
-@pytest.mark.parametrize("key", WAVEFUNCTION_KEYS)
-def test_wavefunction_samples(key, tmp_path):
+def _check_wavefunction(key, tmp_path):
     ref = REFERENCE["wavefunction"]
     lat = ref["lattice"]
     i, branch = int(key[:-2]), key[-2:]
@@ -112,4 +107,47 @@ def test_wavefunction_samples(key, tmp_path):
     tol = ref["tolerance"]["psi"]
     for (_, re, im, _), (want_re, want_im) in zip(sampled, want):
         assert abs(re - want_re) <= tol and abs(im - want_im) <= tol, (
-            re, im, want_re, want_im, tol)
+            key, re, im, want_re, want_im, tol)
+
+
+@pytest.mark.parametrize("name,i", [
+    (name, i) for name in LATTICES
+    for i in range(0, REFERENCE[name]["lattice"]["n"], ROW_STRIDE)])
+def test_lattice_row(name, i):
+    _check_lattice_row(name, i)
+
+
+@pytest.mark.parametrize("kappaL", CONVERGE_KAPPAL)
+def test_converge_row(kappaL, tmp_path):
+    lat = REFERENCE["converge"]["lattice"]
+    i = round((kappaL - lat["lo"]) / lat["step"])
+    assert _value(lat, i) == kappaL
+    _check_converge_row(i, tmp_path)
+
+
+@pytest.mark.parametrize("key", WAVEFUNCTION_KEYS)
+def test_wavefunction_samples(key, tmp_path):
+    _check_wavefunction(key, tmp_path)
+
+
+# --- full replay ------------------------------------------------------------
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", LATTICES)
+def test_every_lattice_row(name):
+    for i in range(REFERENCE[name]["lattice"]["n"]):
+        _check_lattice_row(name, i)
+
+
+@pytest.mark.slow
+def test_every_converge_row(tmp_path):
+    for i in range(REFERENCE["converge"]["lattice"]["n"]):
+        _check_converge_row(i, tmp_path)
+
+
+@pytest.mark.slow
+def test_every_wavefunction_dump(tmp_path):
+    keys = list(REFERENCE["wavefunction"]["rows"])
+    assert len(keys) == 2 * REFERENCE["wavefunction"]["lattice"]["n"]
+    for key in keys:
+        _check_wavefunction(key, tmp_path)

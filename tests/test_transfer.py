@@ -8,7 +8,13 @@ import pytest
 from scipy.special import loggamma
 
 from mazersim.grid import ModeProfile, ModeShape, build_grid
-from mazersim.segment_basis import Regime, Segment, make_segment
+from mazersim.segment_basis import (
+    Regime,
+    Segment,
+    analytic_wronskian,
+    basis_eval,
+    make_segment,
+)
 from mazersim.transfer import (
     TransferError,
     propagator,
@@ -137,6 +143,61 @@ def test_batched_propagators_match_scalar_calls(name):
             assert np.abs(entries - want).max() <= 1e-14 * np.abs(want).max()
             checked += 1
     assert checked or shape is ModeShape.MESA
+
+
+def basis_built(seg, x_from, x_to):
+    """M(x_to) M(x_from)^-1 in propagator form from the segment's basis at
+    both ends and its analytic Wronskian: the general formula that the flat
+    closed forms replace."""
+    fp1, fm1, gp1, gm1, s1 = basis_eval(seg, x_from)
+    fp2, fm2, gp2, gm2, s2 = basis_eval(seg, x_to)
+    w = analytic_wronskian(seg)
+    d = s2 - s1
+    up, dn = math.exp(d - abs(d)) / w, math.exp(-d - abs(d)) / w
+    return (fp2 * gm1 * up - fm2 * gp1 * dn, fm2 * fp1 * dn - fp2 * fm1 * up,
+            gp2 * gm1 * up - gm2 * gp1 * dn, gm2 * fp1 * dn - gp2 * fm1 * up,
+            abs(d))
+
+
+@pytest.mark.parametrize("z, x_from, x_to", [
+    (0.0, 0.5, 3.25), (0.0, 3.25, -1.0),
+    (2.0, 0.5, 3.25), (2.0, 3.25, 0.5), (0.01, -7.0, 40.0), (9.0, 1.0, 1.0),
+    (-0.64, 0.5, 3.25), (-0.64, 3.25, 0.5), (-0.01, 0.0, 2.0),
+    (-4.0, 0.0, 50.0), (-1.0, 1.0e4, 0.0), (-1.0e6, 10.0, 0.0)])
+def test_flat_closed_forms_match_basis(z, x_from, x_to):
+    # a shear, a rotation, or e**-a scaled cosh and sinh of a = rho |dx|
+    # up to 1e4; the last two entries of the list reach a = 1e4
+    seg = make_segment(-1.0, 1.0e4 + 1.0, z, z)
+    assert seg.regime is not Regime.SLOPE_ALLOWED
+    got = propagator(seg, x_from, x_to)
+    want = basis_built(seg, x_from, x_to)
+    scale = max(abs(v) for v in want[:4])
+    assert max(abs(g - w) for g, w in zip(got[:4], want[:4])) <= 1e-14 * scale
+    assert got[4] == pytest.approx(want[4], rel=1e-14, abs=0.0)
+    # unit determinant once the log factor a is put back: the scaled
+    # entries have determinant e**-2a, to the roundoff of entries <= 1
+    p11, p12, p21, p22, a = got
+    det = p11 * p22 - p12 * p21
+    assert det == pytest.approx(math.exp(-2.0 * a), rel=0.0, abs=1e-15 * scale ** 2)
+
+
+def test_flat_forbidden_closed_form_deep():
+    # rho |dx| = 1e4: the growing exponential is all log factor, and the
+    # scaled cosh and sinh are one half each, with the sign of dx
+    seg = make_segment(0.0, 1.0e4, -1.0, -1.0)
+    p11, p12, p21, p22, a = propagator(seg, 1.0e4, 0.0)
+    assert a == 1.0e4
+    assert (p11, p12, p21, p22) == (0.5, -0.5, -0.5, 0.5)
+    # small a keeps its relative accuracy, where the basis-built form
+    # loses digits to 1 - e**-2a: sinh(a) e**-a ~ a
+    p11, p12, p21, p22, a = propagator(seg, 0.0, 1.0e-12)
+    assert p12 == pytest.approx(1.0e-12, rel=1e-15)
+    assert p11 == pytest.approx(1.0 - 1.0e-12, rel=1e-15)
+    shallow = make_segment(0.0, 2.0, -1.0e-6, -1.0e-6)
+    p11, p12, p21, p22, a = propagator(shallow, 0.0, 2.0)
+    assert a == pytest.approx(2.0e-3, rel=1e-15)
+    assert p12 == pytest.approx(math.sinh(a) * math.exp(-a) / 1.0e-3, rel=1e-15)
+    assert p21 == pytest.approx(math.sinh(a) * math.exp(-a) * 1.0e-3, rel=1e-15)
 
 
 def test_round_trip_and_determinant():
