@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid
-from .mazer import MazerParams, convergence_study, sweep_kappaL
+from .mazer import MazerParams, convergence_study, kappaL_range, sweep_kappaL
 from .oracles import mesa_analytic, sech2_analytic
 from .transfer import solve_scattering, wavefunction
 
@@ -54,14 +54,10 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise _ConfigError(f"malformed range {text!r}, expected numbers")
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
-        raise _ConfigError(f"range {text!r} must be finite")
-    if step <= 0.0:
-        raise _ConfigError("range step must be positive")
-    if lo < 0.0:
-        raise _ConfigError("range lower bound must not be negative")
-    if hi < lo:
-        raise _ConfigError("range upper bound below lower bound")
+    try:
+        kappaL_range(lo, hi, step)
+    except ValueError as exc:
+        raise _ConfigError(str(exc))
     return lo, hi, step
 
 

@@ -26,8 +26,9 @@ since the next pass would repeat it.
 The nodes and their coefficients z = k^2 - 2*alpha*V go to
 :func:`segment_basis.build_segments`, which slopes, classifies, demotes and
 anchors every segment between the nodes in one array pass.  The grid keeps
-those arrays for the sweep; their records, framed by the two outer free
-segments, are built the first time ``Grid.segments`` is read.
+those arrays, and the sweep and the wavefunction read nothing else of the
+segments; their records, framed by the two outer free segments, are built
+the first time ``Grid.segments`` is read.
 Length tolerances (root bisection, root stability, turning-node merging)
 scale with min(1, window width), so tiny cavities keep their resolution.
 """
@@ -113,6 +114,8 @@ class ModeProfile:
         if self.shape is _TABULATED:
             if self.table is None or len(self.table) < 2:
                 raise ValueError("TABULATED profile needs at least two points")
+            if not all(math.isfinite(v) for p in self.table for v in p):
+                raise ValueError("tabulated points must be finite")
             xs = [p[0] for p in self.table]
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise ValueError("tabulated abscissae must be strictly increasing")
@@ -387,11 +390,12 @@ def find_turning_points(
 class Grid:
     """The full segmentation of one scattering problem.
 
-    ``arrays`` holds the segments between the nodes as arrays.  ``z``
-    holds the solver's coefficient z = k^2 - 2*alpha*V at ``points``;
-    turning nodes carry z = 0 exactly so no segment straddles a sign
-    change of z.  ``segments``, the same segments as records framed by
-    the two semi-infinite free regions, is built on first read.
+    ``arrays`` holds the segments between the nodes as arrays, all the
+    solver reads of them.  ``z`` holds the solver's coefficient
+    z = k^2 - 2*alpha*V at ``points``; turning nodes carry z = 0 exactly
+    so no segment straddles a sign change of z.  ``segments``, the same
+    segments as records framed by the two semi-infinite free regions, is
+    built on first read.
     """
 
     points: np.ndarray

@@ -197,6 +197,8 @@ def _sweep_row(params: MazerParams, kappaL: float) -> SweepRow:
 
 def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo+step, ... inclusive of hi whenever it lands within half a step."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ValueError(f"range {lo}:{hi}:{step} must be finite")
     if not step > 0.0:
         raise ValueError("step must be positive")
     if lo < 0.0:

@@ -41,10 +41,9 @@ Every segment comes from :func:`build_segments`, one array pass over the
 node values that computes the slope, the regime (including the demotion of
 sloped segments whose argument w passes W_FLAT_COLLAPSE to the flat regime
 of their midpoint value), the anchor, the flat constant and the sign-check
-scale, and keeps them as :class:`SegmentArrays`; the grid takes its
-batches from there, its tuple of records from
-:meth:`SegmentArrays.records` and single records from
-:meth:`SegmentArrays.record`.  :func:`make_segment` is the two-node call.
+scale, and keeps them as :class:`SegmentArrays`; the sweep takes its
+batches from there and the grid its tuple of records from
+:meth:`SegmentArrays.records`.  :func:`make_segment` is the two-node call.
 A regime is always derived from the values, so it cannot contradict them.
 """
 
@@ -169,15 +168,15 @@ class SegmentArrays(NamedTuple):
     segment, left to right.
 
     ``code`` is the segment's position in ``tuple(Regime)``; the other
-    fields are those of :class:`Segment`.  The sweep takes its batches of
-    sloped segments from here, so it never reads them record by record.
+    fields are those of :class:`Segment`, whose anchor ``x_ref`` is always
+    ``x_lo`` here.  The sweep takes its batches of sloped segments from
+    here, so it never reads them record by record.
     """
 
     code: np.ndarray
     x_lo: np.ndarray
     x_hi: np.ndarray
     b: np.ndarray
-    x_ref: np.ndarray
     z_ref: np.ndarray
     z_flat: np.ndarray
     z_scale: np.ndarray
@@ -185,9 +184,9 @@ class SegmentArrays(NamedTuple):
     def take(self, idx, regime: Regime) -> Segment:
         """The segments at ``idx``, all of ``regime``, as one batch: a
         Segment whose numeric fields are arrays."""
-        return Segment(self.x_lo[idx], self.x_hi[idx], self.b[idx], regime,
-                       self.x_ref[idx], self.z_ref[idx], self.z_flat[idx],
-                       self.z_scale[idx])
+        x_lo = self.x_lo[idx]
+        return Segment(x_lo, self.x_hi[idx], self.b[idx], regime, x_lo,
+                       self.z_ref[idx], self.z_flat[idx], self.z_scale[idx])
 
     def records(self, z_free: float | None = None) -> tuple[Segment, ...]:
         """One Segment of Python floats per entry.
@@ -197,35 +196,18 @@ class SegmentArrays(NamedTuple):
         at x = 0, whose plane waves define the scattering amplitudes;
         z_free must be positive.
         """
+        x_lo = self.x_lo.tolist()
         segments = map(
-            Segment, self.x_lo.tolist(), self.x_hi.tolist(), self.b.tolist(),
-            map(_REGIME_OF_CODE.__getitem__, self.code.tolist()),
-            self.x_ref.tolist(), self.z_ref.tolist(), self.z_flat.tolist(),
-            self.z_scale.tolist())
+            Segment, x_lo, self.x_hi.tolist(), self.b.tolist(),
+            map(_REGIME_OF_CODE.__getitem__, self.code.tolist()), x_lo,
+            self.z_ref.tolist(), self.z_flat.tolist(), self.z_scale.tolist())
         if z_free is None:
             return tuple(segments)
-        return (self.record(0, z_free), *segments,
-                self.record(len(self.code) + 1, z_free))
-
-    def record(self, j: int, z_free: float) -> Segment:
-        """Segment j of ``records(z_free)`` alone: entry j - 1, or one of
-        the two free segments for j = 0 and j = len + 1."""
-        n = len(self.code)
-        if 0 < j <= n:
-            i = j - 1
-            return Segment(
-                float(self.x_lo[i]), float(self.x_hi[i]), float(self.b[i]),
-                _REGIME_OF_CODE[self.code[i]], float(self.x_ref[i]),
-                float(self.z_ref[i]), float(self.z_flat[i]),
-                float(self.z_scale[i]))
-        if j != 0 and j != n + 1:
-            raise IndexError(f"no segment {j} among {n + 2}")
         if not 0.0 < z_free < math.inf:
             raise ValueError(f"free coefficient z = {z_free} carries no plane wave")
         free = (0.0, _FLAT_ALLOWED, 0.0, z_free, z_free, z_free)
-        if j == 0:
-            return Segment(-math.inf, float(self.x_lo[0]), *free)
-        return Segment(float(self.x_hi[-1]), math.inf, *free)
+        return (Segment(-math.inf, x_lo[0], *free), *segments,
+                Segment(self.x_hi[-1].item(), math.inf, *free))
 
 
 def build_segments(x, z) -> SegmentArrays:
@@ -263,7 +245,7 @@ def build_segments(x, z) -> SegmentArrays:
     neg = z_sign < 0.0
     # flat: 0, 1 or 2 for z = 0, > 0 or < 0; sloped: 3 or 4 for z > 0 or < 0
     code = neg + np.where(flat, (z_sign > 0.0) | neg, 3)
-    return SegmentArrays(code, x_lo, x_hi, b, x_lo, z_lo, z_flat, z_scale)
+    return SegmentArrays(code, x_lo, x_hi, b, z_lo, z_flat, z_scale)
 
 
 def make_segment(x_lo: float, x_hi: float, z_lo: float, z_hi: float) -> Segment:

@@ -20,9 +20,11 @@ arrays: one batch per sloped regime, where one ``basis_eval`` call covers
 both ends of every segment of the regime, and a closed form per flat
 segment (a shear, a rotation, or scaled cosh and sinh), which needs no
 basis evaluation at all.  The sweep itself is a loop over Python floats
-that applies them.  It makes a record only for the two free ends, so it
-never builds the grid's tuple of segments.  :func:`wavefunction` forms
-the propagators to its samples the same way.
+that applies them.  The two asymptotic free regions are the plane waves
+cos kx and sin kx, so the outgoing wave is seeded and the incoming
+amplitudes are read out in closed form; the sweep builds no segment
+record.  :func:`wavefunction` forms the propagators to all its samples in
+one call, a sample in a free region being a flat entry with z = k^2.
 """
 
 from __future__ import annotations
@@ -55,12 +57,12 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 
-# SegmentArrays.code numbers the regimes in their definition order
-_REGIMES = tuple(Regime)
-_FLAT_FREE, _FLAT_ALLOWED = Regime.FLAT_FREE, Regime.FLAT_ALLOWED
 _SLOPED = (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN)
-# (regime, code) of the sloped regimes
-_SLOPED_CODES = tuple((regime, _REGIMES.index(regime)) for regime in _SLOPED)
+# (regime, code) of the sloped regimes; SegmentArrays.code numbers the
+# regimes in their definition order
+_SLOPED_CODES = tuple((regime, list(Regime).index(regime)) for regime in _SLOPED)
+# the code of a flat segment with z > 0, which a free-region sample takes
+_PLANE_WAVE_CODE = list(Regime).index(Regime.FLAT_ALLOWED)
 
 
 class TransferError(Exception):
@@ -116,7 +118,7 @@ def propagator(seg: Segment, x_from, x_to) -> tuple:
     takes its closed form from :func:`_flat_propagator`.
     """
     if seg.regime not in _SLOPED:
-        return _flat_propagator(seg.regime, seg.z_flat, x_to - x_from)
+        return _flat_propagator(seg.z_flat, x_to - x_from)
     (fp1, fp2), (fm1, fm2), (gp1, gp2), (gm1, gm2), (s1, s2) = basis_eval(
         seg, np.array((x_from, x_to)))
     w = analytic_wronskian(seg)
@@ -130,14 +132,15 @@ def propagator(seg: Segment, x_from, x_to) -> tuple:
             abs(d))
 
 
-def _flat_propagator(regime: Regime, z: float, dx: float) -> tuple:
+def _flat_propagator(z: float, dx: float) -> tuple:
     """Closed-form propagator over dx = x_to - x_from on a flat segment
     with constant coefficient z, in :func:`propagator`'s form: a shear for
     z = 0, a rotation for z > 0, and for z < 0 cosh and sinh of rho*dx
-    times e**-(rho |dx|), with log factor rho |dx|."""
-    if regime is _FLAT_FREE:
+    times e**-(rho |dx|), with log factor rho |dx|.  The sign of z picks
+    the case, as it picks the flat regime in ``build_segments``."""
+    if z == 0.0:
         return 1.0, dx, 0.0, 1.0, 0.0
-    if regime is _FLAT_ALLOWED:
+    if z > 0.0:
         k = math.sqrt(z)
         cs, sn = math.cos(k * dx), math.sin(k * dx)
         return cs, sn / k, -k * sn, cs, 0.0
@@ -151,12 +154,11 @@ def _flat_propagator(regime: Regime, z: float, dx: float) -> tuple:
 
 
 def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
-                 x_to: np.ndarray, entry: np.ndarray | None = None) -> list:
-    """Propagator of segment ``entry[i]`` of ``arrays`` (segment i when
-    ``entry`` is None) from x_from[i] to x_to[i], as a tuple of floats, for
-    every item.  Each sloped regime present is one batch; each flat
-    segment takes its closed form."""
-    code = arrays.code if entry is None else arrays.code[entry]
+                 x_to: np.ndarray) -> list:
+    """Propagator of segment i of ``arrays`` from x_from[i] to x_to[i], as
+    a tuple of floats, for every segment.  Each sloped regime present is
+    one batch; each flat segment takes its closed form."""
+    code = arrays.code
     out = [None] * len(code)
     # a list lookup keeps grids without sloped segments (the mesa) as cheap
     # as a scalar sweep
@@ -164,56 +166,54 @@ def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
     for regime, regime_code in _SLOPED_CODES:
         if regime_code in present:
             sel = np.flatnonzero(code == regime_code)
-            batch = propagator(
-                arrays.take(sel if entry is None else entry[sel], regime),
-                x_from[sel], x_to[sel])
+            batch = propagator(arrays.take(sel, regime), x_from[sel], x_to[sel])
             for i, entries in zip(sel.tolist(),
                                   zip(*(e.tolist() for e in batch))):
                 out[i] = entries
-    z_flat = arrays.z_flat if entry is None else arrays.z_flat[entry]
-    for i, (regime_code, z, dx, entries) in enumerate(zip(
-            present, z_flat.tolist(), (x_to - x_from).tolist(), out)):
+    for i, (z, dx, entries) in enumerate(zip(
+            arrays.z_flat.tolist(), (x_to - x_from).tolist(), out)):
         if entries is None:
-            out[i] = _flat_propagator(_REGIMES[regime_code], z, dx)
+            out[i] = _flat_propagator(z, dx)
     return out
 
 
-def _coefficients(seg: Segment, x: float, phi: complex, dphi: complex):
-    """Basis coefficients (C, D) of the state (phi, dphi) at x."""
-    fp, fm, gp, gm, s = basis_eval(seg, x)
-    w = analytic_wronskian(seg)
-    return ((gm * phi - fm * dphi) / w * math.exp(-s),
-            (fp * dphi - gp * phi) / w * math.exp(s))
+def _plane_wave_amplitudes(k: float, x: float, phi: complex, dphi: complex):
+    """(C, D) with C cos kx + D sin kx = phi and derivative dphi at x."""
+    cs, sn = math.cos(k * x), math.sin(k * x)
+    return ((k * cs * phi - sn * dphi) / k,
+            (cs * dphi + k * sn * phi) / k)
 
 
 def sweep(
     grid: Grid, c: complex, d: complex, record: bool = False,
 ) -> tuple[complex, complex, float, list[SegmentState]]:
-    """Carry the solution c f+ + d f- of the grid's last segment back to
-    the first.
+    """Carry the outgoing wave c cos kx + d sin kx of the right free region
+    back to the left one.
 
-    Returns (C0, D0, log_scale, states): the first segment's coefficients,
-    true values being these times e**log_scale, and, when ``record``, the
-    node state of every segment from left to right.  The propagators of
-    all segments come first, one batch per sloped regime and a closed form
-    per flat segment; the loop then applies them one by one.  After each
-    segment the state is divided by the power of two nearest its
-    magnitude.
+    Returns (C0, D0, log_scale, states): the left free region's
+    coefficients of cos kx and sin kx, true values being these times
+    e**log_scale, and, when ``record``, the node state of every segment
+    from left to right.  The propagators of all segments come first, one
+    batch per sloped regime and a closed form per flat segment; the loop
+    then applies them one by one.  After each segment the state is divided
+    by the power of two nearest its magnitude.
     """
     arrays = grid.arrays
-    z_free = grid.k * grid.k
+    # sqrt(k^2), the wavenumber _flat_propagator takes from z = k^2 in the
+    # free regions
+    k = math.sqrt(grid.k * grid.k)
     n = len(arrays.code)
     # segment j of grid.segments is entry j - 1 of the arrays; 0 and n + 1
-    # are the free ends
+    # are the free regions
     props = _propagators(arrays, arrays.x_hi, arrays.x_lo)
-    last = arrays.record(n + 1, z_free)
-    fp, fm, gp, gm, s = basis_eval(last, last.x_lo)
-    phi = c * fp * math.exp(s) + d * fm * math.exp(-s)
-    dphi = c * gp * math.exp(s) + d * gm * math.exp(-s)
+    x = float(arrays.x_hi[-1])
+    cs, sn = math.cos(k * x), math.sin(k * x)
+    phi = c * cs + d * sn
+    dphi = c * (-k * sn) + d * (k * cs)
     log_scale = 0.0
     states: list[SegmentState] = []
     if record:
-        states.append(SegmentState(n + 1, last.x_lo, phi, dphi, 0.0))
+        states.append(SegmentState(n + 1, x, phi, dphi, 0.0))
     for j in range(n, 0, -1):
         if record:
             states.append(SegmentState(j, float(arrays.x_hi[j - 1]), phi, dphi,
@@ -227,20 +227,20 @@ def sweep(
         factor = math.ldexp(1.0, -shift)
         phi, dphi = factor * phi, factor * dphi
         log_scale += log_factor + shift * _LN2
-    first = arrays.record(0, z_free)
+    x = float(arrays.x_lo[0])
     if record:
-        states.append(SegmentState(0, first.x_hi, phi, dphi, log_scale))
+        states.append(SegmentState(0, x, phi, dphi, log_scale))
         states.reverse()
-    c0, d0 = _coefficients(first, first.x_hi, phi, dphi)
+    c0, d0 = _plane_wave_amplitudes(k, x, phi, dphi)
     return c0, d0, log_scale, states
 
 
 def solve_scattering(grid: Grid, record_coefficients: bool = False) -> ScatterResult:
     """Backward sweep from the outgoing free region to the incoming one.
 
-    Seeds (C, D) = (1, i) on the rightmost segment, i.e. a unit outgoing
+    Seeds (C, D) = (1, i) in the right free region, i.e. a unit outgoing
     plane wave in its {cos kx, sin kx} basis, and carries it to the left.
-    The first segment's pair then gives t and r; the accumulated log scale
+    The left free region's pair then gives t and r; the accumulated log scale
     re-enters t because the seed fixed the transmitted amplitude, not the
     incident one.
     """
@@ -296,21 +296,23 @@ def wavefunction(
     z_free = grid.k * grid.k
     n = len(arrays.code)
     first = states[0]
-    c0, d0 = _coefficients(arrays.record(0, z_free), first.x, first.phi, first.dphi)
+    c0, d0 = _plane_wave_amplitudes(math.sqrt(z_free), first.x, first.phi,
+                                    first.dphi)
     norm = 2.0 / (c0 - 1j * d0)
-    # the segment of each sample; 0 and n + 1 are the free ends
+    # the segment of each sample; 0 and n + 1 are the free regions, whose
+    # samples become flat entries with z = k^2
     seg_of = np.searchsorted(grid.points, xs, side="right")
-    inner = np.flatnonzero((seg_of > 0) & (seg_of <= n))
-    x_from = np.array([states[j].x for j in seg_of[inner].tolist()])
-    props = [None] * len(xs)
-    batched = _propagators(arrays, x_from, xs[inner], seg_of[inner] - 1)
-    for i, entries in zip(inner.tolist(), batched):
-        props[i] = entries
+    free = (seg_of == 0) | (seg_of > n)
+    entry = np.clip(seg_of - 1, 0, n - 1)
+    samples = SegmentArrays(*(col[entry] for col in arrays))
+    samples = samples._replace(
+        code=np.where(free, _PLANE_WAVE_CODE, samples.code),
+        z_flat=np.where(free, z_free, samples.z_flat))
+    x_from = np.array([states[j].x for j in seg_of.tolist()])
     out: list[tuple[float, complex]] = []
-    for x, j, entries in zip(xs.tolist(), seg_of.tolist(), props):
+    for x, j, (p11, p12, _, _, log_factor) in zip(
+            xs.tolist(), seg_of.tolist(), _propagators(samples, x_from, xs)):
         st = states[j]
-        p11, p12, _, _, log_factor = entries or propagator(
-            arrays.record(j, z_free), st.x, x)
         phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
             log_factor + st.log_scale - first.log_scale)
         out.append((x, phi * norm))

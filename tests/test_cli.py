@@ -99,6 +99,7 @@ class TestConfigErrors:
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1", "--J", "2"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "1:0:0.5", "--J", "2"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1:0", "--J", "2"],
+        ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1:inf", "--J", "2"],
         ["sweep", "--profile", "mesa", "--k", "-1", "--range", "0:1:0.5", "--J", "2"],
         ["sweep", "--profile", "sech2", "--k", "inf", "--range", "0:1:0.5", "--J", "20"],
         ["sweep", "--profile", "sech2", "--k", "1e-300", "--range", "0:1:0.5", "--J", "20"],

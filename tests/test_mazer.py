@@ -201,6 +201,11 @@ class TestSweep:
             kappaL_range(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             kappaL_range(2.0, 1.0, 0.5)
+        # non-finite bounds or step: no OverflowError, no empty range
+        for lo, hi, step in ((0.0, math.inf, 1.0), (0.0, 1.0, math.inf),
+                             (0.0, math.nan, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                kappaL_range(lo, hi, step)
 
     def test_negative_lower_bound_rejected_before_any_row(self, monkeypatch):
         with pytest.raises(ValueError, match="negative"):
