@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid
-from .mazer import MazerParams, convergence_study, kappaL_range, sweep_kappaL
+from .mazer import (
+    MazerParams, _combine, convergence_study, kappaL_range, sweep_kappaL)
 from .oracles import mesa_analytic, sech2_analytic
 from .transfer import solve_scattering, wavefunction
 
@@ -140,18 +139,37 @@ def _sweep_row_lines(row) -> list[str]:
 
 
 def _cmd_sweep(args) -> int:
+    """Runs ``sweep``, and ``compare-oracle``, which adds the oracle's P_em."""
+    oracle = None
+    if args.command == "compare-oracle":
+        if args.profile not in ("sech2", "mesa"):
+            raise _ConfigError(
+                "oracle comparison needs a profile with a closed form: sech2 or mesa")
+        oracle = sech2_analytic if args.profile == "sech2" else mesa_analytic
     lo, hi, step = _parse_range(args.range)
     params = _base_params(args)
     workers = _worker_count(args.workers)
     table = sweep_kappaL(params, lo, hi, step, workers=workers)
-    lines = _header("sweep", [
+    lines = _header(args.command, [
         ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
         ("range", args.range), ("J", args.J),
         ("window_factor", _fmt(args.window_factor)),
     ])
-    lines.append(_SWEEP_COLUMNS)
+    lines.append(_SWEEP_COLUMNS if oracle is None
+                 else _SWEEP_COLUMNS + ",P_em_oracle,abs_dev")
+    max_dev = 0.0
     for row in table.rows:
-        lines.extend(_sweep_row_lines(row))
+        body = _sweep_row_lines(row)
+        if oracle is not None:
+            reference = _combine(oracle(args.k, row.kappaL, +1),
+                                 oracle(args.k, row.kappaL, -1)).P_em
+            dev = abs(row.P_em - reference)    # nan on a failed row
+            if row.error is None:
+                max_dev = max(max_dev, dev)
+            body[0] += f",{_fmt(reference)},{_fmt(dev)}"
+        lines.extend(body)
+    if oracle is not None:
+        lines.append(f"# max_abs_dev={_fmt(max_dev)}")
     _write_lines(args.output, lines)
     return 2 if table.has_errors else 0
 
@@ -176,44 +194,6 @@ def _cmd_converge(args) -> int:
     lines.append(f"# settle={_fmt(study.settle)}")
     _write_lines(args.output, lines)
     return 0
-
-
-def _oracle_P_em(shape: ModeShape, k: float, kappaL: float) -> float:
-    oracle = sech2_analytic if shape is ModeShape.SECH2 else mesa_analytic
-    plus = oracle(k, kappaL, +1)
-    minus = oracle(k, kappaL, -1)
-    T_b = 0.5 * (plus.t - minus.t)
-    R_b = 0.5 * (plus.r - minus.r)
-    return abs(T_b) ** 2 + abs(R_b) ** 2
-
-
-def _cmd_compare_oracle(args) -> int:
-    if args.profile not in ("sech2", "mesa"):
-        raise _ConfigError(
-            "oracle comparison needs a profile with a closed form: sech2 or mesa")
-    lo, hi, step = _parse_range(args.range)
-    params = _base_params(args)
-    workers = _worker_count(args.workers)
-    table = sweep_kappaL(params, lo, hi, step, workers=workers)
-    shape = _PROFILE_NAMES[args.profile]
-    lines = _header("compare-oracle", [
-        ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
-        ("range", args.range), ("J", args.J),
-        ("window_factor", _fmt(args.window_factor)),
-    ])
-    lines.append(_SWEEP_COLUMNS + ",P_em_oracle,abs_dev")
-    max_dev = 0.0
-    for row in table.rows:
-        reference = _oracle_P_em(shape, args.k, row.kappaL)
-        dev = abs(row.P_em - reference) if row.error is None else math.nan
-        if row.error is None:
-            max_dev = max(max_dev, dev)
-        body = _sweep_row_lines(row)
-        body[0] = body[0] + f",{_fmt(reference)},{_fmt(dev)}"
-        lines.extend(body)
-    lines.append(f"# max_abs_dev={_fmt(max_dev)}")
-    _write_lines(args.output, lines)
-    return 2 if table.has_errors else 0
 
 
 def _cmd_wavefunction(args) -> int:
@@ -267,31 +247,25 @@ def _build_parser() -> _Parser:
                      description="Induced-emission probability calculator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="P_em over a kappaL range")
-    _add_common(sweep)
-    sweep.add_argument("--range", required=True, help="kappaL range lo:hi:step")
-    sweep.add_argument("--J", type=int, required=True, help="grid point count")
-    sweep.add_argument("--workers", type=int, default=None,
+    sweep, conv, cmp, wf = (sub.add_parser(name, help=text) for name, text in (
+        ("sweep", "P_em over a kappaL range"),
+        ("converge", "P_em at increasing grid sizes"),
+        ("compare-oracle", "numeric P_em against the closed form"),
+        ("wavefunction", "dump one branch's wavefunction")))
+    for p in (sweep, conv, cmp, wf):
+        _add_common(p)
+    for p in (sweep, cmp):
+        p.add_argument("--range", required=True, help="kappaL range lo:hi:step")
+        p.add_argument("--J", type=int, required=True, help="grid point count")
+        p.add_argument("--workers", type=int, default=None,
                        help="worker processes (bounded by MAZER_THREADS)")
-    sweep.set_defaults(func=_cmd_sweep)
+        p.set_defaults(func=_cmd_sweep)
 
-    conv = sub.add_parser("converge", help="P_em at increasing grid sizes")
-    _add_common(conv)
     conv.add_argument("--kappaL", type=float, required=True)
     conv.add_argument("--J", required=True,
                       help="comma-separated ascending grid sizes")
     conv.set_defaults(func=_cmd_converge)
 
-    cmp = sub.add_parser("compare-oracle",
-                         help="numeric P_em against the closed form")
-    _add_common(cmp)
-    cmp.add_argument("--range", required=True, help="kappaL range lo:hi:step")
-    cmp.add_argument("--J", type=int, required=True)
-    cmp.add_argument("--workers", type=int, default=None)
-    cmp.set_defaults(func=_cmd_compare_oracle)
-
-    wf = sub.add_parser("wavefunction", help="dump one branch's wavefunction")
-    _add_common(wf)
     wf.add_argument("--kappaL", type=float, required=True)
     wf.add_argument("--J", type=int, required=True)
     wf.add_argument("--branch", default="+1", help="+1 or -1")

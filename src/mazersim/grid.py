@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -471,6 +472,8 @@ def build_grid(
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not isinstance(J, numbers.Integral):
+        raise ValueError(f"J = {J!r} must be an integer")
     if J < 2:
         raise ValueError("J must be at least 2")
     check_k_over_kappa(k_over_kappa)

@@ -205,7 +205,10 @@ def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError("range lower bound must not be negative")
     if hi < lo:
         raise ValueError("range upper bound below lower bound")
-    n = int(math.floor((hi - lo) / step + 0.5))
+    count = (hi - lo) / step
+    if not math.isfinite(count):
+        raise ValueError(f"range {lo}:{hi}:{step} has no finite point count")
+    n = int(math.floor(count + 0.5))
     values = [lo + i * step for i in range(n + 1)]
     return [v for v in values if v <= hi + 0.5 * step]
 

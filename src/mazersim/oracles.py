@@ -57,9 +57,13 @@ class WkbPrediction:
     source: OracleSource = OracleSource.WKB
 
 
-def _branch_check(branch: int) -> None:
+def _check_inputs(k_over_kappa: float, kappaL: float, branch: int) -> None:
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
+    if not kappaL >= 0.0:
+        raise ValueError("kappaL must be nonnegative")
+    if not k_over_kappa > 0.0:
+        raise ValueError("k_over_kappa must be positive")
 
 
 def sech2_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleResult:
@@ -70,11 +74,7 @@ def sech2_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleRes
     for the well and for barriers shorter than 1/2; evaluated in log space
     so large L does not overflow.
     """
-    _branch_check(branch)
-    if not kappaL >= 0.0:
-        raise ValueError("kappaL must be nonnegative")
-    if not k_over_kappa > 0.0:
-        raise ValueError("k_over_kappa must be positive")
+    _check_inputs(k_over_kappa, kappaL, branch)
     if kappaL == 0.0:
         return OracleResult(1.0 + 0.0j, 0.0 + 0.0j, OracleSource.SECH2_ANALYTIC)
     kL = k_over_kappa * kappaL
@@ -100,11 +100,7 @@ def mesa_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleResu
     """Exact t, r for a rectangular barrier/well of height branch/2 on
     [0, kappaL], written through k' = sqrt(k^2 - branch) so allowed and
     tunneling cases share one expression."""
-    _branch_check(branch)
-    if not kappaL >= 0.0:
-        raise ValueError("kappaL must be nonnegative")
-    if not k_over_kappa > 0.0:
-        raise ValueError("k_over_kappa must be positive")
+    _check_inputs(k_over_kappa, kappaL, branch)
     k, a = k_over_kappa, kappaL
     if a == 0.0:
         return OracleResult(1.0 + 0.0j, 0.0 + 0.0j, OracleSource.MESA_ANALYTIC)

@@ -121,6 +121,17 @@ class TestConfigErrors:
          "--J", "20,40", "--window-factor", "inf"],
         ["sweep", "--profile", "sech2", "--k", "0.1", "--range=-0.2:0.2:0.1",
          "--J", "50"],
+        ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:a:1", "--J", "2"],
+        ["converge", "--profile", "mesa", "--k", "0.5", "--kappaL", "1",
+         "--J", "100,x"],
+        ["converge", "--profile", "mesa", "--k", "0.5", "--kappaL", "1",
+         "--J", "1,100"],
+        ["wavefunction", "--profile", "mesa", "--k", "0.5", "--kappaL", "1",
+         "--J", "2", "--samples", "1"],
+        ["wavefunction", "--profile", "sin2", "--k", "0.1", "--kappaL", "5",
+         "--J", "2"],
+        ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1e308:1e-300",
+         "--J", "2"],
     ])
     def test_exit_1(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -135,8 +146,9 @@ class TestConfigErrors:
         assert code == 1
         assert "cannot write" in err
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAZER_THREADS", "many")
+    @pytest.mark.parametrize("value", ["many", "0"])
+    def test_bad_threads_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MAZER_THREADS", value)
         code, _, err = run(capsys, [
             "sweep", "--profile", "mesa", "--k", "0.5",
             "--range", "0:1:0.5", "--J", "2"])
@@ -165,6 +177,15 @@ class TestConverge:
                         if ln.startswith("# settle=")]
         assert len(settle_lines) == 1
         assert float(settle_lines[0].split("=")[1]) < 0.005
+
+    def test_failed_study_marks_and_exit_2(self, capsys):
+        # two nodes cannot resolve the first excited sine
+        code, out, _ = run(capsys, [
+            "converge", "--profile", "sin2", "--k", "0.1",
+            "--kappaL", "5", "--J", "2,3"])
+        assert code == 2
+        assert data_rows(out) == ["J,P_em"]
+        assert out.splitlines()[-1].startswith("# error: GridResolutionError: ")
 
 
 class TestCompareOracle:

@@ -150,11 +150,15 @@ def test_load_tabulated(tmp_path):
 
 def test_exact_areas_against_quadrature():
     from scipy.integrate import quad
-    for shape in (ModeShape.SECH2, ModeShape.GAUSSIAN,
-                  ModeShape.SIN_FUNDAMENTAL, ModeShape.SIN_FIRST_EXCITED):
-        p = ModeProfile(shape, 4.0)
+    # the table spans [-1, 3], so the intervals clip it as they clip the
+    # mesa and the sines on [0, 4]
+    table = ModeProfile(ModeShape.TABULATED, 0.0, table=(
+        (-1.0, 0.0), (0.5, 1.0), (2.0, -0.5), (3.0, 0.25)))
+    for p in [ModeProfile(shape, 4.0) for shape in (
+            ModeShape.MESA, ModeShape.SECH2, ModeShape.GAUSSIAN,
+            ModeShape.SIN_FUNDAMENTAL, ModeShape.SIN_FIRST_EXCITED)] + [table]:
         for a, b in [(-3.0, 5.0), (0.5, 3.5), (-20.0, 20.0)]:
-            kinks = [x for x in (0.0, 2.0, 4.0) if a < x < b]
+            kinks = [x for x in (-1.0, 0.0, 0.5, 2.0, 3.0, 4.0) if a < x < b]
             want, _ = quad(lambda x: eval_mode(p, x), a, b,
                            limit=400, points=kinks)
             assert signed_area(p, a, b) == pytest.approx(want, abs=1e-10)
@@ -245,6 +249,11 @@ def test_build_grid_input_errors():
         build_grid(p, +1, 0.0, 50)
     with pytest.raises(ValueError):
         build_grid(p, +1, 0.1, 50, window=(5.0, 5.0))
+    for shape in (ModeShape.SECH2, ModeShape.MESA):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_grid(ModeProfile(shape, 10.0), +1, 0.1, 50.5)
+    assert np.array_equal(build_grid(p, +1, 0.1, np.int64(50)).points,
+                          build_grid(p, +1, 0.1, 50).points)
     sin1 = ModeProfile(ModeShape.SIN_FUNDAMENTAL, 1.0)
     with pytest.raises(ValueError):
         build_grid(sin1, +1, 0.1, 50, window=(5.0, 6.0))

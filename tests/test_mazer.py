@@ -206,6 +206,9 @@ class TestSweep:
                              (0.0, math.nan, 1.0)):
             with pytest.raises(ValueError, match="must be finite"):
                 kappaL_range(lo, hi, step)
+        # finite input whose point count overflows
+        with pytest.raises(ValueError, match="no finite point count"):
+            kappaL_range(0.0, 1e308, 1e-300)
 
     def test_negative_lower_bound_rejected_before_any_row(self, monkeypatch):
         with pytest.raises(ValueError, match="negative"):

@@ -108,9 +108,11 @@ def test_mesa_tunneling_slope():
 
 def test_mesa_oracle_matches_transfer_exactly():
     # the segment method is exact for a constant potential, so oracle and
-    # solver must agree to roundoff: the strongest end-to-end anchor
+    # solver must agree to roundoff: the strongest end-to-end anchor.  At
+    # k = 1 the barrier has k' = 0: the oracle's k'a series against the
+    # solver's z = 0 shear
     for branch in (+1, -1):
-        for k, L in ((0.1, 5.0), (0.01, 20.0), (0.73, 3.0)):
+        for k, L in ((0.1, 5.0), (0.01, 20.0), (0.73, 3.0), (1.0, 5.0)):
             grid = build_grid(ModeProfile(ModeShape.MESA, L), branch, k, 2)
             num = solve_scattering(grid)
             ana = mesa_analytic(k, L, branch)
