@@ -205,16 +205,6 @@ def _cmd_wavefunction(args) -> int:
     params = _base_params(args)
     if params.kappaL == 0.0:
         raise _ConfigError("wavefunction dump needs kappaL > 0")
-    try:
-        grid = build_grid(
-            params.profile, branch, params.k_over_kappa, params.J,
-            window_factor=params.window_factor)
-        result = solve_scattering(grid, record_coefficients=True)
-    except Exception as exc:
-        raise _ConfigError(f"solve failed: {type(exc).__name__}: {exc}")
-    lo, hi = grid.window
-    positions = np.linspace(lo, hi, args.samples)
-    samples = wavefunction(grid, result, positions)
     lines = _header("wavefunction", [
         ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
         ("kappaL", _fmt(args.kappaL)), ("J", args.J),
@@ -223,6 +213,18 @@ def _cmd_wavefunction(args) -> int:
         ("samples", args.samples),
     ])
     lines.append("x,re_psi,im_psi,abs2_psi")
+    try:
+        grid = build_grid(
+            params.profile, branch, params.k_over_kappa, params.J,
+            window_factor=params.window_factor)
+        result = solve_scattering(grid, record_coefficients=True)
+    except Exception as exc:
+        lines.append(f"# error: {type(exc).__name__}: {exc}")
+        _write_lines(args.output, lines)
+        return 2
+    lo, hi = grid.window
+    positions = np.linspace(lo, hi, args.samples)
+    samples = wavefunction(grid, result, positions)
     for x, phi in samples:
         lines.append(",".join(
             (_fmt(x), _fmt(phi.real), _fmt(phi.imag), _fmt(abs(phi) ** 2))))

@@ -6,6 +6,13 @@ emission-event amplitudes are half the difference of the two branches'
 amplitudes, and their squared magnitudes give the induced emission
 probability P_em.  Everything is parameterized by exactly two numbers,
 k_over_kappa and kappaL, plus the mode shape.
+
+Rows are solved in chunks of up to eight, serial and pooled alike, and a
+lone row is a chunk of one: the branch grids of a chunk are built first,
+their propagators formed in one pass
+(:func:`~mazersim.transfer.sweep_propagators`), and each branch then
+solved on its own slice.  The results are bit for bit those of solving
+each branch alone.
 """
 
 from __future__ import annotations
@@ -15,15 +22,17 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 
 from .grid import (
     DEFAULT_WINDOW_FACTOR,
+    Grid,
     ModeProfile,
     ModeShape,
     build_grid,
     check_k_over_kappa,
 )
-from .transfer import ScatterResult, solve_scattering
+from .transfer import ScatterResult, solve_scattering, sweep_propagators
 
 __all__ = [
     "MazerParams",
@@ -139,20 +148,85 @@ def _transparent(params: MazerParams) -> ScatterResult:
         E=0.5 * k * k, k=k, t_log10_mag=0.0, log10_scale=0.0)
 
 
+def _grid(params: MazerParams, branch: int) -> Grid:
+    return build_grid(params.profile, branch, params.k_over_kappa, params.J,
+                      window_factor=params.window_factor)
+
+
 def elementary_amplitudes(params: MazerParams, branch: int) -> ScatterResult:
-    """Scattering amplitudes for one dressed-potential branch."""
+    """Scattering amplitudes for one dressed-potential branch, solved alone."""
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     if params.kappaL == 0.0:
         return _transparent(params)
-    grid = build_grid(
-        params.profile, branch, params.k_over_kappa, params.J,
-        window_factor=params.window_factor)
-    return solve_scattering(grid)
+    return solve_scattering(_grid(params, branch))
+
+
+# rows per chunk: the rows of a chunk share one propagator pass, and a
+# pooled sweep hands its workers one chunk per task
+_CHUNK_ROWS = 8
+
+
+def _branch_grids(row) -> list:
+    """The + and - grids of a row in build order, a build that raises
+    ending the list with its exception; a transparent row has none."""
+    if isinstance(row, Exception):
+        return [row]
+    grids: list = []
+    for branch in (+1, -1) if row.kappaL != 0.0 else ():
+        try:
+            grids.append(_grid(row, branch))
+        except Exception as exc:
+            grids.append(exc)
+            break
+    return grids
+
+
+def _solve_chunk(rows: list) -> list:
+    """(plus, minus) amplitudes of every row, or the exception that ends it;
+    a row is a MazerParams or the exception that already ended it.
+
+    All branch grids are built before one :func:`sweep_propagators` pass
+    over them; each branch is then solved on its slice.  A row fails as it
+    would alone, at the first of + grid, + solve, - grid, - solve that
+    raises.  Should the shared pass raise, every grid forms its own
+    propagators, so each failing row reports the message of a lone solve.
+    """
+    built = [_branch_grids(row) for row in rows]
+    try:
+        shared = iter(sweep_propagators(
+            [g for grids in built for g in grids if isinstance(g, Grid)]))
+    except Exception:
+        shared = repeat(None)
+    out = []
+    for row, grids in zip(rows, built):
+        # every grid takes its slice, also one behind a failed solve
+        props = [next(shared) if isinstance(g, Grid) else None for g in grids]
+        out.append(_solve_branches(grids, props) if grids
+                   else (_transparent(row),) * 2)
+    return out
+
+
+def _solve_branches(grids: list, props: list):
+    """(plus, minus) from a row's grids and their propagators, or the first
+    exception in the order of a lone solve."""
+    results = []
+    for grid, p in zip(grids, props):
+        if isinstance(grid, Exception):
+            return grid
+        try:
+            results.append(solve_scattering(grid, propagators=p))
+        except Exception as exc:
+            return exc
+    return tuple(results)
 
 
 def branch_amplitudes(params: MazerParams) -> tuple[ScatterResult, ScatterResult]:
-    return elementary_amplitudes(params, +1), elementary_amplitudes(params, -1)
+    """Both branches of one row, their propagators formed in one pass."""
+    (outcome,) = _solve_chunk([params])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _combine(plus: ScatterResult, minus: ScatterResult) -> EventProbabilities:
@@ -175,24 +249,33 @@ def event_probabilities(params: MazerParams) -> EventProbabilities:
     return _combine(plus, minus)
 
 
-def _sweep_row(params: MazerParams, kappaL: float) -> SweepRow:
-    try:
-        row_params = params.with_kappaL(kappaL)
-        plus, minus = branch_amplitudes(row_params)
-        ev = _combine(plus, minus)
-        return SweepRow(
-            kappaL=kappaL, P_em=ev.P_em,
-            T_a_sq=ev.T_a_sq, T_b_sq=ev.T_b_sq,
-            R_a_sq=ev.R_a_sq, R_b_sq=ev.R_b_sq,
-            unit_defect_plus=plus.unitarity_defect,
-            unit_defect_minus=minus.unitarity_defect)
-    except Exception as exc:
+def _sweep_row(kappaL: float, outcome) -> SweepRow:
+    if isinstance(outcome, Exception):
         nan = math.nan
         return SweepRow(
             kappaL=kappaL, P_em=nan, T_a_sq=nan, T_b_sq=nan,
             R_a_sq=nan, R_b_sq=nan,
             unit_defect_plus=nan, unit_defect_minus=nan,
-            error=f"{type(exc).__name__}: {exc}")
+            error=f"{type(outcome).__name__}: {outcome}")
+    plus, minus = outcome
+    ev = _combine(plus, minus)
+    return SweepRow(
+        kappaL=kappaL, P_em=ev.P_em,
+        T_a_sq=ev.T_a_sq, T_b_sq=ev.T_b_sq,
+        R_a_sq=ev.R_a_sq, R_b_sq=ev.R_b_sq,
+        unit_defect_plus=plus.unitarity_defect,
+        unit_defect_minus=minus.unitarity_defect)
+
+
+def _sweep_chunk(params: MazerParams, values: list[float]) -> list[SweepRow]:
+    """The rows of a chunk of kappaL values, each failure kept in its row."""
+    rows: list = []
+    for kappaL in values:
+        try:
+            rows.append(params.with_kappaL(kappaL))
+        except Exception as exc:
+            rows.append(exc)
+    return list(map(_sweep_row, values, _solve_chunk(rows)))
 
 
 def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
@@ -224,17 +307,22 @@ def sweep_kappaL(
     """P_em and event probabilities across an interaction-length range.
 
     Rows are independent; a failing row is kept with its error message so
-    the sweep never silently drops a length.  Output order is by kappaL
+    the sweep never silently drops a length.  The rows are solved in
+    chunks of eight that share one propagator pass; with ``workers`` > 1
+    each chunk is one task of a process pool.  Output order is by kappaL
     regardless of worker scheduling.
     """
     values = kappaL_range(lo, hi, step)
-    row = partial(_sweep_row, params)
+    chunks = [values[i:i + _CHUNK_ROWS]
+              for i in range(0, len(values), _CHUNK_ROWS)]
+    solve = partial(_sweep_chunk, params)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, values, chunksize=8))
+            tables = list(pool.map(solve, chunks))
     else:
-        rows = [row(v) for v in values]
-    return SweepTable(rows=tuple(rows), params=params)
+        tables = map(solve, chunks)
+    return SweepTable(rows=tuple(row for table in tables for row in table),
+                      params=params)
 
 
 def convergence_study(params: MazerParams, J_list: list[int]) -> ConvergenceStudy:

@@ -19,9 +19,13 @@ The propagators are formed before the sweep from the grid's segment
 arrays: one batch per sloped regime, where one ``basis_eval`` call covers
 both ends of every segment of the regime, and a closed form per flat
 segment (a shear, a rotation, or scaled cosh and sinh), which needs no
-basis evaluation at all.  The sweep itself is a loop over Python floats
-that applies them.  The two asymptotic free regions are the plane waves
-cos kx and sin kx, so the outgoing wave is seeded and the incoming
+basis evaluation at all.  :func:`sweep_propagators` forms them for several
+grids in one pass over their concatenated arrays, and :func:`sweep` and
+:func:`solve_scattering` then take each grid's slice; every entry is an
+elementwise function of its own segment, so a slice holds the same floats
+as a pass over its grid alone.  The sweep itself is a loop over Python
+floats that applies them.  The two asymptotic free regions are the plane
+waves cos kx and sin kx, so the outgoing wave is seeded and the incoming
 amplitudes are read out in closed form; the sweep builds no segment
 record.  :func:`wavefunction` forms the propagators to all its samples in
 one call, a sample in a free region being a flat entry with z = k^2.
@@ -51,6 +55,7 @@ __all__ = [
     "propagator",
     "solve_scattering",
     "sweep",
+    "sweep_propagators",
     "wavefunction",
 ]
 
@@ -59,8 +64,9 @@ _LN10 = math.log(10.0)
 
 _SLOPED = (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN)
 # (regime, code) of the sloped regimes; SegmentArrays.code numbers the
-# regimes in their definition order
+# regimes in their definition order, the flat ones first
 _SLOPED_CODES = tuple((regime, list(Regime).index(regime)) for regime in _SLOPED)
+_FIRST_SLOPED_CODE = min(code for _, code in _SLOPED_CODES)
 # the code of a flat segment with z > 0, which a free-region sample takes
 _PLANE_WAVE_CODE = list(Regime).index(Regime.FLAT_ALLOWED)
 
@@ -154,26 +160,46 @@ def _flat_propagator(z: float, dx: float) -> tuple:
 
 
 def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
-                 x_to: np.ndarray) -> list:
-    """Propagator of segment i of ``arrays`` from x_from[i] to x_to[i], as
-    a tuple of floats, for every segment.  Each sloped regime present is
-    one batch; each flat segment takes its closed form."""
+                 x_to: np.ndarray) -> list[float]:
+    """Propagator of segment i of ``arrays`` from x_from[i] to x_to[i], for
+    every segment, as one list of floats: entries 5i to 5i + 4 are p11,
+    p12, p21, p22 and the log factor of segment i.  Each sloped regime
+    present is one batch; each flat segment takes its closed form.  Plain
+    floats, not a tuple per segment, keep a pass over many grids from
+    allocating thousands of tuples at once, which wakes the cyclic garbage
+    collector."""
     code = arrays.code
-    out = [None] * len(code)
+    table = np.empty((len(code), 5))
     # a list lookup keeps grids without sloped segments (the mesa) as cheap
     # as a scalar sweep
     present = code.tolist()
     for regime, regime_code in _SLOPED_CODES:
         if regime_code in present:
             sel = np.flatnonzero(code == regime_code)
-            batch = propagator(arrays.take(sel, regime), x_from[sel], x_to[sel])
-            for i, entries in zip(sel.tolist(),
-                                  zip(*(e.tolist() for e in batch))):
-                out[i] = entries
-    for i, (z, dx, entries) in enumerate(zip(
-            arrays.z_flat.tolist(), (x_to - x_from).tolist(), out)):
-        if entries is None:
-            out[i] = _flat_propagator(z, dx)
+            table[sel] = np.transpose(propagator(
+                arrays.take(sel, regime), x_from[sel], x_to[sel]))
+    out = table.ravel().tolist()
+    for i, (c, z, dx) in enumerate(zip(
+            present, arrays.z_flat.tolist(), (x_to - x_from).tolist())):
+        if c < _FIRST_SLOPED_CODE:
+            out[5 * i:5 * i + 5] = _flat_propagator(z, dx)
+    return out
+
+
+def sweep_propagators(grids: Sequence[Grid]) -> list[list[float]]:
+    """The propagators that :func:`sweep` forms for each of ``grids``, from
+    one pass over their concatenated segment arrays: each sloped regime
+    present in any grid is one ``basis_eval`` batch.  An error raised inside
+    a batch names the segment's index in the concatenation."""
+    if not grids:
+        return []
+    arrays = SegmentArrays(*map(np.concatenate, zip(*(g.arrays for g in grids))))
+    props = _propagators(arrays, arrays.x_hi, arrays.x_lo)
+    out, start = [], 0
+    for grid in grids:
+        stop = start + 5 * len(grid.arrays.code)
+        out.append(props[start:stop])
+        start = stop
     return out
 
 
@@ -185,7 +211,8 @@ def _plane_wave_amplitudes(k: float, x: float, phi: complex, dphi: complex):
 
 
 def sweep(
-    grid: Grid, c: complex, d: complex, record: bool = False,
+    grid: Grid, c: complex, d: complex, record: bool = False, *,
+    propagators: list[float] | None = None,
 ) -> tuple[complex, complex, float, list[SegmentState]]:
     """Carry the outgoing wave c cos kx + d sin kx of the right free region
     back to the left one.
@@ -194,7 +221,8 @@ def sweep(
     coefficients of cos kx and sin kx, true values being these times
     e**log_scale, and, when ``record``, the node state of every segment
     from left to right.  The propagators of all segments come first, one
-    batch per sloped regime and a closed form per flat segment; the loop
+    batch per sloped regime and a closed form per flat segment, unless
+    ``propagators`` brings them from :func:`sweep_propagators`; the loop
     then applies them one by one.  After each segment the state is divided
     by the power of two nearest its magnitude.
     """
@@ -205,7 +233,10 @@ def sweep(
     n = len(arrays.code)
     # segment j of grid.segments is entry j - 1 of the arrays; 0 and n + 1
     # are the free regions
-    props = _propagators(arrays, arrays.x_hi, arrays.x_lo)
+    if propagators is None:
+        propagators = _propagators(arrays, arrays.x_hi, arrays.x_lo)
+    elif len(propagators) != 5 * n:
+        raise ValueError(f"{len(propagators)} propagator entries for {n} segments")
     x = float(arrays.x_hi[-1])
     cs, sn = math.cos(k * x), math.sin(k * x)
     phi = c * cs + d * sn
@@ -214,11 +245,13 @@ def sweep(
     states: list[SegmentState] = []
     if record:
         states.append(SegmentState(n + 1, x, phi, dphi, 0.0))
-    for j in range(n, 0, -1):
+    # five entries per segment, read from the last segment back
+    entries = reversed(propagators)
+    for j, log_factor, p22, p21, p12, p11 in zip(
+            range(n, 0, -1), entries, entries, entries, entries, entries):
         if record:
             states.append(SegmentState(j, float(arrays.x_hi[j - 1]), phi, dphi,
                                        log_scale))
-        p11, p12, p21, p22, log_factor = props[j - 1]
         phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         mag = max(abs(phi), abs(dphi))
         if mag == 0.0:
@@ -235,17 +268,19 @@ def sweep(
     return c0, d0, log_scale, states
 
 
-def solve_scattering(grid: Grid, record_coefficients: bool = False) -> ScatterResult:
+def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
+                     propagators: list[float] | None = None) -> ScatterResult:
     """Backward sweep from the outgoing free region to the incoming one.
 
     Seeds (C, D) = (1, i) in the right free region, i.e. a unit outgoing
     plane wave in its {cos kx, sin kx} basis, and carries it to the left.
     The left free region's pair then gives t and r; the accumulated log scale
     re-enters t because the seed fixed the transmitted amplitude, not the
-    incident one.
+    incident one.  ``propagators`` is the grid's slice of a
+    :func:`sweep_propagators` pass; without it the sweep forms its own.
     """
     c0, d0, log_scale, states = sweep(
-        grid, 1.0 + 0.0j, 1.0j, record_coefficients)
+        grid, 1.0 + 0.0j, 1.0j, record_coefficients, propagators=propagators)
     denom = c0 - 1j * d0
     if denom == 0.0:
         raise TransferError("C0 - i*D0 vanished: degenerate normalization")
@@ -310,8 +345,10 @@ def wavefunction(
         z_flat=np.where(free, z_free, samples.z_flat))
     x_from = np.array([states[j].x for j in seg_of.tolist()])
     out: list[tuple[float, complex]] = []
-    for x, j, (p11, p12, _, _, log_factor) in zip(
-            xs.tolist(), seg_of.tolist(), _propagators(samples, x_from, xs)):
+    entries = iter(_propagators(samples, x_from, xs))
+    for x, j, p11, p12, _, _, log_factor in zip(
+            xs.tolist(), seg_of.tolist(), entries, entries, entries, entries,
+            entries):
         st = states[j]
         phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
             log_factor + st.log_scale - first.log_scale)

@@ -129,7 +129,7 @@ class TestConfigErrors:
         ["wavefunction", "--profile", "mesa", "--k", "0.5", "--kappaL", "1",
          "--J", "2", "--samples", "1"],
         ["wavefunction", "--profile", "sin2", "--k", "0.1", "--kappaL", "5",
-         "--J", "2"],
+         "--J", "1"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1e308:1e-300",
          "--J", "2"],
     ])
@@ -234,6 +234,18 @@ class TestWavefunction:
             "--kappaL", "2", "--J", "50", "--branch", "-1", "--samples", "5"])
         assert code == 0
         assert "branch=-1" in out.splitlines()[1]
+
+    def test_unresolved_grid_marks_and_exit_2(self, capsys):
+        # a valid invocation whose grid two nodes cannot resolve is failed
+        # data, as in converge, not a configuration error
+        code, out, err = run(capsys, [
+            "wavefunction", "--profile", "sin2", "--k", "0.1",
+            "--kappaL", "5", "--J", "2"])
+        assert code == 2
+        assert err == ""
+        assert out.splitlines()[0] == "# mazersim wavefunction"
+        assert data_rows(out) == ["x,re_psi,im_psi,abs2_psi"]
+        assert out.splitlines()[-1].startswith("# error: GridResolutionError: ")
 
     def test_requires_positive_length(self, capsys):
         code, _, err = run(capsys, [

@@ -10,6 +10,9 @@ from mazersim.grid import ModeProfile, ModeShape
 from mazersim.mazer import (
     ConvergenceStudy,
     MazerParams,
+    SweepRow,
+    _combine,
+    _solve_chunk,
     branch_amplitudes,
     convergence_study,
     elementary_amplitudes,
@@ -215,9 +218,9 @@ class TestSweep:
             kappaL_range(-0.2, 0.2, 0.1)
 
         def no_solve(*args):
-            raise AssertionError("a row was solved")
+            raise AssertionError("a chunk of rows was solved")
 
-        monkeypatch.setattr("mazersim.mazer._sweep_row", no_solve)
+        monkeypatch.setattr("mazersim.mazer._sweep_chunk", no_solve)
         with pytest.raises(ValueError, match="negative"):
             sweep_kappaL(make_params(), -0.2, 0.2, 0.1)
 
@@ -268,6 +271,103 @@ class TestSweep:
         serial = sweep_kappaL(p, 0.0, 3.0, 0.5)
         parallel = sweep_kappaL(p, 0.0, 3.0, 0.5, workers=2)
         assert serial.rows == parallel.rows
+        # a sloped shape over 17 rows: two full chunks of 8 and one of 1
+        p = make_params(ModeShape.SECH2, 0.1, 8.0, 50)
+        serial = sweep_kappaL(p, 0.0, 8.0, 0.5)
+        parallel = sweep_kappaL(p, 0.0, 8.0, 0.5, workers=2)
+        assert len(serial.rows) == 17
+        assert serial.rows == parallel.rows
+
+
+def lone_row(params, kappaL):
+    """The sweep row at kappaL from two branch solves made one by one,
+    each forming its own propagators."""
+    q = params.with_kappaL(kappaL)
+    plus, minus = elementary_amplitudes(q, +1), elementary_amplitudes(q, -1)
+    ev = _combine(plus, minus)
+    return SweepRow(
+        kappaL=kappaL, P_em=ev.P_em, T_a_sq=ev.T_a_sq, T_b_sq=ev.T_b_sq,
+        R_a_sq=ev.R_a_sq, R_b_sq=ev.R_b_sq,
+        unit_defect_plus=plus.unitarity_defect,
+        unit_defect_minus=minus.unitarity_defect)
+
+
+def lone_error(params, branch):
+    with pytest.raises(Exception) as info:
+        elementary_amplitudes(params, branch)
+    return f"{info.type.__name__}: {info.value}"
+
+
+class TestChunks:
+    """The rows of a chunk share one propagator pass, bit for bit."""
+
+    # (shape, k, J, lo, step): 11 rows, one full chunk of 8 and one of 3;
+    # the sin rows are deep_sin lattice points
+    CASES = {
+        "sin": (ModeShape.SIN_FUNDAMENTAL, 0.01, 100, 1.0e5, 0.02),
+        "sech2": (ModeShape.SECH2, 0.1, 200, 0.0, 2.0),
+        "gauss": (ModeShape.GAUSSIAN, 0.1, 300, 1.0, 1.9),
+        "sin2": (ModeShape.SIN_FIRST_EXCITED, 0.2, 100, 2.0, 2.7),
+        "mesa": (ModeShape.MESA, 0.4, 2, 0.0, 0.3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rows_equal_lone_branch_solves(self, name):
+        shape, k, J, lo, step = self.CASES[name]
+        params = make_params(shape, k, lo + 10 * step, J)
+        table = sweep_kappaL(params, lo, lo + 10 * step, step)
+        assert len(table.rows) == 11 and not table.has_errors
+        for row in table.rows:
+            assert repr(row) == repr(lone_row(params, row.kappaL))
+
+    def test_failed_grid_build_keeps_the_rest_of_the_chunk(self):
+        # three nodes cannot carry the sech2 area through renormalization
+        good = [make_params(ModeShape.SECH2, 0.1, L, 100) for L in (4.0, 6.0)]
+        bad = make_params(ModeShape.SECH2, 0.01, 10.0, 3)
+        first, failed, last = _solve_chunk([good[0], bad, good[1]])
+        assert f"{type(failed).__name__}: {failed}" == lone_error(bad, +1)
+        assert failed.__class__.__name__ == "GridResolutionError"
+        for params, outcome in ((good[0], first), (good[1], last)):
+            assert repr(outcome) == repr((elementary_amplitudes(params, +1),
+                                          elementary_amplitudes(params, -1)))
+
+    def test_basis_failure_reports_its_lone_message(self, monkeypatch):
+        # a basis error names the segment's index in its batch; once the
+        # shared pass fails, each grid forms its own, so the failing row
+        # reads as it does alone and the other rows are untouched
+        import mazersim.transfer as transfer
+        from mazersim.grid import build_grid
+        from mazersim.segment_basis import Regime
+
+        params = make_params(ModeShape.SECH2, 0.1, 5.0, 100)
+        values = kappaL_range(4.0, 6.0, 0.5)
+        clean = sweep_kappaL(params, 4.0, 6.0, 0.5).rows
+        target = params.with_kappaL(values[2])
+        # a sloped segment of the well branch's grid, told from the barrier
+        # branch's segment on the same nodes by its coefficient
+        arrays = build_grid(target.profile, -1, 0.1, 100).arrays
+        sloped = np.flatnonzero(
+            arrays.code == list(Regime).index(Regime.SLOPE_ALLOWED))
+        index = len(sloped) // 2
+        x_bad, z_bad = arrays.x_lo[sloped[index]], arrays.z_ref[sloped[index]]
+        real = transfer.basis_eval
+
+        def failing(seg, x):
+            hit = np.flatnonzero((np.atleast_1d(seg.x_lo) == x_bad)
+                                 & (np.atleast_1d(seg.z_ref) == z_bad))
+            if hit.size:
+                raise ValueError(
+                    f"injected at {seg.regime.value} segment {hit[0]}")
+            return real(seg, x)
+
+        monkeypatch.setattr(transfer, "basis_eval", failing)
+        rows = sweep_kappaL(params, 4.0, 6.0, 0.5).rows
+        want = lone_error(target, -1)
+        assert want == f"ValueError: injected at slope_allowed segment {index}"
+        assert rows[2].error == want
+        assert sweep_kappaL(params, values[2], values[2], 0.5).rows[0].error == want
+        assert [repr(r) for i, r in enumerate(rows) if i != 2] == [
+            repr(r) for i, r in enumerate(clean) if i != 2]
 
 
 class TestConvergence:

@@ -52,6 +52,30 @@ def test_basis_batches_carry_one_regime(monkeypatch):
     event_probabilities(MazerParams.for_shape(
         ModeShape.SIN_FUNDAMENTAL, 0.01, 1.0e5, 100))
     assert all(isinstance(r, Regime) for r in regimes)
-    # one batch per sloped regime per branch solve
-    assert 1 <= regimes.count(Regime.SLOPE_FORBIDDEN) <= 2
-    assert regimes.count(Regime.SLOPE_ALLOWED) <= 2
+    # one batch per sloped regime per row: its two branches share a pass
+    assert regimes.count(Regime.SLOPE_FORBIDDEN) == 1
+    assert regimes.count(Regime.SLOPE_ALLOWED) <= 1
+
+
+def test_wrapped_names_fire_per_grid_solve_and_batch(monkeypatch):
+    # the tracer counts grids at mazer.build_grid, branch solves at
+    # mazer.solve_scattering and basis batches at transfer.basis_eval; a
+    # deep_sin request of 3 rows is one chunk: 6 grids, 6 solves and one
+    # batch per sloped regime present
+    from mazersim import mazer, transfer
+    from mazersim.grid import ModeShape
+    from mazersim.mazer import MazerParams, sweep_kappaL
+
+    calls = []
+    for module, name in ((mazer, "build_grid"), (mazer, "solve_scattering"),
+                         (transfer, "basis_eval")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    params = MazerParams.for_shape(ModeShape.SIN_FUNDAMENTAL, 0.01, 1.0e5, 100)
+    table = sweep_kappaL(params, 1.0e5, 1.0e5 + 0.04, 0.02)
+    assert len(table.rows) == 3 and not table.has_errors
+    assert calls.count("build_grid") == 6
+    assert calls.count("solve_scattering") == 6
+    assert 1 <= calls.count("basis_eval") <= 2

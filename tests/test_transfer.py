@@ -20,6 +20,7 @@ from mazersim.transfer import (
     propagator,
     solve_scattering,
     sweep,
+    sweep_propagators,
     wavefunction,
 )
 
@@ -143,6 +144,26 @@ def test_batched_propagators_match_scalar_calls(name):
             assert np.abs(entries - want).max() <= 1e-14 * np.abs(want).max()
             checked += 1
     assert checked or shape is ModeShape.MESA
+
+
+def test_shared_propagators_equal_each_grid_alone():
+    # one pass over the concatenated arrays of several grids, sloped and
+    # flat, gives each grid the floats of its own pass, and its solve
+    grids = [build_grid(ModeProfile(shape, L), sign, k, J)
+             for shape, L, k, J in ((ModeShape.SECH2, 3.0, 0.1, 100),
+                                    (ModeShape.GAUSSIAN, 5.0, 0.3, 150),
+                                    (ModeShape.MESA, 2.0, 0.5, 2))
+             for sign in (+1, -1)]
+    shared = sweep_propagators(grids)
+    assert len(shared) == len(grids)
+    for grid, props in zip(grids, shared):
+        assert len(props) == 5 * len(grid.arrays.code)
+        assert repr(props) == repr(sweep_propagators([grid])[0])
+        assert repr(solve_scattering(grid, propagators=props)) == repr(
+            solve_scattering(grid))
+    assert sweep_propagators([]) == []
+    with pytest.raises(ValueError, match="propagator entries for"):
+        solve_scattering(grids[0], propagators=shared[0][:-5])
 
 
 def basis_built(seg, x_from, x_to):
