@@ -21,7 +21,10 @@ turning-point scan and keeps every bisection midpoint it evaluates, so a
 pass forms alpha*V - E from that scan and reuses the midpoints of the
 passes before it, with the roots a fresh pass would find.  A pass that finds the
 previous pass's roots, or leaves alpha unchanged, ends the iteration,
-since the next pass would repeat it.
+since the next pass would repeat it.  On a coarse grid the passes can run
+out with alpha still moving in its 7th or 8th digit; if that grid then
+fails its area check, the builder takes instead the alpha whose own roots
+give the exact area, by Brent's method on a bracket of the area defect.
 
 The nodes and their coefficients z = k^2 - 2*alpha*V go to
 :func:`segment_basis.build_segments`, which slopes, classifies, demotes and
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .segment_basis import Segment, SegmentArrays, build_segments
 
@@ -72,6 +76,8 @@ TURNING_MERGE_TOL = 1.0e-10
 
 _ALPHA_FIXED_POINT_TOL = 1.0e-14
 _MAX_ALPHA_ITER = 8
+# steps of the search for a bracket of the area defect, each twice the last
+_MAX_BRACKET_STEPS = 16
 
 
 class GridResolutionError(ValueError):
@@ -479,7 +485,6 @@ def build_grid(
     check_k_over_kappa(k_over_kappa)
     k = float(k_over_kappa)
     E = 0.5 * k * k
-    z_free = k * k     # 2E
 
     if window is None:
         window = profile.default_window(window_factor)
@@ -515,26 +520,96 @@ def build_grid(
     roots: list[float] = []
     scan_points = 8 * max(J, 64)
     samples = _ModeSamples(profile, (x_a, x_b), scan_points)
+    # (alpha, alpha * area of the nodes its roots give - exact area) of
+    # every pass, for the fallback below
+    defects: list[tuple[float, float]] = []
+    settled = False
     for _ in range(_MAX_ALPHA_ITER):
         new_roots = find_turning_points(
             profile, sign, E, (x_a, x_b), alpha=alpha,
             scan_points=scan_points, samples=samples)
         if new_roots == roots:
             # the same nodes again, so the same alpha: a fixed point
+            settled = True
             break
         nodes = _merge_turning_nodes(uniform, new_roots)
         u_nodes = eval_mode_array(profile, nodes)
         new_alpha = alpha_for(nodes, u_nodes)
+        defects.append((alpha, area_exact * (alpha / new_alpha - 1.0)))
         stable_alpha = abs(new_alpha - alpha) <= _ALPHA_FIXED_POINT_TOL * max(
             abs(new_alpha), 1.0)
         stable_roots = len(new_roots) == len(roots) and all(
             abs(r - p) <= 1.0e-11 * scale for r, p in zip(new_roots, roots))
         # with alpha unchanged the next pass would find these roots again
-        done = new_alpha == alpha or (stable_alpha and stable_roots)
+        settled = new_alpha == alpha or (stable_alpha and stable_roots)
         alpha, roots = new_alpha, new_roots
-        if done:
+        if settled:
             break
 
+    window = (x_a, x_b)
+    try:
+        return _finish_grid(profile, sign, k, E, window, alpha, roots, nodes,
+                            u_nodes, area_exact)
+    except GridResolutionError:
+        if settled:
+            raise
+        # the passes ran out with alpha still moving: take instead the
+        # alpha whose own roots give the exact area, a root of the defect
+
+        def nodes_at(a: float):
+            at_roots = find_turning_points(
+                profile, sign, E, window, alpha=a,
+                scan_points=scan_points, samples=samples)
+            at_nodes = _merge_turning_nodes(uniform, at_roots)
+            return at_roots, at_nodes, eval_mode_array(profile, at_nodes)
+
+        def defect(a: float) -> float:
+            _, at_nodes, at_u = nodes_at(a)
+            return a * interp_abs_area(at_nodes, at_u) - area_exact
+
+        alpha = _bracketed_root(defect, defects, alpha)
+        if alpha is None:
+            raise
+    roots, nodes, u_nodes = nodes_at(alpha)
+    return _finish_grid(profile, sign, k, E, window, alpha, roots, nodes,
+                        u_nodes, area_exact)
+
+
+def _bracketed_root(defect, history: list[tuple[float, float]],
+                    alpha: float) -> float | None:
+    """Brent's root of ``defect`` between the latest alphas of ``history``
+    (pairs of alpha and its defect) with a defect of each sign.  When all
+    share a sign, the bracket comes from steps onward from ``alpha``, the
+    passes' last value, in the direction they moved, each step twice the
+    one before.  None when no sign change turns up or Brent's method does
+    not converge, as on a defect that jumps across zero."""
+    below = [a for a, d in history if d < 0.0]
+    above = [a for a, d in history if d > 0.0]
+    if below and above:
+        bracket = below[-1], above[-1]
+    else:
+        last, side = history[-1]
+        step = alpha - last
+        for _ in range(_MAX_BRACKET_STEPS):
+            value = defect(alpha)
+            if value * side <= 0.0:
+                bracket = last, alpha
+                break
+            last, side = alpha, value
+            step *= 2.0
+            alpha += step
+        else:
+            return None
+    root, result = brentq(defect, *bracket, xtol=1.0e-300, full_output=True,
+                          disp=False)
+    return root if result.converged else None
+
+
+def _finish_grid(profile, sign, k, E, window, alpha, roots, nodes, u_nodes,
+                 area_exact) -> Grid:
+    """Snap the turning nodes, split residual sign changes, check the area
+    and segment the nodes of a build at its final alpha."""
+    z_free = k * k
     z = z_free - sign * alpha * u_nodes
     # the mode value that z = 0 stands for
     u_turn = sign * z_free / alpha
@@ -563,7 +638,7 @@ def build_grid(
         k=k,
         branch_sign=sign,
         profile=profile,
-        window=(x_a, x_b),
+        window=window,
         turning_points=tuple(root_positions),
         arrays=arrays,
     )

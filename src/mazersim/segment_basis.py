@@ -27,15 +27,17 @@ argument w, and each band is one array computation:
 * w < W_SERIES_SWITCH (= 1): power series in z that remain exact at the
   turning point z = 0, summed for the whole band at once;
 * W_SERIES_SWITCH <= w <= HANKEL_MIN (= 20): one
-  :func:`~mazersim.specfun.cyl_bessel` call (scipy's Amos kernels);
+  :func:`~mazersim.specfun.cyl_bessel` call (fitted polynomial pieces,
+  in modulus-phase form for J, Y);
 * w > HANKEL_MIN: one :func:`~mazersim.specfun.hankel_bessel` call (the
   Hankel expansions).
 
 The two kernels return the family (J, Y or scaled I, K) at both orders
 1/3 and 2/3; the derivatives need order -2/3, which the reflection
-identities give from order 2/3.  Each pair of neighbouring bands agrees
-to about 1e-14 at its switch, so propagators never see a jump.  The flat
-regimes make no special-function calls and stay scalar closed forms.
+identities give from order 2/3.  No band calls scipy.  Each pair of
+neighbouring bands agrees to about 1e-14 at its switch, so propagators
+never see a jump.  The flat regimes make no special-function calls and
+stay scalar closed forms.
 
 Every segment comes from :func:`build_segments`, one array pass over the
 node values that computes the slope, the regime (including the demotion of
@@ -358,7 +360,8 @@ def _basis_sloped(seg: Segment, x) -> BasisEval:
     against ``x`` with the segment axis last.  Each entry takes one of
     three representations by its argument w: the turning-point series
     below W_SERIES_SWITCH, the Hankel expansions above HANKEL_MIN and
-    scipy's Amos kernels between them, each band one array call.
+    the fitted pieces of cyl_bessel between them, each band one array
+    call.
     """
     allowed = seg.regime is _SLOPE_ALLOWED
     scalar = np.ndim(x) == 0 and np.ndim(seg.b) == 0

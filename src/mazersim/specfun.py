@@ -3,19 +3,22 @@
 A sloped segment needs one family of cylinder functions at the two orders
 1/3 and 2/3: J and Y on the classically allowed side, I and K on the
 forbidden side.  Two kernels return all four values of a family at every
-argument of an array, in the same (4, ...) layout:
+argument of an array, in the same (4, ...) layout, each in one numpy pass
+with no scipy call:
 
-* :func:`cyl_bessel` makes one scipy ufunc call per function on the
-  order pair, which runs the same Amos kernel on each (order, argument) as
-  a scalar call would, so the values are bit-identical to scalar calls;
+* :func:`cyl_bessel` serves 1 <= y <= HANKEL_MIN from fitted polynomial
+  pieces of four smooth functions per family, in the modulus-phase form
+  of DLMF 10.18 for J, Y; the coefficients come from
+  ``tools/fit_bessel_band.py`` (mpmath at 40 digits) and are kept in
+  ``_bessel_band`` as a literal;
 * :func:`hankel_bessel` sums the Hankel expansions (DLMF 10.17.3-4 and
-  10.40.1-2) in numpy, for arguments of at least HANKEL_MIN, where 25
-  terms reach double precision.
+  10.40.1-2) for arguments of at least HANKEL_MIN, where 25 terms reach
+  double precision.
 
 The modified functions come back exponentially scaled (e**-y I and
-e**+y K, scipy's ``ive``/``kve``), so they stay finite deep inside
-classically forbidden regions, where I and K carry factors like e**40000;
-the caller keeps the exponent y as a log scale of its own.
+e**+y K), so they stay finite deep inside classically forbidden regions,
+where I and K carry factors like e**40000; the caller keeps the exponent
+y as a log scale of its own.
 """
 
 from __future__ import annotations
@@ -26,14 +29,13 @@ import math
 import numpy as np
 from scipy import special as _sp
 
+from . import _bessel_band
+
 __all__ = ["BesselArgumentError", "BesselFamily", "cyl_bessel", "hankel_bessel",
            "log_gamma_complex", "poly_rows"]
 
-_ORDERS = np.array([1.0 / 3.0, 2.0 / 3.0])
-
-# scipy's scaled I/K go NaN from about 1.0737e9 (just below 2**30);
-# refuse before that, in both kernels, so the domain of a forbidden
-# segment does not depend on which kernel serves it
+# Largest argument of the scaled I, K of hankel_bessel.  Sloped segments
+# are demoted to flat ones before their argument reaches it.
 ARG_LIMIT = 1.0e9
 
 # Smallest argument of hankel_bessel.  Term k of the Hankel expansions at
@@ -70,8 +72,31 @@ class BesselFamily(enum.Enum):
     IK = "IK"   # modified I, K, exponentially scaled
 
 
+# The pieces of cyl_bessel: piece i covers [EDGES[i], EDGES[i + 1]] in the
+# local variable v = (y - mid) * inv_half on [-1, 1]; each family has a
+# (pieces, 4, terms) table of coefficients in powers of v, rows
+# [A_1/3, A_2/3, phi_1/3, phi_2/3] for JY and [e**-y I sqrt(2 pi y) at
+# 1/3, 2/3, e**y K sqrt(2y / pi) at 1/3, 2/3] for IK.
+_BAND_EDGES = np.array(_bessel_band.EDGES)
+_BAND_INNER = _BAND_EDGES[1:-1]
+_BAND_MID = 0.5 * (_BAND_EDGES[:-1] + _BAND_EDGES[1:])
+_BAND_INV_HALF = 2.0 / (_BAND_EDGES[1:] - _BAND_EDGES[:-1])
+_BAND = dict(zip(BesselFamily, np.array(
+    _bessel_band.COEFFICIENTS.split(), dtype=float).reshape(
+        2, _BAND_EDGES.size - 1, 4, _bessel_band.DEGREE + 1)))
+BAND_MIN = float(_BAND_EDGES[0])
+# (2, quadrants) high and low parts of (nu/2 + 1/4 + n/2) pi, and the signs
+# of cos(r + n pi/2) = +-cos r or +-sin r, sin likewise, by n mod 4
+_PHASE_HI, _PHASE_LO = np.moveaxis(np.array(_bessel_band.PHASES), -1, 0)
+_ORDER_ROWS = np.arange(2)[:, None]
+_N0 = -_bessel_band.QUADRANTS[0]     # the column of n = 0
+_COS_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
 class BesselArgumentError(ValueError):
-    """An argument of :func:`cyl_bessel` the kernels cannot serve.
+    """An argument of :func:`cyl_bessel` or :func:`hankel_bessel` outside
+    its kernel's domain.
 
     ``entry`` is its flat index in the argument array, so a caller that
     evaluates a batch can name the item it came from.
@@ -90,30 +115,62 @@ def cyl_bessel(family: BesselFamily, y) -> np.ndarray:
     family : BesselFamily
         JY (oscillatory) or IK (modified).
     y : float or array of float
-        Arguments, strictly positive and finite; at most ARG_LIMIT for IK.
+        Arguments in [BAND_MIN, HANKEL_MIN] = [1, 20].
 
     Returns
     -------
     ndarray of shape (4, *y.shape)
         [J_1/3, J_2/3, Y_1/3, Y_2/3] for JY.  [I_1/3, I_2/3, K_1/3, K_2/3]
-        for IK, exponentially scaled, e**-y I(y) and e**+y K(y), the only
-        forms that survive y beyond ~700.
+        for IK, exponentially scaled, e**-y I(y) and e**+y K(y).
+
+    Each argument takes the polynomial of its piece, all of them in one
+    power table and one einsum over each argument's own coefficients.
+    For JY the four fitted functions are A = (J**2 + Y**2) pi y / 2 and
+    phi = theta - (y - (nu/2 + 1/4) pi) at each order, so with
+    M = sqrt(2 A / (pi y)) the values are J = M cos theta and
+    Y = M sin theta, to about 1e-15 of M.  For IK they are the scaled I,
+    K times sqrt(2 pi y) and sqrt(2y / pi), to about 1e-15 relative.
 
     Raises
     ------
     BesselArgumentError
         A ValueError whose ``entry`` is the flat index of the first
-        argument refused, or of the first whose I, K came back NaN.
+        argument outside [BAND_MIN, HANKEL_MIN].
     """
     y = np.asarray(y, dtype=float)
-    _refuse(y, ~((y > 0.0) & (y < math.inf)), "argument must be positive and finite")
-    orders = _ORDERS.reshape((2,) + (1,) * y.ndim)
+    _refuse(y, ~((y >= BAND_MIN) & (y <= HANKEL_MIN)),
+            f"argument must lie in [{BAND_MIN}, {HANKEL_MIN}]")
+    flat = y.ravel()
+    piece = np.searchsorted(_BAND_INNER, flat, side="right")
+    v = (flat - _BAND_MID[piece]) * _BAND_INV_HALF[piece]
+    table = _BAND[family]
+    f = np.einsum("nk,nrk->rn", _powers(v, table.shape[-1]), table[piece])
     if family is BesselFamily.JY:
-        return np.concatenate((_sp.jv(orders, y), _sp.yv(orders, y)))
-    _refuse(y, y > ARG_LIMIT, "argument beyond scaled-Bessel reliability limit")
-    out = np.concatenate((_sp.ive(orders, y), _sp.kve(orders, y)))
-    _refuse(y, np.isnan(out).any(axis=0), "scaled I, K not representable")
-    return out
+        out = _from_modulus_phase(flat, f[:2], f[2:])
+    else:
+        out = _modified(flat, f[:2], f[2:])
+    return out.reshape((4,) + y.shape)
+
+
+def _from_modulus_phase(y: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """[J_1/3, J_2/3, Y_1/3, Y_2/3] = M cos theta, M sin theta from the
+    (2, y.size) rows A and phi of the two orders.
+
+    theta = y - (nu/2 + 1/4) pi + phi is reduced by the nearest multiple
+    n pi/2 with the shift held as two doubles: y less the high part is
+    exact near every zero of J or Y, so the reduced angle r, and with it
+    cos r or sin r, keeps its relative accuracy there.
+    """
+    n = np.rint((y - _PHASE_HI[:, _N0, None] + phi) * (2.0 / math.pi)).astype(np.intp)
+    at = (_ORDER_ROWS, n + _N0)
+    r = (y - _PHASE_HI[at]) - _PHASE_LO[at] + phi
+    cos_r, sin_r = np.cos(r), np.sin(r)
+    odd = (n & 1).astype(bool)
+    quadrant = n & 3
+    modulus = np.sqrt(a * (2.0 / math.pi) / y)
+    return np.concatenate((
+        np.where(odd, sin_r, cos_r) * (modulus * _COS_SIGN[quadrant]),
+        np.where(odd, cos_r, sin_r) * (modulus * _SIN_SIGN[quadrant])))
 
 
 def hankel_bessel(family: BesselFamily, y) -> np.ndarray:
@@ -155,10 +212,25 @@ def hankel_bessel(family: BesselFamily, y) -> np.ndarray:
         out = np.concatenate((even * cos_chi - odd * sin_chi,
                               even * sin_chi + odd * cos_chi)) * scale
     else:
-        root = np.sqrt(flat)
-        out = np.concatenate(((even - odd) / (math.sqrt(2.0 * math.pi) * root),
-                              (even + odd) * (math.sqrt(0.5 * math.pi) / root)))
+        out = _modified(flat, even - odd, even + odd)
     return out.reshape((4,) + y.shape)
+
+
+def _modified(y: np.ndarray, i_rows: np.ndarray, k_rows: np.ndarray) -> np.ndarray:
+    """The scaled [I_1/3, I_2/3, K_1/3, K_2/3] from I sqrt(2 pi y) e**-y
+    and K sqrt(2y / pi) e**y at the two orders."""
+    root = np.sqrt(y)
+    return np.concatenate((i_rows / (math.sqrt(2.0 * math.pi) * root),
+                           k_rows * (math.sqrt(0.5 * math.pi) / root)))
+
+
+def _powers(v: np.ndarray, terms: int) -> np.ndarray:
+    """The (v.size, terms) table of v**k, from one cumulative product."""
+    powers = np.empty((v.size, terms))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = v[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return powers
 
 
 def poly_rows(coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,11 +244,7 @@ def poly_rows(coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
     the number of rows (a BLAS matrix product does not), so a value does
     not depend on the batch it is evaluated in.
     """
-    powers = np.empty((v.size, coefficients.shape[1]))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = v[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    return np.einsum("nk,rk->rn", powers, coefficients)
+    return np.einsum("nk,rk->rn", _powers(v, coefficients.shape[1]), coefficients)
 
 
 def _refuse(y: np.ndarray, bad, message: str) -> None:

@@ -1,18 +1,24 @@
 """The three argument bands of the sloped basis against mpmath.
 
 A sloped segment evaluates its cylinder functions by the argument w: the
-turning-point series below W_SERIES_SWITCH, scipy's Amos kernels up to
-HANKEL_MIN and the Hankel expansions of :func:`specfun.hankel_bessel`
-beyond.  The oracles here are mpmath's arbitrary-precision Bessel
-functions at the exact binary arguments.
+turning-point series below W_SERIES_SWITCH, the fitted pieces of
+:func:`specfun.cyl_bessel` up to HANKEL_MIN and the Hankel expansions of
+:func:`specfun.hankel_bessel` beyond.  The oracles here are mpmath's
+arbitrary-precision Bessel functions at the exact binary arguments.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
+from mazersim import _bessel_band, segment_basis
+from mazersim.grid import ModeShape
+from mazersim.mazer import MazerParams, event_probabilities
 from mazersim.segment_basis import (
     Regime,
     Segment,
@@ -22,12 +28,15 @@ from mazersim.segment_basis import (
 )
 from mazersim.specfun import (
     ARG_LIMIT,
+    BAND_MIN,
     HANKEL_MIN,
     BesselArgumentError,
     BesselFamily,
     cyl_bessel,
     hankel_bessel,
 )
+
+GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "fit_bessel_band.py"
 
 mpmath.mp.dps = 40
 
@@ -55,6 +64,73 @@ def family_errors(family, got, want):
     return [abs(g - float(w)) / float(m) for g, w, m in zip(got, want, mods)]
 
 
+# --- fitted pieces on [1, 20] ----------------------------------------------
+
+EDGES = _bessel_band.EDGES
+# 150 points across the band, every piece edge and its neighbours on both
+# sides inside the band
+FIT_ARGS = np.unique(np.concatenate((
+    np.linspace(BAND_MIN, HANKEL_MIN, 150), EDGES,
+    np.nextafter(EDGES, -math.inf)[1:], np.nextafter(EDGES, math.inf)[:-1])))
+
+
+def test_band_edges_meet_the_other_kernels():
+    assert (EDGES[0], EDGES[-1]) == (BAND_MIN, HANKEL_MIN) == (W_SERIES_SWITCH, 20.0)
+
+
+@pytest.mark.parametrize("family", list(BesselFamily))
+def test_fit_matches_mpmath(family):
+    assert FIT_ARGS.size >= 150 + 3 * (len(EDGES) - 2) + 2
+    got = cyl_bessel(family, FIT_ARGS)
+    worst = max(max(family_errors(family, got[:, col].tolist(), mp_family(family, y)))
+                for col, y in enumerate(FIT_ARGS.tolist()))
+    assert worst <= 4e-15, (family, worst)
+
+
+@pytest.mark.parametrize("family", list(BesselFamily))
+def test_fit_layout_and_batch_independence(family):
+    ys = FIT_ARGS[:24].reshape(2, 12)
+    got = cyl_bessel(family, ys)
+    assert got.shape == (4, 2, 12)
+    assert cyl_bessel(family, 3.0).shape == (4,)
+    # an argument's values do not depend on the batch it comes in
+    for i, y in enumerate(ys.ravel().tolist()):
+        assert cyl_bessel(family, y).tolist() == got.reshape(4, -1)[:, i].tolist()
+    assert cyl_bessel(family, FIT_ARGS)[:, :24].tolist() == got.reshape(4, -1).tolist()
+
+
+def test_fit_refusals_name_their_entry():
+    with pytest.raises(BesselArgumentError, match="must lie in") as exc:
+        cyl_bessel(BesselFamily.IK, [3.0, 20.5, 0.5])
+    assert exc.value.entry == 1
+    with pytest.raises(BesselArgumentError) as exc:
+        cyl_bessel(BesselFamily.JY, [[3.0, 4.0], [math.nan, 5.0]])
+    assert exc.value.entry == 2
+
+
+def _load_generator():
+    spec = importlib.util.spec_from_file_location("fit_bessel_band", GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_band_table_matches_generator():
+    # a fresh fit from mpmath reproduces the checked-in literal, to 1e-15
+    # of each piece's largest coefficient
+    generator = _load_generator()
+    assert generator.EDGES == EDGES
+    assert generator.QUADRANTS == _bessel_band.QUADRANTS
+    assert generator.DEGREE == _bessel_band.DEGREE
+    fresh = np.array(generator.fit_table())
+    assert fresh.shape == (2, len(EDGES) - 1, 4, generator.DEGREE + 1)
+    stored = np.array(_bessel_band.COEFFICIENTS.split(), dtype=float).reshape(fresh.shape)
+    largest = np.abs(stored).max(axis=(2, 3), keepdims=True)
+    assert (np.abs(fresh - stored) <= 1e-15 * largest).all()
+    phases = np.array(generator.phase_table())
+    assert np.abs(phases - np.array(_bessel_band.PHASES)).max() == 0.0
+
+
 # --- Hankel expansions ----------------------------------------------------
 
 HANKEL_ARGS = np.concatenate((
@@ -74,13 +150,15 @@ def test_hankel_matches_mpmath(family):
 
 @pytest.mark.parametrize("family", list(BesselFamily))
 def test_hankel_layout_follows_cyl_bessel(family):
-    # same (4, *shape) layout as the Amos kernel, and the two agree where
-    # both are valid, to Amos's own accuracy near y = 20 (about 4e-15)
+    # same (4, *shape) layout as the fitted kernel, and the two agree at
+    # y = 20, the one argument both serve
     ys = np.geomspace(HANKEL_MIN, 200.0, 12).reshape(2, 6)
     got = hankel_bessel(family, ys)
-    amos = cyl_bessel(family, ys)
-    assert got.shape == amos.shape == (4, 2, 6)
-    assert np.abs(got - amos).max() <= 5e-14 * np.abs(amos).max()
+    assert got.shape == (4, 2, 6)
+    at_switch = np.full((2, 3), HANKEL_MIN)
+    fit, hankel = cyl_bessel(family, at_switch), hankel_bessel(family, at_switch)
+    assert fit.shape == hankel.shape == (4, 2, 3)
+    assert np.abs(hankel - fit).max() <= 5e-14 * np.abs(fit).max()
     assert hankel_bessel(family, 50.0).shape == (4,)
     # an argument's values do not depend on the batch it comes in
     for i, y in enumerate(ys.ravel().tolist()):
@@ -187,3 +265,79 @@ def test_hankel_switch_handoff_matches_mpmath(z_sign, slope_sign):
             for i, scale in enumerate((up, dn, up, dn)):
                 assert be[i] == pytest.approx(float(want[i] * scale), rel=2e-14), (
                     w_target, i)
+
+
+# --- handoffs at w = 1 and w = 20, on adjacent floats ----------------------
+
+def band_of(w: float) -> int:
+    """0, 1 or 2 for the series, fitted and Hankel bands of argument w."""
+    return 0 if w < W_SERIES_SWITCH else (1 if w <= HANKEL_MIN else 2)
+
+
+def straddle(seg):
+    """The adjacent floats x_a < x_b of a segment that spans two bands,
+    on either side of their switch."""
+    lo, hi = seg.x_lo, seg.x_hi
+    band_lo = band_of(seg.w(lo))
+    assert band_of(seg.w(hi)) != band_lo
+    while math.nextafter(lo, hi) < hi:
+        mid = max(0.5 * (lo + hi), math.nextafter(lo, hi))
+        if band_of(seg.w(mid)) == band_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("z_near,z_far", [(0.0, 3.6), (50.0, 100.0)])
+@pytest.mark.parametrize("z_sign,slope_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_band_handoffs_match_mpmath(z_near, z_far, z_sign, slope_sign):
+    # the last float x on one band and the first on the next (series to
+    # fit at w = 1 on |z| in [0, 3.6], fit to Hankel at w = 20 on
+    # |z| in [50, 100]) both match mpmath
+    if (z_sign > 0) == (slope_sign > 0):
+        z_lo, z_hi = z_sign * z_near, z_sign * z_far
+    else:
+        z_lo, z_hi = z_sign * z_far, z_sign * z_near
+    seg = make_segment(0.0, 4.0, z_lo, z_hi)
+    pair = straddle(seg)
+    assert len({band_of(seg.w(x)) for x in pair}) == 2
+    for x in pair:
+        be = basis_eval(seg, x)
+        want = mp_basis(seg, x, z_sign)
+        if z_sign > 0:
+            for a, b in ((0, 1), (2, 3)):
+                mod = float(mpmath.sqrt(want[a] ** 2 + want[b] ** 2))
+                for i in (a, b):
+                    assert abs(be[i] - float(want[i])) <= 2e-14 * mod, (x, i)
+        else:
+            up, dn = mpmath.exp(-be.s), mpmath.exp(be.s)
+            for i, scale in enumerate((up, dn, up, dn)):
+                assert be[i] == pytest.approx(float(want[i] * scale), rel=2e-14), (x, i)
+
+
+# --- no scipy Bessel function on the solve path ---------------------------
+
+def test_rows_call_no_scipy_bessel_function(monkeypatch):
+    # every band is the program's own numpy code: a row of each analytic
+    # shape, with sloped arguments on both sides of w = 1 and w = 20,
+    # solves with scipy's Bessel and Airy functions unavailable
+    def unavailable(*args, **kwargs):
+        raise AssertionError("scipy Bessel function called")
+
+    for name in ("jv", "yv", "iv", "kv", "ive", "kve", "airy", "airye"):
+        monkeypatch.setattr(scipy.special, name, unavailable)
+    widths = []
+    kernel = segment_basis.cyl_bessel
+
+    def recording(family, y):
+        widths.append(np.size(y))
+        return kernel(family, y)
+
+    monkeypatch.setattr(segment_basis, "cyl_bessel", recording)
+    for shape in ModeShape:
+        if shape is ModeShape.TABULATED:
+            continue
+        ev = event_probabilities(MazerParams.for_shape(shape, 0.3, 10.0, 200))
+        assert ev.closure_defect <= 1e-8
+    assert sum(widths) > 0

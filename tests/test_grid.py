@@ -439,6 +439,13 @@ def test_unresolvable_mode_raises_typed_error():
         build_grid(ModeProfile(ModeShape.SIN_FUNDAMENTAL, 10.0), +1, 0.1, 2)
 
 
+def test_unsettled_alpha_without_a_root_stays_typed():
+    # gauss J = 2: alpha runs off towards 1e16 and the area defect has no
+    # root that Brent's method settles on, so the build keeps its error
+    with pytest.raises(GridResolutionError, match="area renormalization off"):
+        build_grid(ModeProfile(ModeShape.GAUSSIAN, 1.0), +1, 1.0, 2)
+
+
 @pytest.mark.parametrize("name", sorted(golden.CASES))
 def test_segments_match_make_segment(name):
     # one classifier: every interior segment of a grid is exactly the

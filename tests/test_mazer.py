@@ -261,9 +261,9 @@ class TestSweep:
         assert table.rows[2].error is None
 
     def test_unresolved_grid_row_names_typed_error(self):
-        # three nodes cannot carry the sech2 area through renormalization
-        table = sweep_kappaL(make_params(ModeShape.SECH2, 0.01, 10.0, 3),
-                             10.0, 10.0, 1.0)
+        # two nodes cannot resolve the first excited sine
+        table = sweep_kappaL(make_params(ModeShape.SIN_FIRST_EXCITED, 0.1, 5.0, 2),
+                             5.0, 5.0, 1.0)
         assert table.rows[0].error.startswith("GridResolutionError: ")
 
     def test_parallel_matches_serial(self):
@@ -321,9 +321,9 @@ class TestChunks:
             assert repr(row) == repr(lone_row(params, row.kappaL))
 
     def test_failed_grid_build_keeps_the_rest_of_the_chunk(self):
-        # three nodes cannot carry the sech2 area through renormalization
+        # two nodes cannot resolve the first excited sine
         good = [make_params(ModeShape.SECH2, 0.1, L, 100) for L in (4.0, 6.0)]
-        bad = make_params(ModeShape.SECH2, 0.01, 10.0, 3)
+        bad = make_params(ModeShape.SIN_FIRST_EXCITED, 0.1, 5.0, 2)
         first, failed, last = _solve_chunk([good[0], bad, good[1]])
         assert f"{type(failed).__name__}: {failed}" == lone_error(bad, +1)
         assert failed.__class__.__name__ == "GridResolutionError"

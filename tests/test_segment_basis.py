@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from mazersim import specfun
+from mazersim import segment_basis, specfun
 from mazersim.segment_basis import (
     Regime,
     SegmentRegimeError,
@@ -135,12 +135,15 @@ def test_batch_errors_name_their_segment(monkeypatch):
     with pytest.raises(ValueError, match=r"^slope_forbidden segment 1 at "
                        r"x = 1\.0: argument beyond scaled-Bessel"):
         basis_eval(far, batch.x_lo)
-    # a NaN from the kernel at the largest argument, that of segment 2
-    kve = specfun._sp.kve
-    monkeypatch.setattr(specfun._sp, "kve", lambda order, y: np.where(
-        y == y.max(), np.nan, kve(order, y)))
+    # a refusal by the fitted kernel at the largest argument of its band
+    # (w = 1.9 and 3.5 on segments 1 and 2) names segment 2
+    def refuse_largest(family, y):
+        i = int(np.argmax(y))
+        raise specfun.BesselArgumentError(f"refused: y = {float(y[i])!r}", i)
+
+    monkeypatch.setattr(segment_basis, "cyl_bessel", refuse_largest)
     with pytest.raises(ValueError, match=r"^slope_forbidden segment 2 at "
-                       r"x = 2\.0: scaled I, K not representable"):
+                       r"x = 2\.0: refused: y = 3\.46"):
         basis_eval(batch, batch.x_lo)
 
 
