@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .segment_basis import Segment, SegmentArrays, build_segments
 
@@ -466,15 +465,16 @@ def build_grid(
     k_over_kappa: float,
     J: int,
     *,
-    window: tuple[float, float] | None = None,
     window_factor: float = DEFAULT_WINDOW_FACTOR,
 ) -> Grid:
     """Uniform J-point grid over the window, turning points inserted,
     potential samples renormalized, segments tagged.
 
     sign selects the dressed-potential branch: +1 for the repulsive
-    barrier, -1 for the attractive well.  Raises GridResolutionError when
-    the J uniform nodes cannot resolve the mode.
+    barrier, -1 for the attractive well.  The window is
+    ``profile.default_window(window_factor)``; an empty or non-finite one
+    raises ValueError.  Raises GridResolutionError when the J uniform
+    nodes cannot resolve the mode.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -486,14 +486,11 @@ def build_grid(
     k = float(k_over_kappa)
     E = 0.5 * k * k
 
-    if window is None:
-        window = profile.default_window(window_factor)
-    x_a, x_b = float(window[0]), float(window[1])
-    s_lo, s_hi = profile.support()
+    x_a, x_b = map(float, profile.default_window(window_factor))
+    if not math.isfinite(x_b - x_a):
+        raise ValueError(f"window [{x_a}, {x_b}] is not finite")
     if not x_a < x_b:
         raise ValueError(f"empty window [{x_a}, {x_b}]")
-    if x_b <= s_lo or x_a >= s_hi:
-        raise ValueError("window does not overlap the mode support")
 
     if profile.shape is _MESA:
         return _build_mesa_grid(profile, sign, k, E, (x_a, x_b))
@@ -600,6 +597,10 @@ def _bracketed_root(defect, history: list[tuple[float, float]],
             alpha += step
         else:
             return None
+    # imported here: scipy.optimize loads scipy.linalg too, about 0.2 s
+    # that a grid whose alpha passes settle never needs
+    from scipy.optimize import brentq
+
     root, result = brentq(defect, *bracket, xtol=1.0e-300, full_output=True,
                           disp=False)
     return root if result.converged else None
@@ -645,13 +646,11 @@ def _finish_grid(profile, sign, k, E, window, alpha, roots, nodes, u_nodes,
 
 
 def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
-    """Mesa: one flat segment across the clipped support, no interpolation."""
-    lo, hi = _clip(window[0], window[1], 0.0, profile.length)
-    if not lo < hi:
-        raise ValueError("window does not overlap the mesa support")
+    """Mesa: one flat segment across the window, its support, no
+    interpolation."""
     z_free = k * k
     z_top = z_free - sign * 1.0
-    nodes = np.array([lo, hi])
+    nodes = np.array(window)
     z = np.array([z_top, z_top])
     arrays = build_segments(nodes, z)
     return Grid(
@@ -662,7 +661,7 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
         k=k,
         branch_sign=sign,
         profile=profile,
-        window=(lo, hi),
+        window=window,
         turning_points=(),
         arrays=arrays,
     )

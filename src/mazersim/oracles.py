@@ -7,6 +7,10 @@ estimate for the first excited sinusoidal mode.
 
 Conventions match the solver: unit-amplitude incidence from the left,
 potential +-u(x)/2 in units where energy is (k_over_kappa)^2/2.
+
+The sech2 amplitudes take their complex log Gamma from scipy.special
+(:func:`log_gamma_complex`), and the WKB estimate its quadrature from
+scipy.integrate, which is imported on the first call only.
 """
 
 from __future__ import annotations
@@ -16,14 +20,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
-from .specfun import log_gamma_complex
+from scipy import special as _sp
 
 __all__ = [
     "OracleSource",
     "OracleResult",
     "WkbPrediction",
+    "log_gamma_complex",
     "sech2_analytic",
     "mesa_analytic",
     "wkb_first_excited",
@@ -64,6 +67,21 @@ def _check_inputs(k_over_kappa: float, kappaL: float, branch: int) -> None:
         raise ValueError("kappaL must be nonnegative")
     if not k_over_kappa > 0.0:
         raise ValueError("k_over_kappa must be positive")
+
+
+def log_gamma_complex(z: complex) -> complex:
+    """Principal-branch log Gamma for complex argument.
+
+    Raises on the poles (nonpositive integers on the real axis); large
+    imaginary parts up to ~1e6 stay accurate through scipy's implementation.
+    """
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
+        raise ValueError(f"log gamma pole at {z!r}")
+    out = complex(_sp.loggamma(z))
+    if math.isnan(out.real) or math.isnan(out.imag):
+        raise ValueError(f"log gamma failed at {z!r}")
+    return out
 
 
 def sech2_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleResult:
@@ -127,6 +145,10 @@ def wkb_first_excited(k_over_kappa: float, kappaL: float) -> WkbPrediction:
     """
     if not k_over_kappa >= 0.0 or not kappaL >= 0.0:
         raise ValueError("inputs must be nonnegative")
+    # imported here: scipy.integrate loads scipy.linalg too, about 0.1 s
+    # that no solve needs
+    from scipy.integrate import quad
+
     k2 = k_over_kappa * k_over_kappa
     integral, _ = quad(lambda x: math.sqrt(k2 + math.cos(x)), 0.0, 0.5 * math.pi,
                        epsabs=1e-12, epsrel=1e-12, limit=200)

@@ -21,23 +21,21 @@ across arbitrarily wide classically forbidden stretches.
 
 On the two sloped regimes :func:`basis_eval` takes a batch: a Segment
 whose numeric fields are arrays, all of one regime, and an array of
-positions.  Each entry takes one of three representations by its
-argument w, and each band is one array computation:
+positions.  Each entry takes one of two representations by its
+argument w, each one array computation:
 
 * w < W_SERIES_SWITCH (= 1): power series in z that remain exact at the
   turning point z = 0, summed for the whole band at once;
-* W_SERIES_SWITCH <= w <= HANKEL_MIN (= 20): one
-  :func:`~mazersim.specfun.cyl_bessel` call (fitted polynomial pieces,
-  in modulus-phase form for J, Y);
-* w > HANKEL_MIN: one :func:`~mazersim.specfun.hankel_bessel` call (the
-  Hankel expansions).
+* w >= W_SERIES_SWITCH: one :func:`~mazersim.specfun.cyl_bessel` call,
+  which returns the family (J, Y or scaled I, K) at both orders 1/3 and
+  2/3 from its fitted pieces up to w = 20 and its Hankel expansions
+  beyond.
 
-The two kernels return the family (J, Y or scaled I, K) at both orders
-1/3 and 2/3; the derivatives need order -2/3, which the reflection
-identities give from order 2/3.  No band calls scipy.  Each pair of
-neighbouring bands agrees to about 1e-14 at its switch, so propagators
-never see a jump.  The flat regimes make no special-function calls and
-stay scalar closed forms.
+The derivatives need order -2/3, which the reflection identities give
+from order 2/3.  Nothing here calls scipy.  The series and the kernel,
+and the kernel's two bands, agree to about 1e-14 at each switch, so
+propagators never see a jump.  The flat regimes make no special-function
+calls and stay scalar closed forms.
 
 Every segment comes from :func:`build_segments`, one array pass over the
 node values that computes the slope, the regime (including the demotion of
@@ -57,14 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import (
-    HANKEL_MIN,
-    BesselArgumentError,
-    BesselFamily,
-    cyl_bessel,
-    hankel_bessel,
-    poly_rows,
-)
+from .specfun import BAND_MIN, BesselArgumentError, BesselFamily, cyl_bessel, poly_rows
 
 __all__ = [
     "Regime",
@@ -80,10 +71,10 @@ __all__ = [
     "W_FLAT_COLLAPSE",
 ]
 
-# Below this Bessel argument the power-series representation is used; it
-# lies under the first zero of Y_1/3 (w = 1.36), where the series for f-
-# would cancel.
-W_SERIES_SWITCH = 1.0
+# Below this Bessel argument, the smallest that cyl_bessel takes, the
+# power-series representation is used; it lies under the first zero of
+# Y_1/3 (w = 1.36), where the series for f- would cancel.
+W_SERIES_SWITCH = BAND_MIN
 
 # Above this Bessel argument at either endpoint build_segments demotes a
 # sloped segment to a flat one: the cylinder routines lose the oscillation
@@ -357,11 +348,9 @@ def _basis_sloped(seg: Segment, x) -> BasisEval:
     """Both sloped regimes, on one segment or a batch.
 
     A batch is a Segment whose numeric fields are arrays; they broadcast
-    against ``x`` with the segment axis last.  Each entry takes one of
-    three representations by its argument w: the turning-point series
-    below W_SERIES_SWITCH, the Hankel expansions above HANKEL_MIN and
-    the fitted pieces of cyl_bessel between them, each band one array
-    call.
+    against ``x`` with the segment axis last.  Each entry takes the
+    turning-point series below W_SERIES_SWITCH and the one cyl_bessel
+    call of the batch at or above it.
     """
     allowed = seg.regime is _SLOPE_ALLOWED
     scalar = np.ndim(x) == 0 and np.ndim(seg.b) == 0
@@ -378,17 +367,15 @@ def _basis_sloped(seg: Segment, x) -> BasisEval:
     t = np.maximum(z if allowed else -z, 0.0)
     w = 2.0 * t * np.sqrt(t) / (3.0 * np.abs(b))
     series = w < W_SERIES_SWITCH
-    hankel = w > HANKEL_MIN
-    family = BesselFamily.JY if allowed else BesselFamily.IK
+    kernel = ~series
     cyl = np.zeros((4,) + w.shape)
-    for band, kernel in ((~(series | hankel), cyl_bessel), (hankel, hankel_bessel)):
-        if band.any():
-            try:
-                cyl[:, band] = kernel(family, w[band])
-            except BesselArgumentError as exc:
-                i = int(np.flatnonzero(band)[exc.entry])
-                raise ValueError(
-                    f"{_segment_at(seg, x, w.shape, i)}: {exc}") from exc
+    if kernel.any():
+        try:
+            cyl[:, kernel] = cyl_bessel(
+                BesselFamily.JY if allowed else BesselFamily.IK, w[kernel])
+        except BesselArgumentError as exc:
+            i = int(np.flatnonzero(kernel)[exc.entry])
+            raise ValueError(f"{_segment_at(seg, x, w.shape, i)}: {exc}") from exc
     c13, c23, d13, d23 = cyl
     root = np.sqrt(t)
     ts = np.where(b > 0.0, t, -t)

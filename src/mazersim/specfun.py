@@ -1,24 +1,23 @@
-"""Bessel and gamma kernels for the segment basis functions.
+"""The Bessel kernel of the sloped segment basis.
 
 A sloped segment needs one family of cylinder functions at the two orders
 1/3 and 2/3: J and Y on the classically allowed side, I and K on the
-forbidden side.  Two kernels return all four values of a family at every
-argument of an array, in the same (4, ...) layout, each in one numpy pass
-with no scipy call:
+forbidden side.  :func:`cyl_bessel` returns all four values of a family at
+every argument y >= BAND_MIN of an array, in one (4, ...) layout, from two
+bands, each one numpy pass with no scipy call:
 
-* :func:`cyl_bessel` serves 1 <= y <= HANKEL_MIN from fitted polynomial
-  pieces of four smooth functions per family, in the modulus-phase form
-  of DLMF 10.18 for J, Y; the coefficients come from
-  ``tools/fit_bessel_band.py`` (mpmath at 40 digits) and are kept in
-  ``_bessel_band`` as a literal;
-* :func:`hankel_bessel` sums the Hankel expansions (DLMF 10.17.3-4 and
-  10.40.1-2) for arguments of at least HANKEL_MIN, where 25 terms reach
-  double precision.
+* BAND_MIN <= y <= HANKEL_MIN (1 to 20): fitted polynomial pieces of four
+  smooth functions per family, in the modulus-phase form of DLMF 10.18
+  for J, Y; the coefficients come from ``tools/fit_bessel_band.py``
+  (mpmath at 40 digits) and are kept in ``_bessel_band`` as a literal;
+* y > HANKEL_MIN: the Hankel expansions (DLMF 10.17.3-4 and 10.40.1-2),
+  where 25 terms reach double precision.
 
 The modified functions come back exponentially scaled (e**-y I and
 e**+y K), so they stay finite deep inside classically forbidden regions,
 where I and K carry factors like e**40000; the caller keeps the exponent
-y as a log scale of its own.
+y as a log scale of its own.  Below BAND_MIN the sloped basis sums its
+turning-point series instead (``segment_basis``).
 """
 
 from __future__ import annotations
@@ -27,18 +26,16 @@ import enum
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from . import _bessel_band
 
-__all__ = ["BesselArgumentError", "BesselFamily", "cyl_bessel", "hankel_bessel",
-           "log_gamma_complex", "poly_rows"]
+__all__ = ["BesselArgumentError", "BesselFamily", "cyl_bessel", "poly_rows"]
 
-# Largest argument of the scaled I, K of hankel_bessel.  Sloped segments
-# are demoted to flat ones before their argument reaches it.
+# Largest argument of the scaled I, K.  Sloped segments are demoted to
+# flat ones before their argument reaches it.
 ARG_LIMIT = 1.0e9
 
-# Smallest argument of hankel_bessel.  Term k of the Hankel expansions at
+# Arguments above this take the Hankel expansions.  Term k of the sums at
 # orders 1/3 and 2/3 falls below 2**-56 for y >= 20 once k >= 25, close
 # to the optimal truncation, whose error is about e**-2y = 4e-18 here.
 HANKEL_MIN = 20.0
@@ -72,9 +69,9 @@ class BesselFamily(enum.Enum):
     IK = "IK"   # modified I, K, exponentially scaled
 
 
-# The pieces of cyl_bessel: piece i covers [EDGES[i], EDGES[i + 1]] in the
-# local variable v = (y - mid) * inv_half on [-1, 1]; each family has a
-# (pieces, 4, terms) table of coefficients in powers of v, rows
+# The pieces of the fitted band: piece i covers [EDGES[i], EDGES[i + 1]]
+# in the local variable v = (y - mid) * inv_half on [-1, 1]; each family
+# has a (pieces, 4, terms) table of coefficients in powers of v, rows
 # [A_1/3, A_2/3, phi_1/3, phi_2/3] for JY and [e**-y I sqrt(2 pi y) at
 # 1/3, 2/3, e**y K sqrt(2y / pi) at 1/3, 2/3] for IK.
 _BAND_EDGES = np.array(_bessel_band.EDGES)
@@ -84,6 +81,9 @@ _BAND_INV_HALF = 2.0 / (_BAND_EDGES[1:] - _BAND_EDGES[:-1])
 _BAND = dict(zip(BesselFamily, np.array(
     _bessel_band.COEFFICIENTS.split(), dtype=float).reshape(
         2, _BAND_EDGES.size - 1, 4, _bessel_band.DEGREE + 1)))
+# Smallest argument of cyl_bessel, the first edge of the fitted band; it
+# lies under the first zero of Y_1/3 (y = 1.36), and the sloped basis
+# takes its turning-point series below it.
 BAND_MIN = float(_BAND_EDGES[0])
 # (2, quadrants) high and low parts of (nu/2 + 1/4 + n/2) pi, and the signs
 # of cos(r + n pi/2) = +-cos r or +-sin r, sin likewise, by n mod 4
@@ -95,8 +95,7 @@ _SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 class BesselArgumentError(ValueError):
-    """An argument of :func:`cyl_bessel` or :func:`hankel_bessel` outside
-    its kernel's domain.
+    """An argument of :func:`cyl_bessel` outside its domain.
 
     ``entry`` is its flat index in the argument array, so a caller that
     evaluates a batch can name the item it came from.
@@ -115,7 +114,7 @@ def cyl_bessel(family: BesselFamily, y) -> np.ndarray:
     family : BesselFamily
         JY (oscillatory) or IK (modified).
     y : float or array of float
-        Arguments in [BAND_MIN, HANKEL_MIN] = [1, 20].
+        Finite arguments of at least BAND_MIN = 1; at most ARG_LIMIT for IK.
 
     Returns
     -------
@@ -123,33 +122,60 @@ def cyl_bessel(family: BesselFamily, y) -> np.ndarray:
         [J_1/3, J_2/3, Y_1/3, Y_2/3] for JY.  [I_1/3, I_2/3, K_1/3, K_2/3]
         for IK, exponentially scaled, e**-y I(y) and e**+y K(y).
 
-    Each argument takes the polynomial of its piece, all of them in one
-    power table and one einsum over each argument's own coefficients.
-    For JY the four fitted functions are A = (J**2 + Y**2) pi y / 2 and
-    phi = theta - (y - (nu/2 + 1/4) pi) at each order, so with
-    M = sqrt(2 A / (pi y)) the values are J = M cos theta and
-    Y = M sin theta, to about 1e-15 of M.  For IK they are the scaled I,
-    K times sqrt(2 pi y) and sqrt(2y / pi), to about 1e-15 relative.
+    Each argument up to HANKEL_MIN takes the fitted pieces
+    (:func:`_fitted`), each one above it the Hankel expansions
+    (:func:`_hankel`): J, Y to about 1e-15 (fitted) and 2e-15 (Hankel)
+    of the modulus sqrt(J**2 + Y**2), the scaled I, K as close relative
+    to their values.  An argument's values do not depend on the batch it
+    comes in.
 
     Raises
     ------
     BesselArgumentError
         A ValueError whose ``entry`` is the flat index of the first
-        argument outside [BAND_MIN, HANKEL_MIN].
+        argument outside the domain.
     """
     y = np.asarray(y, dtype=float)
-    _refuse(y, ~((y >= BAND_MIN) & (y <= HANKEL_MIN)),
-            f"argument must lie in [{BAND_MIN}, {HANKEL_MIN}]")
+    top = ARG_LIMIT if family is BesselFamily.IK else math.inf
+    bad = np.ravel(~((y >= BAND_MIN) & (y <= top) & (y < math.inf)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BesselArgumentError(
+            f"argument must be finite and lie in [{BAND_MIN}, {top}]: "
+            f"y = {float(y.flat[i])!r} at entry {i}", i)
     flat = y.ravel()
-    piece = np.searchsorted(_BAND_INNER, flat, side="right")
-    v = (flat - _BAND_MID[piece]) * _BAND_INV_HALF[piece]
+    hankel = flat > HANKEL_MIN
+    if not hankel.any():
+        out = _fitted(family, flat)
+    elif hankel.all():
+        out = _hankel(family, flat)
+    else:
+        # a batch within one band, the common case, skips this gather
+        # and scatter, about 10 us at 300 arguments
+        out = np.empty((4, flat.size))
+        out[:, ~hankel] = _fitted(family, flat[~hankel])
+        out[:, hankel] = _hankel(family, flat[hankel])
+    return out.reshape((4,) + y.shape)
+
+
+def _fitted(family: BesselFamily, y: np.ndarray) -> np.ndarray:
+    """The (4, y.size) values of the band [BAND_MIN, HANKEL_MIN] at the
+    1-d arguments y, from the polynomial of each argument's piece, all in
+    one power table and one einsum over each argument's own coefficients.
+
+    For JY the four fitted functions are A = (J**2 + Y**2) pi y / 2 and
+    phi = theta - (y - (nu/2 + 1/4) pi) at each order, so with
+    M = sqrt(2 A / (pi y)) the values are J = M cos theta and
+    Y = M sin theta.  For IK they are the scaled I, K times
+    sqrt(2 pi y) and sqrt(2y / pi).
+    """
+    piece = np.searchsorted(_BAND_INNER, y, side="right")
+    v = (y - _BAND_MID[piece]) * _BAND_INV_HALF[piece]
     table = _BAND[family]
     f = np.einsum("nk,nrk->rn", _powers(v, table.shape[-1]), table[piece])
     if family is BesselFamily.JY:
-        out = _from_modulus_phase(flat, f[:2], f[2:])
-    else:
-        out = _modified(flat, f[:2], f[2:])
-    return out.reshape((4,) + y.shape)
+        return _from_modulus_phase(y, f[:2], f[2:])
+    return _modified(y, f[:2], f[2:])
 
 
 def _from_modulus_phase(y: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -173,12 +199,10 @@ def _from_modulus_phase(y: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.nda
         np.where(odd, cos_r, sin_r) * (modulus * _SIN_SIGN[quadrant])))
 
 
-def hankel_bessel(family: BesselFamily, y) -> np.ndarray:
-    """:func:`cyl_bessel`'s values from the Hankel expansions.
+def _hankel(family: BesselFamily, y: np.ndarray) -> np.ndarray:
+    """The (4, y.size) values of the band y > HANKEL_MIN at the 1-d
+    arguments y, from the Hankel expansions.
 
-    Takes arguments HANKEL_MIN <= y < inf (at most ARG_LIMIT for IK) and
-    returns the same (4, *y.shape) layout, to about 2e-15 relative to the
-    modulus sqrt(J**2 + Y**2) for JY and relative for the scaled I, K.
     With P = sum (-1)**k a_2k / y**2k and Q = sum (-1)**k a_2k+1 / y**2k+1,
     J = m (P cos chi - Q sin chi) and Y = m (P sin chi + Q cos chi), with
     m = sqrt(2 / (pi y)) and chi = y - (nu/2 + 1/4) pi taken by the angle
@@ -186,34 +210,21 @@ def hankel_bessel(family: BesselFamily, y) -> np.ndarray:
     (E - O) / sqrt(2 pi y) and (E + O) sqrt(pi / (2y)) with E, O the even
     and odd parts of sum a_k / y**k; the e**-2y part of I is below the
     truncation error.
-
-    Raises
-    ------
-    BesselArgumentError
-        As :func:`cyl_bessel`, and for an argument below HANKEL_MIN.
     """
-    y = np.asarray(y, dtype=float)
-    _refuse(y, ~((y >= HANKEL_MIN) & (y < math.inf)),
-            f"argument must be finite and at least {HANKEL_MIN}")
     jy = family is BesselFamily.JY
-    if not jy:
-        _refuse(y, y > ARG_LIMIT, "argument beyond scaled-Bessel reliability limit")
-    flat = y.ravel()
-    inv = 1.0 / flat
+    inv = 1.0 / y
     # the four sums are polynomials in -1/y**2 (JY) or 1/y**2 (IK)
     step = inv * inv
     sums = poly_rows(_HANKEL_A, -step if jy else step)
     even, odd = sums[0::2], sums[1::2] * inv
-    if jy:
-        cos_y, sin_y = np.cos(flat), np.sin(flat)
-        cos_chi = cos_y * _COS_SHIFT + sin_y * _SIN_SHIFT
-        sin_chi = sin_y * _COS_SHIFT - cos_y * _SIN_SHIFT
-        scale = np.sqrt(2.0 / (math.pi * flat))
-        out = np.concatenate((even * cos_chi - odd * sin_chi,
-                              even * sin_chi + odd * cos_chi)) * scale
-    else:
-        out = _modified(flat, even - odd, even + odd)
-    return out.reshape((4,) + y.shape)
+    if not jy:
+        return _modified(y, even - odd, even + odd)
+    cos_y, sin_y = np.cos(y), np.sin(y)
+    cos_chi = cos_y * _COS_SHIFT + sin_y * _SIN_SHIFT
+    sin_chi = sin_y * _COS_SHIFT - cos_y * _SIN_SHIFT
+    scale = np.sqrt(2.0 / (math.pi * y))
+    return np.concatenate((even * cos_chi - odd * sin_chi,
+                           even * sin_chi + odd * cos_chi)) * scale
 
 
 def _modified(y: np.ndarray, i_rows: np.ndarray, k_rows: np.ndarray) -> np.ndarray:
@@ -245,26 +256,3 @@ def poly_rows(coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
     not depend on the batch it is evaluated in.
     """
     return np.einsum("nk,rk->rn", _powers(v, coefficients.shape[1]), coefficients)
-
-
-def _refuse(y: np.ndarray, bad, message: str) -> None:
-    bad = np.ravel(bad)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise BesselArgumentError(
-            f"{message}: y = {float(y.flat[i])!r} at entry {i}", i)
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma for complex argument.
-
-    Raises on the poles (nonpositive integers on the real axis); large
-    imaginary parts up to ~1e6 stay accurate through scipy's implementation.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise ValueError(f"log gamma pole at {z!r}")
-    out = complex(_sp.loggamma(z))
-    if math.isnan(out.real) or math.isnan(out.imag):
-        raise ValueError(f"log gamma failed at {z!r}")
-    return out

@@ -1,9 +1,9 @@
 """The three argument bands of the sloped basis against mpmath.
 
 A sloped segment evaluates its cylinder functions by the argument w: the
-turning-point series below W_SERIES_SWITCH, the fitted pieces of
-:func:`specfun.cyl_bessel` up to HANKEL_MIN and the Hankel expansions of
-:func:`specfun.hankel_bessel` beyond.  The oracles here are mpmath's
+turning-point series below W_SERIES_SWITCH and :func:`specfun.cyl_bessel`
+at or above it, which takes its fitted pieces up to HANKEL_MIN and the
+Hankel expansions beyond.  The oracles here are mpmath's
 arbitrary-precision Bessel functions at the exact binary arguments.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from mazersim import _bessel_band, segment_basis
+from mazersim import _bessel_band, segment_basis, specfun
 from mazersim.grid import ModeShape
 from mazersim.mazer import MazerParams, event_probabilities
 from mazersim.segment_basis import (
@@ -33,7 +33,6 @@ from mazersim.specfun import (
     BesselArgumentError,
     BesselFamily,
     cyl_bessel,
-    hankel_bessel,
 )
 
 GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "fit_bessel_band.py"
@@ -100,9 +99,10 @@ def test_fit_layout_and_batch_independence(family):
 
 
 def test_fit_refusals_name_their_entry():
-    with pytest.raises(BesselArgumentError, match="must lie in") as exc:
+    # 20.5 is in the Hankel band; 0.5 is below every band
+    with pytest.raises(BesselArgumentError, match="must be finite and lie in") as exc:
         cyl_bessel(BesselFamily.IK, [3.0, 20.5, 0.5])
-    assert exc.value.entry == 1
+    assert exc.value.entry == 2
     with pytest.raises(BesselArgumentError) as exc:
         cyl_bessel(BesselFamily.JY, [[3.0, 4.0], [math.nan, 5.0]])
     assert exc.value.entry == 2
@@ -131,7 +131,7 @@ def test_band_table_matches_generator():
     assert np.abs(phases - np.array(_bessel_band.PHASES)).max() == 0.0
 
 
-# --- Hankel expansions ----------------------------------------------------
+# --- Hankel expansions, the band above HANKEL_MIN --------------------------
 
 HANKEL_ARGS = np.concatenate((
     [np.nextafter(HANKEL_MIN, math.inf)],
@@ -141,7 +141,7 @@ HANKEL_ARGS = np.concatenate((
 
 @pytest.mark.parametrize("family", list(BesselFamily))
 def test_hankel_matches_mpmath(family):
-    got = hankel_bessel(family, HANKEL_ARGS)
+    got = cyl_bessel(family, HANKEL_ARGS)
     assert got.shape == (4, HANKEL_ARGS.size)
     for col, y in enumerate(HANKEL_ARGS.tolist()):
         errors = family_errors(family, got[:, col].tolist(), mp_family(family, y))
@@ -150,33 +150,59 @@ def test_hankel_matches_mpmath(family):
 
 @pytest.mark.parametrize("family", list(BesselFamily))
 def test_hankel_layout_follows_cyl_bessel(family):
-    # same (4, *shape) layout as the fitted kernel, and the two agree at
-    # y = 20, the one argument both serve
-    ys = np.geomspace(HANKEL_MIN, 200.0, 12).reshape(2, 6)
-    got = hankel_bessel(family, ys)
+    # the same (4, *shape) layout above HANKEL_MIN, and the two bands'
+    # helpers agree at y = 20, the switch
+    ys = np.geomspace(HANKEL_MIN, 200.0, 13)[1:].reshape(2, 6)
+    got = cyl_bessel(family, ys)
     assert got.shape == (4, 2, 6)
-    at_switch = np.full((2, 3), HANKEL_MIN)
-    fit, hankel = cyl_bessel(family, at_switch), hankel_bessel(family, at_switch)
-    assert fit.shape == hankel.shape == (4, 2, 3)
+    at_switch = np.full(6, HANKEL_MIN)
+    fit, hankel = specfun._fitted(family, at_switch), specfun._hankel(family, at_switch)
+    assert fit.shape == hankel.shape == (4, 6)
     assert np.abs(hankel - fit).max() <= 5e-14 * np.abs(fit).max()
-    assert hankel_bessel(family, 50.0).shape == (4,)
+    assert cyl_bessel(family, 50.0).shape == (4,)
     # an argument's values do not depend on the batch it comes in
     for i, y in enumerate(ys.ravel().tolist()):
-        assert hankel_bessel(family, y).tolist() == got.reshape(4, -1)[:, i].tolist()
+        assert cyl_bessel(family, y).tolist() == got.reshape(4, -1)[:, i].tolist()
 
 
 def test_hankel_refusals_name_their_entry():
-    with pytest.raises(BesselArgumentError, match="at least") as exc:
-        hankel_bessel(BesselFamily.JY, [30.0, 19.9, 40.0])
+    with pytest.raises(BesselArgumentError, match="at entry 1") as exc:
+        cyl_bessel(BesselFamily.JY, [30.0, 0.5, 40.0])
     assert exc.value.entry == 1
     with pytest.raises(BesselArgumentError) as exc:
-        hankel_bessel(BesselFamily.JY, [30.0, 40.0, math.inf])
+        cyl_bessel(BesselFamily.JY, [30.0, 40.0, math.inf])
     assert exc.value.entry == 2
-    with pytest.raises(BesselArgumentError, match="reliability limit") as exc:
-        hankel_bessel(BesselFamily.IK, [30.0, 2.0 * ARG_LIMIT])
+    with pytest.raises(BesselArgumentError, match=r"\[1\.0, 1000000000\.0\]") as exc:
+        cyl_bessel(BesselFamily.IK, [30.0, 2.0 * ARG_LIMIT])
     assert exc.value.entry == 1
     # J, Y have no such limit
-    assert np.isfinite(hankel_bessel(BesselFamily.JY, 2.0 * ARG_LIMIT)).all()
+    assert np.isfinite(cyl_bessel(BesselFamily.JY, 2.0 * ARG_LIMIT)).all()
+
+
+# --- one call across both bands ---------------------------------------------
+
+MIXED_ARGS = np.array([3.0, 25.0, HANKEL_MIN, np.nextafter(HANKEL_MIN, math.inf),
+                       BAND_MIN, 7.77e7, np.nextafter(HANKEL_MIN, -math.inf),
+                       123.456, 12.0, 4.0e4 + 0.3])
+
+
+@pytest.mark.parametrize("family", list(BesselFamily))
+def test_mixed_batch_matches_single_calls(family):
+    # arguments on both sides of y = 20 in one call give each argument's
+    # values of its own call, bit for bit
+    got = cyl_bessel(family, MIXED_ARGS.reshape(2, 5))
+    assert got.shape == (4, 2, 5)
+    for i, y in enumerate(MIXED_ARGS.tolist()):
+        assert cyl_bessel(family, y).tolist() == got.reshape(4, -1)[:, i].tolist(), y
+
+
+def test_mixed_batch_refusals_name_their_entry():
+    with pytest.raises(BesselArgumentError, match="at entry 3$") as exc:
+        cyl_bessel(BesselFamily.IK, [25.0, 3.0, 1.0e5, 2.0 * ARG_LIMIT, 0.5])
+    assert exc.value.entry == 3
+    with pytest.raises(BesselArgumentError) as exc:
+        cyl_bessel(BesselFamily.JY, [[25.0, 3.0], [math.nan, 21.0]])
+    assert exc.value.entry == 2
 
 
 # --- batched turning-point series -----------------------------------------
@@ -233,10 +259,10 @@ def test_series_batch_matches_mpmath(z_sign, slope_sign):
 
 # --- handoff at the Hankel switch -----------------------------------------
 #
-# Amos just below the switch and the Hankel sums just above it each land
-# within about 1e-14 of the modulus (the rounding of z(x) alone moves the
-# phase w by some 20 * 3e-16), so the jump across the switch is bounded by
-# twice that.
+# The fitted pieces just below the switch and the Hankel sums just above
+# it each land within about 1e-14 of the modulus (the rounding of z(x)
+# alone moves the phase w by some 20 * 3e-16), so the jump across the
+# switch is bounded by twice that.
 
 @pytest.mark.parametrize("z_sign,slope_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_hankel_switch_handoff_matches_mpmath(z_sign, slope_sign):

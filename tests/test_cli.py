@@ -1,9 +1,14 @@
 """Tests for the CSV front end: schemas, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mazersim
 from mazersim.cli import main
 
 SWEEP_HEADER = "kappaL,P_em,Ta2,Tb2,Ra2,Rb2,unit_defect_plus,unit_defect_minus"
@@ -253,3 +258,17 @@ class TestWavefunction:
             "--kappaL", "0", "--J", "2"])
         assert code == 1
         assert "kappaL" in err
+
+
+def test_import_loads_no_scipy_optimize_integrate_or_linalg():
+    # brentq and quad are imported inside the functions that call them, so
+    # a fresh interpreter that starts the command line loads neither stack
+    heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+    code = ("import sys, mazersim, mazersim.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = str(Path(mazersim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
@@ -9,6 +10,7 @@ from scipy.integrate import fixed_quad
 from mazersim.grid import ModeProfile, ModeShape, build_grid
 from mazersim.oracles import (
     OracleSource,
+    log_gamma_complex,
     mesa_analytic,
     sech2_analytic,
     wkb_first_excited,
@@ -146,3 +148,29 @@ def test_wkb_zero_energy_dual_quadrature():
         lambda y: 2.0 * y * np.sqrt(np.cos(0.5 * math.pi - y * y)),
         0.0, math.sqrt(0.5 * math.pi), n=80)
     assert w.delta == pytest.approx(float(gauss) / math.pi, abs=1e-9)
+
+
+def test_log_gamma_special_values():
+    assert abs(math.e ** log_gamma_complex(1.0 + 0j) - 1.0) < 1e-14
+    got = complex(np.exp(log_gamma_complex(0.5 + 0j)))
+    assert abs(got - math.sqrt(math.pi)) < 1e-14
+    for y in (0.1, 1.0, 10.0):
+        lg = log_gamma_complex(complex(1.0, y))
+        mod2 = abs(np.exp(lg)) ** 2
+        want = math.pi * y / math.sinh(math.pi * y)
+        assert abs(mod2 - want) <= 1e-12 * want
+
+
+def test_log_gamma_large_imaginary():
+    for z in (complex(0.5, 1e4), complex(0.5, -1e6), complex(2.0, 3e5)):
+        got = log_gamma_complex(z)
+        with mp.workdps(50):
+            want = mp.loggamma(mp.mpc(z.real, z.imag))
+        assert abs(got.real - float(want.real)) <= 1e-10 * abs(float(want.real))
+        assert abs(got.imag - float(want.imag)) <= 1e-10 * abs(float(want.imag))
+
+
+def test_log_gamma_poles_raise():
+    for z in (0.0 + 0j, -1.0 + 0j, -7.0 + 0j):
+        with pytest.raises(ValueError):
+            log_gamma_complex(z)

@@ -133,7 +133,8 @@ def test_batch_errors_name_their_segment(monkeypatch):
     # w ~ 7e9 on the middle segment passes ARG_LIMIT
     far = batch._replace(b=np.array([-1.0, -1.0e-10, -1.0]))
     with pytest.raises(ValueError, match=r"^slope_forbidden segment 1 at "
-                       r"x = 1\.0: argument beyond scaled-Bessel"):
+                       r"x = 1\.0: argument must be finite and lie in "
+                       r"\[1\.0, 1000000000\.0\]"):
         basis_eval(far, batch.x_lo)
     # a refusal by the fitted kernel at the largest argument of its band
     # (w = 1.9 and 3.5 on segments 1 and 2) names segment 2

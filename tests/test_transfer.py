@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from mazersim.grid import ModeProfile, ModeShape, build_grid
+from mazersim.grid import DEFAULT_WINDOW_FACTOR, ModeProfile, ModeShape, build_grid
 from mazersim.segment_basis import (
     Regime,
     Segment,
@@ -304,9 +304,10 @@ UNITARITY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("shape,L,sign,k,J,window", UNITARITY_CASES)
-def test_unitarity(shape, L, sign, k, J, window):
-    g = build_grid(ModeProfile(shape, L), sign, k, J, window=window)
+@pytest.mark.parametrize("shape,L,sign,k,J,window_factor", UNITARITY_CASES)
+def test_unitarity(shape, L, sign, k, J, window_factor):
+    g = build_grid(ModeProfile(shape, L), sign, k, J,
+                   window_factor=window_factor or DEFAULT_WINDOW_FACTOR)
     res = solve_scattering(g)
     assert res.unitarity_defect <= 1e-8
 
