@@ -409,7 +409,6 @@ class Grid:
     alpha: float
     E: float
     k: float
-    branch_sign: int
     profile: ModeProfile
     window: tuple[float, float]
     turning_points: tuple[float, ...]
@@ -637,7 +636,6 @@ def _finish_grid(profile, sign, k, E, window, alpha, roots, nodes, u_nodes,
         alpha=float(alpha),
         E=E,
         k=k,
-        branch_sign=sign,
         profile=profile,
         window=window,
         turning_points=tuple(root_positions),
@@ -659,7 +657,6 @@ def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
         alpha=1.0,
         E=E,
         k=k,
-        branch_sign=sign,
         profile=profile,
         window=window,
         turning_points=(),

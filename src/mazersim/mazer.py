@@ -128,7 +128,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepTable:
     rows: tuple[SweepRow, ...]
-    params: MazerParams
 
     @property
     def has_errors(self) -> bool:
@@ -141,11 +140,9 @@ class ConvergenceStudy:
     settle: float
 
 
-def _transparent(params: MazerParams) -> ScatterResult:
-    k = params.k_over_kappa
-    return ScatterResult(
-        t=1.0 + 0.0j, r=0.0 + 0.0j, unitarity_defect=0.0,
-        E=0.5 * k * k, k=k, t_log10_mag=0.0, log10_scale=0.0)
+# either branch of a row at kappaL = 0, where there is no potential
+_TRANSPARENT = ScatterResult(t=1.0 + 0.0j, r=0.0 + 0.0j, unitarity_defect=0.0,
+                             t_log10_mag=0.0, log10_scale=0.0)
 
 
 def _grid(params: MazerParams, branch: int) -> Grid:
@@ -158,7 +155,7 @@ def elementary_amplitudes(params: MazerParams, branch: int) -> ScatterResult:
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     if params.kappaL == 0.0:
-        return _transparent(params)
+        return _TRANSPARENT
     return solve_scattering(_grid(params, branch))
 
 
@@ -203,7 +200,7 @@ def _solve_chunk(rows: list) -> list:
         # every grid takes its slice, also one behind a failed solve
         props = [next(shared) if isinstance(g, Grid) else None for g in grids]
         out.append(_solve_branches(grids, props) if grids
-                   else (_transparent(row),) * 2)
+                   else (_TRANSPARENT,) * 2)
     return out
 
 
@@ -321,8 +318,7 @@ def sweep_kappaL(
             tables = list(pool.map(solve, chunks))
     else:
         tables = map(solve, chunks)
-    return SweepTable(rows=tuple(row for table in tables for row in table),
-                      params=params)
+    return SweepTable(rows=tuple(row for table in tables for row in table))
 
 
 def convergence_study(params: MazerParams, J_list: list[int]) -> ConvergenceStudy:

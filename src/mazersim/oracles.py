@@ -10,20 +10,17 @@ potential +-u(x)/2 in units where energy is (k_over_kappa)^2/2.
 
 The sech2 amplitudes take their complex log Gamma from scipy.special
 (:func:`log_gamma_complex`), and the WKB estimate its quadrature from
-scipy.integrate, which is imported on the first call only.
+scipy.integrate; each is imported on its first call only, so importing
+the package loads no scipy module.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
-from scipy import special as _sp
-
 __all__ = [
-    "OracleSource",
     "OracleResult",
     "WkbPrediction",
     "log_gamma_complex",
@@ -33,17 +30,10 @@ __all__ = [
 ]
 
 
-class OracleSource(enum.Enum):
-    SECH2_ANALYTIC = "sech2_analytic"
-    MESA_ANALYTIC = "mesa_analytic"
-    WKB = "wkb"
-
-
 @dataclass(frozen=True)
 class OracleResult:
     t: complex
     r: complex
-    source: OracleSource
 
     @property
     def unitarity_defect(self) -> float:
@@ -57,7 +47,6 @@ class WkbPrediction:
     delta: float
     P_em: float
     period: float
-    source: OracleSource = OracleSource.WKB
 
 
 def _check_inputs(k_over_kappa: float, kappaL: float, branch: int) -> None:
@@ -78,7 +67,11 @@ def log_gamma_complex(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise ValueError(f"log gamma pole at {z!r}")
-    out = complex(_sp.loggamma(z))
+    # imported here: scipy.special takes about 0.25 s to load, which no
+    # solve and no command without a sech2 oracle needs
+    from scipy.special import loggamma
+
+    out = complex(loggamma(z))
     if math.isnan(out.real) or math.isnan(out.imag):
         raise ValueError(f"log gamma failed at {z!r}")
     return out
@@ -94,7 +87,7 @@ def sech2_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleRes
     """
     _check_inputs(k_over_kappa, kappaL, branch)
     if kappaL == 0.0:
-        return OracleResult(1.0 + 0.0j, 0.0 + 0.0j, OracleSource.SECH2_ANALYTIC)
+        return OracleResult(1.0 + 0.0j, 0.0 + 0.0j)
     kL = k_over_kappa * kappaL
     xi = cmath.sqrt(complex(branch * kappaL * kappaL - 0.25))
     t = cmath.exp(
@@ -111,7 +104,7 @@ def sech2_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleRes
     except ValueError:
         # Gamma pole in the denominator: reflectionless configuration
         r = 0.0 + 0.0j
-    return OracleResult(t, r, OracleSource.SECH2_ANALYTIC)
+    return OracleResult(t, r)
 
 
 def mesa_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleResult:
@@ -121,7 +114,7 @@ def mesa_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleResu
     _check_inputs(k_over_kappa, kappaL, branch)
     k, a = k_over_kappa, kappaL
     if a == 0.0:
-        return OracleResult(1.0 + 0.0j, 0.0 + 0.0j, OracleSource.MESA_ANALYTIC)
+        return OracleResult(1.0 + 0.0j, 0.0 + 0.0j)
     kp = cmath.sqrt(complex(k * k - branch))
     # sin(kp*a)/kp stays finite as kp -> 0 (k'a series)
     if abs(kp) * a < 1e-8:
@@ -132,7 +125,7 @@ def mesa_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleResu
         c = cmath.cos(kp * a)
     t = 2.0 * cmath.exp(-1j * k * a) / (2.0 * c - 1j * (k * k + kp * kp) * s / k)
     r = -1j * ((k * k - kp * kp) / (2.0 * k)) * s * t * cmath.exp(1j * k * a)
-    return OracleResult(t, r, OracleSource.MESA_ANALYTIC)
+    return OracleResult(t, r)
 
 
 def wkb_first_excited(k_over_kappa: float, kappaL: float) -> WkbPrediction:

@@ -245,21 +245,17 @@ def make_segment(x_lo: float, x_hi: float, z_lo: float, z_hi: float) -> Segment:
     """One segment from its endpoint coefficients: the two-node call of
     :func:`build_segments`.
 
-    The slope is taken from the endpoint values.  For infinite outer
-    segments pass z_lo == z_hi; the anchor then moves to the finite end.
+    The slope is taken from the endpoint values.  Both ends must be
+    finite; the semi-infinite free regions come from
+    :meth:`SegmentArrays.records`.
     """
     if not x_lo < x_hi:
         raise ValueError(f"empty segment [{x_lo}, {x_hi}]")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
+        raise ValueError(f"non-finite segment bound: [{x_lo}, {x_hi}]")
     if not (math.isfinite(z_lo) and math.isfinite(z_hi)):
         raise ValueError(f"non-finite coefficient z: {z_lo} .. {z_hi}")
-    if math.isfinite(x_lo) and math.isfinite(x_hi):
-        return build_segments((x_lo, x_hi), (z_lo, z_hi)).records()[0]
-    if z_lo != z_hi:
-        raise ValueError("infinite segment must have constant z")
-    # a level segment: build it on a unit stretch at its anchor, then widen
-    x_ref = x_lo if math.isfinite(x_lo) else (x_hi if math.isfinite(x_hi) else 0.0)
-    seg = build_segments((x_ref, x_ref + 1.0), (z_lo, z_lo)).records()[0]
-    return seg._replace(x_lo=x_lo, x_hi=x_hi)
+    return build_segments((x_lo, x_hi), (z_lo, z_hi)).records()[0]
 
 
 def analytic_wronskian(seg: Segment) -> float:

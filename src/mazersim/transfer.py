@@ -50,7 +50,6 @@ from .segment_basis import (
 
 __all__ = [
     "ScatterResult",
-    "SegmentState",
     "TransferError",
     "propagator",
     "solve_scattering",
@@ -75,20 +74,9 @@ class TransferError(Exception):
     """Collapsed node state or degenerate amplitude extraction."""
 
 
-@dataclass(frozen=True)
-class SegmentState:
-    """Recorded node state of one segment, for wavefunction reconstruction.
-
-    (phi, dphi) at the segment's node ``x`` (its right end; the left end
-    for the outgoing segment), true values being these times
-    e**log_scale.
-    """
-
-    index: int
-    x: float
-    phi: complex
-    dphi: complex
-    log_scale: float
+# (phi, dphi, log_scale) at one node, true values being phi and dphi times
+# e**log_scale
+NodeState = tuple[complex, complex, float]
 
 
 @dataclass(frozen=True)
@@ -97,17 +85,17 @@ class ScatterResult:
 
     When |t| underflows double precision the field ``t`` is exactly 0 and
     ``t_log10_mag`` still carries its magnitude; ``unitarity_defect`` is a
-    diagnostic the caller should surface, not clamp.
+    diagnostic the caller should surface, not clamp.  ``coefficients``,
+    when recorded, holds the sweep's node state at each of the grid's
+    points, node i at ``grid.points[i]``, for :func:`wavefunction`.
     """
 
     t: complex
     r: complex
     unitarity_defect: float
-    E: float
-    k: float
     t_log10_mag: float
     log10_scale: float
-    coefficients: tuple[SegmentState, ...] | None = None
+    coefficients: tuple[NodeState, ...] | None = None
 
 
 def propagator(seg: Segment, x_from, x_to) -> tuple:
@@ -213,26 +201,25 @@ def _plane_wave_amplitudes(k: float, x: float, phi: complex, dphi: complex):
 def sweep(
     grid: Grid, c: complex, d: complex, record: bool = False, *,
     propagators: list[float] | None = None,
-) -> tuple[complex, complex, float, list[SegmentState]]:
+) -> tuple[complex, complex, float, list[NodeState]]:
     """Carry the outgoing wave c cos kx + d sin kx of the right free region
     back to the left one.
 
     Returns (C0, D0, log_scale, states): the left free region's
     coefficients of cos kx and sin kx, true values being these times
-    e**log_scale, and, when ``record``, the node state of every segment
-    from left to right.  The propagators of all segments come first, one
-    batch per sloped regime and a closed form per flat segment, unless
-    ``propagators`` brings them from :func:`sweep_propagators`; the loop
-    then applies them one by one.  After each segment the state is divided
-    by the power of two nearest its magnitude.
+    e**log_scale, and, when ``record``, the (phi, dphi, log_scale) state at
+    every node of ``grid.points``, left to right.  The propagators of all
+    segments come first, one batch per sloped regime and a closed form per
+    flat segment, unless ``propagators`` brings them from
+    :func:`sweep_propagators`; the loop then applies them one by one.
+    After each segment the state is divided by the power of two nearest
+    its magnitude.
     """
     arrays = grid.arrays
     # sqrt(k^2), the wavenumber _flat_propagator takes from z = k^2 in the
     # free regions
     k = math.sqrt(grid.k * grid.k)
     n = len(arrays.code)
-    # segment j of grid.segments is entry j - 1 of the arrays; 0 and n + 1
-    # are the free regions
     if propagators is None:
         propagators = _propagators(arrays, arrays.x_hi, arrays.x_lo)
     elif len(propagators) != 5 * n:
@@ -242,16 +229,14 @@ def sweep(
     phi = c * cs + d * sn
     dphi = c * (-k * sn) + d * (k * cs)
     log_scale = 0.0
-    states: list[SegmentState] = []
-    if record:
-        states.append(SegmentState(n + 1, x, phi, dphi, 0.0))
-    # five entries per segment, read from the last segment back
+    states: list[NodeState] = []
+    # five entries per segment, read from the last segment back; the state
+    # entering segment j sits at its right end, node j
     entries = reversed(propagators)
-    for j, log_factor, p22, p21, p12, p11 in zip(
-            range(n, 0, -1), entries, entries, entries, entries, entries):
+    for log_factor, p22, p21, p12, p11 in zip(
+            entries, entries, entries, entries, entries):
         if record:
-            states.append(SegmentState(j, float(arrays.x_hi[j - 1]), phi, dphi,
-                                       log_scale))
+            states.append((phi, dphi, log_scale))
         phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         mag = max(abs(phi), abs(dphi))
         if mag == 0.0:
@@ -262,7 +247,7 @@ def sweep(
         log_scale += log_factor + shift * _LN2
     x = float(arrays.x_lo[0])
     if record:
-        states.append(SegmentState(0, x, phi, dphi, log_scale))
+        states.append((phi, dphi, log_scale))
         states.reverse()
     c0, d0 = _plane_wave_amplitudes(k, x, phi, dphi)
     return c0, d0, log_scale, states
@@ -299,8 +284,6 @@ def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
         t=t,
         r=r,
         unitarity_defect=defect,
-        E=grid.E,
-        k=grid.k,
         t_log10_mag=t_log10_mag,
         log10_scale=sigma,
         coefficients=tuple(states) if record_coefficients else None,
@@ -314,43 +297,48 @@ def wavefunction(
 ) -> list[tuple[float, complex]]:
     """Reconstruct phi at the sample positions, unit incident amplitude.
 
-    Needs a result from solve_scattering(record_coefficients=True).
+    Needs a result from solve_scattering(record_coefficients=True) on this
+    grid: one with another node count is refused, one of another grid with
+    the same node count goes undetected.  Each sample is carried from the
+    node at the right end of its segment, node 0 for the left free region.
     Positions are limited to the window padded by two cavity lengths; the
     asymptotic cos/sin basis loses phase accuracy far outside it.
     """
-    if result.coefficients is None:
+    states = result.coefficients
+    if states is None:
         raise ValueError("solve_scattering must record coefficients first")
+    if len(states) != len(grid.points):
+        raise ValueError(f"result recorded at {len(states)} nodes, the grid "
+                         f"has {len(grid.points)}")
     pad = 2.0 * grid.profile.length
     lo, hi = grid.window[0] - pad, grid.window[1] + pad
     xs = np.asarray(positions, dtype=float)
     outside = ~((lo <= xs) & (xs <= hi))
     if outside.any():
         raise ValueError(f"sample {xs[np.argmax(outside)]} outside [{lo}, {hi}]")
-    states = result.coefficients
     arrays = grid.arrays
     z_free = grid.k * grid.k
     n = len(arrays.code)
-    first = states[0]
-    c0, d0 = _plane_wave_amplitudes(math.sqrt(z_free), first.x, first.phi,
-                                    first.dphi)
+    phi0, dphi0, log0 = states[0]
+    c0, d0 = _plane_wave_amplitudes(math.sqrt(z_free), float(grid.points[0]),
+                                    phi0, dphi0)
     norm = 2.0 / (c0 - 1j * d0)
     # the segment of each sample; 0 and n + 1 are the free regions, whose
     # samples become flat entries with z = k^2
     seg_of = np.searchsorted(grid.points, xs, side="right")
+    node = np.minimum(seg_of, n)
     free = (seg_of == 0) | (seg_of > n)
     entry = np.clip(seg_of - 1, 0, n - 1)
     samples = SegmentArrays(*(col[entry] for col in arrays))
     samples = samples._replace(
         code=np.where(free, _PLANE_WAVE_CODE, samples.code),
         z_flat=np.where(free, z_free, samples.z_flat))
-    x_from = np.array([states[j].x for j in seg_of.tolist()])
     out: list[tuple[float, complex]] = []
-    entries = iter(_propagators(samples, x_from, xs))
+    entries = iter(_propagators(samples, grid.points[node], xs))
     for x, j, p11, p12, _, _, log_factor in zip(
-            xs.tolist(), seg_of.tolist(), entries, entries, entries, entries,
+            xs.tolist(), node.tolist(), entries, entries, entries, entries,
             entries):
-        st = states[j]
-        phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
-            log_factor + st.log_scale - first.log_scale)
+        phi, dphi, log_scale = states[j]
+        phi = (p11 * phi + p12 * dphi) * math.exp(log_factor + log_scale - log0)
         out.append((x, phi * norm))
     return out

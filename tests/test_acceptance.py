@@ -344,11 +344,12 @@ class TestProperties:
             # forward across segment idx from its left end and backward
             # across segment idx+1 from its right end must agree there
             reps = []
-            for seg_idx, st in ((idx, states[idx - 1]), (idx + 1, states[idx + 1])):
+            for seg_idx, node in ((idx, idx - 1), (idx + 1, idx + 1)):
+                phi, dphi, log_scale = states[node]
                 p11, p12, _, _, log_factor = propagator(
-                    grid.segments[seg_idx], st.x, x_node)
-                phi = (p11 * st.phi + p12 * st.dphi) * math.exp(
-                    log_factor + st.log_scale - states[idx].log_scale)
+                    grid.segments[seg_idx], float(points[node]), x_node)
+                phi = (p11 * phi + p12 * dphi) * math.exp(
+                    log_factor + log_scale - states[idx][2])
                 reps.append(phi)
             assert all(math.isfinite(abs(v)) for v in reps)
             peak = max(abs(reps[0]), abs(reps[1]), 1e-30)

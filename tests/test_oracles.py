@@ -9,7 +9,6 @@ from scipy.integrate import fixed_quad
 
 from mazersim.grid import ModeProfile, ModeShape, build_grid
 from mazersim.oracles import (
-    OracleSource,
     log_gamma_complex,
     mesa_analytic,
     sech2_analytic,
@@ -120,12 +119,6 @@ def test_mesa_oracle_matches_transfer_exactly():
             ana = mesa_analytic(k, L, branch)
             assert num.t == pytest.approx(ana.t, rel=1e-10)
             assert num.r == pytest.approx(ana.r, rel=1e-10, abs=1e-12)
-
-
-def test_source_tags():
-    assert sech2_analytic(0.1, 1.0, +1).source is OracleSource.SECH2_ANALYTIC
-    assert mesa_analytic(0.1, 1.0, +1).source is OracleSource.MESA_ANALYTIC
-    assert wkb_first_excited(0.1, 1.0).source is OracleSource.WKB
 
 
 def test_wkb_zero_length():

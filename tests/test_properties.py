@@ -3,7 +3,7 @@
 For every (shape, k, kappaL, J) that ``MazerParams`` accepts, a row either
 solves with closure |sum of the four event probabilities - 1| <= 1e-8 or
 raises the typed ``GridResolutionError``; any other outcome is a bug.  The
-Tier-1 profile draws a fixed, derandomised set of 50 inputs; the long
+Tier-1 profile draws a fixed, seeded set of 50 inputs; the long
 profile (``-m slow``) draws 4,000 with J up to 800.
 
 Four coarse sech2 rows whose alpha passes run out with alpha still
@@ -29,7 +29,7 @@ agrees to 2e-15.
 """
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from mazersim import (
@@ -42,6 +42,13 @@ from mazersim import (
 )
 
 CLOSURE_MAX = 1e-8
+
+# Each derandomised property below also carries a fixed @seed, which takes
+# precedence over derandomize: hypothesis derives a derandomised test's
+# seed from a digest of its body and signature, so an edit of the body or
+# a hypothesis release that digests differently would otherwise draw other
+# inputs.  Each seed is that digest as it stood when the draws were
+# frozen, so the inputs are the ones drawn then.
 
 SHAPES = st.sampled_from([ModeShape.MESA, ModeShape.SECH2, ModeShape.GAUSSIAN,
                           ModeShape.SIN_FUNDAMENTAL, ModeShape.SIN_FIRST_EXCITED])
@@ -65,6 +72,7 @@ def check_row(shape, k, kappaL, J):
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@seed(6686921096215370040953149670426377270848998353202189938600772883148229299202091827744382722291939102637277244544820)
 @given(shape=SHAPES, k=MOMENTA, kappaL=LENGTHS, J=st.integers(2, 400))
 def test_row_closes_or_raises_typed_error(shape, k, kappaL, J):
     check_row(shape, k, kappaL, J)
@@ -72,6 +80,7 @@ def test_row_closes_or_raises_typed_error(shape, k, kappaL, J):
 
 @pytest.mark.slow
 @settings(max_examples=4000, derandomize=True, deadline=None, database=None)
+@seed(31512148731056646050505794661093284053278068519474837344299383426418681335965348692609613079986205701283298795397645)
 @given(shape=SHAPES, k=MOMENTA, kappaL=LENGTHS, J=st.integers(2, 800))
 def test_row_closes_or_raises_typed_error_long(shape, k, kappaL, J):
     check_row(shape, k, kappaL, J)
@@ -114,6 +123,7 @@ TABLES = dict(
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@seed(5209631772461287753198850869472464745625804684856489981184545087423087780415469542025169454176080710673403195841803)
 @given(**TABLES)
 def test_mirrored_mode_keeps_branch_magnitudes(cuts, u, length, k, J):
     xs = [0.0, *(length * c / 100.0 for c in sorted(cuts)), length]
@@ -134,6 +144,7 @@ def test_mirrored_mode_keeps_branch_magnitudes(cuts, u, length, k, J):
     "tables give complex-t gaps of 4.5e-8 and 1.9e-8 while |t| agrees to "
     "2e-15"))
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@seed(4509405334831989504886237465489813842405650401334589113996487907216739112065179012507201830980946710642807705157392)
 @given(**TABLES)
 # two tables on which the phase of t moves by 4.5e-8 and 1.9e-8
 @example(cuts=[26, 38, 42, 50, 84, 99],

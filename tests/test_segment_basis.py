@@ -80,14 +80,14 @@ def test_segment_tag_validation():
 
 
 def test_make_segment_infinite_sides():
-    left = make_segment(-math.inf, -3.0, 0.5, 0.5)
-    assert left.regime is Regime.FLAT_ALLOWED
-    assert left.x_ref == -3.0
-    right = make_segment(7.0, math.inf, -0.25, -0.25)
-    assert right.regime is Regime.FLAT_FORBIDDEN
-    assert right.x_ref == 7.0
-    with pytest.raises(ValueError):
-        make_segment(0.0, math.inf, 1.0, 2.0)
+    # the free regions come from SegmentArrays.records; make_segment
+    # refuses a non-finite bound, level or sloped
+    for x_lo, x_hi, z_lo, z_hi in ((-math.inf, -3.0, 0.5, 0.5),
+                                   (7.0, math.inf, -0.25, -0.25),
+                                   (-math.inf, math.inf, 1.0, 1.0),
+                                   (0.0, math.inf, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="non-finite segment bound"):
+            make_segment(x_lo, x_hi, z_lo, z_hi)
 
 
 def test_eval_rejects_sign_violation():

@@ -341,8 +341,26 @@ def test_record_coefficients_indexing():
     g = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
     res = solve_scattering(g, record_coefficients=True)
     assert res.coefficients is not None
-    assert [sc.index for sc in res.coefficients] == list(range(len(g.segments)))
-    assert res.coefficients[-1].log_scale == 0.0     # the seed itself
+    assert len(res.coefficients) == len(g.points)    # one state per node
+    assert res.coefficients[-1][2] == 0.0            # the seed itself
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_recorded_states_one_per_node(name):
+    shape, kappaL, k, J, sign = golden.CASES[name]
+    table = golden.TABLE if shape is ModeShape.TABULATED else None
+    g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
+    res = solve_scattering(g, record_coefficients=True)
+    assert len(res.coefficients) == len(g.points)
+    # the last node holds the seed, the outgoing wave e**ikx unscaled
+    phi, dphi, log_scale = res.coefficients[-1]
+    wave = cmath.exp(1j * k * float(g.points[-1]))
+    assert phi == pytest.approx(wave, rel=1e-9)
+    assert dphi == pytest.approx(1j * k * wave, rel=1e-9)
+    assert log_scale == 0.0
+    # recording leaves the amplitudes bit for bit as they are
+    plain = solve_scattering(g)
+    assert (plain.t, plain.r) == (res.t, res.r)
 
 
 # --- wavefunction reconstruction ------------------------------------------
@@ -361,6 +379,20 @@ def test_wavefunction_requires_coefficients():
     res = solve_scattering(g)
     with pytest.raises(ValueError):
         wavefunction(g, res, [1.0])
+
+
+def test_wavefunction_refuses_a_result_of_another_grid():
+    # sech2 at k 0.1, kappaL 5: the J = 80 and J = 50 grids differ in their
+    # node counts, and either result on the other grid is refused by name
+    grids = {J: build_grid(ModeProfile(ModeShape.SECH2, 5.0), +1, 0.1, J)
+             for J in (50, 80)}
+    results = {J: solve_scattering(g, record_coefficients=True)
+               for J, g in grids.items()}
+    for mine, other in ((80, 50), (50, 80)):
+        nodes, others = len(grids[mine].points), len(grids[other].points)
+        assert nodes != others
+        with pytest.raises(ValueError, match=f"{nodes} nodes.* {others}"):
+            wavefunction(grids[other], results[mine], [1.0])
 
 
 def test_wavefunction_domain_guard():
@@ -393,10 +425,14 @@ def test_wavefunction_continuity_and_turning_points():
     res = solve_scattering(g, record_coefficients=True)
 
     def phi_from_segment(idx: int, x: float) -> complex:
-        st = res.coefficients[idx]
-        p11, p12, _, _, log_factor = propagator(g.segments[idx], st.x, x)
-        return (p11 * st.phi + p12 * st.dphi) * math.exp(
-            log_factor + st.log_scale - res.coefficients[0].log_scale)
+        # segment idx carries the state of its right end, the last node
+        # for the right free region
+        node = min(idx, len(g.points) - 1)
+        phi, dphi, log_scale = res.coefficients[node]
+        p11, p12, _, _, log_factor = propagator(
+            g.segments[idx], float(g.points[node]), x)
+        return (p11 * phi + p12 * dphi) * math.exp(
+            log_factor + log_scale - res.coefficients[0][2])
 
     # both representations of phi at each join, before normalization
     peak = max(abs(phi_from_segment(i, float(x)))
