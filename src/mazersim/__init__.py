@@ -10,9 +10,9 @@ Typical use:
 
 The heavy lifting lives in the submodules: exponentially scaled special
 functions (specfun), per-segment solution bases with a factored-out log
-scale (segment_basis), potential discretization (grid), the float64
-node-state sweep (transfer), branch combination (mazer), closed-form
-references (oracles), and the CSV front end (cli).
+scale (segment_basis), potential discretization (grid), the propagator
+product and the recording node-state sweep (transfer), branch combination
+(mazer), closed-form references (oracles), and the CSV front end (cli).
 """
 
 from .grid import (

@@ -9,10 +9,11 @@ k_over_kappa and kappaL, plus the mode shape.
 
 Rows are solved in chunks of up to eight, serial and pooled alike, and a
 lone row is a chunk of one: the branch grids of a chunk are built first,
-their propagators formed in one pass
-(:func:`~mazersim.transfer.sweep_propagators`), and each branch then
-solved on its own slice.  The results are bit for bit those of solving
-each branch alone.
+then their propagators formed in one pass and multiplied out in one
+pairwise tree over all of them
+(:func:`~mazersim.transfer.sweep_products`), and each branch solved from
+its own product.  The results are bit for bit those of solving each
+branch alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .grid import (
     build_grid,
     check_k_over_kappa,
 )
-from .transfer import ScatterResult, solve_scattering, sweep_propagators
+from .transfer import ScatterResult, solve_scattering, sweep_products
 
 __all__ = [
     "MazerParams",
@@ -159,8 +160,8 @@ def elementary_amplitudes(params: MazerParams, branch: int) -> ScatterResult:
     return solve_scattering(_grid(params, branch))
 
 
-# rows per chunk: the rows of a chunk share one propagator pass, and a
-# pooled sweep hands its workers one chunk per task
+# rows per chunk: the rows of a chunk share one propagator pass and one
+# product tree, and a pooled sweep hands its workers one chunk per task
 _CHUNK_ROWS = 8
 
 
@@ -183,43 +184,43 @@ def _solve_chunk(rows: list) -> list:
     """(plus, minus) amplitudes of every row, or the exception that ends it;
     a row is a MazerParams or the exception that already ended it.
 
-    All branch grids are built before one :func:`sweep_propagators` pass
-    over them; each branch is then solved on its slice.  A row fails as it
+    All branch grids are built before one :func:`sweep_products` pass over
+    them; each branch is then solved from its product.  A row fails as it
     would alone, at the first of + grid, + solve, - grid, - solve that
     raises.  Should the shared pass raise, every grid forms its own
-    propagators, so each failing row reports the message of a lone solve.
+    product, so each failing row reports the message of a lone solve.
     """
     built = [_branch_grids(row) for row in rows]
     try:
-        shared = iter(sweep_propagators(
+        shared = iter(sweep_products(
             [g for grids in built for g in grids if isinstance(g, Grid)]))
     except Exception:
         shared = repeat(None)
     out = []
     for row, grids in zip(rows, built):
-        # every grid takes its slice, also one behind a failed solve
-        props = [next(shared) if isinstance(g, Grid) else None for g in grids]
-        out.append(_solve_branches(grids, props) if grids
+        # every grid takes its product, also one behind a failed solve
+        products = [next(shared) if isinstance(g, Grid) else None for g in grids]
+        out.append(_solve_branches(grids, products) if grids
                    else (_TRANSPARENT,) * 2)
     return out
 
 
-def _solve_branches(grids: list, props: list):
-    """(plus, minus) from a row's grids and their propagators, or the first
-    exception in the order of a lone solve."""
+def _solve_branches(grids: list, products: list):
+    """(plus, minus) from a row's grids and their propagator products, or
+    the first exception in the order of a lone solve."""
     results = []
-    for grid, p in zip(grids, props):
+    for grid, product in zip(grids, products):
         if isinstance(grid, Exception):
             return grid
         try:
-            results.append(solve_scattering(grid, propagators=p))
+            results.append(solve_scattering(grid, product=product))
         except Exception as exc:
             return exc
     return tuple(results)
 
 
 def branch_amplitudes(params: MazerParams) -> tuple[ScatterResult, ScatterResult]:
-    """Both branches of one row, their propagators formed in one pass."""
+    """Both branches of one row, their products formed in one pass."""
     (outcome,) = _solve_chunk([params])
     if isinstance(outcome, Exception):
         raise outcome
@@ -305,7 +306,8 @@ def sweep_kappaL(
 
     Rows are independent; a failing row is kept with its error message so
     the sweep never silently drops a length.  The rows are solved in
-    chunks of eight that share one propagator pass; with ``workers`` > 1
+    chunks of eight that share one propagator pass and one product tree;
+    with ``workers`` > 1
     each chunk is one task of a process pool.  Output order is by kappaL
     regardless of worker scheduling.
     """

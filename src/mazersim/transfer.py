@@ -1,34 +1,42 @@
-"""Node-state sweep across the segments and amplitude extraction.
+"""Segment propagators, their ordered product, and amplitude extraction.
 
 The wavefunction and its derivative are continuous, so the node state
 (phi, phi') is shared by the two segments meeting at a node and the joins
 are identities.  Inside a segment the exact basis carries the state from
 one end to the other through the 2x2 propagator M(x_to) M(x_from)^-1.
 Chaining the propagators from the outgoing side back to the incoming side
-turns the two-point boundary problem into a single backward sweep; the
-state at the first node then yields the complex transmission and
-reflection amplitudes.
+turns the two-point boundary problem into one ordered product
+P_0 P_1 ... P_{n-1} applied to the outgoing wave; the state it gives at
+the first node yields the complex transmission and reflection amplitudes.
 
 Forbidden regions make the state grow like exp(rho*dx), far beyond float
 range at large interaction lengths.  Each propagator therefore comes with
 its dominant exponential e**|s_to - s_from| factored out of the basis
-scales analytically, so every entry is O(1); the state is two complex
-float64 values plus one float log scale, renormalised after every segment.
+scales analytically, so every entry is O(1) and the factor is a float log.
 
-The propagators are formed before the sweep from the grid's segment
-arrays: one batch per sloped regime, where one ``basis_eval`` call covers
-both ends of every segment of the regime, and a closed form per flat
-segment (a shear, a rotation, or scaled cosh and sinh), which needs no
-basis evaluation at all.  :func:`sweep_propagators` forms them for several
-grids in one pass over their concatenated arrays, and :func:`sweep` and
-:func:`solve_scattering` then take each grid's slice; every entry is an
-elementwise function of its own segment, so a slice holds the same floats
-as a pass over its grid alone.  The sweep itself is a loop over Python
-floats that applies them.  The two asymptotic free regions are the plane
-waves cos kx and sin kx, so the outgoing wave is seeded and the incoming
-amplitudes are read out in closed form; the sweep builds no segment
-record.  :func:`wavefunction` forms the propagators to all its samples in
-one call, a sample in a free region being a flat entry with z = k^2.
+The propagators are formed first from the grid's segment arrays, as one
+table of five entries per segment: one batch per sloped regime, where one
+``basis_eval`` call covers both ends of every segment of the regime, and a
+closed form per flat segment (a shear, a rotation, or scaled cosh and
+sinh), which needs no basis evaluation at all.  Every row is an
+elementwise function of its own segment, so a pass over the concatenated
+arrays of several grids (:func:`sweep_propagators`, :func:`sweep_products`)
+gives each grid the floats of a pass over it alone.
+
+The product is associated as a pairwise tree over all the grids of a
+batch at once (:func:`sweep_products`), each grid padded at its end with
+identity entries.  After each level every product is divided by the power
+of two that brings its largest entry into [1, 2), the exponents kept as
+integers beside the summed log factors.  Identity padding and power-of-two
+scaling are exact, so a grid's product does not depend on its batch, and
+a lone :func:`solve_scattering` is a batch of one.  :func:`sweep` is the
+recording path: a loop over Python floats that applies the same
+propagators one by one and keeps the node state at every node for
+:func:`wavefunction`.  The two asymptotic free regions are the plane waves
+cos kx and sin kx, so the outgoing wave is seeded and the incoming
+amplitudes are read out in closed form.  :func:`wavefunction` forms the
+propagators to all its samples in one call, a sample in a free region
+being a flat entry with z = k^2.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ __all__ = [
     "propagator",
     "solve_scattering",
     "sweep",
+    "sweep_products",
     "sweep_propagators",
     "wavefunction",
 ]
@@ -71,12 +80,16 @@ _PLANE_WAVE_CODE = list(Regime).index(Regime.FLAT_ALLOWED)
 
 
 class TransferError(Exception):
-    """Collapsed node state or degenerate amplitude extraction."""
+    """Collapsed or non-finite node state, or degenerate amplitude extraction."""
 
 
 # (phi, dphi, log_scale) at one node, true values being phi and dphi times
 # e**log_scale
 NodeState = tuple[complex, complex, float]
+# (p11, p12, p21, p22, log_factor, exponent) of a grid's propagator
+# product, the true matrix being the four entries times
+# e**log_factor * 2**exponent
+Product = tuple[float, float, float, float, float, int]
 
 
 @dataclass(frozen=True)
@@ -148,47 +161,92 @@ def _flat_propagator(z: float, dx: float) -> tuple:
 
 
 def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
-                 x_to: np.ndarray) -> list[float]:
+                 x_to: np.ndarray) -> np.ndarray:
     """Propagator of segment i of ``arrays`` from x_from[i] to x_to[i], for
-    every segment, as one list of floats: entries 5i to 5i + 4 are p11,
-    p12, p21, p22 and the log factor of segment i.  Each sloped regime
-    present is one batch; each flat segment takes its closed form.  Plain
-    floats, not a tuple per segment, keep a pass over many grids from
-    allocating thousands of tuples at once, which wakes the cyclic garbage
-    collector."""
+    every segment, as one (n, 5) table: row i holds p11, p12, p21, p22 and
+    the log factor of segment i.  Each sloped regime present is one batch;
+    the flat segments take their closed forms, written in one step."""
     code = arrays.code
     table = np.empty((len(code), 5))
-    # a list lookup keeps grids without sloped segments (the mesa) as cheap
-    # as a scalar sweep
+    # a list lookup keeps grids without sloped segments (the mesa) cheap
     present = code.tolist()
     for regime, regime_code in _SLOPED_CODES:
         if regime_code in present:
             sel = np.flatnonzero(code == regime_code)
             table[sel] = np.transpose(propagator(
                 arrays.take(sel, regime), x_from[sel], x_to[sel]))
-    out = table.ravel().tolist()
-    for i, (c, z, dx) in enumerate(zip(
-            present, arrays.z_flat.tolist(), (x_to - x_from).tolist())):
-        if c < _FIRST_SLOPED_CODE:
-            out[5 * i:5 * i + 5] = _flat_propagator(z, dx)
-    return out
+    flat = [i for i, c in enumerate(present) if c < _FIRST_SLOPED_CODE]
+    if flat:
+        table[flat] = list(map(_flat_propagator, arrays.z_flat[flat].tolist(),
+                               (x_to[flat] - x_from[flat]).tolist()))
+    return table
 
 
-def sweep_propagators(grids: Sequence[Grid]) -> list[list[float]]:
-    """The propagators that :func:`sweep` forms for each of ``grids``, from
-    one pass over their concatenated segment arrays: each sloped regime
-    present in any grid is one ``basis_eval`` batch.  An error raised inside
-    a batch names the segment's index in the concatenation."""
+def _pass(grids: Sequence[Grid]) -> np.ndarray:
+    """The propagator table of ``grids``' concatenated segment arrays; an
+    error raised inside a batch names the segment's index in it."""
+    arrays = SegmentArrays(*map(np.concatenate, zip(*(g.arrays for g in grids))))
+    return _propagators(arrays, arrays.x_hi, arrays.x_lo)
+
+
+def sweep_propagators(grids: Sequence[Grid]) -> list[np.ndarray]:
+    """The propagators that :func:`sweep` forms for each of ``grids``, five
+    entries per segment, from one pass over their concatenated segment
+    arrays: each sloped regime present in any grid is one ``basis_eval``
+    batch."""
     if not grids:
         return []
-    arrays = SegmentArrays(*map(np.concatenate, zip(*(g.arrays for g in grids))))
-    props = _propagators(arrays, arrays.x_hi, arrays.x_lo)
-    out, start = [], 0
-    for grid in grids:
-        stop = start + 5 * len(grid.arrays.code)
-        out.append(props[start:stop])
-        start = stop
-    return out
+    table = _pass(grids)
+    stops = np.cumsum([len(g.arrays.code) for g in grids]).tolist()
+    return [table[start:stop].ravel() for start, stop in zip([0] + stops, stops)]
+
+
+def _products(table: np.ndarray, lengths: Sequence[int]) -> list[Product]:
+    """P_0 P_1 ... P_{n-1} of each grid, whose n = lengths[g] rows follow
+    those of the grids before it in ``table``.
+
+    The grids sit in (2, 2, grids, N) entry arrays, left factor first, N
+    the power of two that holds the longest, with identity entries past
+    each grid's end.  Each level multiplies neighbouring pairs and divides
+    every product by the power of two that brings its largest entry into
+    [1, 2), which leaves the identity as it is.  The log factors are
+    summed as floats pair by pair, the power-of-two exponents as integers.
+    A batch of one-segment grids takes no level.
+    """
+    if all(n == 1 for n in lengths):
+        return [(*row, 0) for row in table.tolist()]
+    grids = len(lengths)
+    prod = np.zeros((2, 2, grids, 1 << (max(lengths) - 1).bit_length()))
+    prod[0, 0] = prod[1, 1] = 1.0
+    log = np.zeros(prod.shape[2:])
+    rows = np.repeat(np.arange(grids), lengths)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    prod[:, :, rows, cols] = table[:, :4].T.reshape(2, 2, -1)
+    log[rows, cols] = table[:, 4]
+    scales = []
+    while prod.shape[-1] > 1:
+        left, right = prod[..., 0::2], prod[..., 1::2]
+        prod = left[:, :1] * right[:1]
+        prod += left[:, 1:] * right[1:]
+        # 2**scale brings the largest of each product's entries into [1, 2)
+        scale = 1 - np.frexp(np.maximum.reduce(np.abs(prod).reshape(4, -1)))[1]
+        scales.append(scale.reshape(grids, -1))
+        np.ldexp(prod, scales[-1], out=prod)
+        log = log[:, 0::2] + log[:, 1::2]
+    # a grid's row holds the products of its tree at every level, and an
+    # integer sum needs no fixed order
+    exponent = -np.concatenate(scales, axis=1).sum(axis=1)
+    return list(zip(*prod.reshape(4, grids).tolist(), log[:, 0].tolist(),
+                    exponent.tolist()))
+
+
+def sweep_products(grids: Sequence[Grid]) -> list[Product]:
+    """Each grid's propagator product for :func:`solve_scattering`, from
+    one propagator pass over the concatenated segment arrays of ``grids``
+    and one pairwise tree over all their products."""
+    if not grids:
+        return []
+    return _products(_pass(grids), [len(g.arrays.code) for g in grids])
 
 
 def _plane_wave_amplitudes(k: float, x: float, phi: complex, dphi: complex):
@@ -198,41 +256,54 @@ def _plane_wave_amplitudes(k: float, x: float, phi: complex, dphi: complex):
             (cs * dphi + k * sn * phi) / k)
 
 
+def _table(grid: Grid, propagators) -> np.ndarray:
+    """The grid's (n, 5) propagator table: formed here, or read from
+    ``propagators``, its 5n entries in segment order, such as the grid's
+    slice of :func:`sweep_propagators`."""
+    arrays = grid.arrays
+    if propagators is None:
+        return _propagators(arrays, arrays.x_hi, arrays.x_lo)
+    entries = np.ravel(propagators)
+    n = len(arrays.code)
+    if len(entries) != 5 * n:
+        raise ValueError(f"{len(entries)} propagator entries for {n} segments")
+    return entries.reshape(n, 5)
+
+
+def _outgoing(grid: Grid, c: complex, d: complex) -> tuple[float, complex, complex]:
+    """(k, phi, dphi) of the wave c cos kx + d sin kx at the last node."""
+    # sqrt(k^2), the wavenumber _flat_propagator takes from z = k^2 in the
+    # free regions
+    k = math.sqrt(grid.k * grid.k)
+    x = float(grid.arrays.x_hi[-1])
+    cs, sn = math.cos(k * x), math.sin(k * x)
+    return k, c * cs + d * sn, c * (-k * sn) + d * (k * cs)
+
+
 def sweep(
     grid: Grid, c: complex, d: complex, record: bool = False, *,
-    propagators: list[float] | None = None,
+    propagators=None,
 ) -> tuple[complex, complex, float, list[NodeState]]:
     """Carry the outgoing wave c cos kx + d sin kx of the right free region
-    back to the left one.
+    back to the left one, segment by segment: the recording path.
 
     Returns (C0, D0, log_scale, states): the left free region's
     coefficients of cos kx and sin kx, true values being these times
     e**log_scale, and, when ``record``, the (phi, dphi, log_scale) state at
-    every node of ``grid.points``, left to right.  The propagators of all
-    segments come first, one batch per sloped regime and a closed form per
-    flat segment, unless ``propagators`` brings them from
-    :func:`sweep_propagators`; the loop then applies them one by one.
-    After each segment the state is divided by the power of two nearest
-    its magnitude.
+    every node of ``grid.points``, left to right.  The propagators are
+    formed first, unless ``propagators`` brings the grid's slice of
+    :func:`sweep_propagators`; a loop over Python floats then applies them
+    one by one, dividing the state after each segment by the power of two
+    nearest its magnitude.  :func:`solve_scattering` takes its amplitudes
+    from the product tree and runs this loop only to record.
     """
-    arrays = grid.arrays
-    # sqrt(k^2), the wavenumber _flat_propagator takes from z = k^2 in the
-    # free regions
-    k = math.sqrt(grid.k * grid.k)
-    n = len(arrays.code)
-    if propagators is None:
-        propagators = _propagators(arrays, arrays.x_hi, arrays.x_lo)
-    elif len(propagators) != 5 * n:
-        raise ValueError(f"{len(propagators)} propagator entries for {n} segments")
-    x = float(arrays.x_hi[-1])
-    cs, sn = math.cos(k * x), math.sin(k * x)
-    phi = c * cs + d * sn
-    dphi = c * (-k * sn) + d * (k * cs)
+    k, phi, dphi = _outgoing(grid, c, d)
     log_scale = 0.0
     states: list[NodeState] = []
-    # five entries per segment, read from the last segment back; the state
-    # entering segment j sits at its right end, node j
-    entries = reversed(propagators)
+    # five entries per segment, read from the last segment back as plain
+    # floats, which allocate no container per segment; the state entering
+    # segment j sits at its right end, node j
+    entries = reversed(_table(grid, propagators).ravel().tolist())
     for log_factor, p22, p21, p12, p11 in zip(
             entries, entries, entries, entries, entries):
         if record:
@@ -245,27 +316,54 @@ def sweep(
         factor = math.ldexp(1.0, -shift)
         phi, dphi = factor * phi, factor * dphi
         log_scale += log_factor + shift * _LN2
-    x = float(arrays.x_lo[0])
     if record:
         states.append((phi, dphi, log_scale))
         states.reverse()
-    c0, d0 = _plane_wave_amplitudes(k, x, phi, dphi)
+    c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]), phi, dphi)
     return c0, d0, log_scale, states
 
 
+def _carry(grid: Grid, product: Product) -> tuple[complex, complex, float]:
+    """(C0, D0, log_scale) as :func:`sweep` returns them for the outgoing
+    wave (c, d) = (1, i), from the grid's propagator product applied to it
+    once."""
+    p11, p12, p21, p22, log_factor, exponent = product
+    k, phi, dphi = _outgoing(grid, 1.0 + 0.0j, 1.0j)
+    phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
+    if not math.isfinite(abs(phi) + abs(dphi)):
+        raise TransferError("node state is not finite")
+    mag = max(abs(phi), abs(dphi))
+    if mag == 0.0:
+        raise TransferError("node state collapsed to zero")
+    # scaled so that the result does not depend on the power of two that
+    # the product carries, which differs for a one-segment grid alone
+    shift = math.frexp(mag)[1] - 1
+    factor = math.ldexp(1.0, -shift)
+    c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]),
+                                    factor * phi, factor * dphi)
+    return c0, d0, log_factor + (exponent + shift) * _LN2
+
+
 def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
-                     propagators: list[float] | None = None) -> ScatterResult:
-    """Backward sweep from the outgoing free region to the incoming one.
+                     propagators=None, product: Product | None = None,
+                     ) -> ScatterResult:
+    """Amplitudes from the propagator product applied to the outgoing wave.
 
     Seeds (C, D) = (1, i) in the right free region, i.e. a unit outgoing
     plane wave in its {cos kx, sin kx} basis, and carries it to the left.
     The left free region's pair then gives t and r; the accumulated log scale
     re-enters t because the seed fixed the transmitted amplitude, not the
-    incident one.  ``propagators`` is the grid's slice of a
-    :func:`sweep_propagators` pass; without it the sweep forms its own.
+    incident one.  ``product`` is the grid's entry of a
+    :func:`sweep_products` pass; without it the solve forms its own, from
+    ``propagators``, the grid's slice of :func:`sweep_propagators`, when
+    given.  ``record_coefficients`` runs :func:`sweep` to record the node
+    states and leaves t and r as they are.
     """
-    c0, d0, log_scale, states = sweep(
-        grid, 1.0 + 0.0j, 1.0j, record_coefficients, propagators=propagators)
+    if product is None or record_coefficients:
+        table = _table(grid, propagators)
+    if product is None:
+        (product,) = _products(table, [len(table)])
+    c0, d0, log_scale = _carry(grid, product)
     denom = c0 - 1j * d0
     if denom == 0.0:
         raise TransferError("C0 - i*D0 vanished: degenerate normalization")
@@ -280,13 +378,16 @@ def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
         raise TransferError("transmission overflow: log scale negative")
     r = (c0 + 1j * d0) / denom
     defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
+    states = None
+    if record_coefficients:
+        states = tuple(sweep(grid, 1.0 + 0.0j, 1.0j, True, propagators=table)[3])
     return ScatterResult(
         t=t,
         r=r,
         unitarity_defect=defect,
         t_log10_mag=t_log10_mag,
         log10_scale=sigma,
-        coefficients=tuple(states) if record_coefficients else None,
+        coefficients=states,
     )
 
 
@@ -334,7 +435,7 @@ def wavefunction(
         code=np.where(free, _PLANE_WAVE_CODE, samples.code),
         z_flat=np.where(free, z_free, samples.z_flat))
     out: list[tuple[float, complex]] = []
-    entries = iter(_propagators(samples, grid.points[node], xs))
+    entries = iter(_propagators(samples, grid.points[node], xs).ravel().tolist())
     for x, j, p11, p12, _, _, log_factor in zip(
             xs.tolist(), node.tolist(), entries, entries, entries, entries,
             entries):

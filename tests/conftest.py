@@ -1,13 +1,23 @@
-"""Shared pytest plumbing: the acceptance report.
+"""Shared pytest plumbing: the acceptance report and the replay margins.
 
 Acceptance tests carry a `criterion(number, label)` marker; after the run
 one PASS/FAIL line per criterion is printed so the gate can be read at a
-glance without scanning the full pytest output.
+glance without scanning the full pytest output.  The full reference
+replay records, per stored group, the worst fraction of its tolerance
+that any value used; after the run one `margin` line per group is
+printed, so a change that moves floats on purpose shows how close it came.
 """
 
 import pytest
 
 _RESULTS: dict[int, list] = {}
+_MARGINS: dict[str, float] = {}
+
+
+@pytest.fixture(scope="session")
+def tolerance_margins() -> dict[str, float]:
+    """Stored group -> worst fraction of its tolerance, reported at the end."""
+    return _MARGINS
 
 
 def pytest_configure(config):
@@ -32,6 +42,11 @@ def pytest_runtest_makereport(item, call):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if _MARGINS:
+        terminalreporter.section("reference tolerance margins")
+        for group, fraction in _MARGINS.items():
+            terminalreporter.write_line(
+                f"margin {group}: {fraction:.3g} of the stored tolerance")
     if not _RESULTS:
         return
     terminalreporter.section("acceptance criteria")

@@ -370,6 +370,41 @@ class TestChunks:
             repr(r) for i, r in enumerate(clean) if i != 2]
 
 
+    def test_collapsed_grid_keeps_its_row_error(self, monkeypatch):
+        # a grid whose propagator product is zero takes the outgoing wave to
+        # a zero state: its row reports the typed error of a lone solve, and
+        # the other rows of the chunk keep their lone values
+        import mazersim.transfer as transfer
+        from mazersim.grid import build_grid
+        from mazersim.segment_basis import Regime
+
+        params = make_params(ModeShape.SECH2, 0.1, 5.0, 100)
+        values = kappaL_range(4.0, 6.0, 0.5)
+        clean = sweep_kappaL(params, 4.0, 6.0, 0.5).rows
+        target = params.with_kappaL(values[2])
+        arrays = build_grid(target.profile, -1, 0.1, 100).arrays
+        sloped = np.flatnonzero(
+            arrays.code == list(Regime).index(Regime.SLOPE_ALLOWED))
+        x_bad = arrays.x_lo[sloped[len(sloped) // 2]]
+        z_bad = arrays.z_ref[sloped[len(sloped) // 2]]
+        real = transfer.basis_eval
+
+        def vanishing(seg, x):
+            # the segment's basis is zero at both ends, so is its propagator
+            basis = real(seg, x)
+            hit = (np.atleast_1d(seg.x_lo) == x_bad) & (
+                np.atleast_1d(seg.z_ref) == z_bad)
+            return type(basis)(*(np.where(hit, 0.0, v) for v in basis))
+
+        monkeypatch.setattr(transfer, "basis_eval", vanishing)
+        rows = sweep_kappaL(params, 4.0, 6.0, 0.5).rows
+        want = lone_error(target, -1)
+        assert want == "TransferError: node state collapsed to zero"
+        assert rows[2].error == want
+        assert [repr(r) for i, r in enumerate(rows) if i != 2] == [
+            repr(r) for i, r in enumerate(clean) if i != 2]
+
+
 class TestConvergence:
     def test_settles_below_tolerance(self):
         p = make_params(ModeShape.SECH2, 0.1, 5.0, 50)

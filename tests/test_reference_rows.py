@@ -6,7 +6,8 @@ output group (a multiple of the float noise measured at capture time).
 The Tier-1 tests re-solve a subset of those inputs through the public API,
 the same way the references were captured, and assert each value against
 the stored tolerance; the ``slow`` tests replay every stored row,
-convergence row and wavefunction dump the same way.  The file reads the
+convergence row and wavefunction dump the same way, and report the worst
+fraction of the stored tolerance that each group used.  The file reads the
 references as plain JSON and uses nothing from the benchmark's own code,
 so a change to the numeric core is checked against golden outputs that
 predate it.
@@ -69,14 +70,19 @@ def _cli_rows(argv, tmp_path):
 
 
 def _check_lattice_row(name, i):
+    """Assert the row against its stored tolerances; return the largest
+    fraction of its tolerance that a field used."""
     ref = REFERENCE[name]
     assert ref["fields"][:5] == ["P_em", "Ta2", "Tb2", "Ra2", "Rb2"]
     got = _lattice_row(ref["lattice"], i)
     want = ref["rows"][i]
     tol_p, tol_t = ref["tolerance"]["prob"], ref["tolerance"]["log10_t"]
+    worst = 0.0
     for field, a, b in zip(ref["fields"], got, want):
         tol = tol_p if field in ref["fields"][:5] else tol_t
         assert abs(a - b) <= tol, (name, i, field, a, b, tol)
+        worst = max(worst, abs(a - b) / tol)
+    return worst
 
 
 def _check_converge_row(i, tmp_path):
@@ -90,6 +96,7 @@ def _check_converge_row(i, tmp_path):
     assert [int(J) for J, _ in got] == lat["J"]
     for (_, P), want in zip(got, ref["rows"][i]):
         assert abs(P - want) <= tol, (i, P, want, tol)
+    return max(abs(P - want) for (_, P), want in zip(got, ref["rows"][i])) / tol
 
 
 def _check_wavefunction(key, tmp_path):
@@ -108,6 +115,8 @@ def _check_wavefunction(key, tmp_path):
     for (_, re, im, _), (want_re, want_im) in zip(sampled, want):
         assert abs(re - want_re) <= tol and abs(im - want_im) <= tol, (
             key, re, im, want_re, want_im, tol)
+    return max(max(abs(re - want_re), abs(im - want_im))
+               for (_, re, im, _), (want_re, want_im) in zip(sampled, want)) / tol
 
 
 @pytest.mark.parametrize("name,i", [
@@ -134,20 +143,22 @@ def test_wavefunction_samples(key, tmp_path):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", LATTICES)
-def test_every_lattice_row(name):
-    for i in range(REFERENCE[name]["lattice"]["n"]):
+def test_every_lattice_row(name, tolerance_margins):
+    tolerance_margins[name] = max(
         _check_lattice_row(name, i)
+        for i in range(REFERENCE[name]["lattice"]["n"]))
 
 
 @pytest.mark.slow
-def test_every_converge_row(tmp_path):
-    for i in range(REFERENCE["converge"]["lattice"]["n"]):
+def test_every_converge_row(tmp_path, tolerance_margins):
+    tolerance_margins["converge"] = max(
         _check_converge_row(i, tmp_path)
+        for i in range(REFERENCE["converge"]["lattice"]["n"]))
 
 
 @pytest.mark.slow
-def test_every_wavefunction_dump(tmp_path):
+def test_every_wavefunction_dump(tmp_path, tolerance_margins):
     keys = list(REFERENCE["wavefunction"]["rows"])
     assert len(keys) == 2 * REFERENCE["wavefunction"]["lattice"]["n"]
-    for key in keys:
-        _check_wavefunction(key, tmp_path)
+    tolerance_margins["wavefunction"] = max(
+        _check_wavefunction(key, tmp_path) for key in keys)

@@ -15,11 +15,13 @@ from mazersim.segment_basis import (
     basis_eval,
     make_segment,
 )
+from mazersim import transfer
 from mazersim.transfer import (
     TransferError,
     propagator,
     solve_scattering,
     sweep,
+    sweep_products,
     sweep_propagators,
     wavefunction,
 )
@@ -164,6 +166,75 @@ def test_shared_propagators_equal_each_grid_alone():
     assert sweep_propagators([]) == []
     with pytest.raises(ValueError, match="propagator entries for"):
         solve_scattering(grids[0], propagators=shared[0][:-5])
+
+
+def golden_grid(name):
+    shape, kappaL, k, J, sign = golden.CASES[name]
+    table = golden.TABLE if shape is ModeShape.TABULATED else None
+    return build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
+
+
+# the product tree against the recorded loop on the golden grids, which
+# associate the same propagators in another order: t relative, r absolute,
+# and log10|t| relative to its magnitude, which reaches 3.3e4 on the
+# sin+ grid, whose t underflows to 0
+TREE_T_REL_TOL = 1e-13
+TREE_R_TOL = 1e-14
+TREE_LOG10_T_REL_TOL = 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_tree_product_matches_recorded_loop(name):
+    g = golden_grid(name)
+    tree = solve_scattering(g)
+    c0, d0, log_scale, _ = sweep(g, 1.0 + 0.0j, 1.0j)
+    amp = 2.0 / (c0 - 1j * d0)
+    sigma = log_scale / math.log(10.0)
+    t_log10_mag = math.log10(abs(amp)) - sigma
+    assert abs(t_log10_mag - tree.t_log10_mag) <= TREE_LOG10_T_REL_TOL * max(
+        1.0, abs(tree.t_log10_mag))
+    t = amp * 10.0 ** -sigma if t_log10_mag > -300.0 else 0.0
+    assert abs(t - tree.t) <= TREE_T_REL_TOL * abs(tree.t)
+    assert (tree.t == 0.0) == (t == 0.0)
+    r = (c0 + 1j * d0) / (c0 - 1j * d0)
+    assert abs(r - tree.r) <= TREE_R_TOL
+
+
+def test_products_do_not_depend_on_the_batch():
+    # odd, even, power-of-two and one-segment grids, the longest not first:
+    # identity padding and power-of-two scaling are exact, so each grid's
+    # product gives the (C0, D0, log_scale) of its own batch of one, bit for
+    # bit, and its propagators are the floats of its own pass
+    grids = [build_grid(ModeProfile(shape, L), sign, k, J)
+             for shape, L, k, J, sign in (
+                 (ModeShape.SECH2, 3.0, 0.1, 101, -1),
+                 (ModeShape.SECH2, 10.0, 0.01, 200, +1),
+                 (ModeShape.SECH2, 3.0, 0.1, 65, -1),
+                 (ModeShape.MESA, 5.0, 0.1, 2, +1),
+                 (ModeShape.GAUSSIAN, 15.0, 0.1, 64, +1))]
+    lengths = [len(g.arrays.code) for g in grids]
+    assert lengths == [100, 201, 64, 1, 65]
+
+    def carried(grid, product):
+        c0, d0, log_scale = transfer._carry(grid, product)
+        return np.array([c0, d0, log_scale]).tobytes()
+
+    for grid, product, props in zip(grids, sweep_products(grids),
+                                    sweep_propagators(grids)):
+        (alone,) = sweep_products([grid])
+        assert carried(grid, product) == carried(grid, alone)
+        assert np.array_equal(props, sweep_propagators([grid])[0])
+        assert repr(solve_scattering(grid, product=product)) == repr(
+            solve_scattering(grid))
+    assert sweep_products([]) == []
+
+
+def test_degenerate_products_raise_typed_errors():
+    g = golden_grid("sech2+")
+    with pytest.raises(TransferError, match="collapsed to zero"):
+        solve_scattering(g, product=(0.0, 0.0, 0.0, 0.0, 0.0, 0))
+    with pytest.raises(TransferError, match="not finite"):
+        solve_scattering(g, product=(1.0, math.nan, 0.0, 1.0, 0.0, 0))
 
 
 def basis_built(seg, x_from, x_to):
