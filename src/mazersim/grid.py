@@ -63,10 +63,17 @@ __all__ = [
     "interp_abs_area",
     "find_turning_points",
     "check_k_over_kappa",
+    "K_OVER_KAPPA_MAX",
     "build_grid",
 ]
 
 DEFAULT_WINDOW_FACTOR = 16.0
+
+# the largest k_over_kappa accepted.  Above about 1e77 the builder's sign
+# tests, products of two coefficients z ~ k^2, overflow; from about 1e104
+# the transfer tree, whose flat rotation entries span a factor k^2, loses
+# unitarity without an error.
+K_OVER_KAPPA_MAX = 1.0e75
 
 # a turning point closer than this to an existing node replaces the node;
 # like every length tolerance of the builder it is scaled by
@@ -180,9 +187,12 @@ def load_tabulated(path: str) -> ModeProfile:
 
 
 def eval_mode(profile: ModeProfile, x: float) -> float:
-    """Mode value u(x); exactly zero outside the support."""
+    """Mode value u(x); exactly zero outside the support, and everywhere
+    for a mode of zero length other than the mesa."""
     L = profile.length
     s = profile.shape
+    if L == 0.0 and s is not _MESA:
+        return 0.0
     if s is _MESA:
         return 1.0 if 0.0 <= x <= L else 0.0
     if s is _SECH2:
@@ -207,6 +217,8 @@ def eval_mode_array(profile: ModeProfile, xs: np.ndarray) -> np.ndarray:
     L = profile.length
     s = profile.shape
     xs = np.asarray(xs, dtype=float)
+    if L == 0.0 and s is not _MESA:
+        return np.zeros(xs.shape)
     if s is _MESA:
         return np.where((xs >= 0.0) & (xs <= L), 1.0, 0.0)
     if s is _SECH2:
@@ -249,10 +261,10 @@ def _table_samples(profile: ModeProfile, a: float, b: float,
 
 def signed_area(profile: ModeProfile, a: float, b: float) -> float:
     """Exact integral of u over [a, b], by closed form."""
-    if b <= a:
-        return 0.0
     L = profile.length
     s = profile.shape
+    if b <= a or L == 0.0:
+        return 0.0
     if s is _MESA:
         lo, hi = _clip(a, b, 0.0, L)
         return max(hi - lo, 0.0)
@@ -427,12 +439,12 @@ class Grid:
 
 
 def check_k_over_kappa(k_over_kappa: float) -> None:
-    """Raise ValueError unless the energy k^2/2 and the free coefficient
-    k^2 are positive finite floats (k = inf, 1e300 and 1e-300 fail)."""
+    """Raise ValueError unless k is positive, at most K_OVER_KAPPA_MAX, and
+    its energy k^2/2 a positive float (k = inf, 1e100 and 1e-300 fail)."""
     k = k_over_kappa
-    if not (k > 0.0 and 0.5 * k * k > 0.0 and math.isfinite(k * k)):
-        raise ValueError(f"k_over_kappa = {k!r} is out of range: k^2/2 "
-                         "must be a positive finite float")
+    if not (0.0 < k <= K_OVER_KAPPA_MAX and 0.5 * k * k > 0.0):
+        raise ValueError(f"k_over_kappa = {k!r} is out of range: k must be at "
+                         f"most {K_OVER_KAPPA_MAX:g} and k^2/2 a positive float")
 
 
 def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> np.ndarray:

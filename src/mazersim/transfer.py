@@ -20,8 +20,8 @@ table of five entries per segment: one batch per sloped regime, where one
 closed form per flat segment (a shear, a rotation, or scaled cosh and
 sinh), which needs no basis evaluation at all.  Every row is an
 elementwise function of its own segment, so a pass over the concatenated
-arrays of several grids (:func:`sweep_propagators`, :func:`sweep_products`)
-gives each grid the floats of a pass over it alone.
+arrays of several grids (:func:`sweep_products`) gives each grid the
+floats of a pass over it alone.
 
 The product is associated as a pairwise tree over all the grids of a
 batch at once (:func:`sweep_products`), each grid padded at its end with
@@ -29,12 +29,15 @@ identity entries.  After each level every product is divided by the power
 of two that brings its largest entry into [1, 2), the exponents kept as
 integers beside the summed log factors.  Identity padding and power-of-two
 scaling are exact, so a grid's product does not depend on its batch, and
-a lone :func:`solve_scattering` is a batch of one.  :func:`sweep` is the
+a lone :func:`solve_scattering` is a batch of one.  Scaling by the
+largest entry loses the smallest of a flat rotation's, a factor k^2
+below it, so ``grid.K_OVER_KAPPA_MAX`` bounds k.  :func:`sweep` is the
 recording path: a loop over Python floats that applies the same
 propagators one by one and keeps the node state at every node for
-:func:`wavefunction`.  The two asymptotic free regions are the plane waves
-cos kx and sin kx, so the outgoing wave is seeded and the incoming
-amplitudes are read out in closed form.  :func:`wavefunction` forms the
+:func:`wavefunction`; a recording solve hands it its product's table.
+The two asymptotic free regions are the plane waves cos kx and sin kx,
+so the outgoing wave is seeded and the incoming amplitudes are read out
+in closed form.  :func:`wavefunction` forms the
 propagators to all its samples in one call, a sample in a free region
 being a flat entry with z = k^2.
 """
@@ -63,7 +66,6 @@ __all__ = [
     "solve_scattering",
     "sweep",
     "sweep_products",
-    "sweep_propagators",
     "wavefunction",
 ]
 
@@ -183,22 +185,12 @@ def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
 
 
 def _pass(grids: Sequence[Grid]) -> np.ndarray:
-    """The propagator table of ``grids``' concatenated segment arrays; an
+    """The propagator table of ``grids``' concatenated segment arrays, one
+    ``basis_eval`` batch per sloped regime present in any of them; an
     error raised inside a batch names the segment's index in it."""
-    arrays = SegmentArrays(*map(np.concatenate, zip(*(g.arrays for g in grids))))
+    arrays = grids[0].arrays if len(grids) == 1 else SegmentArrays(
+        *map(np.concatenate, zip(*(g.arrays for g in grids))))
     return _propagators(arrays, arrays.x_hi, arrays.x_lo)
-
-
-def sweep_propagators(grids: Sequence[Grid]) -> list[np.ndarray]:
-    """The propagators that :func:`sweep` forms for each of ``grids``, five
-    entries per segment, from one pass over their concatenated segment
-    arrays: each sloped regime present in any grid is one ``basis_eval``
-    batch."""
-    if not grids:
-        return []
-    table = _pass(grids)
-    stops = np.cumsum([len(g.arrays.code) for g in grids]).tolist()
-    return [table[start:stop].ravel() for start, stop in zip([0] + stops, stops)]
 
 
 def _products(table: np.ndarray, lengths: Sequence[int]) -> list[Product]:
@@ -256,20 +248,6 @@ def _plane_wave_amplitudes(k: float, x: float, phi: complex, dphi: complex):
             (cs * dphi + k * sn * phi) / k)
 
 
-def _table(grid: Grid, propagators) -> np.ndarray:
-    """The grid's (n, 5) propagator table: formed here, or read from
-    ``propagators``, its 5n entries in segment order, such as the grid's
-    slice of :func:`sweep_propagators`."""
-    arrays = grid.arrays
-    if propagators is None:
-        return _propagators(arrays, arrays.x_hi, arrays.x_lo)
-    entries = np.ravel(propagators)
-    n = len(arrays.code)
-    if len(entries) != 5 * n:
-        raise ValueError(f"{len(entries)} propagator entries for {n} segments")
-    return entries.reshape(n, 5)
-
-
 def _outgoing(grid: Grid, c: complex, d: complex) -> tuple[float, complex, complex]:
     """(k, phi, dphi) of the wave c cos kx + d sin kx at the last node."""
     # sqrt(k^2), the wavenumber _flat_propagator takes from z = k^2 in the
@@ -280,34 +258,36 @@ def _outgoing(grid: Grid, c: complex, d: complex) -> tuple[float, complex, compl
     return k, c * cs + d * sn, c * (-k * sn) + d * (k * cs)
 
 
-def sweep(
-    grid: Grid, c: complex, d: complex, record: bool = False, *,
-    propagators=None,
-) -> tuple[complex, complex, float, list[NodeState]]:
+def sweep(grid: Grid, c: complex, d: complex,
+          ) -> tuple[complex, complex, float, list[NodeState]]:
     """Carry the outgoing wave c cos kx + d sin kx of the right free region
     back to the left one, segment by segment: the recording path.
 
     Returns (C0, D0, log_scale, states): the left free region's
     coefficients of cos kx and sin kx, true values being these times
-    e**log_scale, and, when ``record``, the (phi, dphi, log_scale) state at
-    every node of ``grid.points``, left to right.  The propagators are
-    formed first, unless ``propagators`` brings the grid's slice of
-    :func:`sweep_propagators`; a loop over Python floats then applies them
-    one by one, dividing the state after each segment by the power of two
-    nearest its magnitude.  :func:`solve_scattering` takes its amplitudes
-    from the product tree and runs this loop only to record.
+    e**log_scale, and the (phi, dphi, log_scale) state at every node of
+    ``grid.points``, left to right.  The propagators are formed first; a
+    loop over Python floats then applies them one by one, dividing the
+    state after each segment by the power of two nearest its magnitude.
+    :func:`solve_scattering` takes its amplitudes from the product tree and
+    runs this loop only to record.
     """
+    return _sweep(grid, _pass([grid]), c, d)
+
+
+def _sweep(grid: Grid, table: np.ndarray, c: complex, d: complex,
+           ) -> tuple[complex, complex, float, list[NodeState]]:
+    """:func:`sweep` over the grid's propagator table ``table``."""
     k, phi, dphi = _outgoing(grid, c, d)
     log_scale = 0.0
     states: list[NodeState] = []
     # five entries per segment, read from the last segment back as plain
     # floats, which allocate no container per segment; the state entering
     # segment j sits at its right end, node j
-    entries = reversed(_table(grid, propagators).ravel().tolist())
+    entries = reversed(table.ravel().tolist())
     for log_factor, p22, p21, p12, p11 in zip(
             entries, entries, entries, entries, entries):
-        if record:
-            states.append((phi, dphi, log_scale))
+        states.append((phi, dphi, log_scale))
         phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
         mag = max(abs(phi), abs(dphi))
         if mag == 0.0:
@@ -316,9 +296,8 @@ def sweep(
         factor = math.ldexp(1.0, -shift)
         phi, dphi = factor * phi, factor * dphi
         log_scale += log_factor + shift * _LN2
-    if record:
-        states.append((phi, dphi, log_scale))
-        states.reverse()
+    states.append((phi, dphi, log_scale))
+    states.reverse()
     c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]), phi, dphi)
     return c0, d0, log_scale, states
 
@@ -345,8 +324,7 @@ def _carry(grid: Grid, product: Product) -> tuple[complex, complex, float]:
 
 
 def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
-                     propagators=None, product: Product | None = None,
-                     ) -> ScatterResult:
+                     product: Product | None = None) -> ScatterResult:
     """Amplitudes from the propagator product applied to the outgoing wave.
 
     Seeds (C, D) = (1, i) in the right free region, i.e. a unit outgoing
@@ -354,13 +332,13 @@ def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
     The left free region's pair then gives t and r; the accumulated log scale
     re-enters t because the seed fixed the transmitted amplitude, not the
     incident one.  ``product`` is the grid's entry of a
-    :func:`sweep_products` pass; without it the solve forms its own, from
-    ``propagators``, the grid's slice of :func:`sweep_propagators`, when
-    given.  ``record_coefficients`` runs :func:`sweep` to record the node
-    states and leaves t and r as they are.
+    :func:`sweep_products` pass; without it the solve forms its own.
+    ``record_coefficients`` runs the :func:`sweep` loop over the same
+    propagator table to record the node states, and leaves t and r as they
+    are.
     """
     if product is None or record_coefficients:
-        table = _table(grid, propagators)
+        table = _pass([grid])
     if product is None:
         (product,) = _products(table, [len(table)])
     c0, d0, log_scale = _carry(grid, product)
@@ -380,7 +358,7 @@ def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
     defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
     states = None
     if record_coefficients:
-        states = tuple(sweep(grid, 1.0 + 0.0j, 1.0j, True, propagators=table)[3])
+        states = tuple(_sweep(grid, table, 1.0 + 0.0j, 1.0j)[3])
     return ScatterResult(
         t=t,
         r=r,

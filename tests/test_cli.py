@@ -108,6 +108,7 @@ class TestConfigErrors:
         ["sweep", "--profile", "mesa", "--k", "-1", "--range", "0:1:0.5", "--J", "2"],
         ["sweep", "--profile", "sech2", "--k", "inf", "--range", "0:1:0.5", "--J", "20"],
         ["sweep", "--profile", "sech2", "--k", "1e-300", "--range", "0:1:0.5", "--J", "20"],
+        ["sweep", "--profile", "sech2", "--k", "1e110", "--range", "0:1:0.5", "--J", "20"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1:0.5", "--J", "1"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1:0.5", "--J", "2",
          "--workers", "0"],

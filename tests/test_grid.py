@@ -1,6 +1,7 @@
 """Mode profiles, turning-point location, and grid construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,25 @@ def test_exact_areas_against_quadrature():
             want_abs, _ = quad(lambda x: abs(eval_mode(p, x)), a, b,
                                limit=400, points=kinks)
             assert abs_area(p, a, b) == pytest.approx(want_abs, abs=1e-9)
+
+
+ANALYTIC_SHAPES = [shape for shape in ModeShape if shape is not ModeShape.TABULATED]
+
+
+@pytest.mark.parametrize("shape", ANALYTIC_SHAPES)
+def test_zero_length_mode_vanishes(shape):
+    # at length 0 every shape is zero everywhere, but for the mesa at its
+    # one point x = 0, with no area and no warning
+    p = ModeProfile(shape, 0.0)
+    xs = [-1.0, -1e-300, 0.0, 1e-300, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        us = eval_mode_array(p, np.array(xs)).tolist()
+    assert us == [eval_mode(p, x) for x in xs]
+    assert us == [float(shape is ModeShape.MESA and x == 0.0) for x in xs]
+    for a, b in [(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)]:
+        assert signed_area(p, a, b) == 0.0
+        assert abs_area(p, a, b) == 0.0
 
 
 def test_interp_abs_area_sign_change_exact():
@@ -486,8 +506,8 @@ def test_tiny_window_builds(shape, k, kappaL, J):
 @pytest.mark.parametrize("k", [math.inf, 1.0e300, 1.0e-300])
 @pytest.mark.parametrize("shape", [ModeShape.MESA, ModeShape.SECH2])
 def test_build_grid_rejects_momentum_outside_float_range(shape, k):
-    # k^2 overflows, or k^2 underflows to 0 and the outer segments would
-    # lose their plane waves
+    # k exceeds K_OVER_KAPPA_MAX, or k^2 underflows to 0 and the outer
+    # segments would lose their plane waves
     with pytest.raises(ValueError, match="k_over_kappa"):
         build_grid(ModeProfile(shape, 5.0), +1, k, 50)
 

@@ -2,11 +2,12 @@
 convergence studies, and the zero-length shortcut."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mazersim.grid import ModeProfile, ModeShape
+from mazersim.grid import K_OVER_KAPPA_MAX, ModeProfile, ModeShape
 from mazersim.mazer import (
     ConvergenceStudy,
     MazerParams,
@@ -40,9 +41,15 @@ class TestParamsValidation:
 
     @pytest.mark.parametrize("k", [math.inf, 1.0e300, 1.0e-300, math.nan])
     def test_rejects_momentum_outside_float_range(self, k):
-        # k^2 overflows (inf, 1e300) or E = k^2/2 underflows to 0 (1e-300)
+        # k exceeds the bound (inf, 1e300) or E = k^2/2 underflows to 0
+        # (1e-300)
         with pytest.raises(ValueError, match="k_over_kappa"):
             make_params(k=k)
+
+    def test_refuses_momentum_just_above_the_bound(self):
+        make_params(k=K_OVER_KAPPA_MAX)
+        with pytest.raises(ValueError, match=r"k_over_kappa.*at most 1e\+75"):
+            make_params(k=math.nextafter(K_OVER_KAPPA_MAX, math.inf))
 
     @pytest.mark.parametrize("window_factor", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_window_factor_outside_domain(self, window_factor):
@@ -139,6 +146,26 @@ class TestCombination:
             assert ev.closure_defect <= 1e-8, (shape, ev.closure_defect)
             for value in (ev.T_a_sq, ev.T_b_sq, ev.R_a_sq, ev.R_b_sq, ev.P_em):
                 assert 0.0 <= value <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("shape, L, J", [
+        (ModeShape.MESA, 5.0, 50),
+        (ModeShape.SECH2, 5.0, 50),
+        (ModeShape.SECH2, 5.0, 1600),
+        (ModeShape.GAUSSIAN, 5.0, 50),
+        (ModeShape.SIN_FUNDAMENTAL, 5.0, 50),
+        (ModeShape.SIN_FUNDAMENTAL, 1.0e5, 100),
+        (ModeShape.SIN_FIRST_EXCITED, 5.0, 50),
+    ])
+    def test_closure_at_every_decade_up_to_the_momentum_bound(self, shape, L, J):
+        # the flat rotations' entries span a factor k^2, which the product
+        # tree loses to subnormals from k ~ 1e104 on; below the bound every
+        # row closes, and the build overflows nowhere
+        top = round(math.log10(K_OVER_KAPPA_MAX))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in range(-2, top + 1):
+                ev = event_probabilities(make_params(shape, float(f"1e{e}"), L, J))
+                assert ev.closure_defect <= 1e-8, (e, ev.closure_defect)
 
     def test_emission_vanishes_continuously_at_short_lengths(self):
         p3 = event_probabilities(make_params(L=1e-3, J=50)).P_em

@@ -22,7 +22,6 @@ from mazersim.transfer import (
     solve_scattering,
     sweep,
     sweep_products,
-    sweep_propagators,
     wavefunction,
 )
 
@@ -148,26 +147,6 @@ def test_batched_propagators_match_scalar_calls(name):
     assert checked or shape is ModeShape.MESA
 
 
-def test_shared_propagators_equal_each_grid_alone():
-    # one pass over the concatenated arrays of several grids, sloped and
-    # flat, gives each grid the floats of its own pass, and its solve
-    grids = [build_grid(ModeProfile(shape, L), sign, k, J)
-             for shape, L, k, J in ((ModeShape.SECH2, 3.0, 0.1, 100),
-                                    (ModeShape.GAUSSIAN, 5.0, 0.3, 150),
-                                    (ModeShape.MESA, 2.0, 0.5, 2))
-             for sign in (+1, -1)]
-    shared = sweep_propagators(grids)
-    assert len(shared) == len(grids)
-    for grid, props in zip(grids, shared):
-        assert len(props) == 5 * len(grid.arrays.code)
-        assert repr(props) == repr(sweep_propagators([grid])[0])
-        assert repr(solve_scattering(grid, propagators=props)) == repr(
-            solve_scattering(grid))
-    assert sweep_propagators([]) == []
-    with pytest.raises(ValueError, match="propagator entries for"):
-        solve_scattering(grids[0], propagators=shared[0][:-5])
-
-
 def golden_grid(name):
     shape, kappaL, k, J, sign = golden.CASES[name]
     table = golden.TABLE if shape is ModeShape.TABULATED else None
@@ -219,14 +198,35 @@ def test_products_do_not_depend_on_the_batch():
         c0, d0, log_scale = transfer._carry(grid, product)
         return np.array([c0, d0, log_scale]).tobytes()
 
-    for grid, product, props in zip(grids, sweep_products(grids),
-                                    sweep_propagators(grids)):
+    table = transfer._pass(grids)
+    stops = np.cumsum(lengths).tolist()
+    for grid, product, start, stop in zip(grids, sweep_products(grids),
+                                          [0] + stops, stops):
         (alone,) = sweep_products([grid])
         assert carried(grid, product) == carried(grid, alone)
-        assert np.array_equal(props, sweep_propagators([grid])[0])
+        assert np.array_equal(table[start:stop], transfer._pass([grid]))
         assert repr(solve_scattering(grid, product=product)) == repr(
             solve_scattering(grid))
     assert sweep_products([]) == []
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_recording_solve_forms_its_propagators_once(name, monkeypatch):
+    # the product and the recorded loop share one propagator table: one
+    # basis_eval batch per sloped regime present, none for a flat grid
+    g = golden_grid(name)
+    calls = []
+
+    def counted(seg, xs):
+        calls.append(seg.regime)
+        return basis_eval(seg, xs)
+
+    monkeypatch.setattr(transfer, "basis_eval", counted)
+    result = solve_scattering(g, record_coefficients=True)
+    present = {list(Regime)[c] for c in g.arrays.code.tolist()}
+    sloped = present & {Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN}
+    assert sorted(calls, key=str) == sorted(sloped, key=str)
+    assert len(result.coefficients) == len(g.points)
 
 
 def test_degenerate_products_raise_typed_errors():
