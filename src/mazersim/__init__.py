@@ -9,10 +9,11 @@ Typical use:
     0.0237...
 
 The heavy lifting lives in the submodules: exponentially scaled special
-functions (specfun), per-segment solution bases with a factored-out log
-scale (segment_basis), potential discretization (grid), the propagator
-product and the recording node-state sweep (transfer), branch combination
-(mazer), closed-form references (oracles), and the CSV front end (cli).
+functions (specfun), the segment arrays and the batched Bessel bases of
+sloped segments with a factored-out log scale (segment_basis), potential
+discretization (grid), the propagator product and the recording
+node-state sweep (transfer), branch combination (mazer), closed-form
+references (oracles), and the CSV front end (cli).
 """
 
 from .grid import (
@@ -45,7 +46,7 @@ from .oracles import (
     sech2_analytic,
     wkb_first_excited,
 )
-from .segment_basis import Regime, Segment, basis_eval, make_segment
+from .segment_basis import Regime
 from .transfer import (
     ScatterResult,
     TransferError,
@@ -64,7 +65,7 @@ __all__ = [
     "event_probabilities", "kappaL_range", "sweep_kappaL",
     "OracleResult", "WkbPrediction",
     "mesa_analytic", "sech2_analytic", "wkb_first_excited",
-    "Regime", "Segment", "basis_eval", "make_segment",
+    "Regime",
     "ScatterResult", "TransferError", "solve_scattering", "wavefunction",
     "__version__",
 ]

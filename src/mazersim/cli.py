@@ -285,3 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

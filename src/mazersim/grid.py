@@ -29,9 +29,10 @@ give the exact area, by Brent's method on a bracket of the area defect.
 The nodes and their coefficients z = k^2 - 2*alpha*V go to
 :func:`segment_basis.build_segments`, which slopes, classifies, demotes and
 anchors every segment between the nodes in one array pass.  The grid keeps
-those arrays, and the sweep and the wavefunction read nothing else of the
-segments; their records, framed by the two outer free segments, are built
-the first time ``Grid.segments`` is read.
+those arrays, and the sweep and the wavefunction read the segments from
+them in batches, nothing else.  ``Grid.segments``, a tuple of records
+framed by the two outer free segments, is built the first time it is
+read; no solve reads it.
 Length tolerances (root bisection, root stability, turning-node merging)
 scale with min(1, window width), so tiny cavities keep their resolution.
 """

@@ -1,28 +1,25 @@
-"""Fundamental-solution pairs for one linear-potential segment.
+"""Fundamental-solution pairs for linear-potential segments.
 
 On a segment where the coefficient of the wave equation varies linearly,
 ``phi'' + z(x) phi = 0`` with ``z(x) = z_ref + b*(x - x_ref)``, the solution
 space is spanned by a pair of real functions that depends only on the sign
 of z and on whether the segment actually slopes.  Five regimes cover every
-case:
+case: on the three flat ones (z == 0, z > 0, z < 0) the pair is {1, x},
+{cos, sin} or {exp(-rho x), exp(+rho x)}, whose propagators the transfer
+layer writes in closed form, and on the two sloped ones
 
-* flat, z == 0:   {1, x - x_ref}
-* flat, z > 0:    {cos k(x - x_ref), sin k(x - x_ref)},  k = sqrt(z)
-* flat, z < 0:    {exp(-rho (x - x_ref)), exp(+rho (x - x_ref))},  rho = sqrt(-z)
 * sloped, z > 0:  {sqrt(z) J_{1/3}(w), sqrt(z) Y_{1/3}(w)}
 * sloped, z < 0:  {sqrt(-z) I_{1/3}(w), sqrt(-z) K_{1/3}(w)}
 
-with w = (2 / (3|b|)) |z|^{3/2}.  Values and x-derivatives are returned as
-plain floats with one log scale s factored out: f+ and its derivative carry
-e**+s, f- and its derivative e**-s.  s is w on sloped forbidden segments
-(outside the turning-point series), -rho (x - x_ref) on flat forbidden ones
-and 0 elsewhere, so the growing and decaying branches both stay finite
-across arbitrarily wide classically forbidden stretches.
-
-On the two sloped regimes :func:`basis_eval` takes a batch: a Segment
-whose numeric fields are arrays, all of one regime, and an array of
-positions.  Each entry takes one of two representations by its
-argument w, each one array computation:
+with w = (2 / (3|b|)) |z|^{3/2}.  :func:`basis_eval` evaluates these on a
+batch: a Segment whose numeric fields are arrays, all of one sloped
+regime, at an array of positions; a flat batch is refused.  Values and
+x-derivatives come with one log scale s factored out: f+ and its
+derivative carry e**+s, f- and its derivative e**-s.  s is w on forbidden
+segments (outside the turning-point series) and 0 elsewhere, so the
+growing and decaying branches both stay finite across arbitrarily wide
+classically forbidden stretches.  Each entry takes one of two
+representations by its argument w, each one array computation:
 
 * w < W_SERIES_SWITCH (= 1): power series in z that remain exact at the
   turning point z = 0, summed for the whole band at once;
@@ -34,17 +31,17 @@ argument w, each one array computation:
 The derivatives need order -2/3, which the reflection identities give
 from order 2/3.  Nothing here calls scipy.  The series and the kernel,
 and the kernel's two bands, agree to about 1e-14 at each switch, so
-propagators never see a jump.  The flat regimes make no special-function
-calls and stay scalar closed forms.
+propagators never see a jump.
 
 Every segment comes from :func:`build_segments`, one array pass over the
 node values that computes the slope, the regime (including the demotion of
 sloped segments whose argument w passes W_FLAT_COLLAPSE to the flat regime
 of their midpoint value), the anchor, the flat constant and the sign-check
 scale, and keeps them as :class:`SegmentArrays`; the sweep takes its
-batches from there and the grid its tuple of records from
-:meth:`SegmentArrays.records`.  :func:`make_segment` is the two-node call.
-A regime is always derived from the values, so it cannot contradict them.
+batches from there with :meth:`SegmentArrays.take`, and the grid its
+tuple of records, framed by the free regions, from
+:meth:`SegmentArrays.records`.  A regime is always derived from the
+values, so it cannot contradict them.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ __all__ = [
     "BasisEval",
     "SegmentRegimeError",
     "build_segments",
-    "make_segment",
     "basis_eval",
     "analytic_wronskian",
     "W_SERIES_SWITCH",
@@ -103,17 +99,14 @@ class Regime(enum.Enum):
 
 # regime codes of build_segments follow the definition order above
 _REGIME_OF_CODE = tuple(Regime)
-# module-level names for the per-segment paths: looking a member up on the
-# enum class costs about 0.2 us on CPython 3.11
-(_FLAT_FREE, _FLAT_ALLOWED, _FLAT_FORBIDDEN,
- _SLOPE_ALLOWED, _SLOPE_FORBIDDEN) = _REGIME_OF_CODE
 
 
 class Segment(NamedTuple):
-    """One piece of the piecewise-linear coefficient z(x).
+    """Pieces of the piecewise-linear coefficient z(x), all of one regime:
+    a batch from :meth:`SegmentArrays.take`, whose numeric fields are
+    arrays, or a record of floats from :meth:`SegmentArrays.records`.
 
-    Built by :func:`build_segments`, which derives every field from the
-    node values.  ``x_ref`` anchors the basis functions; keeping it inside
+    Every field derives from the node values.  ``x_ref`` anchors the basis functions; keeping it inside
     the segment keeps every evaluation numerically local even when x itself
     is ~1e5.  ``z_ref`` is z at the anchor, kept as sampled because
     recomputing it would shred the tiny z values near turning points.
@@ -136,24 +129,20 @@ class Segment(NamedTuple):
         anchor; elementwise on a batch."""
         return self.z_ref + self.b * (x - self.x_ref)
 
-    def w(self, x: float) -> float:
-        """Cylinder-function argument (2 / 3|b|) |z|^{3/2}; sloped only."""
-        z = self.z(x)
-        return 2.0 * abs(z) * math.sqrt(abs(z)) / (3.0 * abs(self.b))
-
 
 class BasisEval(NamedTuple):
-    """Values and x-derivatives of the two fundamental solutions at one x.
+    """Values and x-derivatives of the two fundamental solutions, one
+    array entry per evaluation.
 
     The true values are f_plus * e**s, f_minus * e**-s, g_plus * e**s and
     g_minus * e**-s; the Wronskian f+ g- - f- g+ needs no scale at all.
     """
 
-    f_plus: float
-    f_minus: float
-    g_plus: float
-    g_minus: float
-    s: float = 0.0
+    f_plus: np.ndarray
+    f_minus: np.ndarray
+    g_plus: np.ndarray
+    g_minus: np.ndarray
+    s: np.ndarray
 
 
 class SegmentArrays(NamedTuple):
@@ -181,10 +170,8 @@ class SegmentArrays(NamedTuple):
         return Segment(x_lo, self.x_hi[idx], self.b[idx], regime, x_lo,
                        self.z_ref[idx], self.z_flat[idx], self.z_scale[idx])
 
-    def records(self, z_free: float | None = None) -> tuple[Segment, ...]:
-        """One Segment of Python floats per entry.
-
-        With ``z_free`` the tuple starts and ends with the two
+    def records(self, z_free: float) -> tuple[Segment, ...]:
+        """One Segment of Python floats per entry, framed by the two
         semi-infinite free segments z = z_free beyond the nodes, anchored
         at x = 0, whose plane waves define the scattering amplitudes;
         z_free must be positive.
@@ -194,11 +181,9 @@ class SegmentArrays(NamedTuple):
             Segment, x_lo, self.x_hi.tolist(), self.b.tolist(),
             map(_REGIME_OF_CODE.__getitem__, self.code.tolist()), x_lo,
             self.z_ref.tolist(), self.z_flat.tolist(), self.z_scale.tolist())
-        if z_free is None:
-            return tuple(segments)
         if not 0.0 < z_free < math.inf:
             raise ValueError(f"free coefficient z = {z_free} carries no plane wave")
-        free = (0.0, _FLAT_ALLOWED, 0.0, z_free, z_free, z_free)
+        free = (0.0, Regime.FLAT_ALLOWED, 0.0, z_free, z_free, z_free)
         return (Segment(-math.inf, x_lo[0], *free), *segments,
                 Segment(self.x_hi[-1].item(), math.inf, *free))
 
@@ -241,39 +226,25 @@ def build_segments(x, z) -> SegmentArrays:
     return SegmentArrays(code, x_lo, x_hi, b, z_lo, z_flat, z_scale)
 
 
-def make_segment(x_lo: float, x_hi: float, z_lo: float, z_hi: float) -> Segment:
-    """One segment from its endpoint coefficients: the two-node call of
-    :func:`build_segments`.
-
-    The slope is taken from the endpoint values.  Both ends must be
-    finite; the semi-infinite free regions come from
-    :meth:`SegmentArrays.records`.
-    """
-    if not x_lo < x_hi:
-        raise ValueError(f"empty segment [{x_lo}, {x_hi}]")
-    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
-        raise ValueError(f"non-finite segment bound: [{x_lo}, {x_hi}]")
-    if not (math.isfinite(z_lo) and math.isfinite(z_hi)):
-        raise ValueError(f"non-finite coefficient z: {z_lo} .. {z_hi}")
-    return build_segments((x_lo, x_hi), (z_lo, z_hi)).records()[0]
+def _is_allowed(seg: Segment) -> bool:
+    """Whether ``seg`` is sloped allowed rather than sloped forbidden; a
+    flat regime has no Bessel basis and raises ValueError naming it."""
+    if seg.regime is Regime.SLOPE_ALLOWED:
+        return True
+    if seg.regime is Regime.SLOPE_FORBIDDEN:
+        return False
+    raise ValueError(f"{seg.regime.value} segments have no Bessel basis; the "
+                     "transfer layer propagates them in closed form")
 
 
-def analytic_wronskian(seg: Segment) -> float:
-    """Exact Wronskian f+ g- - f- g+ of the segment's basis pair.
+def analytic_wronskian(seg: Segment):
+    """Exact Wronskian f+ g- - f- g+ of the basis pair of a sloped segment
+    or batch: 3b/pi on allowed segments, 3b/2 on forbidden ones.
 
     Constant across the segment; propagators divide by it instead of
     differencing two nearly equal products.
     """
-    r = seg.regime
-    if r is _FLAT_FREE:
-        return 1.0
-    if r is _FLAT_ALLOWED:
-        return math.sqrt(seg.z_flat)
-    if r is _FLAT_FORBIDDEN:
-        return 2.0 * math.sqrt(-seg.z_flat)
-    if r is _SLOPE_ALLOWED:
-        return 3.0 * seg.b / math.pi
-    return 1.5 * seg.b
+    return 3.0 * seg.b / math.pi if _is_allowed(seg) else 1.5 * seg.b
 
 
 # --- power series around a turning point --------------------------------
@@ -335,21 +306,25 @@ def _segment_at(seg: Segment, x, shape: tuple[int, ...], i: int) -> str:
     """Names the segment, its x and its regime at flat index i of an
     evaluation of ``shape``, whose last axis runs over the segments."""
     at = np.unravel_index(i, shape)
-    index = int(at[-1]) if np.ndim(seg.b) else 0
     x_at = float(np.broadcast_to(x, shape)[at])
-    return f"{seg.regime.value} segment {index} at x = {x_at!r}"
+    return f"{seg.regime.value} segment {int(at[-1])} at x = {x_at!r}"
 
 
-def _basis_sloped(seg: Segment, x) -> BasisEval:
-    """Both sloped regimes, on one segment or a batch.
+def basis_eval(seg: Segment, x) -> BasisEval:
+    """Evaluate (f+, f-, f+', f-') and their log scale s on a sloped batch.
 
-    A batch is a Segment whose numeric fields are arrays; they broadcast
-    against ``x`` with the segment axis last.  Each entry takes the
-    turning-point series below W_SERIES_SWITCH and the one cyl_bessel
-    call of the batch at or above it.
+    ``seg`` is a batch of segments of one sloped regime (see
+    :meth:`SegmentArrays.take`) whose numeric fields broadcast against
+    ``x`` with the segment axis last; the five results are arrays of that
+    shape.  Each entry takes the turning-point series below
+    W_SERIES_SWITCH and the one cyl_bessel call of the batch at or above
+    it.  x may be a hair outside [x_lo, x_hi] (endpoint roundoff) but the
+    local coefficient must match the regime's sign up to turning-point
+    slack.  A flat batch raises ValueError naming its regime, and an error
+    raised inside a batch names the segment's index in it, its x and its
+    regime.
     """
-    allowed = seg.regime is _SLOPE_ALLOWED
-    scalar = np.ndim(x) == 0 and np.ndim(seg.b) == 0
+    allowed = _is_allowed(seg)
     b = seg.b
     z = np.atleast_1d(seg.z(x))
     slack = _SIGN_SLACK * np.maximum(seg.z_scale, 1.0e-300)
@@ -391,33 +366,4 @@ def _basis_sloped(seg: Segment, x) -> BasisEval:
                                w[series], allowed)
         for arr, value in zip(out, values):
             arr[series] = value
-    if scalar:
-        return BasisEval(*(arr.item() for arr in out))
     return BasisEval(*out)
-
-
-def basis_eval(seg: Segment, x) -> BasisEval:
-    """Evaluate (f+, f-, f+', f-') and their log scale s at position x.
-
-    x may be a hair outside [x_lo, x_hi] (endpoint roundoff) but the local
-    coefficient must match the regime's sign up to turning-point slack.
-    On the two sloped regimes ``seg`` may be a batch of segments of that
-    regime (see :meth:`SegmentArrays.take`) and x an array broadcasting
-    against its fields; the five results are then arrays.  An error raised
-    inside a batch names the segment's index in it, its x and its regime.
-    """
-    r = seg.regime
-    if r is _SLOPE_ALLOWED or r is _SLOPE_FORBIDDEN:
-        return _basis_sloped(seg, x)
-    if not math.isfinite(x):
-        raise ValueError(f"basis evaluation at non-finite x = {x}")
-    dx = x - seg.x_ref
-    if r is _FLAT_FREE:
-        return BasisEval(1.0, dx, 0.0, 1.0)
-    if r is _FLAT_ALLOWED:
-        k = math.sqrt(seg.z_flat)
-        cs, sn = math.cos(k * dx), math.sin(k * dx)
-        return BasisEval(cs, sn, -k * sn, k * cs)
-    # f+ = e**(-rho dx), f- = e**(+rho dx): all of it is the scale
-    rho = math.sqrt(-seg.z_flat)
-    return BasisEval(1.0, 1.0, -rho, rho, -rho * dx)

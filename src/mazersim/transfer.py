@@ -62,7 +62,6 @@ from .segment_basis import (
 __all__ = [
     "ScatterResult",
     "TransferError",
-    "propagator",
     "solve_scattering",
     "sweep",
     "sweep_products",
@@ -72,10 +71,10 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 
-_SLOPED = (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN)
 # (regime, code) of the sloped regimes; SegmentArrays.code numbers the
 # regimes in their definition order, the flat ones first
-_SLOPED_CODES = tuple((regime, list(Regime).index(regime)) for regime in _SLOPED)
+_SLOPED_CODES = tuple((regime, list(Regime).index(regime))
+                      for regime in (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN))
 _FIRST_SLOPED_CODE = min(code for _, code in _SLOPED_CODES)
 # the code of a flat segment with z > 0, which a free-region sample takes
 _PLANE_WAVE_CODE = list(Regime).index(Regime.FLAT_ALLOWED)
@@ -113,21 +112,17 @@ class ScatterResult:
     coefficients: tuple[NodeState, ...] | None = None
 
 
-def propagator(seg: Segment, x_from, x_to) -> tuple:
-    """Block-scaled map of (phi, phi') at x_from to (phi, phi') at x_to.
+def _sloped_propagators(seg: Segment, x_from: np.ndarray,
+                        x_to: np.ndarray) -> tuple:
+    """Block-scaled maps of (phi, phi') at x_from to (phi, phi') at x_to
+    on a batch of one sloped regime, x_from and x_to arrays of its shape.
 
-    Returns (p11, p12, p21, p22, log_factor): the true matrix
-    M(x_to) M(x_from)^-1 is the four entries times e**log_factor.  With
-    d = s_to - s_from the entries hold e**(d - |d|) and e**(-d - |d|),
-    one of which is 1 and the other at most 1.
-
-    On a sloped regime one basis evaluation covers both ends, and ``seg``
-    may be a batch with x_from, x_to arrays of its shape: the five entries
-    are then arrays, one value per segment of the batch.  A flat regime
-    takes its closed form from :func:`_flat_propagator`.
+    Returns (p11, p12, p21, p22, log_factor), five arrays with one value
+    per segment: the true matrix M(x_to) M(x_from)^-1 is the four entries
+    times e**log_factor.  With d = s_to - s_from the entries hold
+    e**(d - |d|) and e**(-d - |d|), one of which is 1 and the other at
+    most 1.  One basis evaluation covers both ends.
     """
-    if seg.regime not in _SLOPED:
-        return _flat_propagator(seg.z_flat, x_to - x_from)
     (fp1, fp2), (fm1, fm2), (gp1, gp2), (gm1, gm2), (s1, s2) = basis_eval(
         seg, np.array((x_from, x_to)))
     w = analytic_wronskian(seg)
@@ -143,10 +138,11 @@ def propagator(seg: Segment, x_from, x_to) -> tuple:
 
 def _flat_propagator(z: float, dx: float) -> tuple:
     """Closed-form propagator over dx = x_to - x_from on a flat segment
-    with constant coefficient z, in :func:`propagator`'s form: a shear for
-    z = 0, a rotation for z > 0, and for z < 0 cosh and sinh of rho*dx
-    times e**-(rho |dx|), with log factor rho |dx|.  The sign of z picks
-    the case, as it picks the flat regime in ``build_segments``."""
+    with constant coefficient z, in :func:`_sloped_propagators`' form as
+    floats: a shear for z = 0, a rotation for z > 0, and for z < 0 cosh
+    and sinh of rho*dx times e**-(rho |dx|), with log factor rho |dx|.
+    The sign of z picks the case, as it picks the flat regime in
+    ``build_segments``."""
     if z == 0.0:
         return 1.0, dx, 0.0, 1.0, 0.0
     if z > 0.0:
@@ -175,7 +171,7 @@ def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
     for regime, regime_code in _SLOPED_CODES:
         if regime_code in present:
             sel = np.flatnonzero(code == regime_code)
-            table[sel] = np.transpose(propagator(
+            table[sel] = np.transpose(_sloped_propagators(
                 arrays.take(sel, regime), x_from[sel], x_to[sel]))
     flat = [i for i, c in enumerate(present) if c < _FIRST_SLOPED_CODE]
     if flat:

@@ -23,14 +23,11 @@ from mazersim.mazer import (
     sweep_kappaL,
 )
 from mazersim.oracles import mesa_analytic, sech2_analytic, wkb_first_excited
-from mazersim.segment_basis import (
-    analytic_wronskian,
-    basis_eval,
-    make_segment,
-)
-from mazersim.transfer import propagator, solve_scattering, sweep
+from mazersim.segment_basis import Regime, analytic_wronskian, build_segments
+from mazersim.transfer import solve_scattering, sweep
 
 import sine_oracle
+from one_segment import basis_at, batch, propagator, regime, segment
 
 # --- pinned tolerances ------------------------------------------------------
 MESA_REL_TOL = 1e-10            # criterion 1
@@ -246,10 +243,18 @@ def test_gaussian_decay_length_ratio():
         f"gauss 10% at {gauss_at}, sech2 at {sech2_at}, ratio {ratio:.2f}")
 
 
-def true_value(ev, pick):
-    """One basis value with its log scale multiplied back in."""
-    sign = 1.0 if pick.endswith("plus") else -1.0
-    return getattr(ev, pick) * math.exp(sign * ev.s)
+_SLOPED = (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN)
+
+
+def solution(arrays, x, pick):
+    """Solution ``pick`` (0 or 1) of a one-segment array at x, scale put
+    back: f+ or f- of a sloped segment's basis, or the phi of the first
+    or second column of a flat segment's propagator from its anchor."""
+    if regime(arrays) in _SLOPED:
+        ev = basis_at(arrays.take([0], regime(arrays)), x)
+        return (ev.f_plus * math.exp(ev.s), ev.f_minus * math.exp(-ev.s))[pick]
+    p11, p12, _, _, log_factor = propagator(arrays, float(arrays.x_lo[0]), x)
+    return (p11, p12)[pick] * math.exp(log_factor)
 
 
 def _unscaled(prop):
@@ -266,28 +271,28 @@ def _matmul(A, B):
 class TestProperties:
     def test_ode_residuals(self):
         cases = [
-            make_segment(0.0, 2.0, 0.8, 1.9),
-            make_segment(0.0, 2.0, -0.3, -1.7),
-            make_segment(0.0, 2.0, 1.3, 1.3),
-            make_segment(0.0, 2.0, -0.9, -0.9),
-            make_segment(0.0, 2.0, 0.0, 0.0),
+            segment(0.0, 2.0, 0.8, 1.9),
+            segment(0.0, 2.0, -0.3, -1.7),
+            segment(0.0, 2.0, 1.3, 1.3),
+            segment(0.0, 2.0, -0.9, -0.9),
+            segment(0.0, 2.0, 0.0, 0.0),
         ]
         # five-point stencil: the h^2 truncation of the three-point one is
         # already ~1e-6 where the fourth derivative dominates the value
         h = 1e-3
         for seg in cases:
             for x in (0.4, 1.1, 1.7):
-                z = seg.z(x)
-                for pick in ("f_plus", "f_minus"):
+                z = float(seg.take([0], regime(seg)).z(x)[0])
+                for pick in (0, 1):
                     v = [
-                        true_value(basis_eval(seg, xx), pick)
+                        solution(seg, xx, pick)
                         for xx in (x - 2 * h, x - h, x, x + h, x + 2 * h)
                     ]
                     second = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3]
                               - v[4]) / (12 * h**2)
                     scale = max(abs(val) for val in v)
                     residual = abs(second + z * v[2]) / scale
-                    assert residual <= ODE_RESIDUAL_TOL, (seg.regime, x, residual)
+                    assert residual <= ODE_RESIDUAL_TOL, (regime(seg), x, residual)
 
     def test_wronskians(self):
         rng = np.random.default_rng(20260817)
@@ -295,13 +300,20 @@ class TestProperties:
             z0, z1 = rng.uniform(-3, 3, size=2)
             if z0 * z1 < 0 or (z0 == z1):
                 continue
-            seg = make_segment(0.0, float(rng.uniform(0.5, 2.0)), z0, z1)
-            x = rng.uniform(seg.x_lo, seg.x_hi)
-            ev = basis_eval(seg, float(x))
+            seg = batch(0.0, float(rng.uniform(0.5, 2.0)), z0, z1)
+            x = rng.uniform(seg.x_lo[0], seg.x_hi[0])
+            ev = basis_at(seg, float(x))
             # the log scales of the plus and minus pairs cancel
             w = ev.f_plus * ev.g_minus - ev.f_minus * ev.g_plus
-            want = analytic_wronskian(seg)
+            want = float(analytic_wronskian(seg)[0])
             assert abs(w - want) <= WRONSKIAN_TOL * max(1.0, abs(want))
+        # a flat segment's Wronskian is the determinant of its propagator
+        # from the anchor, which is 1 once the log factor is put back
+        for z in (1.3, -0.9, 0.0):
+            for x in (0.4, 1.1, 1.7):
+                p11, p12, p21, p22, a = propagator(segment(0.0, 2.0, z, z), 0.0, x)
+                det = math.exp(2.0 * a) * (p11 * p22 - p12 * p21)
+                assert abs(det - 1.0) <= WRONSKIAN_TOL
 
     def test_join_round_trip(self):
         rng = np.random.default_rng(7)
@@ -313,15 +325,14 @@ class TestProperties:
             x0, x1 = 0.0, float(rng.uniform(0.4, 1.5))
             x2 = x1 + float(rng.uniform(0.4, 1.5))
             try:
-                left = make_segment(x0, x1, float(z[0]), float(z[1]))
-                right = make_segment(x1, x2, float(z[1]), float(z[2]))
+                pair = build_segments((x0, x1, x2), z.tolist())
             except ValueError:
                 continue
             # backward across both segments, then forward again
-            B = _matmul(_unscaled(propagator(left, x1, x0)),
-                        _unscaled(propagator(right, x2, x1)))
-            A = _matmul(_unscaled(propagator(right, x1, x2)),
-                        _unscaled(propagator(left, x0, x1)))
+            B = _matmul(_unscaled(propagator(pair, x1, x0, 0)),
+                        _unscaled(propagator(pair, x2, x1, 1)))
+            A = _matmul(_unscaled(propagator(pair, x1, x2, 1)),
+                        _unscaled(propagator(pair, x0, x1, 0)))
             prod = _matmul(A, B)
             scale = max(abs(v) for v in A + B)
             assert abs(prod[0] - 1) <= ROUNDTRIP_TOL * scale
@@ -347,7 +358,7 @@ class TestProperties:
             for seg_idx, node in ((idx, idx - 1), (idx + 1, idx + 1)):
                 phi, dphi, log_scale = states[node]
                 p11, p12, _, _, log_factor = propagator(
-                    grid.segments[seg_idx], float(points[node]), x_node)
+                    grid.arrays, float(points[node]), x_node, seg_idx - 1)
                 phi = (p11 * phi + p12 * dphi) * math.exp(
                     log_factor + log_scale - states[idx][2])
                 reps.append(phi)

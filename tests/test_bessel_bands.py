@@ -21,10 +21,10 @@ from mazersim.grid import ModeShape
 from mazersim.mazer import MazerParams, event_probabilities
 from mazersim.segment_basis import (
     Regime,
-    Segment,
+    SegmentArrays,
     W_SERIES_SWITCH,
     basis_eval,
-    make_segment,
+    build_segments,
 )
 from mazersim.specfun import (
     ARG_LIMIT,
@@ -34,6 +34,8 @@ from mazersim.specfun import (
     BesselFamily,
     cyl_bessel,
 )
+
+from one_segment import basis_at, batch
 
 GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "fit_bessel_band.py"
 
@@ -209,8 +211,8 @@ def test_mixed_batch_refusals_name_their_entry():
 
 def series_batch(z_sign, slope_sign, n=64):
     """n sloped segments of one regime with a turning point at x = 0 and
-    slopes spread over two decades, plus the x that puts each one's
-    argument on a log grid over [1e-3, W_SERIES_SWITCH)."""
+    slopes spread over two decades, as segment arrays, plus the x that
+    puts each one's argument on a log grid over [1e-3, W_SERIES_SWITCH)."""
     b = slope_sign * np.geomspace(0.05, 5.0, n)
     w = np.geomspace(1.0e-3, W_SERIES_SWITCH, n, endpoint=False)[::-1]
     t = (1.5 * np.abs(b) * w) ** (2.0 / 3.0)
@@ -218,16 +220,19 @@ def series_batch(z_sign, slope_sign, n=64):
     lo, hi = np.minimum(x, 0.0), np.maximum(x, 0.0)
     # each segment runs from its turning point to its probe
     regime = Regime.SLOPE_ALLOWED if z_sign > 0 else Regime.SLOPE_FORBIDDEN
-    segs = [make_segment(l, h, b_ * l, b_ * h) for l, h, b_ in
-            zip(lo.tolist(), hi.tolist(), b.tolist())]
-    assert all(s.regime is regime for s in segs)
-    return segs, x
+    arrays = SegmentArrays(*map(np.concatenate, zip(*(
+        build_segments((l, h), (b_ * l, b_ * h)) for l, h, b_ in
+        zip(lo.tolist(), hi.tolist(), b.tolist())))))
+    assert np.all(arrays.code == list(Regime).index(regime))
+    return arrays, regime, x
 
 
 def mp_basis(seg, x, z_sign):
-    """(f+, f-, f+', f-') from mpmath at the segment's |z| and slope."""
-    b = mpmath.mpf(seg.b)
-    t = abs(mpmath.mpf(seg.z_ref) + b * (mpmath.mpf(x) - mpmath.mpf(seg.x_ref)))
+    """(f+, f-, f+', f-') from mpmath at the |z| and slope of a batch of
+    one."""
+    b = mpmath.mpf(seg.b.item())
+    t = abs(mpmath.mpf(seg.z_ref.item())
+            + b * (mpmath.mpf(x) - mpmath.mpf(seg.x_ref.item())))
     wm = 2 * t ** mpmath.mpf(1.5) / (3 * abs(b))
     sq, sb = mpmath.sqrt(t), mpmath.sign(b)
     if z_sign > 0:
@@ -241,17 +246,15 @@ def mp_basis(seg, x, z_sign):
 
 @pytest.mark.parametrize("z_sign,slope_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_series_batch_matches_mpmath(z_sign, slope_sign):
-    segs, x = series_batch(z_sign, slope_sign)
-    # the records' fields as arrays: one batch of their regime
-    batch = Segment(*(col[0] if name == "regime" else np.array(col)
-                      for name, col in zip(Segment._fields, zip(*segs))))
-    got = basis_eval(batch, x)
+    arrays, regime, x = series_batch(z_sign, slope_sign)
+    got = basis_eval(arrays.take(np.arange(len(x)), regime), x)
     # the series entries are unscaled
     assert not np.any(got.s)
-    for i, (seg, xi) in enumerate(zip(segs, x.tolist())):
+    for i, xi in enumerate(x.tolist()):
+        seg = arrays.take([i], regime)
         values = [float(arr[i]) for arr in got[:4]]
-        # one entry of the batch is the scalar call, bit for bit
-        assert values == list(basis_eval(seg, xi)[:4])
+        # one entry of the batch is that segment's batch of one, bit for bit
+        assert values == list(basis_at(seg, xi)[:4])
         want = mp_basis(seg, xi, z_sign)
         for g, w in zip(values, want):
             assert g == pytest.approx(float(w), rel=1e-14, abs=0.0), (i, xi)
@@ -271,13 +274,14 @@ def test_hankel_switch_handoff_matches_mpmath(z_sign, slope_sign):
         z_lo, z_hi = 0.0, z_sign * z_mag
     else:
         z_lo, z_hi = z_sign * z_mag, 0.0
-    seg = make_segment(0.0, span, z_lo, z_hi)
+    seg = batch(0.0, span, z_lo, z_hi)
+    b, z_ref = seg.b.item(), seg.z_ref.item()
     for w_target in (0.92 * HANKEL_MIN, 0.999 * HANKEL_MIN,
                      1.001 * HANKEL_MIN, 1.08 * HANKEL_MIN):
-        t = (1.5 * abs(seg.b) * w_target) ** (2.0 / 3.0)
-        x = (z_sign * t - seg.z_ref) / seg.b
-        assert seg.x_lo < x < seg.x_hi
-        be = basis_eval(seg, x)
+        t = (1.5 * abs(b) * w_target) ** (2.0 / 3.0)
+        x = (z_sign * t - z_ref) / b
+        assert seg.x_lo.item() < x < seg.x_hi.item()
+        be = basis_at(seg, x)
         want = mp_basis(seg, x, z_sign)
         if z_sign > 0:
             # relative to the modulus of each (J, Y) pair
@@ -300,15 +304,22 @@ def band_of(w: float) -> int:
     return 0 if w < W_SERIES_SWITCH else (1 if w <= HANKEL_MIN else 2)
 
 
+def w_at(seg, x: float) -> float:
+    """Cylinder argument (2 / 3|b|) |z|^{3/2} of a batch of one at x, as
+    basis_eval forms it."""
+    t = abs(seg.z(x).item())
+    return 2.0 * t * math.sqrt(t) / (3.0 * abs(seg.b.item()))
+
+
 def straddle(seg):
-    """The adjacent floats x_a < x_b of a segment that spans two bands,
-    on either side of their switch."""
-    lo, hi = seg.x_lo, seg.x_hi
-    band_lo = band_of(seg.w(lo))
-    assert band_of(seg.w(hi)) != band_lo
+    """The adjacent floats x_a < x_b of a batch of one that spans two
+    bands, on either side of their switch."""
+    lo, hi = seg.x_lo.item(), seg.x_hi.item()
+    band_lo = band_of(w_at(seg, lo))
+    assert band_of(w_at(seg, hi)) != band_lo
     while math.nextafter(lo, hi) < hi:
         mid = max(0.5 * (lo + hi), math.nextafter(lo, hi))
-        if band_of(seg.w(mid)) == band_lo:
+        if band_of(w_at(seg, mid)) == band_lo:
             lo = mid
         else:
             hi = mid
@@ -325,11 +336,11 @@ def test_band_handoffs_match_mpmath(z_near, z_far, z_sign, slope_sign):
         z_lo, z_hi = z_sign * z_near, z_sign * z_far
     else:
         z_lo, z_hi = z_sign * z_far, z_sign * z_near
-    seg = make_segment(0.0, 4.0, z_lo, z_hi)
+    seg = batch(0.0, 4.0, z_lo, z_hi)
     pair = straddle(seg)
-    assert len({band_of(seg.w(x)) for x in pair}) == 2
+    assert len({band_of(w_at(seg, x)) for x in pair}) == 2
     for x in pair:
-        be = basis_eval(seg, x)
+        be = basis_at(seg, x)
         want = mp_basis(seg, x, z_sign)
         if z_sign > 0:
             for a, b in ((0, 1), (2, 3)):

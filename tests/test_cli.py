@@ -261,15 +261,38 @@ class TestWavefunction:
         assert "kappaL" in err
 
 
+def python(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this package's source on PYTHONPATH."""
+    src = str(Path(mazersim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=text, check=False)
+
+
 def test_import_loads_no_scipy_optimize_integrate_or_linalg():
     # brentq, quad and loggamma are imported inside the functions that call
     # them, so a fresh interpreter that starts the command line loads no
     # scipy module at all, these three stacks included
-    code = ("import sys, mazersim, mazersim.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    src = str(Path(mazersim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    done = python("-c", "import sys, mazersim, mazersim.cli; print([m for m "
+                  "in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:2:0.5",
+      "--J", "2"], 0),
+    (["sweep", "--profile", "sech2", "--k", "1e110", "--range", "0:1:0.5",
+      "--J", "20"], 1),
+], ids=["mesa_sweep", "refused_momentum"])
+def test_module_form_runs_the_command(capsys, argv, exit_code):
+    # python -m mazersim.cli prints the bytes main(argv) prints and exits
+    # with its code
+    code, out, err = run(capsys, argv)
+    done = python("-m", "mazersim.cli", *argv, text=False)
+    assert done.returncode == code == exit_code
+    assert done.stdout == out.encode()
+    assert done.stderr == err.encode()
+    assert bool(out) != bool(exit_code)
+    assert err.startswith("error:") == bool(exit_code)

@@ -24,7 +24,7 @@ from mazersim.grid import (
 )
 import mazersim.grid as grid_module
 from mazersim.mazer import MazerParams, event_probabilities
-from mazersim.segment_basis import Regime, W_FLAT_COLLAPSE, make_segment
+from mazersim.segment_basis import Regime, W_FLAT_COLLAPSE, build_segments
 from mazersim.transfer import solve_scattering
 
 import test_grid_golden as golden
@@ -34,17 +34,21 @@ import test_grid_golden as golden
 SECH2_ALPHA_J200 = 1.0000010388867093
 
 
-def segment_sign_ok(seg) -> bool:
-    """Tag and sign of z at the segment midpoint must agree."""
-    if not math.isfinite(seg.x_lo) or not math.isfinite(seg.x_hi):
-        zm = seg.z(seg.x_lo if math.isfinite(seg.x_lo) else seg.x_hi)
-    else:
-        zm = seg.z(0.5 * (seg.x_lo + seg.x_hi))
-    if seg.regime in (Regime.FLAT_ALLOWED, Regime.SLOPE_ALLOWED):
-        return zm > 0.0
-    if seg.regime in (Regime.FLAT_FORBIDDEN, Regime.SLOPE_FORBIDDEN):
-        return zm < 0.0
-    return zm == 0.0
+def code_of(*regimes: Regime) -> list[int]:
+    """The ``SegmentArrays.code`` values of ``regimes``."""
+    return [list(Regime).index(r) for r in regimes]
+
+
+def segment_sign_ok(arrays) -> np.ndarray:
+    """Per entry: tag and sign of z at the segment midpoint agree."""
+    zm = arrays.z_ref + arrays.b * (0.5 * (arrays.x_lo + arrays.x_hi)
+                                    - arrays.x_lo)
+    allowed = np.isin(arrays.code, code_of(Regime.FLAT_ALLOWED,
+                                           Regime.SLOPE_ALLOWED))
+    forbidden = np.isin(arrays.code, code_of(Regime.FLAT_FORBIDDEN,
+                                             Regime.SLOPE_FORBIDDEN))
+    return np.where(allowed, zm > 0.0,
+                    np.where(forbidden, zm < 0.0, zm == 0.0))
 
 
 # --- mode evaluation ------------------------------------------------------
@@ -286,7 +290,7 @@ def test_zero_potential_single_free_regime():
     g = build_grid(p, +1, 0.1, 5)
     assert g.alpha == 1.0
     assert g.turning_points == ()
-    assert all(s.regime is Regime.FLAT_ALLOWED for s in g.segments)
+    assert np.all(g.arrays.code == code_of(Regime.FLAT_ALLOWED))
     assert np.all(g.z == 2.0 * g.E)
 
 
@@ -300,24 +304,21 @@ def test_linear_tabulated_alpha_exactly_one():
 def test_mesa_grid_is_single_flat_segment():
     p = ModeProfile(ModeShape.MESA, 5.0)
     g = build_grid(p, +1, 0.1, 50)
-    assert len(g.segments) == 3
-    left, top, right = g.segments
-    assert left.regime is Regime.FLAT_ALLOWED and left.b == 0.0
-    assert right.regime is Regime.FLAT_ALLOWED and right.b == 0.0
-    assert left.z_ref == right.z_ref == 2.0 * g.E
-    assert top.regime is Regime.FLAT_FORBIDDEN
-    assert top.x_lo == 0.0 and top.x_hi == 5.0
-    assert top.z_flat == pytest.approx(0.1 ** 2 - 1.0, rel=1e-15)
+    top = g.arrays
+    assert top.code.tolist() == code_of(Regime.FLAT_FORBIDDEN)
+    assert top.x_lo[0] == 0.0 and top.x_hi[0] == 5.0
+    assert top.z_flat[0] == pytest.approx(0.1 ** 2 - 1.0, rel=1e-15)
     # attractive branch: the well is classically allowed
     g2 = build_grid(p, -1, 0.1, 50)
-    assert g2.segments[1].regime is Regime.FLAT_ALLOWED
-    assert g2.segments[1].z_flat == pytest.approx(0.1 ** 2 + 1.0, rel=1e-15)
+    assert g2.arrays.code.tolist() == code_of(Regime.FLAT_ALLOWED)
+    assert g2.arrays.z_flat[0] == pytest.approx(0.1 ** 2 + 1.0, rel=1e-15)
 
 
 def test_asymptotic_segments_free_and_absolute():
     g = build_grid(ModeProfile(ModeShape.SECH2, 10.0), +1, 0.1, 100)
     first, last = g.segments[0], g.segments[-1]
     for seg in (first, last):
+        assert seg.regime is Regime.FLAT_ALLOWED
         assert seg.z_ref == 2.0 * g.E
         assert seg.b == 0.0
         assert seg.x_ref == 0.0     # asymptotic basis anchored at the origin
@@ -368,14 +369,13 @@ def test_grid_invariants(shape, L, sign, k, J, window_factor):
         assert g.z[i] == 0.0
 
     # no segment straddles a sign change
-    assert all(segment_sign_ok(s) for s in g.segments)
+    a = g.arrays
+    assert np.all(segment_sign_ok(a))
 
-    # interior segments tile the window
-    interior = g.segments[1:-1]
-    assert interior[0].x_lo == g.points[0]
-    assert interior[-1].x_hi == g.points[-1]
-    for s0, s1 in zip(interior, interior[1:]):
-        assert s0.x_hi == s1.x_lo
+    # the segments tile the window
+    assert a.x_lo[0] == g.points[0]
+    assert a.x_hi[-1] == g.points[-1]
+    assert np.array_equal(a.x_hi[:-1], a.x_lo[1:])
 
     # renormalization: alpha * (interpolant area of samples) == exact area
     area = abs_area(p, *g.window)
@@ -384,20 +384,24 @@ def test_grid_invariants(shape, L, sign, k, J, window_factor):
         got = g.alpha * interp_abs_area(g.points, u_nodes)
         assert abs(got - area) <= 1e-12 * area
 
-    # every sloped segment is evaluable: argument cap respected
-    for s in interior:
-        if s.regime in (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN):
-            assert max(s.w(s.x_lo), s.w(s.x_hi)) <= W_FLAT_COLLAPSE
+    # every sloped segment is evaluable: argument cap respected at both
+    # ends, w = (2 / 3|b|) |z|^{3/2}
+    sloped = np.isin(a.code, code_of(Regime.SLOPE_ALLOWED,
+                                     Regime.SLOPE_FORBIDDEN))
+    for z in (a.z_ref, a.z_ref + a.b * (a.x_hi - a.x_lo)):
+        t = np.abs(z[sloped])
+        w = 2.0 * t * np.sqrt(t) / (3.0 * np.abs(a.b[sloped]))
+        assert np.all(w <= W_FLAT_COLLAPSE)
 
 
 def test_gaussian_tail_segments_demoted_to_flat():
     g = build_grid(ModeProfile(ModeShape.GAUSSIAN, 10.0), +1, 0.1, 300)
-    demoted = [s for s in g.segments[1:-1]
-               if s.b != 0.0 and s.regime is Regime.FLAT_ALLOWED]
-    assert len(demoted) > 0
+    a = g.arrays
+    demoted = (a.b != 0.0) & (a.code == code_of(Regime.FLAT_ALLOWED))
+    assert np.count_nonzero(demoted) > 0
     # demotion only fires where the leftover potential is negligible
-    for s in demoted:
-        assert s.z_flat == pytest.approx(g.k ** 2, rel=1e-6)
+    for z_flat in a.z_flat[demoted].tolist():
+        assert z_flat == pytest.approx(g.k ** 2, rel=1e-6)
 
 
 def test_refinement_nesting_and_quadratic_convergence():
@@ -469,15 +473,18 @@ def test_unsettled_alpha_without_a_root_stays_typed():
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
 def test_segments_match_make_segment(name):
-    # one classifier: every interior segment of a grid is exactly the
-    # segment make_segment builds from the grid's own node values, demoted
-    # tail segments included
+    # one classifier: every segment of a grid is exactly the segment that
+    # build_segments makes of the grid's own two nodes at its ends,
+    # demoted tail segments included
     shape, kappaL, k, J, sign = golden.CASES[name]
     table = golden.TABLE if shape is ModeShape.TABULATED else None
     g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
     x, z = g.points.tolist(), g.z.tolist()
-    for i, seg in enumerate(g.segments[1:-1]):
-        assert make_segment(x[i], x[i + 1], z[i], z[i + 1]) == seg, (name, i)
+    rows = list(zip(*g.arrays))
+    for i, row in enumerate(rows):
+        (alone,) = zip(*build_segments(x[i:i + 2], z[i:i + 2]))
+        assert alone == row, (name, i)
+    assert len(rows) == len(x) - 1
 
 
 def test_high_energy_grid_passes_area_check():

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from mazersim.grid import ModeProfile, ModeShape, build_grid
+from mazersim.segment_basis import Regime
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "grid_golden.json"
 
@@ -44,12 +45,14 @@ def grid_record(name):
     shape, kappaL, k, J, sign = CASES[name]
     table = TABLE if shape is ModeShape.TABULATED else None
     g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
+    a = g.arrays
     return {
         "points": [float(x) for x in g.points],
         "turning_points": list(g.turning_points),
         "alpha": g.alpha,
-        "segments": [[s.regime.value, s.x_lo, s.x_hi, s.z_ref, s.b]
-                     for s in g.segments[1:-1]],
+        "segments": [[tuple(Regime)[code].value, *values] for code, *values
+                     in zip(a.code.tolist(), a.x_lo.tolist(),
+                            a.x_hi.tolist(), a.z_ref.tolist(), a.b.tolist())],
     }
 
 

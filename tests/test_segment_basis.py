@@ -3,17 +3,21 @@
 The oracles here deliberately avoid the production code paths: turning
 point values come from gamma-function closed forms, interior values from
 mpmath's arbitrary-precision cylinder functions and scipy's Airy pair, and
-the differential equation itself is checked by finite differences.
+the differential equation itself is checked by finite differences.  Every
+sloped check runs ``basis_eval`` on a batch of one from
+``SegmentArrays.take``, and every flat check the closed-form propagator
+that the sweep runs, since flat segments have no basis evaluation.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from mazersim import segment_basis, specfun
+from mazersim import segment_basis, specfun, transfer
 from mazersim.segment_basis import (
     Regime,
     SegmentRegimeError,
@@ -22,16 +26,17 @@ from mazersim.segment_basis import (
     analytic_wronskian,
     basis_eval,
     build_segments,
-    make_segment,
 )
-from mazersim.transfer import propagator
+
+from one_segment import basis_at, batch, propagator, regime, segment
 
 mpmath.mp.dps = 50
 
 
 def true_eval(seg, x):
-    """basis_eval with the log scale s multiplied back in (s then 0)."""
-    be = basis_eval(seg, x)
+    """basis_eval of a batch of one with the log scale s multiplied back
+    in (s then 0), as floats."""
+    be = basis_at(seg, x)
     up, dn = math.exp(be.s), math.exp(-be.s)
     return be._replace(f_plus=be.f_plus * up, f_minus=be.f_minus * dn,
                        g_plus=be.g_plus * up, g_minus=be.g_minus * dn, s=0.0)
@@ -51,47 +56,28 @@ def wronskian_of(be) -> float:
 # --- regime classification and construction ------------------------------
 
 def test_classify_regime_all_cases():
-    def regime(z_lo, z_hi):
-        return make_segment(0.0, 2.0, z_lo, z_hi).regime
+    def regime_of(z_lo, z_hi):
+        return regime(segment(0.0, 2.0, z_lo, z_hi))
 
-    assert regime(2.0, 2.0) is Regime.FLAT_ALLOWED
-    assert regime(-3.0, -3.0) is Regime.FLAT_FORBIDDEN
-    assert regime(0.0, 0.0) is Regime.FLAT_FREE
-    assert regime(0.0, 4.0) is Regime.SLOPE_ALLOWED
-    assert regime(4.0, 0.0) is Regime.SLOPE_ALLOWED
-    assert regime(-4.0, 0.0) is Regime.SLOPE_FORBIDDEN
+    assert regime_of(2.0, 2.0) is Regime.FLAT_ALLOWED
+    assert regime_of(-3.0, -3.0) is Regime.FLAT_FORBIDDEN
+    assert regime_of(0.0, 0.0) is Regime.FLAT_FREE
+    assert regime_of(0.0, 4.0) is Regime.SLOPE_ALLOWED
+    assert regime_of(4.0, 0.0) is Regime.SLOPE_ALLOWED
+    assert regime_of(-4.0, 0.0) is Regime.SLOPE_FORBIDDEN
     with pytest.raises(ValueError):
-        regime(-1.0, 1.0)                    # interior sign change
-    with pytest.raises(ValueError):
-        make_segment(0.0, math.inf, 1.0, 2.0)   # level end, z not constant
+        regime_of(-1.0, 1.0)                 # interior sign change
 
 
 def test_segment_tag_validation():
     # the tag is derived from the values, so it cannot contradict them
-    assert make_segment(0.0, 1.0, -1.0, -1.0).regime is Regime.FLAT_FORBIDDEN
-    assert make_segment(0.0, 1.0, 1.0, 1.0).regime is Regime.FLAT_ALLOWED
-    assert make_segment(0.0, 1.0, 1.0, 1.0).b == 0.0
-    with pytest.raises(ValueError):
-        make_segment(1.0, 1.0, 1.0, 1.0)     # empty
-    with pytest.raises(ValueError):
-        make_segment(2.0, 1.0, 1.0, 1.0)     # reversed
-    with pytest.raises(ValueError):
-        make_segment(0.0, 1.0, math.nan, 1.0)
-
-
-def test_make_segment_infinite_sides():
-    # the free regions come from SegmentArrays.records; make_segment
-    # refuses a non-finite bound, level or sloped
-    for x_lo, x_hi, z_lo, z_hi in ((-math.inf, -3.0, 0.5, 0.5),
-                                   (7.0, math.inf, -0.25, -0.25),
-                                   (-math.inf, math.inf, 1.0, 1.0),
-                                   (0.0, math.inf, 1.0, 2.0)):
-        with pytest.raises(ValueError, match="non-finite segment bound"):
-            make_segment(x_lo, x_hi, z_lo, z_hi)
+    assert regime(segment(0.0, 1.0, -1.0, -1.0)) is Regime.FLAT_FORBIDDEN
+    assert regime(segment(0.0, 1.0, 1.0, 1.0)) is Regime.FLAT_ALLOWED
+    assert segment(0.0, 1.0, 1.0, 1.0).b[0] == 0.0
 
 
 def test_eval_rejects_sign_violation():
-    seg = make_segment(0.0, 2.0, 0.0, 2.0)   # allowed, turning point at 0
+    seg = batch(0.0, 2.0, 0.0, 2.0)          # allowed, turning point at 0
     basis_eval(seg, 0.0)                     # exactly at the turning point: fine
     basis_eval(seg, -1e-12)                  # within slack: clamped
     with pytest.raises(SegmentRegimeError):
@@ -102,40 +88,51 @@ def test_eval_rejects_oversized_argument():
     # z = b*x with b = 1e17: w(1) = (2/3) sqrt(b) ~ 2e8, past the collapse
     # cap, so the segment comes out demoted to the flat regime of its
     # midpoint value and never reaches the cylinder functions
-    seg = make_segment(0.0, 1.0, 0.0, 1.0e17)
-    assert seg.w(1.0) > W_FLAT_COLLAPSE
-    assert seg.regime is Regime.FLAT_ALLOWED
-    assert seg.z_flat == 0.5e17
-    assert all(math.isfinite(v) for v in basis_eval(seg, 1.0))
+    seg = segment(0.0, 1.0, 0.0, 1.0e17)
+    assert 2.0 * 1.0e17 * math.sqrt(1.0e17) / (3.0 * seg.b[0]) > W_FLAT_COLLAPSE
+    assert regime(seg) is Regime.FLAT_ALLOWED
+    assert seg.z_flat[0] == 0.5e17
+    assert all(math.isfinite(v) for v in propagator(seg, 0.0, 1.0))
 
 
-def forbidden_batch():
-    """Three sloped forbidden segments of slope -1 as one batch."""
-    arrays = build_segments([0.0, 1.0, 2.0, 3.0], [-1.0, -2.0, -3.0, -4.0])
-    return arrays.take(np.arange(3), Regime.SLOPE_FORBIDDEN)
+@pytest.mark.parametrize("z", [0.0, 1.3, -1.3])
+def test_flat_batches_are_refused(z):
+    # a flat segment has no Bessel basis: a flat batch is refused by name,
+    # before any arithmetic could warn or misreport a sign
+    arrays = build_segments([0.0, 1.0, 2.0], [z, z, z])
+    flat = arrays.take(np.arange(2), regime(arrays))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: basis_eval(flat, flat.x_lo),
+                     lambda: analytic_wronskian(flat)):
+            with pytest.raises(ValueError, match=f"^{flat.regime.value} "
+                               "segments have no Bessel basis"):
+                call()
 
 
 def test_batch_errors_name_their_segment(monkeypatch):
-    batch = forbidden_batch()
-    x = batch.x_lo.copy()
+    # three sloped forbidden segments of slope -1, as one batch
+    arrays = build_segments([0.0, 1.0, 2.0, 3.0], [-1.0, -2.0, -3.0, -4.0])
+    forb = arrays.take(np.arange(3), Regime.SLOPE_FORBIDDEN)
+    x = forb.x_lo.copy()
     x[1] = -5.0                    # z = +4 on the middle segment's line
     with pytest.raises(SegmentRegimeError,
                        match=r"slope_forbidden segment 1 at x = -5\.0$"):
-        basis_eval(batch, x)
+        basis_eval(forb, x)
     # both ends at once: the error still names the segment, not the end
     with pytest.raises(SegmentRegimeError, match=r"segment 1 at x = -5\.0$"):
-        propagator(batch, x, batch.x_hi)
+        transfer._propagators(arrays, x, forb.x_hi)
     allowed = build_segments([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]).take(
         np.arange(2), Regime.SLOPE_ALLOWED)
     with pytest.raises(SegmentRegimeError,
                        match=r"< 0 in slope_allowed segment 0 at x = -3\.0$"):
         basis_eval(allowed, np.array([-3.0, 1.5]))
     # w ~ 7e9 on the middle segment passes ARG_LIMIT
-    far = batch._replace(b=np.array([-1.0, -1.0e-10, -1.0]))
+    far = forb._replace(b=np.array([-1.0, -1.0e-10, -1.0]))
     with pytest.raises(ValueError, match=r"^slope_forbidden segment 1 at "
                        r"x = 1\.0: argument must be finite and lie in "
                        r"\[1\.0, 1000000000\.0\]"):
-        basis_eval(far, batch.x_lo)
+        basis_eval(far, forb.x_lo)
     # a refusal by the fitted kernel at the largest argument of its band
     # (w = 1.9 and 3.5 on segments 1 and 2) names segment 2
     def refuse_largest(family, y):
@@ -145,47 +142,47 @@ def test_batch_errors_name_their_segment(monkeypatch):
     monkeypatch.setattr(segment_basis, "cyl_bessel", refuse_largest)
     with pytest.raises(ValueError, match=r"^slope_forbidden segment 2 at "
                        r"x = 2\.0: refused: y = 3\.46"):
-        basis_eval(batch, batch.x_lo)
+        basis_eval(forb, forb.x_lo)
 
 
 # --- flat regimes against elementary forms -------------------------------
+#
+# A flat segment's basis lives in its closed-form propagator: carried from
+# the anchor, the states (1, 0) and (0, 1) become its two columns.
 
 def test_flat_allowed_matches_trig():
-    seg = make_segment(-5.0, 5.0, 2.0, 2.0)   # anchored at x_ref = -5
     k = math.sqrt(2.0)
     for x in (-4.0, -0.3, 0.0, 1.7):
-        dx = x - seg.x_ref
-        be = true_eval(seg, x)
-        assert be.f_plus == pytest.approx(math.cos(k * dx), abs=1e-15)
-        assert be.f_minus == pytest.approx(math.sin(k * dx), abs=1e-15)
-        assert be.g_plus == pytest.approx(-k * math.sin(k * dx), abs=1e-15)
-        assert be.g_minus == pytest.approx(k * math.cos(k * dx), abs=1e-15)
-    assert analytic_wronskian(seg) == pytest.approx(k, rel=1e-15)
+        dx = x + 5.0                          # anchored at x_ref = -5
+        p11, p12, p21, p22, a = propagator(segment(-5.0, 5.0, 2.0, 2.0), -5.0, x)
+        assert a == 0.0
+        assert p11 == pytest.approx(math.cos(k * dx), abs=1e-15)
+        assert p12 == pytest.approx(math.sin(k * dx) / k, abs=1e-15)
+        assert p21 == pytest.approx(-k * math.sin(k * dx), abs=1e-15)
+        assert p22 == pytest.approx(math.cos(k * dx), abs=1e-15)
+        assert p11 * p22 - p12 * p21 == pytest.approx(1.0, rel=1e-15)
 
 
 def test_flat_free_is_affine():
-    seg = make_segment(1.0, 4.0, 0.0, 0.0)    # anchored at x_ref = 1
-    be = true_eval(seg, 3.5)
-    assert be.f_plus == 1.0
-    assert be.f_minus == 2.5
-    assert be.g_plus == 0.0
-    assert be.g_minus == 1.0
-    assert analytic_wronskian(seg) == 1.0
+    # anchored at x_ref = 1
+    assert propagator(segment(1.0, 4.0, 0.0, 0.0), 1.0, 3.5) == (
+        1.0, 2.5, 0.0, 1.0, 0.0)
 
 
 def test_flat_forbidden_survives_huge_width():
-    # rho = 0.8, width 5000: the growing branch tops 10^1700
-    seg = make_segment(0.0, 5000.0, -0.64, -0.64)
+    # rho = 0.8, width 5000: the growing branch tops 10^1700, all of it in
+    # the log factor, and the scaled cosh and sinh stay one half
     rho = 0.8
-    be = basis_eval(seg, 5000.0)
+    p11, p12, p21, p22, a = propagator(segment(0.0, 5000.0, -0.64, -0.64),
+                                       0.0, 5000.0)
     expect_log10 = rho * 5000.0 / math.log(10.0)
-    assert log10_true(be, "f_minus") == pytest.approx(expect_log10, rel=1e-13)
-    assert log10_true(be, "f_plus") == pytest.approx(-expect_log10, rel=1e-13)
-    # decaying branch derivative stays locked to -rho * f
-    ratio = be.g_plus / be.f_plus
-    assert ratio == pytest.approx(-rho, rel=1e-14)
-    w = wronskian_of(be)
-    assert w == pytest.approx(2.0 * rho, rel=1e-12)
+    # cosh(rho dx) = e**(rho dx) / 2 there
+    assert math.log10(p11) + a / math.log(10.0) == pytest.approx(
+        expect_log10 - math.log10(2.0), rel=1e-13)
+    # the growing branch's derivative stays locked to +rho * phi
+    assert p21 / p11 == pytest.approx(rho, rel=1e-14)
+    assert p22 / p12 == pytest.approx(rho, rel=1e-14)
+    assert p11 == p22
 
 
 # --- turning-point values against gamma closed forms ---------------------
@@ -202,9 +199,9 @@ def gamma23() -> float:
 def test_turning_point_allowed_side(b):
     # segment with z = b * (x - 0); allowed side selected by slope sign
     if b > 0:
-        seg = make_segment(0.0, 1.0, 0.0, b)
+        seg = batch(0.0, 1.0, 0.0, b)
     else:
-        seg = make_segment(-1.0, 0.0, -b, 0.0)
+        seg = batch(-1.0, 0.0, -b, 0.0)
     be = true_eval(seg, 0.0)
     cb = (3.0 * abs(b)) ** (1.0 / 3.0)
     assert be.f_plus == 0.0
@@ -220,9 +217,9 @@ def test_turning_point_allowed_side(b):
 def test_turning_point_forbidden_side(b):
     # forbidden side of the same turning point: z < 0 where b*(x) < 0
     if b > 0:
-        seg = make_segment(-1.0, 0.0, -b, 0.0)
+        seg = batch(-1.0, 0.0, -b, 0.0)
     else:
-        seg = make_segment(0.0, 1.0, 0.0, b)
+        seg = batch(0.0, 1.0, 0.0, b)
     be = true_eval(seg, 0.0)
     cb = (3.0 * abs(b)) ** (1.0 / 3.0)
     assert be.f_plus == 0.0
@@ -240,21 +237,21 @@ def test_turning_point_wronskians_match_analytic():
     for z_other, expect in ((3.0, lambda b: 3.0 * b / math.pi),
                             (-3.0, lambda b: 1.5 * b)):
         for lo, hi, xs in (((0.0), z_other, 0.0), (z_other, 0.0, 1.0)):
-            seg = make_segment(0.0, 1.0, lo, hi)
+            seg = batch(0.0, 1.0, lo, hi)
             be = true_eval(seg, xs)
-            assert wronskian_of(be) == pytest.approx(
-                expect(seg.b), rel=1e-13)
-            assert analytic_wronskian(seg) == pytest.approx(
-                expect(seg.b), rel=1e-15)
+            b = float(seg.b[0])
+            assert wronskian_of(be) == pytest.approx(expect(b), rel=1e-13)
+            assert float(analytic_wronskian(seg)[0]) == pytest.approx(
+                expect(b), rel=1e-15)
 
 
 # --- interior values against mpmath cylinder functions -------------------
 
 def test_allowed_interior_matches_mpmath():
-    seg = make_segment(0.0, 40.0, 0.1, 60.1)   # b = 1.5
+    seg = batch(0.0, 40.0, 0.1, 60.1)         # b = 1.5
     for x in (0.2, 1.0, 7.5, 33.0):
-        z = seg.z(x)
-        w = mpmath.mpf(2.0) * mpmath.mpf(z) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(seg.b))
+        z = float(seg.z(x)[0])
+        w = mpmath.mpf(2.0) * mpmath.mpf(z) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(seg.b[0]))
         be = true_eval(seg, x)
         sz = mpmath.sqrt(z)
         assert be.f_plus == pytest.approx(
@@ -268,10 +265,10 @@ def test_allowed_interior_matches_mpmath():
 
 
 def test_forbidden_interior_matches_mpmath():
-    seg = make_segment(0.0, 40.0, -0.1, -60.1)  # b = -1.5
+    seg = batch(0.0, 40.0, -0.1, -60.1)       # b = -1.5
     for x in (0.2, 1.0, 7.5, 33.0):
-        zeta = -seg.z(x)
-        w = mpmath.mpf(2.0) * mpmath.mpf(zeta) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(-seg.b))
+        zeta = -float(seg.z(x)[0])
+        w = mpmath.mpf(2.0) * mpmath.mpf(zeta) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(-seg.b[0]))
         be = true_eval(seg, x)
         sz = mpmath.sqrt(zeta)
         assert be.f_plus == pytest.approx(
@@ -287,10 +284,11 @@ def test_forbidden_interior_matches_mpmath():
 
 def test_forbidden_deep_zone_exponents():
     # z down to -3000 over a long run: w_max ~ 73000, e^w ~ 10^31000
-    seg = make_segment(0.0, 1000.0, -3.0, -3000.0)
-    be = basis_eval(seg, 1000.0)
+    seg = batch(0.0, 1000.0, -3.0, -3000.0)
+    be = basis_at(seg, 1000.0)
+    b = float(seg.b[0])
     zeta = 3000.0
-    w = 2.0 * zeta ** 1.5 / (3.0 * abs(seg.b))
+    w = 2.0 * zeta ** 1.5 / (3.0 * abs(b))
     log10e = math.log10(math.e)
     # leading asymptotics: I ~ e^w / sqrt(2 pi w), K ~ e^-w sqrt(pi/(2w))
     expect_fm = -w * log10e + 0.5 * math.log10(math.pi / (2 * w)) \
@@ -299,7 +297,7 @@ def test_forbidden_deep_zone_exponents():
         + 0.5 * math.log10(zeta)
     assert log10_true(be, "f_plus") == pytest.approx(expect_fp, abs=1e-3)
     assert log10_true(be, "f_minus") == pytest.approx(expect_fm, abs=1e-3)
-    assert wronskian_of(be) == pytest.approx(1.5 * seg.b, rel=1e-11)
+    assert wronskian_of(be) == pytest.approx(1.5 * b, rel=1e-11)
 
 
 # --- Airy oracle: independent solution of the same equation --------------
@@ -309,7 +307,7 @@ def test_airy_oracle_forbidden_side():
     # Ai is fitted deep and predicted backward so the growing partner's
     # roundoff admixture decays instead of swamping the target; Bi grows,
     # so the forward direction is already self-correcting.
-    seg = make_segment(1e-9, 6.0, -2e-9, -12.0)
+    seg = batch(1e-9, 6.0, -2e-9, -12.0)
     c = 2.0 ** (1.0 / 3.0)
     cases = ((0, 5.0, (0.4, 2.0, 3.5)), (2, 1.0, (2.0, 3.5, 5.0)))
     for which, x0, targets in cases:
@@ -328,7 +326,7 @@ def test_airy_oracle_forbidden_side():
 
 def test_airy_oracle_allowed_side():
     # phi'' + (-2x) phi = 0 on x < 0: oscillatory side
-    seg = make_segment(-6.0, -1e-9, 12.0, 2e-9)
+    seg = batch(-6.0, -1e-9, 12.0, 2e-9)
     c = 2.0 ** (1.0 / 3.0)
     x0 = -1.0
     be0 = true_eval(seg, x0)
@@ -356,12 +354,11 @@ def _random_segments(rng):
         z0 = float(rng.uniform(0.0, 2.0))
         # allowed: z from z0 up; forbidden: mirrored down
         if b > 0:
-            segs.append(make_segment(0.0, span, z0, z0 + b * span))
-            segs.append(make_segment(0.0, span, -z0, -z0 - abs(b) * span,
-                                     ))
+            segs.append(batch(0.0, span, z0, z0 + b * span))
+            segs.append(batch(0.0, span, -z0, -z0 - abs(b) * span))
         else:
-            segs.append(make_segment(0.0, span, z0 + abs(b) * span, z0))
-            segs.append(make_segment(0.0, span, -z0 - abs(b) * span, -z0))
+            segs.append(batch(0.0, span, z0 + abs(b) * span, z0))
+            segs.append(batch(0.0, span, -z0 - abs(b) * span, -z0))
     return segs
 
 
@@ -370,10 +367,10 @@ def test_ode_residual_and_derivative_by_fd():
     segs = _random_segments(rng)
     h = 1e-4
     for seg in segs:
-        xs = np.linspace(seg.x_lo + 3 * h, seg.x_hi - 3 * h, 7)
+        xs = np.linspace(seg.x_lo[0] + 3 * h, seg.x_hi[0] - 3 * h, 7)
         for x in xs:
             x = float(x)
-            z = seg.z(x)
+            z = float(seg.z(x)[0])
             bm = true_eval(seg, x - h)
             b0 = true_eval(seg, x)
             bp = true_eval(seg, x + h)
@@ -399,20 +396,23 @@ def test_ode_residual_and_derivative_by_fd():
 
 
 def test_flat_regimes_ode_residual():
+    # the propagator's columns from the anchor x = -2, with the log factor
+    # put back, are the flat basis pair
     h = 1e-5
-    for seg in (
-        make_segment(-2.0, 2.0, 1.3, 1.3),
-        make_segment(-2.0, 2.0, -1.3, -1.3),
-        make_segment(-2.0, 2.0, 0.0, 0.0),
-    ):
+    for z in (1.3, -1.3, 0.0):
+        seg = segment(-2.0, 2.0, z, z)
+
+        def columns(x):
+            p11, p12, _, _, a = propagator(seg, -2.0, x)
+            return p11 * math.exp(a), p12 * math.exp(a)
+
         for x in (-1.0, 0.3):
-            bm, b0, bp = (true_eval(seg, xx) for xx in (x - h, x, x + h))
-            for fm, f0, fp in ((bm.f_plus, b0.f_plus, bp.f_plus),
-                               (bm.f_minus, b0.f_minus, bp.f_minus)):
+            bm, b0, bp = (columns(xx) for xx in (x - h, x, x + h))
+            for fm, f0, fp in zip(bm, b0, bp):
                 if f0 == 0.0 or abs(f0) < 1e-3:
                     continue
                 d2 = (fm / f0 + fp / f0 - 2.0) / (h * h)
-                assert d2 == pytest.approx(-seg.z(x), abs=5e-5)
+                assert d2 == pytest.approx(-z, abs=5e-5)
 
 
 # --- series/cylinder handoff ---------------------------------------------
@@ -430,16 +430,17 @@ def test_series_switch_handoff_matches_mpmath(z_sign, slope_sign):
         z_lo, z_hi = 0.0, z_sign * z_mag
     else:
         z_lo, z_hi = z_sign * z_mag, 0.0
-    seg = make_segment(0.0, span, z_lo, z_hi)
-    assert (seg.b > 0) == (slope_sign > 0)
-    sb = math.copysign(1.0, seg.b)
+    seg = batch(0.0, span, z_lo, z_hi)
+    b, z_ref = float(seg.b[0]), float(seg.z_ref[0])
+    assert (b > 0) == (slope_sign > 0)
+    sb = math.copysign(1.0, b)
     third = mpmath.mpf(1) / 3
     for w_target in (0.92 * W_SERIES_SWITCH, 1.08 * W_SERIES_SWITCH):
-        t = (1.5 * abs(seg.b) * w_target) ** (2.0 / 3.0)   # |z| at the probe
-        x = (z_sign * t - seg.z_ref) / seg.b
-        assert seg.x_lo < x < seg.x_hi
+        t = (1.5 * abs(b) * w_target) ** (2.0 / 3.0)   # |z| at the probe
+        x = (z_sign * t - z_ref) / b
+        assert seg.x_lo[0] < x < seg.x_hi[0]
         be = true_eval(seg, x)
-        wm = 2 * mpmath.mpf(t) ** mpmath.mpf(1.5) / (3 * abs(mpmath.mpf(seg.b)))
+        wm = 2 * mpmath.mpf(t) ** mpmath.mpf(1.5) / (3 * abs(mpmath.mpf(b)))
         sq = mpmath.sqrt(t)
         if z_sign > 0:
             want = (sq * mpmath.besselj(third, wm),
@@ -461,8 +462,8 @@ def test_series_switch_handoff_matches_mpmath(z_sign, slope_sign):
 def test_wronskian_constant_over_segments():
     rng = np.random.default_rng(7)
     for seg in _random_segments(rng):
-        expect = analytic_wronskian(seg)
-        xs = np.linspace(seg.x_lo, seg.x_hi, 9)
+        expect = float(analytic_wronskian(seg)[0])
+        xs = np.linspace(seg.x_lo[0], seg.x_hi[0], 9)
         for x in xs:
             w = wronskian_of(true_eval(seg, float(x)))
             assert w == pytest.approx(expect, rel=1e-10), (seg.regime, x)
@@ -471,8 +472,8 @@ def test_wronskian_constant_over_segments():
 def test_mirror_symmetry():
     # reflecting the segment about x = 0 flips the sign of g but not f
     for z_hi in (5.0, -5.0):
-        seg_r = make_segment(0.0, 2.5, 0.0, z_hi)
-        seg_l = make_segment(-2.5, 0.0, z_hi, 0.0)
+        seg_r = batch(0.0, 2.5, 0.0, z_hi)
+        seg_l = batch(-2.5, 0.0, z_hi, 0.0)
         # anchor of seg_l is at -2.5; shift reference so z matches at +-x
         for x in (0.3, 1.1, 2.2):
             br = true_eval(seg_r, x)

@@ -1,6 +1,7 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import mazersim
@@ -17,3 +18,17 @@ def test_package_source_holds_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves its name in a module's __all__ would break
+    # `from mazersim.<module> import *`
+    modules = [importlib.import_module(
+        "mazersim" if path.stem == "__init__" else f"mazersim.{path.stem}")
+        for path in SOURCES]
+    exported = [(module.__name__, name) for module in modules
+                for name in getattr(module, "__all__", ())]
+    assert len({module for module, _ in exported}) > 1
+    missing = [f"{module}.{name}" for module, name in exported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -3,22 +3,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import loggamma
 
 from mazersim.grid import DEFAULT_WINDOW_FACTOR, ModeProfile, ModeShape, build_grid
-from mazersim.segment_basis import (
-    Regime,
-    Segment,
-    analytic_wronskian,
-    basis_eval,
-    make_segment,
-)
+from mazersim.segment_basis import Regime, SegmentArrays, basis_eval
 from mazersim import transfer
 from mazersim.transfer import (
     TransferError,
-    propagator,
     solve_scattering,
     sweep,
     sweep_products,
@@ -26,6 +20,7 @@ from mazersim.transfer import (
 )
 
 import test_grid_golden as golden
+from one_segment import propagator, regime, segment
 
 
 def mesa_closed(k: float, V0: float, a: float) -> tuple[complex, complex]:
@@ -51,8 +46,9 @@ def sech2_closed(k: float, L: float, sign: int) -> tuple[complex, complex]:
     return t, r
 
 
-def random_adjacent_pair(rng) -> tuple[Segment, Segment, float]:
-    """Two segments sharing a join, each single-signed, mixed regimes."""
+def random_adjacent_pair(rng) -> tuple[SegmentArrays, SegmentArrays, float]:
+    """Two one-segment arrays sharing a join, each single-signed, mixed
+    regimes."""
     x_join = rng.uniform(-2.0, 2.0)
     segs = []
     for side in (0, 1):
@@ -62,17 +58,17 @@ def random_adjacent_pair(rng) -> tuple[Segment, Segment, float]:
         kind = rng.integers(0, 4)
         if kind == 0:       # flat
             zv = rng.uniform(-4.0, 4.0)
-            segs.append(make_segment(lo, hi, zv, zv))
+            segs.append(segment(lo, hi, zv, zv))
         elif kind == 1:     # sloped, same sign
             sgn = 1.0 if rng.random() < 0.5 else -1.0
             z0, z1 = sorted(rng.uniform(0.05, 4.0, size=2))
-            segs.append(make_segment(lo, hi, sgn * z0, sgn * z1))
+            segs.append(segment(lo, hi, sgn * z0, sgn * z1))
         elif kind == 2:     # turning point at the left end
             z1 = rng.uniform(-3.0, 3.0)
-            segs.append(make_segment(lo, hi, 0.0, z1 if z1 != 0.0 else 1.0))
+            segs.append(segment(lo, hi, 0.0, z1 if z1 != 0.0 else 1.0))
         else:               # turning point at the right end
             z0 = rng.uniform(-3.0, 3.0)
-            segs.append(make_segment(lo, hi, z0 if z0 != 0.0 else -1.0, 0.0))
+            segs.append(segment(lo, hi, z0 if z0 != 0.0 else -1.0, 0.0))
     return segs[0], segs[1], x_join
 
 
@@ -96,7 +92,7 @@ def across_pair(prev, nxt, forward):
 def test_identity_join():
     # joins are identities: the node state is shared, and a propagator of
     # zero length is the unit matrix
-    seg = make_segment(0.0, 1.0, 0.5, 2.0)
+    seg = segment(0.0, 1.0, 0.5, 2.0)
     mat = matrix_floats(seg, 1.0, 1.0)
     assert np.allclose(mat, np.eye(2), rtol=0.0, atol=1e-14)
     state = mat @ np.array([0.3 - 0.4j, 1.1 + 0.2j])
@@ -112,9 +108,8 @@ def test_free_to_forbidden_join_hand_algebra():
     # rotation [[cosh, -sinh/rho], [-rho sinh, cosh]] of rho h
     k, h = 0.3, 4.0
     g = build_grid(ModeProfile(ModeShape.MESA, h), +1, k, 2)
-    forb = g.segments[1]
-    rho = math.sqrt(-forb.z_flat)
-    mat = matrix_floats(forb, h, 0.0)
+    rho = math.sqrt(-g.arrays.z_flat[0])
+    mat = matrix_floats(g.arrays, h, 0.0)
     ch, sh = math.cosh(rho * h), math.sinh(rho * h)
     want = np.array([[ch, -sh / rho], [-rho * sh, ch]])
     assert np.allclose(mat, want, rtol=1e-14, atol=0.0)
@@ -125,32 +120,28 @@ def test_free_to_forbidden_join_hand_algebra():
     assert d0 * math.exp(log_scale) == pytest.approx(dphi / k, rel=1e-14)
 
 
-@pytest.mark.parametrize("name", sorted(golden.CASES))
-def test_batched_propagators_match_scalar_calls(name):
-    # the sweep evaluates each sloped regime of a grid as one batch, both
-    # ends of every segment at once; each segment's five entries match its
-    # own propagator call within 1e-14 of their largest magnitude
-    shape, kappaL, k, J, sign = golden.CASES[name]
-    table = golden.TABLE if shape is ModeShape.TABULATED else None
-    g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
-    checked = 0
-    for regime in (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN):
-        idx = np.flatnonzero(g.arrays.code == list(Regime).index(regime))
-        batch = g.arrays.take(idx, regime)
-        got = np.array(propagator(batch, batch.x_hi, batch.x_lo))
-        for entries, j in zip(got.T, idx.tolist()):
-            seg = g.segments[j + 1]
-            assert seg.regime is regime
-            want = np.array(propagator(seg, seg.x_hi, seg.x_lo))
-            assert np.abs(entries - want).max() <= 1e-14 * np.abs(want).max()
-            checked += 1
-    assert checked or shape is ModeShape.MESA
-
-
 def golden_grid(name):
     shape, kappaL, k, J, sign = golden.CASES[name]
     table = golden.TABLE if shape is ModeShape.TABULATED else None
     return build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_batched_propagators_match_scalar_calls(name):
+    # the sweep evaluates each sloped regime of a grid as one batch, both
+    # ends of every segment at once; each sloped segment's five entries
+    # match those of a batch of that segment alone within 1e-14 of their
+    # largest magnitude
+    g = golden_grid(name)
+    table = transfer._pass([g])
+    checked = 0
+    for j in range(len(g.arrays.code)):
+        if regime(g.arrays, j) in (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN):
+            want = np.array(propagator(g.arrays, g.arrays.x_hi[j],
+                                       g.arrays.x_lo[j], j))
+            assert np.abs(table[j] - want).max() <= 1e-14 * np.abs(want).max()
+            checked += 1
+    assert checked or g.profile.shape is ModeShape.MESA
 
 
 # the product tree against the recorded loop on the golden grids, which
@@ -237,18 +228,17 @@ def test_degenerate_products_raise_typed_errors():
         solve_scattering(g, product=(1.0, math.nan, 0.0, 1.0, 0.0, 0))
 
 
-def basis_built(seg, x_from, x_to):
-    """M(x_to) M(x_from)^-1 in propagator form from the segment's basis at
-    both ends and its analytic Wronskian: the general formula that the flat
-    closed forms replace."""
-    fp1, fm1, gp1, gm1, s1 = basis_eval(seg, x_from)
-    fp2, fm2, gp2, gm2, s2 = basis_eval(seg, x_to)
-    w = analytic_wronskian(seg)
-    d = s2 - s1
-    up, dn = math.exp(d - abs(d)) / w, math.exp(-d - abs(d)) / w
-    return (fp2 * gm1 * up - fm2 * gp1 * dn, fm2 * fp1 * dn - fp2 * fm1 * up,
-            gp2 * gm1 * up - gm2 * gp1 * dn, gm2 * fp1 * dn - gp2 * fm1 * up,
-            abs(d))
+def expm_reference(z, x_from, x_to):
+    """The propagator of a flat segment with coefficient z in propagator
+    form, from mpmath's exponential of the 2x2 system (phi, phi')' =
+    [[0, 1], [-z, 0]] (phi, phi') over dx at 40 digits, scaled by
+    e**-(rho |dx|) on a forbidden segment."""
+    with mpmath.workdps(40):
+        z, dx = mpmath.mpf(z), mpmath.mpf(x_to) - mpmath.mpf(x_from)
+        a = mpmath.sqrt(-z) * abs(dx) if z < 0 else mpmath.mpf(0)
+        m = mpmath.expm(mpmath.matrix([[0, dx], [-z * dx, 0]])) * mpmath.exp(-a)
+        return (*(float(m[i, j]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))),
+                float(a))
 
 
 @pytest.mark.parametrize("z, x_from, x_to", [
@@ -259,10 +249,10 @@ def basis_built(seg, x_from, x_to):
 def test_flat_closed_forms_match_basis(z, x_from, x_to):
     # a shear, a rotation, or e**-a scaled cosh and sinh of a = rho |dx|
     # up to 1e4; the last two entries of the list reach a = 1e4
-    seg = make_segment(-1.0, 1.0e4 + 1.0, z, z)
-    assert seg.regime is not Regime.SLOPE_ALLOWED
+    seg = segment(-1.0, 1.0e4 + 1.0, z, z)
+    assert regime(seg) is not Regime.SLOPE_ALLOWED
     got = propagator(seg, x_from, x_to)
-    want = basis_built(seg, x_from, x_to)
+    want = expm_reference(z, x_from, x_to)
     scale = max(abs(v) for v in want[:4])
     assert max(abs(g - w) for g, w in zip(got[:4], want[:4])) <= 1e-14 * scale
     assert got[4] == pytest.approx(want[4], rel=1e-14, abs=0.0)
@@ -276,7 +266,7 @@ def test_flat_closed_forms_match_basis(z, x_from, x_to):
 def test_flat_forbidden_closed_form_deep():
     # rho |dx| = 1e4: the growing exponential is all log factor, and the
     # scaled cosh and sinh are one half each, with the sign of dx
-    seg = make_segment(0.0, 1.0e4, -1.0, -1.0)
+    seg = segment(0.0, 1.0e4, -1.0, -1.0)
     p11, p12, p21, p22, a = propagator(seg, 1.0e4, 0.0)
     assert a == 1.0e4
     assert (p11, p12, p21, p22) == (0.5, -0.5, -0.5, 0.5)
@@ -285,7 +275,7 @@ def test_flat_forbidden_closed_form_deep():
     p11, p12, p21, p22, a = propagator(seg, 0.0, 1.0e-12)
     assert p12 == pytest.approx(1.0e-12, rel=1e-15)
     assert p11 == pytest.approx(1.0 - 1.0e-12, rel=1e-15)
-    shallow = make_segment(0.0, 2.0, -1.0e-6, -1.0e-6)
+    shallow = segment(0.0, 2.0, -1.0e-6, -1.0e-6)
     p11, p12, p21, p22, a = propagator(shallow, 0.0, 2.0)
     assert a == pytest.approx(2.0e-3, rel=1e-15)
     assert p12 == pytest.approx(math.sinh(a) * math.exp(-a) / 1.0e-3, rel=1e-15)
@@ -497,11 +487,16 @@ def test_wavefunction_continuity_and_turning_points():
 
     def phi_from_segment(idx: int, x: float) -> complex:
         # segment idx carries the state of its right end, the last node
-        # for the right free region
+        # for the right free region; 0 and len(points) are the free
+        # regions, whose propagators are the rotations of z = k^2
         node = min(idx, len(g.points) - 1)
         phi, dphi, log_scale = res.coefficients[node]
-        p11, p12, _, _, log_factor = propagator(
-            g.segments[idx], float(g.points[node]), x)
+        x_node = float(g.points[node])
+        if 0 < idx < len(g.points):
+            p11, p12, _, _, log_factor = propagator(g.arrays, x_node, x, idx - 1)
+        else:
+            p11, p12, _, _, log_factor = transfer._flat_propagator(
+                g.k * g.k, x - x_node)
         return (p11 * phi + p12 * dphi) * math.exp(
             log_factor + log_scale - res.coefficients[0][2])
 
