@@ -19,13 +19,13 @@ def main() -> None:
     k, kappaL, J = 0.1, 6.0, 300
     profile = ModeProfile(ModeShape.SECH2, kappaL)
     grid = build_grid(profile, -1, k, J)
-    result = solve_scattering(grid, record_coefficients=True)
+    result = solve_scattering(grid)
     print(f"|t|^2 = {abs(result.t) ** 2:.6f}  |r|^2 = {abs(result.r) ** 2:.6f}")
     print(f"unitarity defect {result.unitarity_defect:.2e}")
 
     lo, hi = grid.window
     xs = np.linspace(lo - kappaL, hi + kappaL, 801)
-    samples = wavefunction(grid, result, xs)
+    samples = wavefunction(grid, xs)
 
     out = "wavefunction_profile.csv"
     with open(out, "w", newline="") as handle:

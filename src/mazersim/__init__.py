@@ -11,9 +11,10 @@ Typical use:
 The heavy lifting lives in the submodules: exponentially scaled special
 functions (specfun), the segment arrays and the batched Bessel bases of
 sloped segments with a factored-out log scale (segment_basis), potential
-discretization (grid), the propagator product and the recording
-node-state sweep (transfer), branch combination (mazer), closed-form
-references (oracles), and the CSV front end (cli).
+discretization (grid), the propagator product for amplitudes and the
+recording node-state sweep for wavefunctions (transfer), branch
+combination (mazer), closed-form references (oracles), and the CSV front
+end (cli).
 """
 
 from .grid import (

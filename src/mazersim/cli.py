@@ -20,6 +20,7 @@ from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid
 from .mazer import (
     MazerParams, _combine, convergence_study, kappaL_range, sweep_kappaL)
 from .oracles import mesa_analytic, sech2_analytic
+# solve_scattering is unused here; perfbench/tracing.py wraps it by this name
 from .transfer import solve_scattering, wavefunction
 
 __all__ = ["main"]
@@ -217,14 +218,11 @@ def _cmd_wavefunction(args) -> int:
         grid = build_grid(
             params.profile, branch, params.k_over_kappa, params.J,
             window_factor=params.window_factor)
-        result = solve_scattering(grid, record_coefficients=True)
+        samples = wavefunction(grid, np.linspace(*grid.window, args.samples))
     except Exception as exc:
         lines.append(f"# error: {type(exc).__name__}: {exc}")
         _write_lines(args.output, lines)
         return 2
-    lo, hi = grid.window
-    positions = np.linspace(lo, hi, args.samples)
-    samples = wavefunction(grid, result, positions)
     for x, phi in samples:
         lines.append(",".join(
             (_fmt(x), _fmt(phi.real), _fmt(phi.imag), _fmt(abs(phi) ** 2))))

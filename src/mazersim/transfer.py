@@ -31,15 +31,16 @@ integers beside the summed log factors.  Identity padding and power-of-two
 scaling are exact, so a grid's product does not depend on its batch, and
 a lone :func:`solve_scattering` is a batch of one.  Scaling by the
 largest entry loses the smallest of a flat rotation's, a factor k^2
-below it, so ``grid.K_OVER_KAPPA_MAX`` bounds k.  :func:`sweep` is the
-recording path: a loop over Python floats that applies the same
-propagators one by one and keeps the node state at every node for
-:func:`wavefunction`; a recording solve hands it its product's table.
-The two asymptotic free regions are the plane waves cos kx and sin kx,
-so the outgoing wave is seeded and the incoming amplitudes are read out
-in closed form.  :func:`wavefunction` forms the
-propagators to all its samples in one call, a sample in a free region
-being a flat entry with z = k^2.
+below it, so ``grid.K_OVER_KAPPA_MAX`` bounds k.
+
+:func:`sweep` is the recording path: a loop over Python floats that
+applies the same propagators one by one and keeps the node state at every
+node.  :func:`wavefunction` runs it, normalises by the incoming amplitude
+it reads out, and forms the propagators from the nodes to all its samples
+in one call, a sample in a free region being a flat entry with z = k^2.
+It forms no product.  The two asymptotic free regions are the plane
+waves cos kx and sin kx, so the outgoing wave is seeded and the incoming
+amplitudes are read out in closed form.
 """
 
 from __future__ import annotations
@@ -99,9 +100,7 @@ class ScatterResult:
 
     When |t| underflows double precision the field ``t`` is exactly 0 and
     ``t_log10_mag`` still carries its magnitude; ``unitarity_defect`` is a
-    diagnostic the caller should surface, not clamp.  ``coefficients``,
-    when recorded, holds the sweep's node state at each of the grid's
-    points, node i at ``grid.points[i]``, for :func:`wavefunction`.
+    diagnostic the caller should surface, not clamp.
     """
 
     t: complex
@@ -109,7 +108,6 @@ class ScatterResult:
     unitarity_defect: float
     t_log10_mag: float
     log10_scale: float
-    coefficients: tuple[NodeState, ...] | None = None
 
 
 def _sloped_propagators(seg: Segment, x_from: np.ndarray,
@@ -265,26 +263,23 @@ def sweep(grid: Grid, c: complex, d: complex,
     ``grid.points``, left to right.  The propagators are formed first; a
     loop over Python floats then applies them one by one, dividing the
     state after each segment by the power of two nearest its magnitude.
-    :func:`solve_scattering` takes its amplitudes from the product tree and
-    runs this loop only to record.
+    A non-finite or vanishing state raises :class:`TransferError`.
+    :func:`wavefunction` runs this loop; :func:`solve_scattering` takes its
+    amplitudes from the product tree instead.
     """
-    return _sweep(grid, _pass([grid]), c, d)
-
-
-def _sweep(grid: Grid, table: np.ndarray, c: complex, d: complex,
-           ) -> tuple[complex, complex, float, list[NodeState]]:
-    """:func:`sweep` over the grid's propagator table ``table``."""
     k, phi, dphi = _outgoing(grid, c, d)
     log_scale = 0.0
     states: list[NodeState] = []
     # five entries per segment, read from the last segment back as plain
     # floats, which allocate no container per segment; the state entering
     # segment j sits at its right end, node j
-    entries = reversed(table.ravel().tolist())
+    entries = reversed(_pass([grid]).ravel().tolist())
     for log_factor, p22, p21, p12, p11 in zip(
             entries, entries, entries, entries, entries):
         states.append((phi, dphi, log_scale))
         phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
+        if not math.isfinite(abs(phi) + abs(dphi)):
+            raise TransferError("node state is not finite")
         mag = max(abs(phi), abs(dphi))
         if mag == 0.0:
             raise TransferError("node state collapsed to zero")
@@ -319,7 +314,7 @@ def _carry(grid: Grid, product: Product) -> tuple[complex, complex, float]:
     return c0, d0, log_factor + (exponent + shift) * _LN2
 
 
-def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
+def solve_scattering(grid: Grid, *,
                      product: Product | None = None) -> ScatterResult:
     """Amplitudes from the propagator product applied to the outgoing wave.
 
@@ -328,15 +323,10 @@ def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
     The left free region's pair then gives t and r; the accumulated log scale
     re-enters t because the seed fixed the transmitted amplitude, not the
     incident one.  ``product`` is the grid's entry of a
-    :func:`sweep_products` pass; without it the solve forms its own.
-    ``record_coefficients`` runs the :func:`sweep` loop over the same
-    propagator table to record the node states, and leaves t and r as they
-    are.
+    :func:`sweep_products` pass; without it the solve is a batch of one.
     """
-    if product is None or record_coefficients:
-        table = _pass([grid])
     if product is None:
-        (product,) = _products(table, [len(table)])
+        (product,) = sweep_products([grid])
     c0, d0, log_scale = _carry(grid, product)
     denom = c0 - 1j * d0
     if denom == 0.0:
@@ -352,52 +342,40 @@ def solve_scattering(grid: Grid, record_coefficients: bool = False, *,
         raise TransferError("transmission overflow: log scale negative")
     r = (c0 + 1j * d0) / denom
     defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
-    states = None
-    if record_coefficients:
-        states = tuple(_sweep(grid, table, 1.0 + 0.0j, 1.0j)[3])
     return ScatterResult(
         t=t,
         r=r,
         unitarity_defect=defect,
         t_log10_mag=t_log10_mag,
         log10_scale=sigma,
-        coefficients=states,
     )
 
 
-def wavefunction(
-    grid: Grid,
-    result: ScatterResult,
-    positions: Sequence[float],
-) -> list[tuple[float, complex]]:
+def wavefunction(grid: Grid,
+                 positions: Sequence[float]) -> list[tuple[float, complex]]:
     """Reconstruct phi at the sample positions, unit incident amplitude.
 
-    Needs a result from solve_scattering(record_coefficients=True) on this
-    grid: one with another node count is refused, one of another grid with
-    the same node count goes undetected.  Each sample is carried from the
-    node at the right end of its segment, node 0 for the left free region.
+    Records the node states with :func:`sweep` from the outgoing wave
+    (1, i) and normalises by the incoming amplitude C0 - i*D0 it reads out,
+    as :func:`solve_scattering` does.  Each sample is carried from the node
+    at the right end of its segment, node 0 for the left free region.
     Positions are limited to the window padded by two cavity lengths; the
     asymptotic cos/sin basis loses phase accuracy far outside it.
     """
-    states = result.coefficients
-    if states is None:
-        raise ValueError("solve_scattering must record coefficients first")
-    if len(states) != len(grid.points):
-        raise ValueError(f"result recorded at {len(states)} nodes, the grid "
-                         f"has {len(grid.points)}")
     pad = 2.0 * grid.profile.length
     lo, hi = grid.window[0] - pad, grid.window[1] + pad
     xs = np.asarray(positions, dtype=float)
     outside = ~((lo <= xs) & (xs <= hi))
     if outside.any():
         raise ValueError(f"sample {xs[np.argmax(outside)]} outside [{lo}, {hi}]")
+    c0, d0, log0, states = sweep(grid, 1.0 + 0.0j, 1.0j)
+    denom = c0 - 1j * d0
+    if denom == 0.0:
+        raise TransferError("C0 - i*D0 vanished: degenerate normalization")
+    norm = 2.0 / denom
     arrays = grid.arrays
     z_free = grid.k * grid.k
     n = len(arrays.code)
-    phi0, dphi0, log0 = states[0]
-    c0, d0 = _plane_wave_amplitudes(math.sqrt(z_free), float(grid.points[0]),
-                                    phi0, dphi0)
-    norm = 2.0 / (c0 - 1j * d0)
     # the segment of each sample; 0 and n + 1 are the free regions, whose
     # samples become flat entries with z = k^2
     seg_of = np.searchsorted(grid.points, xs, side="right")

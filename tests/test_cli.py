@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import mazersim
+import mazersim.cli
 from mazersim.cli import main
+from mazersim.transfer import TransferError
 
 SWEEP_HEADER = "kappaL,P_em,Ta2,Tb2,Ra2,Rb2,unit_defect_plus,unit_defect_minus"
 
@@ -252,6 +254,21 @@ class TestWavefunction:
         assert out.splitlines()[0] == "# mazersim wavefunction"
         assert data_rows(out) == ["x,re_psi,im_psi,abs2_psi"]
         assert out.splitlines()[-1].startswith("# error: GridResolutionError: ")
+
+    def test_transfer_error_marks_and_exit_2(self, capsys, monkeypatch):
+        # a solve that raises while sampling is failed data as well
+        def degenerate(*args):
+            raise TransferError("C0 - i*D0 vanished: degenerate normalization")
+
+        monkeypatch.setattr(mazersim.cli, "wavefunction", degenerate)
+        code, out, err = run(capsys, [
+            "wavefunction", "--profile", "mesa", "--k", "0.5",
+            "--kappaL", "2", "--J", "2"])
+        assert code == 2
+        assert err == ""
+        assert data_rows(out) == ["x,re_psi,im_psi,abs2_psi"]
+        assert out.splitlines()[-1] == (
+            "# error: TransferError: C0 - i*D0 vanished: degenerate normalization")
 
     def test_requires_positive_length(self, capsys):
         code, _, err = run(capsys, [

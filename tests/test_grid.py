@@ -25,7 +25,7 @@ from mazersim.grid import (
 import mazersim.grid as grid_module
 from mazersim.mazer import MazerParams, event_probabilities
 from mazersim.segment_basis import Regime, W_FLAT_COLLAPSE, build_segments
-from mazersim.transfer import solve_scattering
+from mazersim.transfer import solve_scattering, sweep, wavefunction
 
 import test_grid_golden as golden
 
@@ -615,7 +615,11 @@ def test_segments_built_on_demand(shape, k, kappaL, J, sign):
     # a read builds the records; the sweep makes none
     assert read_first.segments == read_first.arrays.records(z_free)
     assert "segments" not in vars(g)
-    solved = solve_scattering(g, record_coefficients=True)
+    solved = solve_scattering(g)
+    recorded = sweep(g, 1.0 + 0.0j, 1.0j)
+    sampled = wavefunction(g, g.points)
     assert "segments" not in vars(g)
-    assert solve_scattering(read_first, record_coefficients=True) == solved
+    assert solve_scattering(read_first) == solved
+    assert sweep(read_first, 1.0 + 0.0j, 1.0j) == recorded
+    assert wavefunction(read_first, read_first.points) == sampled
     assert g.segments is g.segments

@@ -203,8 +203,9 @@ def test_products_do_not_depend_on_the_batch():
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
 def test_recording_solve_forms_its_propagators_once(name, monkeypatch):
-    # the product and the recorded loop share one propagator table: one
-    # basis_eval batch per sloped regime present, none for a flat grid
+    # the recorded loop forms its propagator table in one basis_eval batch
+    # per sloped regime present, none for a flat grid, and wavefunction,
+    # which runs it, forms no product tree
     g = golden_grid(name)
     calls = []
 
@@ -213,11 +214,17 @@ def test_recording_solve_forms_its_propagators_once(name, monkeypatch):
         return basis_eval(seg, xs)
 
     monkeypatch.setattr(transfer, "basis_eval", counted)
-    result = solve_scattering(g, record_coefficients=True)
+    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
     present = {list(Regime)[c] for c in g.arrays.code.tolist()}
     sloped = present & {Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN}
     assert sorted(calls, key=str) == sorted(sloped, key=str)
-    assert len(result.coefficients) == len(g.points)
+    assert len(states) == len(g.points)
+
+    def no_tree(*args):
+        raise AssertionError("wavefunction formed a product tree")
+
+    monkeypatch.setattr(transfer, "_products", no_tree)
+    assert len(wavefunction(g, g.points)) == len(g.points)
 
 
 def test_degenerate_products_raise_typed_errors():
@@ -226,6 +233,13 @@ def test_degenerate_products_raise_typed_errors():
         solve_scattering(g, product=(0.0, 0.0, 0.0, 0.0, 0.0, 0))
     with pytest.raises(TransferError, match="not finite"):
         solve_scattering(g, product=(1.0, math.nan, 0.0, 1.0, 0.0, 0))
+
+
+def test_non_finite_seeds_raise_typed_errors():
+    g = build_grid(ModeProfile(ModeShape.SECH2, 5.0), +1, 0.1, 50)
+    for seed in (math.nan, math.inf):
+        with pytest.raises(TransferError, match="not finite"):
+            sweep(g, seed, 1j)
 
 
 def expm_reference(z, x_from, x_to):
@@ -398,12 +412,11 @@ def test_left_right_reciprocity():
         assert abs(a.r) == pytest.approx(abs(b.r), abs=1e-10)
 
 
-def test_record_coefficients_indexing():
+def test_recorded_state_indexing():
     g = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
-    res = solve_scattering(g, record_coefficients=True)
-    assert res.coefficients is not None
-    assert len(res.coefficients) == len(g.points)    # one state per node
-    assert res.coefficients[-1][2] == 0.0            # the seed itself
+    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
+    assert len(states) == len(g.points)    # one state per node
+    assert states[-1][2] == 0.0            # the seed itself
 
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
@@ -411,17 +424,20 @@ def test_recorded_states_one_per_node(name):
     shape, kappaL, k, J, sign = golden.CASES[name]
     table = golden.TABLE if shape is ModeShape.TABULATED else None
     g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
-    res = solve_scattering(g, record_coefficients=True)
-    assert len(res.coefficients) == len(g.points)
+    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
+    assert len(states) == len(g.points)
     # the last node holds the seed, the outgoing wave e**ikx unscaled
-    phi, dphi, log_scale = res.coefficients[-1]
-    wave = cmath.exp(1j * k * float(g.points[-1]))
+    phi, dphi, log_scale = states[-1]
+    x = float(g.points[-1])
+    wave = cmath.exp(1j * k * x)
     assert phi == pytest.approx(wave, rel=1e-9)
     assert dphi == pytest.approx(1j * k * wave, rel=1e-9)
     assert log_scale == 0.0
-    # recording leaves the amplitudes bit for bit as they are
-    plain = solve_scattering(g)
-    assert (plain.t, plain.r) == (res.t, res.r)
+    # there the field is the transmitted wave t e**ikx; where t underflows
+    # to 0 (sin+, sin2-) the sample must be 0 as well
+    (_, psi), = wavefunction(g, [x])
+    want = solve_scattering(g).t * wave
+    assert abs(psi - want) <= 1e-13 * abs(want)
 
 
 # --- wavefunction reconstruction ------------------------------------------
@@ -429,38 +445,15 @@ def test_recorded_states_one_per_node(name):
 def test_wavefunction_zero_potential_plane_wave():
     p = ModeProfile(ModeShape.TABULATED, 0.0, table=((0.0, 0.0), (2.0, 0.0)))
     g = build_grid(p, +1, 0.4, 5)
-    res = solve_scattering(g, record_coefficients=True)
     xs = np.linspace(-1.5, 3.5, 41)
-    for x, phi in wavefunction(g, res, xs):
+    for x, phi in wavefunction(g, xs):
         assert phi == pytest.approx(cmath.exp(1j * 0.4 * x), abs=1e-13)
-
-
-def test_wavefunction_requires_coefficients():
-    g = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
-    res = solve_scattering(g)
-    with pytest.raises(ValueError):
-        wavefunction(g, res, [1.0])
-
-
-def test_wavefunction_refuses_a_result_of_another_grid():
-    # sech2 at k 0.1, kappaL 5: the J = 80 and J = 50 grids differ in their
-    # node counts, and either result on the other grid is refused by name
-    grids = {J: build_grid(ModeProfile(ModeShape.SECH2, 5.0), +1, 0.1, J)
-             for J in (50, 80)}
-    results = {J: solve_scattering(g, record_coefficients=True)
-               for J, g in grids.items()}
-    for mine, other in ((80, 50), (50, 80)):
-        nodes, others = len(grids[mine].points), len(grids[other].points)
-        assert nodes != others
-        with pytest.raises(ValueError, match=f"{nodes} nodes.* {others}"):
-            wavefunction(grids[other], results[mine], [1.0])
 
 
 def test_wavefunction_domain_guard():
     g = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
-    res = solve_scattering(g, record_coefficients=True)
     with pytest.raises(ValueError):
-        wavefunction(g, res, [5.0 + 2.0 * 5.0 + 1.0])
+        wavefunction(g, [5.0 + 2.0 * 5.0 + 1.0])
 
 
 def test_wavefunction_evanescent_profile():
@@ -468,11 +461,10 @@ def test_wavefunction_evanescent_profile():
     # closed-form decaying/growing pair seeded by the transmitted wave
     k, L = 0.1, 5.0
     g = build_grid(ModeProfile(ModeShape.MESA, L), +1, k, 2)
-    res = solve_scattering(g, record_coefficients=True)
     kp = cmath.sqrt(complex(k * k - 1.0))
     t_ex, _ = mesa_closed(k, 0.5, L)
     xs = np.linspace(0.5, 4.5, 17)
-    got = wavefunction(g, res, xs)
+    got = wavefunction(g, xs)
     for (x, phi) in got:
         plus = (1.0 + k / kp) * cmath.exp(1j * kp * (x - L))
         minus = (1.0 - k / kp) * cmath.exp(-1j * kp * (x - L))
@@ -483,14 +475,14 @@ def test_wavefunction_evanescent_profile():
 def test_wavefunction_continuity_and_turning_points():
     k, L = 0.1, 10.0
     g = build_grid(ModeProfile(ModeShape.SECH2, L), +1, k, 200)
-    res = solve_scattering(g, record_coefficients=True)
+    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
 
     def phi_from_segment(idx: int, x: float) -> complex:
         # segment idx carries the state of its right end, the last node
         # for the right free region; 0 and len(points) are the free
         # regions, whose propagators are the rotations of z = k^2
         node = min(idx, len(g.points) - 1)
-        phi, dphi, log_scale = res.coefficients[node]
+        phi, dphi, log_scale = states[node]
         x_node = float(g.points[node])
         if 0 < idx < len(g.points):
             p11, p12, _, _, log_factor = propagator(g.arrays, x_node, x, idx - 1)
@@ -498,7 +490,7 @@ def test_wavefunction_continuity_and_turning_points():
             p11, p12, _, _, log_factor = transfer._flat_propagator(
                 g.k * g.k, x - x_node)
         return (p11 * phi + p12 * dphi) * math.exp(
-            log_factor + log_scale - res.coefficients[0][2])
+            log_factor + log_scale - states[0][2])
 
     # both representations of phi at each join, before normalization
     peak = max(abs(phi_from_segment(i, float(x)))
@@ -509,5 +501,5 @@ def test_wavefunction_continuity_and_turning_points():
         assert abs(a - b) <= 1e-9 * peak
 
     for tp in g.turning_points:
-        (_, phi), = wavefunction(g, res, [tp])
+        (_, phi), = wavefunction(g, [tp])
         assert math.isfinite(phi.real) and math.isfinite(phi.imag)
