@@ -25,13 +25,7 @@ from .transfer import solve_scattering, wavefunction
 
 __all__ = ["main"]
 
-_PROFILE_NAMES = {
-    "mesa": ModeShape.MESA,
-    "sech2": ModeShape.SECH2,
-    "sin": ModeShape.SIN_FUNDAMENTAL,
-    "sin2": ModeShape.SIN_FIRST_EXCITED,
-    "gauss": ModeShape.GAUSSIAN,
-}
+_PROFILE_NAMES = {s.value: s for s in ModeShape if s is not ModeShape.TABULATED}
 
 _SWEEP_COLUMNS = "kappaL,P_em,Ta2,Tb2,Ra2,Rb2,unit_defect_plus,unit_defect_minus"
 

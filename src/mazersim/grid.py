@@ -3,7 +3,8 @@
 Everything is dimensionless: hbar = m = 1 and lengths are measured in the
 inverse coupling wavenumber, so the atom's energy is E = (k_over_kappa)^2/2,
 the dressed potentials are V = +-alpha*u(x)/2, and the cavity extent is the
-single number ``length`` (the interaction length).
+single number ``length`` (the interaction length), zero or at least
+``LENGTH_MIN``.
 
 The solver downstream treats the potential as linear between grid nodes.
 Two refinements keep that approximation honest:
@@ -32,7 +33,8 @@ anchors every segment between the nodes in one array pass.  The grid keeps
 those arrays, and the sweep and the wavefunction read the segments from
 them in batches, nothing else.  ``Grid.segments``, a tuple of records
 framed by the two outer free segments, is built the first time it is
-read; no solve reads it.
+read; no solve reads it.  The mesa skips the iteration: its grid is the
+two edges of its support, with z = k^2 -+ 1 at both.
 Length tolerances (root bisection, root stability, turning-node merging)
 scale with min(1, window width), so tiny cavities keep their resolution.
 """
@@ -55,6 +57,7 @@ __all__ = [
     "Grid",
     "GridResolutionError",
     "DEFAULT_WINDOW_FACTOR",
+    "LENGTH_MIN",
     "TURNING_MERGE_TOL",
     "eval_mode",
     "eval_mode_array",
@@ -69,6 +72,12 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_FACTOR = 16.0
+
+# the shortest nonzero mode length accepted.  Far below it the builder and
+# the bases overflow and underflow: from about 1e-152 the area-defect
+# bracket's sign test underflows, from about 1e-155 the turning-point
+# series overflows, and at 1e-310 n pi / L is infinite.
+LENGTH_MIN = 1.0e-100
 
 # the largest k_over_kappa accepted.  Above about 1e77 the builder's sign
 # tests, products of two coefficients z ~ k^2, overflow; from about 1e104
@@ -113,9 +122,11 @@ _MESA, _SECH2, _SIN1, _SIN2, _GAUSS, _TABULATED = ModeShape
 class ModeProfile:
     """A normalized cavity mode shape u(x) with |u| <= 1.
 
-    ``length`` is the interaction length.  The mesa and the two sinusoidal
-    modes live on [0, length]; sech2 and the Gaussian are centered on x = 0
-    with unbounded support that the grid truncates to a finite window.  For
+    ``length`` is the interaction length: 0, a mode that is zero
+    everywhere but for the mesa, or a finite value of at least
+    ``LENGTH_MIN``.  The mesa and the two sinusoidal modes live on
+    [0, length]; sech2 and the Gaussian are centered on x = 0 with
+    unbounded support that the grid truncates to a finite window.  For
     TABULATED profiles ``table`` holds (x, u) breakpoints and ``length`` is
     the table span.
     """
@@ -136,11 +147,13 @@ class ModeProfile:
             if any(abs(p[1]) > 1.0 for p in self.table):
                 raise ValueError("mode values must satisfy |u| <= 1")
             object.__setattr__(self, "length", xs[-1] - xs[0])
-        else:
-            if self.table is not None:
-                raise ValueError(f"{self.shape.name} does not take a table")
-            if not self.length >= 0.0 or not math.isfinite(self.length):
-                raise ValueError(f"invalid length {self.length}")
+        elif self.table is not None:
+            raise ValueError(f"{self.shape.name} does not take a table")
+        if not 0.0 <= self.length < math.inf:
+            raise ValueError(f"invalid length {self.length}")
+        if 0.0 < self.length < LENGTH_MIN:
+            raise ValueError(f"length {self.length!r} is below LENGTH_MIN = "
+                             f"{LENGTH_MIN:g}; use 0 for no mode")
 
     @property
     def sigma(self) -> float:
@@ -149,23 +162,18 @@ class ModeProfile:
             raise ValueError("sigma is defined for the Gaussian mode only")
         return math.sqrt(2.0 / math.pi) * self.length
 
-    def support(self) -> tuple[float, float]:
-        """Interval outside which u is identically zero (or negligible)."""
-        s = self.shape
-        if s is _MESA or s is _SIN1 or s is _SIN2:
-            return (0.0, self.length)
-        if s is _TABULATED:
-            return (self.table[0][0], self.table[-1][0])
-        return (-math.inf, math.inf)
-
     def default_window(self, window_factor: float = DEFAULT_WINDOW_FACTOR,
                        ) -> tuple[float, float]:
-        """Solution window: the support, or window_factor * length centered
-        on the peak for the unbounded profiles."""
-        if self.shape is _SECH2 or self.shape is _GAUSS:
+        """Solution window: window_factor * length centered on the peak for
+        sech2 and the Gaussian, else the support outside which u is zero,
+        [0, length] or the table's span."""
+        s = self.shape
+        if s is _SECH2 or s is _GAUSS:
             half = 0.5 * window_factor * self.length
             return (-half, half)
-        return self.support()
+        if s is _TABULATED:
+            return (self.table[0][0], self.table[-1][0])
+        return (0.0, self.length)
 
 
 def load_tabulated(path: str) -> ModeProfile:
@@ -414,13 +422,12 @@ class Grid:
     z = k^2 - 2*alpha*V at ``points``; turning nodes carry z = 0 exactly
     so no segment straddles a sign change of z.  ``segments``, the same
     segments as records framed by the two semi-infinite free regions, is
-    built on first read.
+    built on first read.  The atom's energy is k^2/2.
     """
 
     points: np.ndarray
     z: np.ndarray
     alpha: float
-    E: float
     k: float
     profile: ModeProfile
     window: tuple[float, float]
@@ -496,7 +503,6 @@ def build_grid(
         raise ValueError("J must be at least 2")
     check_k_over_kappa(k_over_kappa)
     k = float(k_over_kappa)
-    E = 0.5 * k * k
 
     x_a, x_b = map(float, profile.default_window(window_factor))
     if not math.isfinite(x_b - x_a):
@@ -505,8 +511,12 @@ def build_grid(
         raise ValueError(f"empty window [{x_a}, {x_b}]")
 
     if profile.shape is _MESA:
-        return _build_mesa_grid(profile, sign, k, E, (x_a, x_b))
+        # one flat segment across the support, no interpolation
+        z_top = k * k - sign
+        return _grid(profile, k, (x_a, x_b), 1.0, (), np.array([x_a, x_b]),
+                     np.array([z_top, z_top]))
 
+    E = 0.5 * k * k
     scale = min(1.0, x_b - x_a)
     uniform = np.linspace(x_a, x_b, J)
     u_uniform = eval_mode_array(profile, uniform)
@@ -557,7 +567,7 @@ def build_grid(
 
     window = (x_a, x_b)
     try:
-        return _finish_grid(profile, sign, k, E, window, alpha, roots, nodes,
+        return _finish_grid(profile, sign, k, window, alpha, roots, nodes,
                             u_nodes, area_exact)
     except GridResolutionError:
         if settled:
@@ -580,7 +590,7 @@ def build_grid(
         if alpha is None:
             raise
     roots, nodes, u_nodes = nodes_at(alpha)
-    return _finish_grid(profile, sign, k, E, window, alpha, roots, nodes,
+    return _finish_grid(profile, sign, k, window, alpha, roots, nodes,
                         u_nodes, area_exact)
 
 
@@ -618,7 +628,7 @@ def _bracketed_root(defect, history: list[tuple[float, float]],
     return root if result.converged else None
 
 
-def _finish_grid(profile, sign, k, E, window, alpha, roots, nodes, u_nodes,
+def _finish_grid(profile, sign, k, window, alpha, roots, nodes, u_nodes,
                  area_exact) -> Grid:
     """Snap the turning nodes, split residual sign changes, check the area
     and segment the nodes of a build at its final alpha."""
@@ -641,40 +651,14 @@ def _finish_grid(profile, sign, k, E, window, alpha, roots, nodes, u_nodes,
     nodes, z, u_nodes, extra = _split_residual_crossings(nodes, z, u_nodes, u_turn)
     root_positions = sorted(root_positions + extra)
     _verify_grid(nodes, u_nodes, alpha, area_exact)
-    arrays = build_segments(nodes, z)
-
-    return Grid(
-        points=nodes,
-        z=z,
-        alpha=float(alpha),
-        E=E,
-        k=k,
-        profile=profile,
-        window=window,
-        turning_points=tuple(root_positions),
-        arrays=arrays,
-    )
+    return _grid(profile, k, window, alpha, root_positions, nodes, z)
 
 
-def _build_mesa_grid(profile, sign, k, E, window) -> Grid:
-    """Mesa: one flat segment across the window, its support, no
-    interpolation."""
-    z_free = k * k
-    z_top = z_free - sign * 1.0
-    nodes = np.array(window)
-    z = np.array([z_top, z_top])
-    arrays = build_segments(nodes, z)
-    return Grid(
-        points=nodes,
-        z=z,
-        alpha=1.0,
-        E=E,
-        k=k,
-        profile=profile,
-        window=window,
-        turning_points=(),
-        arrays=arrays,
-    )
+def _grid(profile, k, window, alpha, turning_points, nodes, z) -> Grid:
+    """The grid of the final nodes and their z, segmented."""
+    return Grid(points=nodes, z=z, alpha=float(alpha), k=k, profile=profile,
+                window=window, turning_points=tuple(turning_points),
+                arrays=build_segments(nodes, z))
 
 
 def _split_residual_crossings(

@@ -51,19 +51,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MazerParams:
-    """One mazer configuration; kappaL duplicates profile.length on purpose
-    so sweeps can restate the same shape at many lengths."""
+    """One mazer configuration.  The interaction length kappaL is the
+    profile's length, which the profile validates; :meth:`for_shape` and
+    :meth:`with_kappaL` build the profile from a shape and a length."""
 
     k_over_kappa: float
-    kappaL: float
     profile: ModeProfile
     J: int
     window_factor: float = DEFAULT_WINDOW_FACTOR
 
     def __post_init__(self) -> None:
         check_k_over_kappa(self.k_over_kappa)
-        if self.kappaL < 0.0:
-            raise ValueError("kappaL must be nonnegative")
         if not isinstance(self.J, numbers.Integral):
             raise ValueError(f"J = {self.J!r} must be an integer")
         if self.J < 2:
@@ -71,9 +69,10 @@ class MazerParams:
         if not 0.0 < self.window_factor < math.inf:
             raise ValueError(f"window_factor = {self.window_factor!r} must be "
                              "positive and finite")
-        if self.profile.length != self.kappaL:
-            raise ValueError(
-                f"profile length {self.profile.length} != kappaL {self.kappaL}")
+
+    @property
+    def kappaL(self) -> float:
+        return self.profile.length
 
     @classmethod
     def for_shape(
@@ -87,7 +86,6 @@ class MazerParams:
     ) -> "MazerParams":
         return cls(
             k_over_kappa=k_over_kappa,
-            kappaL=kappaL,
             profile=ModeProfile(shape, kappaL),
             J=J,
             window_factor=window_factor,
@@ -97,8 +95,7 @@ class MazerParams:
         """Same configuration at a different interaction length."""
         if self.profile.shape is ModeShape.TABULATED:
             raise ValueError("tabulated profiles have a fixed length")
-        return replace(
-            self, kappaL=kappaL, profile=ModeProfile(self.profile.shape, kappaL))
+        return replace(self, profile=ModeProfile(self.profile.shape, kappaL))
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,8 @@ class TestConfigErrors:
          "--J", "2", "--samples", "1"],
         ["wavefunction", "--profile", "sin2", "--k", "0.1", "--kappaL", "5",
          "--J", "1"],
+        ["sweep", "--profile", "tabulated", "--k", "0.5", "--range", "0:1:0.5",
+         "--J", "2"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1e308:1e-300",
          "--J", "2"],
     ])

@@ -9,6 +9,7 @@ import pytest
 from mazersim.grid import (
     _split_residual_crossings,
     DEFAULT_WINDOW_FACTOR,
+    LENGTH_MIN,
     Grid,
     GridResolutionError,
     ModeProfile,
@@ -117,6 +118,11 @@ def test_tabulated_validation():
                   ((0.0, 0.0), (1.0, 0.5), (inf, 0.0))):    # inf x
         with pytest.raises(ValueError, match="must be finite"):
             ModeProfile(ModeShape.TABULATED, 0.0, table=table)
+    # the length checks apply to the span the table gives
+    with pytest.raises(ValueError, match="below LENGTH_MIN"):
+        ModeProfile(ModeShape.TABULATED, 0.0, table=((0.0, 0.0), (1e-101, 0.5)))
+    with pytest.raises(ValueError, match="invalid length inf"):
+        ModeProfile(ModeShape.TABULATED, 0.0, table=((-1e308, 0.0), (1e308, 0.5)))
     p = ModeProfile(ModeShape.TABULATED, 0.0,
                     table=((0.0, 0.0), (1.0, 1.0), (3.0, -1.0)))
     assert p.length == 3.0
@@ -189,6 +195,14 @@ def test_zero_length_mode_vanishes(shape):
     for a, b in [(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)]:
         assert signed_area(p, a, b) == 0.0
         assert abs_area(p, a, b) == 0.0
+
+
+@pytest.mark.parametrize("shape", ANALYTIC_SHAPES)
+def test_lengths_below_the_floor_refused(shape):
+    assert ModeProfile(shape, LENGTH_MIN).length == LENGTH_MIN
+    assert ModeProfile(shape, 0.0).length == 0.0
+    with pytest.raises(ValueError, match="below LENGTH_MIN = 1e-100"):
+        ModeProfile(shape, math.nextafter(LENGTH_MIN, 0.0))
 
 
 def test_interp_abs_area_sign_change_exact():
@@ -291,7 +305,7 @@ def test_zero_potential_single_free_regime():
     assert g.alpha == 1.0
     assert g.turning_points == ()
     assert np.all(g.arrays.code == code_of(Regime.FLAT_ALLOWED))
-    assert np.all(g.z == 2.0 * g.E)
+    assert np.all(g.z == g.k * g.k)
 
 
 def test_linear_tabulated_alpha_exactly_one():
@@ -319,7 +333,7 @@ def test_asymptotic_segments_free_and_absolute():
     first, last = g.segments[0], g.segments[-1]
     for seg in (first, last):
         assert seg.regime is Regime.FLAT_ALLOWED
-        assert seg.z_ref == 2.0 * g.E
+        assert seg.z_ref == g.k * g.k
         assert seg.b == 0.0
         assert seg.x_ref == 0.0     # asymptotic basis anchored at the origin
     assert first.x_lo == -math.inf and first.x_hi == g.points[0]

@@ -98,8 +98,7 @@ def test_unsettled_alpha_rows_close(J, k, kappaL):
 
 def branch_amplitudes_of(table, k, J):
     profile = ModeProfile(ModeShape.TABULATED, 0.0, table=table)
-    return branch_amplitudes(
-        MazerParams(k_over_kappa=k, kappaL=profile.length, profile=profile, J=J))
+    return branch_amplitudes(MazerParams(k_over_kappa=k, profile=profile, J=J))
 
 
 def mirror_invariants(table, k, J):
