@@ -128,7 +128,9 @@ class ModeProfile:
     [0, length]; sech2 and the Gaussian are centered on x = 0 with
     unbounded support that the grid truncates to a finite window.  For
     TABULATED profiles ``table`` holds (x, u) breakpoints and ``length`` is
-    the table span.
+    the table span; ``table_x`` and ``table_u`` hold its two columns as
+    read-only arrays, built once.  They are no fields: ``==``, ``hash``,
+    ``repr`` and pickling read the table alone.
     """
 
     shape: ModeShape
@@ -147,6 +149,10 @@ class ModeProfile:
             if any(abs(p[1]) > 1.0 for p in self.table):
                 raise ValueError("mode values must satisfy |u| <= 1")
             object.__setattr__(self, "length", xs[-1] - xs[0])
+            columns = np.array((xs, [p[1] for p in self.table]), dtype=float)
+            columns.flags.writeable = False
+            object.__setattr__(self, "table_x", columns[0])
+            object.__setattr__(self, "table_u", columns[1])
         elif self.table is not None:
             raise ValueError(f"{self.shape.name} does not take a table")
         if not 0.0 <= self.length < math.inf:
@@ -154,6 +160,10 @@ class ModeProfile:
         if 0.0 < self.length < LENGTH_MIN:
             raise ValueError(f"length {self.length!r} is below LENGTH_MIN = "
                              f"{LENGTH_MIN:g}; use 0 for no mode")
+
+    def __reduce__(self):
+        # the table arrays are rebuilt, not pickled
+        return type(self), (self.shape, self.length, self.table)
 
     @property
     def sigma(self) -> float:
@@ -245,9 +255,7 @@ def eval_mode_array(profile: ModeProfile, xs: np.ndarray) -> np.ndarray:
         t = xs / profile.sigma
         arg = 0.5 * t * t
         return np.where(arg < 745.0, np.exp(-np.minimum(arg, 745.0)), 0.0)
-    txs = np.array([p[0] for p in profile.table])
-    tus = np.array([p[1] for p in profile.table])
-    return np.interp(xs, txs, tus, left=0.0, right=0.0)
+    return np.interp(xs, profile.table_x, profile.table_u, left=0.0, right=0.0)
 
 
 # --- exact areas ----------------------------------------------------------
@@ -264,7 +272,8 @@ def _table_samples(profile: ModeProfile, a: float, b: float,
     lo, hi = _clip(a, b, tbl[0][0], tbl[-1][0])
     if hi <= lo:
         return np.empty(0), np.empty(0)
-    xs = np.array([lo] + [x for x, _ in tbl if lo < x < hi] + [hi])
+    tx = profile.table_x
+    xs = np.concatenate(([lo], tx[(lo < tx) & (tx < hi)], [hi]))
     return xs, eval_mode_array(profile, xs)
 
 

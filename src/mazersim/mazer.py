@@ -262,15 +262,21 @@ def _sweep_row(kappaL: float, outcome) -> SweepRow:
         unit_defect_minus=minus.unitarity_defect)
 
 
-def _sweep_chunk(params: MazerParams, values: list[float]) -> list[SweepRow]:
-    """The rows of a chunk of kappaL values, each failure kept in its row."""
+def _solve_values(make, values: list) -> list:
+    """:func:`_solve_chunk` over the rows ``make(value)``, one whose
+    ``make`` raises standing as its exception."""
     rows: list = []
-    for kappaL in values:
+    for value in values:
         try:
-            rows.append(params.with_kappaL(kappaL))
+            rows.append(make(value))
         except Exception as exc:
             rows.append(exc)
-    return list(map(_sweep_row, values, _solve_chunk(rows)))
+    return _solve_chunk(rows)
+
+
+def _sweep_chunk(params: MazerParams, values: list[float]) -> list[SweepRow]:
+    """The rows of a chunk of kappaL values, each failure kept in its row."""
+    return list(map(_sweep_row, values, _solve_values(params.with_kappaL, values)))
 
 
 def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
@@ -322,15 +328,21 @@ def sweep_kappaL(
 
 def convergence_study(params: MazerParams, J_list: list[int]) -> ConvergenceStudy:
     """P_em at each grid resolution plus a settling figure: the largest
-    pairwise spread among the denser half of the list."""
+    pairwise spread among the denser half of the list.
+
+    The J values are solved as one chunk, one propagator pass and one
+    product tree; the first J that fails raises its exception, as
+    :func:`event_probabilities` would at that J alone."""
     if not J_list:
         raise ValueError("J_list must be nonempty")
     if any(b <= a for a, b in zip(J_list, J_list[1:])):
         raise ValueError("J_list must be strictly ascending")
     entries = []
-    for J in J_list:
-        ev = event_probabilities(replace(params, J=J))
-        entries.append((J, ev.P_em))
+    for J, outcome in zip(J_list, _solve_values(
+            lambda J: replace(params, J=J), J_list)):
+        if isinstance(outcome, Exception):
+            raise outcome
+        entries.append((J, _combine(*outcome).P_em))
     top = [p for _, p in entries[len(entries) // 2:]]
     settle = max(abs(a - b) for a in top for b in top) if len(top) > 1 else 0.0
     return ConvergenceStudy(entries=tuple(entries), settle=settle)

@@ -33,14 +33,20 @@ a lone :func:`solve_scattering` is a batch of one.  Scaling by the
 largest entry loses the smallest of a flat rotation's, a factor k^2
 below it, so ``grid.K_OVER_KAPPA_MAX`` bounds k.
 
-:func:`sweep` is the recording path: a loop over Python floats that
-applies the same propagators one by one and keeps the node state at every
-node.  :func:`wavefunction` runs it, normalises by the incoming amplitude
-it reads out, and forms the propagators from the nodes to all its samples
-in one call, a sample in a free region being a flat entry with z = k^2.
-It forms no product.  The two asymptotic free regions are the plane
-waves cos kx and sin kx, so the outgoing wave is seeded and the incoming
-amplitudes are read out in closed form.
+:func:`sweep` is the recording path.  It keeps the tree's levels and
+forms the state at every node by a down-sweep over them (Blelloch's
+prefix-sum down-sweep): the seed sits at the root, a tree node's right
+child keeps its state and its left child takes that state carried across
+the right child's product, and segment 0 carries the state at node 1 to
+node 0.  Every carried state, the amplitudes' one included, is divided by
+the power of two that brings its larger component into [1, 2), in one
+step that also refuses a non-finite or vanishing state.
+:func:`wavefunction` records the node states so, normalises by the
+incoming amplitude read out at node 0, and forms the propagators from
+the nodes to all its samples in one call, a sample in a free region
+being a flat entry with z = k^2.  The two asymptotic free regions are
+the plane waves cos kx and sin kx, so the outgoing wave is seeded and
+the incoming amplitudes are read out in closed form.
 """
 
 from __future__ import annotations
@@ -171,8 +177,8 @@ def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
             sel = np.flatnonzero(code == regime_code)
             table[sel] = np.transpose(_sloped_propagators(
                 arrays.take(sel, regime), x_from[sel], x_to[sel]))
-    flat = [i for i, c in enumerate(present) if c < _FIRST_SLOPED_CODE]
-    if flat:
+    flat = np.flatnonzero(code < _FIRST_SLOPED_CODE)
+    if flat.size:
         table[flat] = list(map(_flat_propagator, arrays.z_flat[flat].tolist(),
                                (x_to[flat] - x_from[flat]).tolist()))
     return table
@@ -187,52 +193,78 @@ def _pass(grids: Sequence[Grid]) -> np.ndarray:
     return _propagators(arrays, arrays.x_hi, arrays.x_lo)
 
 
-def _products(table: np.ndarray, lengths: Sequence[int]) -> list[Product]:
-    """P_0 P_1 ... P_{n-1} of each grid, whose n = lengths[g] rows follow
-    those of the grids before it in ``table``.
+def _levels(table: np.ndarray, lengths: Sequence[int]) -> list[tuple]:
+    """The pairwise tree over P_0 P_1 ... P_{n-1} of each grid, whose
+    n = lengths[g] rows follow those of the grids before it in ``table``,
+    as its levels from the leaves to the root.
 
-    The grids sit in (2, 2, grids, N) entry arrays, left factor first, N
-    the power of two that holds the longest, with identity entries past
-    each grid's end.  Each level multiplies neighbouring pairs and divides
-    every product by the power of two that brings its largest entry into
-    [1, 2), which leaves the identity as it is.  The log factors are
-    summed as floats pair by pair, the power-of-two exponents as integers.
-    A batch of one-segment grids takes no level.
+    A level is (entries, log, exponent): (2, 2, grids, m) entry arrays
+    and (grids, m) summed log factors and integer exponents, the true
+    product being the entries times e**log * 2**exponent.  The leaves sit
+    in arrays of the power of two that holds the longest grid, with
+    identity entries past each grid's end.  Each level multiplies
+    neighbouring pairs, left factor first, and divides every product by
+    the power of two that brings its largest entry into [1, 2), which
+    leaves the identity as it is.
     """
-    if all(n == 1 for n in lengths):
-        return [(*row, 0) for row in table.tolist()]
     grids = len(lengths)
     prod = np.zeros((2, 2, grids, 1 << (max(lengths) - 1).bit_length()))
     prod[0, 0] = prod[1, 1] = 1.0
     log = np.zeros(prod.shape[2:])
+    exponent = np.zeros(prod.shape[2:], dtype=int)
     rows = np.repeat(np.arange(grids), lengths)
     cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     prod[:, :, rows, cols] = table[:, :4].T.reshape(2, 2, -1)
     log[rows, cols] = table[:, 4]
-    scales = []
+    levels = [(prod, log, exponent)]
     while prod.shape[-1] > 1:
         left, right = prod[..., 0::2], prod[..., 1::2]
         prod = left[:, :1] * right[:1]
         prod += left[:, 1:] * right[1:]
         # 2**scale brings the largest of each product's entries into [1, 2)
         scale = 1 - np.frexp(np.maximum.reduce(np.abs(prod).reshape(4, -1)))[1]
-        scales.append(scale.reshape(grids, -1))
-        np.ldexp(prod, scales[-1], out=prod)
+        scale = scale.reshape(grids, -1)
+        np.ldexp(prod, scale, out=prod)
         log = log[:, 0::2] + log[:, 1::2]
-    # a grid's row holds the products of its tree at every level, and an
-    # integer sum needs no fixed order
-    exponent = -np.concatenate(scales, axis=1).sum(axis=1)
-    return list(zip(*prod.reshape(4, grids).tolist(), log[:, 0].tolist(),
-                    exponent.tolist()))
+        exponent = exponent[:, 0::2] + exponent[:, 1::2] - scale
+        levels.append((prod, log, exponent))
+    return levels
 
 
 def sweep_products(grids: Sequence[Grid]) -> list[Product]:
     """Each grid's propagator product for :func:`solve_scattering`, from
     one propagator pass over the concatenated segment arrays of ``grids``
-    and one pairwise tree over all their products."""
+    and one pairwise tree over all their products, whose root it reads."""
     if not grids:
         return []
-    return _products(_pass(grids), [len(g.arrays.code) for g in grids])
+    prod, log, exponent = _levels(
+        _pass(grids), [len(g.arrays.code) for g in grids])[-1]
+    return list(zip(*prod.reshape(4, len(grids)).tolist(), log[:, 0].tolist(),
+                    exponent[:, 0].tolist()))
+
+
+def _shift(phi, dphi):
+    """The exponent of the power of two that brings max(|phi|, |dphi|)
+    into [1, 2), for floats or arrays alike; a non-finite or vanishing
+    state raises :class:`TransferError`."""
+    mag = np.maximum(abs(phi), abs(dphi))
+    if not (mag < math.inf).all():
+        raise TransferError("node state is not finite")
+    if not mag.all():
+        raise TransferError("node state collapsed to zero")
+    return np.frexp(mag)[1] - 1
+
+
+def _step(p11, p12, p21, p22, log_factor, exponent, phi, dphi, log):
+    """(phi, dphi, log) carried across a product (p11, p12, p21, p22,
+    log_factor, exponent) and divided by the power of two of
+    :func:`_shift`, for floats or for arrays of states and products
+    alike: the one rescale rule of every carried state, true values being
+    phi and dphi times e**log."""
+    phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
+    shift = _shift(phi, dphi)
+    factor = np.ldexp(1.0, -shift)
+    return factor * phi, factor * dphi, log + log_factor + (exponent + shift) * _LN2
 
 
 def _plane_wave_amplitudes(k: float, x: float, phi: complex, dphi: complex):
@@ -252,66 +284,76 @@ def _outgoing(grid: Grid, c: complex, d: complex) -> tuple[float, complex, compl
     return k, c * cs + d * sn, c * (-k * sn) + d * (k * cs)
 
 
+def _node_states(grid: Grid, c: complex, d: complex) -> tuple:
+    """(C0, D0, phi, dphi, log): the left free region's coefficients for
+    the outgoing wave (c, d), and the state at every node as arrays, from
+    a down-sweep over the levels of the grid's product tree."""
+    k, phi, dphi = _outgoing(grid, c, d)
+    # the seed is checked before any array arithmetic on it
+    _shift(phi, dphi)
+    table = _pass([grid])
+    n = len(table)
+    levels = [(*e[:, :, 0].reshape(4, -1), lg[0], ex[0])
+              for e, lg, ex in _levels(table, [n])]
+    state = (np.array([phi]), np.array([dphi]), np.zeros(1))
+    # each tree node holds the state at its right end: the root the seed,
+    # a right child its parent's, a left child its parent's carried across
+    # its right sibling.  Tree nodes past the grid's last segment are left
+    # out, so a left child without a right sibling keeps its parent's
+    # state and the last node holds the seed itself.
+    for depth in range(len(levels) - 2, -1, -1):
+        m = ((n - 1) >> depth) + 1
+        right = slice(1, m - m % 2, 2)
+        carried = _step(*(v[right] for v in levels[depth]),
+                        *(v[:m // 2] for v in state))
+        state = tuple(map(_children, state, carried, (m,) * 3))
+    # the leaves hold nodes 1 to n; segment 0 carries node 1 to node 0
+    first = _step(*(v[:1] for v in levels[0]), *(v[:1] for v in state))
+    c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]),
+                                    first[0].item(), first[1].item())
+    return (c0, d0, *(np.concatenate(v) for v in zip(first, state)))
+
+
+def _children(parent: np.ndarray, carried: np.ndarray, m: int) -> np.ndarray:
+    """The m values of a tree level below ``parent``'s: each odd, right
+    child its parent's value, each even, left child ``carried`` where it
+    has a right sibling and its parent's where it does not."""
+    out = np.empty(m, parent.dtype)
+    out[0::2] = parent
+    out[0:m - m % 2:2] = carried
+    out[1::2] = parent[:m // 2]
+    return out
+
+
 def sweep(grid: Grid, c: complex, d: complex,
           ) -> tuple[complex, complex, float, list[NodeState]]:
     """Carry the outgoing wave c cos kx + d sin kx of the right free region
-    back to the left one, segment by segment: the recording path.
+    back to the left one and keep the state at every node: the recording
+    path.
 
     Returns (C0, D0, log_scale, states): the left free region's
     coefficients of cos kx and sin kx, true values being these times
     e**log_scale, and the (phi, dphi, log_scale) state at every node of
-    ``grid.points``, left to right.  The propagators are formed first; a
-    loop over Python floats then applies them one by one, dividing the
-    state after each segment by the power of two nearest its magnitude.
-    A non-finite or vanishing state raises :class:`TransferError`.
-    :func:`wavefunction` runs this loop; :func:`solve_scattering` takes its
-    amplitudes from the product tree instead.
+    ``grid.points``, left to right.  The states come down the levels of
+    the grid's product tree; the last node holds the seed with log scale
+    0.  A non-finite or vanishing state raises :class:`TransferError`.
     """
-    k, phi, dphi = _outgoing(grid, c, d)
-    log_scale = 0.0
-    states: list[NodeState] = []
-    # five entries per segment, read from the last segment back as plain
-    # floats, which allocate no container per segment; the state entering
-    # segment j sits at its right end, node j
-    entries = reversed(_pass([grid]).ravel().tolist())
-    for log_factor, p22, p21, p12, p11 in zip(
-            entries, entries, entries, entries, entries):
-        states.append((phi, dphi, log_scale))
-        phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
-        if not math.isfinite(abs(phi) + abs(dphi)):
-            raise TransferError("node state is not finite")
-        mag = max(abs(phi), abs(dphi))
-        if mag == 0.0:
-            raise TransferError("node state collapsed to zero")
-        shift = round(math.log2(mag))
-        factor = math.ldexp(1.0, -shift)
-        phi, dphi = factor * phi, factor * dphi
-        log_scale += log_factor + shift * _LN2
-    states.append((phi, dphi, log_scale))
-    states.reverse()
-    c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]), phi, dphi)
-    return c0, d0, log_scale, states
+    c0, d0, phi, dphi, log = _node_states(grid, c, d)
+    return c0, d0, log.item(0), list(zip(phi.tolist(), dphi.tolist(),
+                                         log.tolist()))
 
 
 def _carry(grid: Grid, product: Product) -> tuple[complex, complex, float]:
     """(C0, D0, log_scale) as :func:`sweep` returns them for the outgoing
     wave (c, d) = (1, i), from the grid's propagator product applied to it
     once."""
-    p11, p12, p21, p22, log_factor, exponent = product
     k, phi, dphi = _outgoing(grid, 1.0 + 0.0j, 1.0j)
-    phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
-    if not math.isfinite(abs(phi) + abs(dphi)):
-        raise TransferError("node state is not finite")
-    mag = max(abs(phi), abs(dphi))
-    if mag == 0.0:
-        raise TransferError("node state collapsed to zero")
     # scaled so that the result does not depend on the power of two that
     # the product carries, which differs for a one-segment grid alone
-    shift = math.frexp(mag)[1] - 1
-    factor = math.ldexp(1.0, -shift)
+    phi, dphi, log = _step(*product, phi, dphi, 0.0)
     c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]),
-                                    factor * phi, factor * dphi)
-    return c0, d0, log_factor + (exponent + shift) * _LN2
+                                    complex(phi), complex(dphi))
+    return c0, d0, float(log)
 
 
 def solve_scattering(grid: Grid, *,
@@ -355,12 +397,13 @@ def wavefunction(grid: Grid,
                  positions: Sequence[float]) -> list[tuple[float, complex]]:
     """Reconstruct phi at the sample positions, unit incident amplitude.
 
-    Records the node states with :func:`sweep` from the outgoing wave
-    (1, i) and normalises by the incoming amplitude C0 - i*D0 it reads out,
-    as :func:`solve_scattering` does.  Each sample is carried from the node
-    at the right end of its segment, node 0 for the left free region.
-    Positions are limited to the window padded by two cavity lengths; the
-    asymptotic cos/sin basis loses phase accuracy far outside it.
+    Records the node states as :func:`sweep` does from the outgoing wave
+    (1, i) and normalises by the incoming amplitude C0 - i*D0 read out at
+    node 0, as :func:`solve_scattering` does.  Each sample is carried from
+    the node at the right end of its segment, node 0 for the left free
+    region.  Positions are limited to the window padded by two cavity
+    lengths; the asymptotic cos/sin basis loses phase accuracy far
+    outside it.
     """
     pad = 2.0 * grid.profile.length
     lo, hi = grid.window[0] - pad, grid.window[1] + pad
@@ -368,7 +411,7 @@ def wavefunction(grid: Grid,
     outside = ~((lo <= xs) & (xs <= hi))
     if outside.any():
         raise ValueError(f"sample {xs[np.argmax(outside)]} outside [{lo}, {hi}]")
-    c0, d0, log0, states = sweep(grid, 1.0 + 0.0j, 1.0j)
+    c0, d0, phi, dphi, log = _node_states(grid, 1.0 + 0.0j, 1.0j)
     denom = c0 - 1j * d0
     if denom == 0.0:
         raise TransferError("C0 - i*D0 vanished: degenerate normalization")
@@ -386,12 +429,7 @@ def wavefunction(grid: Grid,
     samples = samples._replace(
         code=np.where(free, _PLANE_WAVE_CODE, samples.code),
         z_flat=np.where(free, z_free, samples.z_flat))
-    out: list[tuple[float, complex]] = []
-    entries = iter(_propagators(samples, grid.points[node], xs).ravel().tolist())
-    for x, j, p11, p12, _, _, log_factor in zip(
-            xs.tolist(), node.tolist(), entries, entries, entries, entries,
-            entries):
-        phi, dphi, log_scale = states[j]
-        phi = (p11 * phi + p12 * dphi) * math.exp(log_factor + log_scale - log0)
-        out.append((x, phi * norm))
-    return out
+    p11, p12, _, _, log_factor = _propagators(samples, grid.points[node], xs).T
+    psi = (p11 * phi[node] + p12 * dphi[node]) * np.exp(
+        log_factor + log[node] - log[0])
+    return list(zip(xs.tolist(), (psi * norm).tolist()))

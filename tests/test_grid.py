@@ -1,6 +1,7 @@
 """Mode profiles, turning-point location, and grid construction."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -130,6 +131,29 @@ def test_tabulated_validation():
     assert eval_mode(p, 2.0) == 0.0
     assert eval_mode(p, -1.0) == 0.0
     assert eval_mode(p, 9.0) == 0.0
+
+
+def test_table_arrays_built_once_read_only():
+    # the table's two columns, as read-only arrays equal to the table;
+    # they are no fields, so ==, hash, repr and pickling read the table
+    table = ((-1.0, 0.0), (0.25, 0.9), (1.5, -0.4), (3.0, 0.0))
+    p = ModeProfile(ModeShape.TABULATED, 0.0, table=table)
+    assert p.table_x.tolist() == [x for x, _ in table]
+    assert p.table_u.tolist() == [u for _, u in table]
+    for column in (p.table_x, p.table_u):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    same = ModeProfile(ModeShape.TABULATED, 0.0, table=table)
+    assert same == p and hash(same) == hash(p)
+    assert "table_x" not in repr(p)
+    again = pickle.loads(pickle.dumps(p))
+    assert again == p and again.table_x.tolist() == p.table_x.tolist()
+    assert not again.table_x.flags.writeable
+    # eval_mode_array reads the same columns on every call
+    xs = np.linspace(-2.0, 4.0, 25)
+    assert np.array_equal(eval_mode_array(p, xs), np.interp(
+        xs, [x for x, _ in table], [u for _, u in table], left=0.0, right=0.0))
 
 
 def test_load_tabulated(tmp_path):

@@ -3,11 +3,13 @@ convergence studies, and the zero-length shortcut."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mazersim.grid import K_OVER_KAPPA_MAX, ModeProfile, ModeShape
+from mazersim import mazer
+from mazersim.grid import GridResolutionError, K_OVER_KAPPA_MAX, ModeProfile, ModeShape
 from mazersim.mazer import (
     ConvergenceStudy,
     MazerParams,
@@ -465,6 +467,34 @@ class TestConvergence:
             convergence_study(p, [100, 50])
         with pytest.raises(ValueError):
             convergence_study(p, [50, 50])
+
+    def test_one_pass_gives_the_lone_rows(self, monkeypatch):
+        # every J of the study shares one propagator pass and one product
+        # tree, and each entry is bit for bit the P_em of its J alone
+        p = make_params(ModeShape.SECH2, 0.01, 10.0, 100)
+        Js = [100, 200, 400, 800, 1600]
+        lone = tuple((J, event_probabilities(replace(p, J=J)).P_em) for J in Js)
+        passes = []
+
+        def counted(grids):
+            passes.append(len(grids))
+            return sweep_products(grids)
+
+        sweep_products = mazer.sweep_products
+        monkeypatch.setattr(mazer, "sweep_products", counted)
+        assert convergence_study(p, Js).entries == lone
+        assert passes == [2 * len(Js)]
+
+    def test_first_failing_J_raises(self):
+        # J = 2 cannot resolve the first excited sine, and J = 2.5 is no
+        # integer: the study raises what J = 2 alone raises
+        p = make_params(ModeShape.SIN_FIRST_EXCITED, 0.1, 5.0, 50)
+        with pytest.raises(GridResolutionError):
+            event_probabilities(replace(p, J=2))
+        with pytest.raises(GridResolutionError):
+            convergence_study(p, [2, 2.5])
+        with pytest.raises(ValueError, match="must be an integer"):
+            convergence_study(make_params(), [2.5, 50])
 
     def test_single_entry_settles_to_zero(self):
         p = make_params(ModeShape.MESA, 0.3, 2.0, 2)

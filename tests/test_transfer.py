@@ -21,6 +21,7 @@ from mazersim.transfer import (
 
 import test_grid_golden as golden
 from one_segment import propagator, regime, segment
+from recorded_loop import recorded_sweep
 
 
 def mesa_closed(k: float, V0: float, a: float) -> tuple[complex, complex]:
@@ -157,7 +158,7 @@ TREE_LOG10_T_REL_TOL = 1e-14
 def test_tree_product_matches_recorded_loop(name):
     g = golden_grid(name)
     tree = solve_scattering(g)
-    c0, d0, log_scale, _ = sweep(g, 1.0 + 0.0j, 1.0j)
+    c0, d0, log_scale, _ = recorded_sweep(g, 1.0 + 0.0j, 1.0j)
     amp = 2.0 / (c0 - 1j * d0)
     sigma = log_scale / math.log(10.0)
     t_log10_mag = math.log10(abs(amp)) - sigma
@@ -201,30 +202,85 @@ def test_products_do_not_depend_on_the_batch():
     assert sweep_products([]) == []
 
 
+# the down-sweep's node states against the recorded loop's, each put on
+# the loop's log scale and compared relative to the loop state's larger
+# component.  The two associate and rescale differently: 2.5e-14, or 4
+# ulp of the largest |log scale| where that is more; the sin+ grid's log
+# scales reach 7.6e4, and its states agree to 3.1e-11
+STATE_REL_TOL = 2.5e-14
+STATE_LOG_ULPS = 4
+
+
+# sech2- grids of 62, 63, 64 and 128 segments, either side of a power of
+# two, by their J
+PADDING_EDGE_J = {62: 63, 63: 64, 64: 65, 128: 129}
+
+
+def down_sweep_grid(name):
+    if name == "mesa":   # one segment, no tree level
+        return build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
+    if name.startswith("segments="):
+        n = int(name.split("=")[1])
+        g = build_grid(ModeProfile(ModeShape.SECH2, 3.0), -1, 0.1,
+                       PADDING_EDGE_J[n])
+        assert len(g.arrays.code) == n
+        return g
+    return golden_grid(name)
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES) + ["mesa"] + [
+    f"segments={n}" for n in PADDING_EDGE_J])
+def test_down_sweep_matches_recorded_loop(name):
+    g = down_sweep_grid(name)
+    c0, d0, log0, states = sweep(g, 1.0 + 0.0j, 1.0j)
+    c1, d1, log1, want = recorded_sweep(g, 1.0 + 0.0j, 1.0j)
+    assert len(states) == len(want) == len(g.points)
+    tol = max(STATE_REL_TOL,
+              STATE_LOG_ULPS * math.ulp(max(abs(w[2]) for w in want)))
+    for (phi, dphi, log_scale), (phi1, dphi1, log_scale1) in zip(states, want):
+        back = math.exp(log_scale - log_scale1)
+        mag = max(abs(phi1), abs(dphi1))
+        assert abs(phi * back - phi1) <= tol * mag
+        assert abs(dphi * back - dphi1) <= tol * mag
+    back = math.exp(log0 - log1)
+    assert max(abs(c0 * back - c1), abs(d0 * back - d1)) <= tol * max(
+        abs(c1), abs(d1))
+    assert states[-1] == want[-1]
+
+
 @pytest.mark.parametrize("name", sorted(golden.CASES))
 def test_recording_solve_forms_its_propagators_once(name, monkeypatch):
-    # the recorded loop forms its propagator table in one basis_eval batch
-    # per sloped regime present, none for a flat grid, and wavefunction,
-    # which runs it, forms no product tree
+    # the recording path forms its propagator table in one basis_eval
+    # batch per sloped regime present, none for a flat grid, and one
+    # product tree; wavefunction adds one batch per sloped regime for
+    # its samples, here one at every node, and no second tree
     g = golden_grid(name)
-    calls = []
+    calls, trees = [], []
 
     def counted(seg, xs):
         calls.append(seg.regime)
         return basis_eval(seg, xs)
 
+    def counted_tree(*args):
+        trees.append(args)
+        return levels(*args)
+
+    levels = transfer._levels
     monkeypatch.setattr(transfer, "basis_eval", counted)
+    monkeypatch.setattr(transfer, "_levels", counted_tree)
     *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
     present = {list(Regime)[c] for c in g.arrays.code.tolist()}
-    sloped = present & {Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN}
-    assert sorted(calls, key=str) == sorted(sloped, key=str)
+    sloped = sorted(present & {Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN},
+                    key=str)
+    assert sorted(calls, key=str) == sloped
+    assert len(trees) == 1
     assert len(states) == len(g.points)
 
-    def no_tree(*args):
-        raise AssertionError("wavefunction formed a product tree")
-
-    monkeypatch.setattr(transfer, "_products", no_tree)
+    calls.clear()
+    trees.clear()
     assert len(wavefunction(g, g.points)) == len(g.points)
+    assert sorted(calls, key=str) == sorted(sloped * 2, key=str)
+    assert len(trees) == 1
 
 
 def test_degenerate_products_raise_typed_errors():
