@@ -9,11 +9,11 @@ k_over_kappa and kappaL, plus the mode shape.
 
 Rows are solved in chunks of up to eight, serial and pooled alike, and a
 lone row is a chunk of one: the branch grids of a chunk are built first,
-then their propagators formed in one pass and multiplied out in one
-pairwise tree over all of them
-(:func:`~mazersim.transfer.sweep_products`), and each branch solved from
-its own product.  The results are bit for bit those of solving each
-branch alone.
+then their propagators formed in one pass, multiplied out in one pairwise
+tree over all of them and every grid's outgoing wave carried across its
+product in one step (:func:`~mazersim.transfer.sweep_products`), and each
+branch solved from its own readout.  The results are bit for bit those of
+solving each branch alone.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ def _solve_chunk(rows: list) -> list:
     a row is a MazerParams or the exception that already ended it.
 
     All branch grids are built before one :func:`sweep_products` pass over
-    them; each branch is then solved from its product.  A row fails as it
+    them; each branch is then solved from its readout.  A row fails as it
     would alone, at the first of + grid, + solve, - grid, - solve that
-    raises.  Should the shared pass raise, every grid forms its own
-    product, so each failing row reports the message of a lone solve.
+    raises.  Should the shared pass raise, every grid is solved alone, so
+    each failing row reports the message of a lone solve.
     """
     built = [_branch_grids(row) for row in rows]
     try:
@@ -195,29 +195,29 @@ def _solve_chunk(rows: list) -> list:
         shared = repeat(None)
     out = []
     for row, grids in zip(rows, built):
-        # every grid takes its product, also one behind a failed solve
-        products = [next(shared) if isinstance(g, Grid) else None for g in grids]
-        out.append(_solve_branches(grids, products) if grids
+        # every grid takes its readout, also one behind a failed solve
+        readouts = [next(shared) if isinstance(g, Grid) else None for g in grids]
+        out.append(_solve_branches(grids, readouts) if grids
                    else (_TRANSPARENT,) * 2)
     return out
 
 
-def _solve_branches(grids: list, products: list):
-    """(plus, minus) from a row's grids and their propagator products, or
-    the first exception in the order of a lone solve."""
+def _solve_branches(grids: list, readouts: list):
+    """(plus, minus) from a row's grids and their readouts, or the first
+    exception in the order of a lone solve."""
     results = []
-    for grid, product in zip(grids, products):
+    for grid, readout in zip(grids, readouts):
         if isinstance(grid, Exception):
             return grid
         try:
-            results.append(solve_scattering(grid, product=product))
+            results.append(solve_scattering(grid, readout=readout))
         except Exception as exc:
             return exc
     return tuple(results)
 
 
 def branch_amplitudes(params: MazerParams) -> tuple[ScatterResult, ScatterResult]:
-    """Both branches of one row, their products formed in one pass."""
+    """Both branches of one row, read out in one pass."""
     (outcome,) = _solve_chunk([params])
     if isinstance(outcome, Exception):
         raise outcome

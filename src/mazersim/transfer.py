@@ -27,11 +27,13 @@ The product is associated as a pairwise tree over all the grids of a
 batch at once (:func:`sweep_products`), each grid padded at its end with
 identity entries.  After each level every product is divided by the power
 of two that brings its largest entry into [1, 2), the exponents kept as
-integers beside the summed log factors.  Identity padding and power-of-two
-scaling are exact, so a grid's product does not depend on its batch, and
-a lone :func:`solve_scattering` is a batch of one.  Scaling by the
-largest entry loses the smallest of a flat rotation's, a factor k^2
-below it, so ``grid.K_OVER_KAPPA_MAX`` bounds k.
+integers beside the summed log factors.  One step then carries every
+grid's outgoing wave across its root product, and each grid's
+amplitudes are read out at its first node.  Identity padding and
+power-of-two scaling are exact, so a grid's readout does not depend on
+its batch, and a lone :func:`solve_scattering` is a batch of one.
+Scaling by the largest entry loses the smallest of a flat rotation's, a
+factor k^2 below it, so ``grid.K_OVER_KAPPA_MAX`` bounds k.
 
 :func:`sweep` is the recording path.  It keeps the tree's levels and
 forms the state at every node by a down-sweep over them (Blelloch's
@@ -94,10 +96,8 @@ class TransferError(Exception):
 # (phi, dphi, log_scale) at one node, true values being phi and dphi times
 # e**log_scale
 NodeState = tuple[complex, complex, float]
-# (p11, p12, p21, p22, log_factor, exponent) of a grid's propagator
-# product, the true matrix being the four entries times
-# e**log_factor * 2**exponent
-Product = tuple[float, float, float, float, float, int]
+# (C0, D0, log_scale) of the left free region, as :func:`sweep` gives them
+Readout = tuple[complex, complex, float]
 
 
 @dataclass(frozen=True)
@@ -231,22 +231,10 @@ def _levels(table: np.ndarray, lengths: Sequence[int]) -> list[tuple]:
     return levels
 
 
-def sweep_products(grids: Sequence[Grid]) -> list[Product]:
-    """Each grid's propagator product for :func:`solve_scattering`, from
-    one propagator pass over the concatenated segment arrays of ``grids``
-    and one pairwise tree over all their products, whose root it reads."""
-    if not grids:
-        return []
-    prod, log, exponent = _levels(
-        _pass(grids), [len(g.arrays.code) for g in grids])[-1]
-    return list(zip(*prod.reshape(4, len(grids)).tolist(), log[:, 0].tolist(),
-                    exponent[:, 0].tolist()))
-
-
 def _shift(phi, dphi):
-    """The exponent of the power of two that brings max(|phi|, |dphi|)
-    into [1, 2), for floats or arrays alike; a non-finite or vanishing
-    state raises :class:`TransferError`."""
+    """The exponents of the powers of two that bring max(|phi|, |dphi|)
+    into [1, 2), for arrays of states; a non-finite or vanishing state
+    raises :class:`TransferError`."""
     mag = np.maximum(abs(phi), abs(dphi))
     if not (mag < math.inf).all():
         raise TransferError("node state is not finite")
@@ -256,11 +244,10 @@ def _shift(phi, dphi):
 
 
 def _step(p11, p12, p21, p22, log_factor, exponent, phi, dphi, log):
-    """(phi, dphi, log) carried across a product (p11, p12, p21, p22,
-    log_factor, exponent) and divided by the power of two of
-    :func:`_shift`, for floats or for arrays of states and products
-    alike: the one rescale rule of every carried state, true values being
-    phi and dphi times e**log."""
+    """Arrays of states (phi, dphi, log) carried across arrays of products
+    (p11, p12, p21, p22, log_factor, exponent) and divided by the powers
+    of two of :func:`_shift`: the one rescale rule of every carried state,
+    true values being phi and dphi times e**log."""
     phi, dphi = p11 * phi + p12 * dphi, p21 * phi + p22 * dphi
     shift = _shift(phi, dphi)
     factor = np.ldexp(1.0, -shift)
@@ -289,13 +276,13 @@ def _node_states(grid: Grid, c: complex, d: complex) -> tuple:
     the outgoing wave (c, d), and the state at every node as arrays, from
     a down-sweep over the levels of the grid's product tree."""
     k, phi, dphi = _outgoing(grid, c, d)
-    # the seed is checked before any array arithmetic on it
-    _shift(phi, dphi)
+    state = (np.array([phi]), np.array([dphi]), np.zeros(1))
+    # the seed is checked before any arithmetic on it
+    _shift(*state[:2])
     table = _pass([grid])
     n = len(table)
     levels = [(*e[:, :, 0].reshape(4, -1), lg[0], ex[0])
               for e, lg, ex in _levels(table, [n])]
-    state = (np.array([phi]), np.array([dphi]), np.zeros(1))
     # each tree node holds the state at its right end: the root the seed,
     # a right child its parent's, a left child its parent's carried across
     # its right sibling.  Tree nodes past the grid's last segment are left
@@ -343,38 +330,50 @@ def sweep(grid: Grid, c: complex, d: complex,
                                          log.tolist()))
 
 
-def _carry(grid: Grid, product: Product) -> tuple[complex, complex, float]:
-    """(C0, D0, log_scale) as :func:`sweep` returns them for the outgoing
-    wave (c, d) = (1, i), from the grid's propagator product applied to it
-    once."""
-    k, phi, dphi = _outgoing(grid, 1.0 + 0.0j, 1.0j)
+def sweep_products(grids: Sequence[Grid]) -> list[Readout]:
+    """Each grid's (C0, D0, log_scale) for the outgoing wave (1, i), as
+    :func:`sweep` returns them, from one propagator pass over the
+    concatenated segment arrays of ``grids``, one pairwise tree over all
+    their products and one :func:`_step` across every root."""
+    if not grids:
+        return []
+    prod, log, exponent = _levels(
+        _pass(grids), [len(g.arrays.code) for g in grids])[-1]
+    k, phi, dphi = zip(*(_outgoing(g, 1.0 + 0.0j, 1.0j) for g in grids))
     # scaled so that the result does not depend on the power of two that
     # the product carries, which differs for a one-segment grid alone
-    phi, dphi, log = _step(*product, phi, dphi, 0.0)
-    c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]),
-                                    complex(phi), complex(dphi))
-    return c0, d0, float(log)
+    phi, dphi, log = _step(*prod.reshape(4, -1), log[:, 0], exponent[:, 0],
+                           np.array(phi), np.array(dphi), 0.0)
+    return [(*_plane_wave_amplitudes(kg, float(g.arrays.x_lo[0]), p, dp), lg)
+            for g, kg, p, dp, lg in zip(grids, k, phi.tolist(), dphi.tolist(),
+                                        log.tolist())]
+
+
+def _unit_incidence(c0: complex, d0: complex) -> tuple[complex, complex]:
+    """(2 / (C0 - i*D0), (C0 + i*D0) / (C0 - i*D0)): for unit incidence,
+    t before its log scale and r, from the left free region's pair."""
+    denom = c0 - 1j * d0
+    if denom == 0.0:
+        raise TransferError("C0 - i*D0 vanished: degenerate normalization")
+    return 2.0 / denom, (c0 + 1j * d0) / denom
 
 
 def solve_scattering(grid: Grid, *,
-                     product: Product | None = None) -> ScatterResult:
+                     readout: Readout | None = None) -> ScatterResult:
     """Amplitudes from the propagator product applied to the outgoing wave.
 
     Seeds (C, D) = (1, i) in the right free region, i.e. a unit outgoing
     plane wave in its {cos kx, sin kx} basis, and carries it to the left.
     The left free region's pair then gives t and r; the accumulated log scale
     re-enters t because the seed fixed the transmitted amplitude, not the
-    incident one.  ``product`` is the grid's entry of a
-    :func:`sweep_products` pass; without it the solve is a batch of one.
+    incident one.  ``readout`` is the grid's (C0, D0, log_scale) entry of
+    a :func:`sweep_products` pass; without it the solve is a batch of one.
     """
-    if product is None:
-        (product,) = sweep_products([grid])
-    c0, d0, log_scale = _carry(grid, product)
-    denom = c0 - 1j * d0
-    if denom == 0.0:
-        raise TransferError("C0 - i*D0 vanished: degenerate normalization")
+    if readout is None:
+        (readout,) = sweep_products([grid])
+    c0, d0, log_scale = readout
+    amp, r = _unit_incidence(c0, d0)
     sigma = log_scale / _LN10
-    amp = 2.0 / denom
     t_log10_mag = math.log10(abs(amp)) - sigma
     if -300.0 < t_log10_mag < 300.0:
         t = amp * 10.0 ** (-sigma)
@@ -382,7 +381,6 @@ def solve_scattering(grid: Grid, *,
         t = 0.0 + 0.0j
     else:
         raise TransferError("transmission overflow: log scale negative")
-    r = (c0 + 1j * d0) / denom
     defect = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
     return ScatterResult(
         t=t,
@@ -412,10 +410,7 @@ def wavefunction(grid: Grid,
     if outside.any():
         raise ValueError(f"sample {xs[np.argmax(outside)]} outside [{lo}, {hi}]")
     c0, d0, phi, dphi, log = _node_states(grid, 1.0 + 0.0j, 1.0j)
-    denom = c0 - 1j * d0
-    if denom == 0.0:
-        raise TransferError("C0 - i*D0 vanished: degenerate normalization")
-    norm = 2.0 / denom
+    norm, _ = _unit_incidence(c0, d0)
     arrays = grid.arrays
     z_free = grid.k * grid.k
     n = len(arrays.code)

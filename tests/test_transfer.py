@@ -171,11 +171,11 @@ def test_tree_product_matches_recorded_loop(name):
     assert abs(r - tree.r) <= TREE_R_TOL
 
 
-def test_products_do_not_depend_on_the_batch():
+def test_products_do_not_depend_on_the_batch(monkeypatch):
     # odd, even, power-of-two and one-segment grids, the longest not first:
     # identity padding and power-of-two scaling are exact, so each grid's
-    # product gives the (C0, D0, log_scale) of its own batch of one, bit for
-    # bit, and its propagators are the floats of its own pass
+    # (C0, D0, log_scale) in a batch is that of its own batch of one, bit
+    # for bit, and its propagators are the floats of its own pass
     grids = [build_grid(ModeProfile(shape, L), sign, k, J)
              for shape, L, k, J, sign in (
                  (ModeShape.SECH2, 3.0, 0.1, 101, -1),
@@ -186,18 +186,26 @@ def test_products_do_not_depend_on_the_batch():
     lengths = [len(g.arrays.code) for g in grids]
     assert lengths == [100, 201, 64, 1, 65]
 
-    def carried(grid, product):
-        c0, d0, log_scale = transfer._carry(grid, product)
-        return np.array([c0, d0, log_scale]).tobytes()
+    steps = []
+
+    def counted(*args):
+        steps.append(len(args[0]))
+        return step(*args)
+
+    step = transfer._step
+    monkeypatch.setattr(transfer, "_step", counted)
+    readouts = sweep_products(grids)
+    # the whole chunk is read out in one step
+    assert steps == [len(grids)]
+    monkeypatch.undo()
 
     table = transfer._pass(grids)
     stops = np.cumsum(lengths).tolist()
-    for grid, product, start, stop in zip(grids, sweep_products(grids),
-                                          [0] + stops, stops):
+    for grid, readout, start, stop in zip(grids, readouts, [0] + stops, stops):
         (alone,) = sweep_products([grid])
-        assert carried(grid, product) == carried(grid, alone)
+        assert np.array(readout).tobytes() == np.array(alone).tobytes()
         assert np.array_equal(table[start:stop], transfer._pass([grid]))
-        assert repr(solve_scattering(grid, product=product)) == repr(
+        assert repr(solve_scattering(grid, readout=readout)) == repr(
             solve_scattering(grid))
     assert sweep_products([]) == []
 
@@ -283,12 +291,26 @@ def test_recording_solve_forms_its_propagators_once(name, monkeypatch):
     assert len(trees) == 1
 
 
-def test_degenerate_products_raise_typed_errors():
+def test_degenerate_products_raise_typed_errors(monkeypatch):
+    # a zero or a NaN root product of one grid among others is refused by
+    # the chunk's one step, as it is by a lone solve
     g = golden_grid("sech2+")
-    with pytest.raises(TransferError, match="collapsed to zero"):
-        solve_scattering(g, product=(0.0, 0.0, 0.0, 0.0, 0.0, 0))
-    with pytest.raises(TransferError, match="not finite"):
-        solve_scattering(g, product=(1.0, math.nan, 0.0, 1.0, 0.0, 0))
+    other = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
+    levels = transfer._levels
+    for entries, match in (((0.0, 0.0, 0.0, 0.0), "collapsed to zero"),
+                           ((1.0, math.nan, 0.0, 1.0), "not finite")):
+        def degenerate(table, lengths, entries=entries):
+            tree = levels(table, lengths)
+            tree[-1][0][:, :, 0, 0] = np.reshape(entries, (2, 2))
+            return tree
+
+        monkeypatch.setattr(transfer, "_levels", degenerate)
+        with pytest.raises(TransferError, match=match):
+            sweep_products([g, other])
+        with pytest.raises(TransferError, match=match):
+            solve_scattering(g)
+        monkeypatch.undo()
+        sweep_products([g, other])
 
 
 def test_non_finite_seeds_raise_typed_errors():
