@@ -3,8 +3,8 @@
 Everything is dimensionless: hbar = m = 1 and lengths are measured in the
 inverse coupling wavenumber, so the atom's energy is E = (k_over_kappa)^2/2,
 the dressed potentials are V = +-alpha*u(x)/2, and the cavity extent is the
-single number ``length`` (the interaction length), zero or at least
-``LENGTH_MIN``.
+single number ``length`` (the interaction length), zero or between
+``LENGTH_MIN`` and ``LENGTH_MAX``.
 
 The solver downstream treats the potential as linear between grid nodes.
 Two refinements keep that approximation honest:
@@ -58,6 +58,8 @@ __all__ = [
     "GridResolutionError",
     "DEFAULT_WINDOW_FACTOR",
     "LENGTH_MIN",
+    "LENGTH_MAX",
+    "PHASE_MAX",
     "TURNING_MERGE_TOL",
     "eval_mode",
     "eval_mode_array",
@@ -78,6 +80,18 @@ DEFAULT_WINDOW_FACTOR = 16.0
 # bracket's sign test underflows, from about 1e-155 the turning-point
 # series overflows, and at 1e-310 n pi / L is infinite.
 LENGTH_MIN = 1.0e-100
+
+# the longest mode length accepted.  From about 1e307 the default window
+# of sech2 and the Gaussian, 16 lengths wide, is no longer finite, and
+# from about 3e307 the sines' phase n pi x / L overflows on the way.
+LENGTH_MAX = 1.0e300
+
+# the largest max(k, 1) * |x| accepted at a window edge.  The free regions
+# are the plane waves cos kx and sin kx, and a flat segment of the well
+# turns by at most about max(k, 1) times the window width, so math.cos and
+# math.sin refuse, with an untyped error, once that phase overflows, from
+# k |x| ~ 1.8e308; wavefunction samples reach two lengths past the edges.
+PHASE_MAX = 1.0e302
 
 # the largest k_over_kappa accepted.  Above about 1e77 the builder's sign
 # tests, products of two coefficients z ~ k^2, overflow; from about 1e104
@@ -123,8 +137,8 @@ class ModeProfile:
     """A normalized cavity mode shape u(x) with |u| <= 1.
 
     ``length`` is the interaction length: 0, a mode that is zero
-    everywhere but for the mesa, or a finite value of at least
-    ``LENGTH_MIN``.  The mesa and the two sinusoidal modes live on
+    everywhere but for the mesa, or a value from ``LENGTH_MIN`` to
+    ``LENGTH_MAX``.  The mesa and the two sinusoidal modes live on
     [0, length]; sech2 and the Gaussian are centered on x = 0 with
     unbounded support that the grid truncates to a finite window.  For
     TABULATED profiles ``table`` holds (x, u) breakpoints and ``length`` is
@@ -160,6 +174,9 @@ class ModeProfile:
         if 0.0 < self.length < LENGTH_MIN:
             raise ValueError(f"length {self.length!r} is below LENGTH_MIN = "
                              f"{LENGTH_MIN:g}; use 0 for no mode")
+        if self.length > LENGTH_MAX:
+            raise ValueError(f"length {self.length!r} is above LENGTH_MAX = "
+                             f"{LENGTH_MAX:g}")
 
     def __reduce__(self):
         # the table arrays are rebuilt, not pickled
@@ -500,9 +517,10 @@ def build_grid(
 
     sign selects the dressed-potential branch: +1 for the repulsive
     barrier, -1 for the attractive well.  The window is
-    ``profile.default_window(window_factor)``; an empty or non-finite one
-    raises ValueError.  Raises GridResolutionError when the J uniform
-    nodes cannot resolve the mode.
+    ``profile.default_window(window_factor)``; an empty or non-finite one,
+    or one whose edge phase max(k, 1) * |x| exceeds ``PHASE_MAX``, raises
+    ValueError.  Raises GridResolutionError when the J uniform nodes
+    cannot resolve the mode.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -518,6 +536,11 @@ def build_grid(
         raise ValueError(f"window [{x_a}, {x_b}] is not finite")
     if not x_a < x_b:
         raise ValueError(f"empty window [{x_a}, {x_b}]")
+    phase = max(k, 1.0) * max(-x_a, x_b)
+    if phase > PHASE_MAX:
+        raise ValueError(f"window [{x_a:g}, {x_b:g}] at k_over_kappa = {k:g} "
+                         f"has edge phase max(k, 1) * |x| = {phase:g}, above "
+                         f"PHASE_MAX = {PHASE_MAX:g}")
 
     if profile.shape is _MESA:
         # one flat segment across the support, no interpolation
@@ -674,17 +697,22 @@ def _split_residual_crossings(
     nodes: np.ndarray, z: np.ndarray, u: np.ndarray, u_turn: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Make the linear zero of every sign-changing interval a z = 0 node,
-    with mode value u_turn."""
+    with mode value u_turn.  A zero that rounds onto the interval's left
+    node, as beside a node whose z is a rounding residue of 0, makes that
+    node the turning node instead."""
     z0, z1 = z[:-1], z[1:]
     idx = np.flatnonzero(z0 * z1 < 0.0)
     if not idx.size:
         return nodes, z, u, []
     x0, x1 = nodes[idx], nodes[idx + 1]
     xc = x0 + (x1 - x0) * (z0[idx] / (z0[idx] - z1[idx]))
+    on_node = idx[xc <= x0]
+    z[on_node] = 0.0
+    u[on_node] = u_turn
     keep = xc > x0
     idx, xc = idx[keep], xc[keep]
     return (np.insert(nodes, idx + 1, xc), np.insert(z, idx + 1, 0.0),
-            np.insert(u, idx + 1, u_turn), xc.tolist())
+            np.insert(u, idx + 1, u_turn), xc.tolist() + nodes[on_node].tolist())
 
 
 def _verify_grid(nodes: np.ndarray, u: np.ndarray, alpha: float,

@@ -214,9 +214,12 @@ def build_segments(x, z) -> SegmentArrays:
     z_scale = np.maximum(z_abs[:-1], z_abs[1:])
     level = b == 0.0
     # w grows with |z|, so its larger end value is w at z_scale; only a
-    # sloped segment divides, so a level one raises no 0/0
+    # sloped segment divides, so a level one raises no 0/0.  A slope so
+    # shallow that w overflows, as across the long tails of sech2 and the
+    # Gaussian, gives w = inf, which only demotes the segment to flat
     w_max = 2.0 * z_scale * np.sqrt(z_scale)
-    np.divide(w_max, 3.0 * np.abs(b), out=w_max, where=~level)
+    with np.errstate(over="ignore"):
+        np.divide(w_max, 3.0 * np.abs(b), out=w_max, where=~level)
     flat = level | (w_max > W_FLAT_COLLAPSE)
     z_flat = z_lo + b * (0.5 * (x_lo + x_hi) - x_lo)
     z_sign = np.where(flat, z_flat, z_lo + z_hi)

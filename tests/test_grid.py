@@ -10,7 +10,9 @@ import pytest
 from mazersim.grid import (
     _split_residual_crossings,
     DEFAULT_WINDOW_FACTOR,
+    LENGTH_MAX,
     LENGTH_MIN,
+    PHASE_MAX,
     Grid,
     GridResolutionError,
     ModeProfile,
@@ -227,6 +229,49 @@ def test_lengths_below_the_floor_refused(shape):
     assert ModeProfile(shape, 0.0).length == 0.0
     with pytest.raises(ValueError, match="below LENGTH_MIN = 1e-100"):
         ModeProfile(shape, math.nextafter(LENGTH_MIN, 0.0))
+
+
+@pytest.mark.parametrize("shape", ANALYTIC_SHAPES)
+def test_lengths_above_the_ceiling_refused(shape):
+    assert ModeProfile(shape, LENGTH_MAX).length == LENGTH_MAX
+    with pytest.raises(ValueError, match=r"above LENGTH_MAX = 1e\+300"):
+        ModeProfile(shape, math.nextafter(LENGTH_MAX, math.inf))
+
+
+def test_table_span_above_the_ceiling_refused():
+    with pytest.raises(ValueError, match="above LENGTH_MAX"):
+        ModeProfile(ModeShape.TABULATED, 0.0,
+                    table=((-1e300, 0.0), (0.0, 1.0), (1e300, 0.0)))
+
+
+@pytest.mark.parametrize("shape", ANALYTIC_SHAPES + [ModeShape.TABULATED])
+def test_edge_phase_above_the_bound_refused(shape):
+    # the largest length whose window edge keeps max(k, 1) * |x| at
+    # PHASE_MAX builds; the next float above it is refused by name, at a
+    # large k, and at k = 1 for a table far from the origin
+    if shape is ModeShape.TABULATED:
+        edge = PHASE_MAX
+        profile = ModeProfile(shape, 0.0, table=(
+            (edge - 1e300, 0.0), (edge - 5e299, 1.0), (edge, 0.0)))
+        k = 1.0
+    else:
+        k = 1e40
+        half_width = 0.5 * DEFAULT_WINDOW_FACTOR if shape in (
+            ModeShape.SECH2, ModeShape.GAUSSIAN) else 1.0
+        edge = PHASE_MAX / k / half_width
+        profile = ModeProfile(shape, edge)
+    assert max(k, 1.0) * max(map(abs, profile.default_window())) == PHASE_MAX
+    try:
+        build_grid(profile, +1, k, 50)
+    except GridResolutionError:
+        pass
+    if shape is ModeShape.TABULATED:
+        profile = ModeProfile(shape, 0.0, table=tuple(
+            (math.nextafter(x, math.inf), u) for x, u in profile.table))
+    else:
+        profile = ModeProfile(shape, math.nextafter(edge, math.inf))
+    with pytest.raises(ValueError, match=r"above PHASE_MAX = 1e\+302"):
+        build_grid(profile, +1, k, 50)
 
 
 def test_interp_abs_area_sign_change_exact():
@@ -494,6 +539,32 @@ def test_split_residual_crossings_inserts_linear_zero():
     assert new_z.tolist() == [1.0, 0.5, 0.0, -1.5, 0.0]
     assert new_u.tolist() == [0.0, 0.5, 1.0, 2.5, 1.0]
     assert inserted == [1.25]
+
+
+def test_split_residual_crossings_turns_a_rounded_zero_onto_its_node():
+    # z at node 1 is a rounding residue of 0, so the linear zero of its
+    # interval rounds onto it: node 1 becomes the turning node in place
+    nodes = np.array([0.0, 1.0, 2.0, 3.0])
+    z = np.array([1.0, 1e-300, -1.0, -1.0])
+    u = np.array([0.0, 1.0, 2.0, 2.0])
+    new_nodes, new_z, new_u, inserted = _split_residual_crossings(
+        nodes, z, u, 0.5)
+    assert new_nodes.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert new_z.tolist() == [1.0, 0.0, -1.0, -1.0]
+    assert new_u.tolist() == [0.0, 0.5, 2.0, 2.0]
+    assert inserted == [1.0]
+
+
+@pytest.mark.parametrize("kappaL", [1e59, 1e95, 1e140, 1e224, 1e233])
+def test_first_excited_sine_node_at_its_zero_turns(kappaL):
+    # at k = 1e-150 the uniform node at L/2 samples u = -1.2e-16, not 0,
+    # and the crossing beside it rounds onto it: on both branches that node
+    # becomes a turning node, where the build used to raise
+    profile = ModeProfile(ModeShape.SIN_FIRST_EXCITED, kappaL)
+    for sign in (+1, -1):
+        g = build_grid(profile, sign, 1e-150, 13)
+        assert kappaL / 2 in g.turning_points
+        assert g.z[g.points.tolist().index(kappaL / 2)] == 0.0
 
 
 def test_unresolvable_mode_raises_typed_error():

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from mazersim import mazer
-from mazersim.grid import GridResolutionError, K_OVER_KAPPA_MAX, ModeProfile, ModeShape
+from mazersim.grid import (
+    GridResolutionError,
+    K_OVER_KAPPA_MAX,
+    LENGTH_MAX,
+    ModeProfile,
+    ModeShape,
+)
 from mazersim.mazer import (
     ConvergenceStudy,
     MazerParams,
@@ -135,6 +141,47 @@ class TestShortLengths:
             for e in range(-100, 1, 10):
                 ev = event_probabilities(make_params(shape, k, 10.0 ** e, 50))
                 assert ev.closure_defect <= 1e-8, e
+
+
+class TestLongLengths:
+    @pytest.mark.parametrize("k", [1e-150, 0.01, 1.0, 1e40, 1e75])
+    @pytest.mark.parametrize("shape", [
+        s for s in ModeShape if s is not ModeShape.TABULATED])
+    def test_every_tenth_decade_up_to_the_ceiling_closes_or_is_refused(
+            self, shape, k):
+        # up to LENGTH_MAX a row closes, is too coarse for its mode, or is
+        # refused for its window's edge phase, without a warning; above the
+        # bounds the phases overflowed into untyped math domain errors
+        top = round(math.log10(LENGTH_MAX))
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in range(200, top + 1, 10):
+                for J in (13, 50):
+                    try:
+                        ev = event_probabilities(
+                            make_params(shape, k, float(f"1e{e}"), J))
+                    except GridResolutionError:
+                        outcomes.add("coarse")
+                        continue
+                    except ValueError as exc:
+                        assert "PHASE_MAX" in str(exc), (e, J, exc)
+                        outcomes.add("refused")
+                        continue
+                    assert ev.closure_defect <= 1e-8, (e, J, ev.closure_defect)
+                    outcomes.add("closed")
+        assert "closed" in outcomes
+        assert ("refused" in outcomes) == (k >= 1e40)
+
+    @pytest.mark.parametrize("kappaL", [1e59, 1e95, 1e140, 1e224, 1e233])
+    def test_first_excited_sine_with_a_residual_zero_closes(self, kappaL):
+        # these rows raised "coefficient changes sign inside a segment": the
+        # crossing beside the node at L/2 rounded onto that node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = event_probabilities(
+                make_params(ModeShape.SIN_FIRST_EXCITED, 1e-150, kappaL, 13))
+        assert ev.closure_defect <= 1e-8
 
 
 class TestCombination:
