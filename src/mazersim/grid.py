@@ -83,14 +83,15 @@ LENGTH_MIN = 1.0e-100
 
 # the longest mode length accepted.  From about 1e307 the default window
 # of sech2 and the Gaussian, 16 lengths wide, is no longer finite, and
-# from about 3e307 the sines' phase n pi x / L overflows on the way.
+# from about 3e307 the product n pi x of the sines' phase overflows.
 LENGTH_MAX = 1.0e300
 
-# the largest max(k, 1) * |x| accepted at a window edge.  The free regions
-# are the plane waves cos kx and sin kx, and a flat segment of the well
-# turns by at most about max(k, 1) times the window width, so math.cos and
-# math.sin refuse, with an untyped error, once that phase overflows, from
-# k |x| ~ 1.8e308; wavefunction samples reach two lengths past the edges.
+# the largest phase max(k, 1) * |x| accepted at a window edge.  The free
+# regions are the plane waves cos kx and sin kx, and a flat segment's
+# wavenumber is at most about max(k, 1), so every phase a solve hands to
+# math.cos and math.sin is at most a few times this; they raise an untyped
+# error once a phase overflows, from about 1.8e308.  The margin also
+# covers wavefunction samples two lengths past the edges.
 PHASE_MAX = 1.0e302
 
 # the largest k_over_kappa accepted.  Above about 1e77 the builder's sign
