@@ -42,11 +42,12 @@ child keeps its state and its left child takes that state carried across
 the right child's product, and segment 0 carries the state at node 1 to
 node 0.  Every carried state, the amplitudes' one included, is divided by
 the power of two that brings its larger component into [1, 2), in one
-step that also refuses a non-finite or vanishing state.
-:func:`wavefunction` records the node states so, normalises by the
-incoming amplitude read out at node 0, and forms the propagators from
-the nodes to all its samples in one call, a sample in a free region
-being a flat entry with z = k^2.  The two asymptotic free regions are
+step that also refuses a non-finite or vanishing state.  It returns the
+node states as the down-sweep forms them, three arrays (phi, dphi, log)
+over the nodes.  :func:`wavefunction` takes them from :func:`sweep`,
+normalises by the incoming amplitude read out at node 0, and forms the
+propagators from the nodes to all its samples in one call, a sample in
+a free region being a flat entry with z = k^2.  The two asymptotic free regions are
 the plane waves cos kx and sin kx, so the outgoing wave is seeded and
 the incoming amplitudes are read out in closed form.
 """
@@ -93,10 +94,8 @@ class TransferError(Exception):
     """Collapsed or non-finite node state, or degenerate amplitude extraction."""
 
 
-# (phi, dphi, log_scale) at one node, true values being phi and dphi times
-# e**log_scale
-NodeState = tuple[complex, complex, float]
-# (C0, D0, log_scale) of the left free region, as :func:`sweep` gives them
+# (C0, D0, log_scale) of the left free region, true values being C0 and
+# D0 times e**log_scale
 Readout = tuple[complex, complex, float]
 
 
@@ -271,10 +270,18 @@ def _outgoing(grid: Grid, c: complex, d: complex) -> tuple[float, complex, compl
     return k, c * cs + d * sn, c * (-k * sn) + d * (k * cs)
 
 
-def _node_states(grid: Grid, c: complex, d: complex) -> tuple:
-    """(C0, D0, phi, dphi, log): the left free region's coefficients for
-    the outgoing wave (c, d), and the state at every node as arrays, from
-    a down-sweep over the levels of the grid's product tree."""
+def sweep(grid: Grid, c: complex, d: complex) -> tuple:
+    """Carry the outgoing wave c cos kx + d sin kx of the right free region
+    back to the left one and keep the state at every node: the recording
+    path.
+
+    Returns (C0, D0, phi, dphi, log): the left free region's coefficients
+    of cos kx and sin kx, true up to the factor e**log[0], and three arrays
+    over the nodes of ``grid.points``, left to right, the true state at a
+    node being phi and dphi times e**log.  The states come down the levels
+    of the grid's product tree; the last node holds the seed with log 0.
+    A non-finite or vanishing state raises :class:`TransferError`.
+    """
     k, phi, dphi = _outgoing(grid, c, d)
     state = (np.array([phi]), np.array([dphi]), np.zeros(1))
     # the seed is checked before any arithmetic on it
@@ -312,27 +319,9 @@ def _children(parent: np.ndarray, carried: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def sweep(grid: Grid, c: complex, d: complex,
-          ) -> tuple[complex, complex, float, list[NodeState]]:
-    """Carry the outgoing wave c cos kx + d sin kx of the right free region
-    back to the left one and keep the state at every node: the recording
-    path.
-
-    Returns (C0, D0, log_scale, states): the left free region's
-    coefficients of cos kx and sin kx, true values being these times
-    e**log_scale, and the (phi, dphi, log_scale) state at every node of
-    ``grid.points``, left to right.  The states come down the levels of
-    the grid's product tree; the last node holds the seed with log scale
-    0.  A non-finite or vanishing state raises :class:`TransferError`.
-    """
-    c0, d0, phi, dphi, log = _node_states(grid, c, d)
-    return c0, d0, log.item(0), list(zip(phi.tolist(), dphi.tolist(),
-                                         log.tolist()))
-
-
 def sweep_products(grids: Sequence[Grid]) -> list[Readout]:
-    """Each grid's (C0, D0, log_scale) for the outgoing wave (1, i), as
-    :func:`sweep` returns them, from one propagator pass over the
+    """Each grid's (C0, D0, log_scale) for the outgoing wave (1, i), the
+    C0, D0 and log[0] of :func:`sweep`, from one propagator pass over the
     concatenated segment arrays of ``grids``, one pairwise tree over all
     their products and one :func:`_step` across every root."""
     if not grids:
@@ -395,8 +384,8 @@ def wavefunction(grid: Grid,
                  positions: Sequence[float]) -> list[tuple[float, complex]]:
     """Reconstruct phi at the sample positions, unit incident amplitude.
 
-    Records the node states as :func:`sweep` does from the outgoing wave
-    (1, i) and normalises by the incoming amplitude C0 - i*D0 read out at
+    Takes the node states from :func:`sweep` for the outgoing wave (1, i)
+    and normalises by the incoming amplitude C0 - i*D0 read out at
     node 0, as :func:`solve_scattering` does.  Each sample is carried from
     the node at the right end of its segment, node 0 for the left free
     region.  Positions are limited to the window padded by two cavity
@@ -409,7 +398,7 @@ def wavefunction(grid: Grid,
     outside = ~((lo <= xs) & (xs <= hi))
     if outside.any():
         raise ValueError(f"sample {xs[np.argmax(outside)]} outside [{lo}, {hi}]")
-    c0, d0, phi, dphi, log = _node_states(grid, 1.0 + 0.0j, 1.0j)
+    c0, d0, phi, dphi, log = sweep(grid, 1.0 + 0.0j, 1.0j)
     norm, _ = _unit_incidence(c0, d0)
     arrays = grid.arrays
     z_free = grid.k * grid.k

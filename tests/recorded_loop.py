@@ -1,5 +1,6 @@
 """The node states by a plain per-segment loop: the reference that the
-down-sweep of ``transfer.sweep`` is checked against.
+down-sweep of ``transfer.sweep`` is checked against, returned in the same
+five-part form, so that a test compares arrays with arrays.
 
 The loop applies the grid's propagators one by one, from the last
 segment back to the first, over Python floats, and divides the state
@@ -10,6 +11,8 @@ another rule, so the two agree to rounding, not bit for bit.
 
 import math
 
+import numpy as np
+
 from mazersim import transfer
 from mazersim.transfer import TransferError
 
@@ -17,10 +20,11 @@ _LN2 = math.log(2.0)
 
 
 def recorded_sweep(grid, c, d):
-    """(C0, D0, log_scale, states) as ``transfer.sweep`` returns them:
-    the left free region's coefficients of cos kx and sin kx, true values
-    being these times e**log_scale, and the (phi, dphi, log_scale) state
-    at every node of ``grid.points``, left to right."""
+    """(C0, D0, phi, dphi, log) as ``transfer.sweep`` returns them: the
+    left free region's coefficients of cos kx and sin kx, true up to the
+    factor e**log[0], and three arrays over the nodes of ``grid.points``,
+    left to right, the true state at a node being phi and dphi times
+    e**log."""
     k, phi, dphi = transfer._outgoing(grid, c, d)
     log_scale = 0.0
     states = []
@@ -42,7 +46,6 @@ def recorded_sweep(grid, c, d):
         phi, dphi = factor * phi, factor * dphi
         log_scale += log_factor + shift * _LN2
     states.append((phi, dphi, log_scale))
-    states.reverse()
     c0, d0 = transfer._plane_wave_amplitudes(
         k, float(grid.arrays.x_lo[0]), phi, dphi)
-    return c0, d0, log_scale, states
+    return (c0, d0, *map(np.array, zip(*reversed(states))))

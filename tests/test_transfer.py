@@ -114,11 +114,11 @@ def test_free_to_forbidden_join_hand_algebra():
     ch, sh = math.cosh(rho * h), math.sinh(rho * h)
     want = np.array([[ch, -sh / rho], [-rho * sh, ch]])
     assert np.allclose(mat, want, rtol=1e-14, atol=0.0)
-    c0, d0, log_scale, _ = sweep(g, 1.0, 1.0j)
+    c0, d0, _, _, log = sweep(g, 1.0, 1.0j)
     phi, dphi = cmath.exp(1j * k * h) * (want @ np.array([1.0, 1.0j * k]))
     # the left free segment ends at its anchor 0: C = phi, D = phi'/k there
-    assert c0 * math.exp(log_scale) == pytest.approx(phi, rel=1e-14)
-    assert d0 * math.exp(log_scale) == pytest.approx(dphi / k, rel=1e-14)
+    assert c0 * math.exp(log[0]) == pytest.approx(phi, rel=1e-14)
+    assert d0 * math.exp(log[0]) == pytest.approx(dphi / k, rel=1e-14)
 
 
 def golden_grid(name):
@@ -158,9 +158,9 @@ TREE_LOG10_T_REL_TOL = 1e-14
 def test_tree_product_matches_recorded_loop(name):
     g = golden_grid(name)
     tree = solve_scattering(g)
-    c0, d0, log_scale, _ = recorded_sweep(g, 1.0 + 0.0j, 1.0j)
+    c0, d0, _, _, log = recorded_sweep(g, 1.0 + 0.0j, 1.0j)
     amp = 2.0 / (c0 - 1j * d0)
-    sigma = log_scale / math.log(10.0)
+    sigma = log[0] / math.log(10.0)
     t_log10_mag = math.log10(abs(amp)) - sigma
     assert abs(t_log10_mag - tree.t_log10_mag) <= TREE_LOG10_T_REL_TOL * max(
         1.0, abs(tree.t_log10_mag))
@@ -240,20 +240,19 @@ def down_sweep_grid(name):
     f"segments={n}" for n in PADDING_EDGE_J])
 def test_down_sweep_matches_recorded_loop(name):
     g = down_sweep_grid(name)
-    c0, d0, log0, states = sweep(g, 1.0 + 0.0j, 1.0j)
-    c1, d1, log1, want = recorded_sweep(g, 1.0 + 0.0j, 1.0j)
-    assert len(states) == len(want) == len(g.points)
-    tol = max(STATE_REL_TOL,
-              STATE_LOG_ULPS * math.ulp(max(abs(w[2]) for w in want)))
-    for (phi, dphi, log_scale), (phi1, dphi1, log_scale1) in zip(states, want):
-        back = math.exp(log_scale - log_scale1)
-        mag = max(abs(phi1), abs(dphi1))
-        assert abs(phi * back - phi1) <= tol * mag
-        assert abs(dphi * back - dphi1) <= tol * mag
-    back = math.exp(log0 - log1)
+    c0, d0, *states = sweep(g, 1.0 + 0.0j, 1.0j)
+    c1, d1, *want = recorded_sweep(g, 1.0 + 0.0j, 1.0j)
+    assert {len(v) for v in states + want} == {len(g.points)}
+    (phi, dphi, log), (phi1, dphi1, log1) = states, want
+    tol = max(STATE_REL_TOL, STATE_LOG_ULPS * math.ulp(abs(log1).max()))
+    back = np.exp(log - log1)
+    mag = np.maximum(abs(phi1), abs(dphi1))
+    assert (abs(phi * back - phi1) <= tol * mag).all()
+    assert (abs(dphi * back - dphi1) <= tol * mag).all()
+    back = math.exp(log[0] - log1[0])
     assert max(abs(c0 * back - c1), abs(d0 * back - d1)) <= tol * max(
         abs(c1), abs(d1))
-    assert states[-1] == want[-1]
+    assert [v[-1] for v in states] == [v[-1] for v in want]
 
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
@@ -276,13 +275,13 @@ def test_recording_solve_forms_its_propagators_once(name, monkeypatch):
     levels = transfer._levels
     monkeypatch.setattr(transfer, "basis_eval", counted)
     monkeypatch.setattr(transfer, "_levels", counted_tree)
-    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
+    *_, log = sweep(g, 1.0 + 0.0j, 1.0j)
     present = {list(Regime)[c] for c in g.arrays.code.tolist()}
     sloped = sorted(present & {Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN},
                     key=str)
     assert sorted(calls, key=str) == sloped
     assert len(trees) == 1
-    assert len(states) == len(g.points)
+    assert len(log) == len(g.points)
 
     calls.clear()
     trees.clear()
@@ -469,8 +468,8 @@ def test_seed_scale_invariance():
     g = build_grid(ModeProfile(ModeShape.SECH2, 10.0), +1, 0.1, 200)
     base = solve_scattering(g)
     s = (0.3 - 0.7j) * 10.0 ** 150
-    c0, d0, log_scale, _ = sweep(g, s, 1j * s)
-    t = s * 2.0 * math.exp(-log_scale) / (c0 - 1j * d0)
+    c0, d0, _, _, log = sweep(g, s, 1j * s)
+    t = s * 2.0 * math.exp(-log[0]) / (c0 - 1j * d0)
     r = (c0 + 1j * d0) / (c0 - 1j * d0)
     assert t == pytest.approx(base.t, rel=1e-12)
     assert r == pytest.approx(base.r, rel=1e-12)
@@ -492,9 +491,9 @@ def test_left_right_reciprocity():
 
 def test_recorded_state_indexing():
     g = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
-    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
-    assert len(states) == len(g.points)    # one state per node
-    assert states[-1][2] == 0.0            # the seed itself
+    _, _, *states = sweep(g, 1.0 + 0.0j, 1.0j)
+    assert [len(v) for v in states] == [len(g.points)] * 3  # one per node
+    assert states[2][-1] == 0.0                             # the seed itself
 
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
@@ -502,10 +501,10 @@ def test_recorded_states_one_per_node(name):
     shape, kappaL, k, J, sign = golden.CASES[name]
     table = golden.TABLE if shape is ModeShape.TABULATED else None
     g = build_grid(ModeProfile(shape, kappaL, table=table), sign, k, J)
-    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
-    assert len(states) == len(g.points)
+    _, _, *states = sweep(g, 1.0 + 0.0j, 1.0j)
+    assert [len(v) for v in states] == [len(g.points)] * 3
     # the last node holds the seed, the outgoing wave e**ikx unscaled
-    phi, dphi, log_scale = states[-1]
+    phi, dphi, log_scale = (v[-1].item() for v in states)
     x = float(g.points[-1])
     wave = cmath.exp(1j * k * x)
     assert phi == pytest.approx(wave, rel=1e-9)
@@ -553,14 +552,14 @@ def test_wavefunction_evanescent_profile():
 def test_wavefunction_continuity_and_turning_points():
     k, L = 0.1, 10.0
     g = build_grid(ModeProfile(ModeShape.SECH2, L), +1, k, 200)
-    *_, states = sweep(g, 1.0 + 0.0j, 1.0j)
+    _, _, phis, dphis, logs = sweep(g, 1.0 + 0.0j, 1.0j)
 
     def phi_from_segment(idx: int, x: float) -> complex:
         # segment idx carries the state of its right end, the last node
         # for the right free region; 0 and len(points) are the free
         # regions, whose propagators are the rotations of z = k^2
         node = min(idx, len(g.points) - 1)
-        phi, dphi, log_scale = states[node]
+        phi, dphi, log_scale = phis[node], dphis[node], logs[node]
         x_node = float(g.points[node])
         if 0 < idx < len(g.points):
             p11, p12, _, _, log_factor = propagator(g.arrays, x_node, x, idx - 1)
@@ -568,7 +567,7 @@ def test_wavefunction_continuity_and_turning_points():
             p11, p12, _, _, log_factor = transfer._flat_propagator(
                 g.k * g.k, x - x_node)
         return (p11 * phi + p12 * dphi) * math.exp(
-            log_factor + log_scale - states[0][2])
+            log_factor + log_scale - logs[0])
 
     # both representations of phi at each join, before normalization
     peak = max(abs(phi_from_segment(i, float(x)))
