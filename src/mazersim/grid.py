@@ -70,6 +70,8 @@ __all__ = [
     "find_turning_points",
     "check_k_over_kappa",
     "K_OVER_KAPPA_MAX",
+    "check_window_factor",
+    "WINDOW_FACTOR_MAX",
     "build_grid",
 ]
 
@@ -99,6 +101,12 @@ PHASE_MAX = 1.0e302
 # the transfer tree, whose flat rotation entries span a factor k^2, loses
 # unitarity without an error.
 K_OVER_KAPPA_MAX = 1.0e75
+
+# the widest window accepted, in mode lengths (sech2 and the Gaussian).
+# From about 3e4 lengths the builder overflows, and far beyond it rows
+# lost closure without an error (sech2 at k 1e-150 with a factor of 1e200:
+# closure defect 1.35).  The factors in use are 8 to 16.
+WINDOW_FACTOR_MAX = 1.0e3
 
 # a turning point closer than this to an existing node replaces the node;
 # like every length tolerance of the builder it is scaled by
@@ -348,11 +356,11 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
     """
     u0, u1 = np.abs(us[:-1]), np.abs(us[1:])
     h = np.diff(xs)
-    cross = us[:-1] * us[1:] < 0.0
-    # only crossing intervals divide, so u0 = u1 = 0 yields no 0/0
-    denom = np.where(cross, u0 + u1, 1.0)
-    area = np.where(cross, 0.5 * h * (u0 * u0 + u1 * u1) / denom,
-                    0.5 * h * (u0 + u1))
+    area = 0.5 * h * (u0 + u1)
+    # an interval whose ends differ in sign is two triangles, u0 + u1 > 0
+    cross = np.flatnonzero(us[:-1] * us[1:] < 0.0)
+    u0, u1, h = u0[cross], u1[cross], h[cross]
+    area[cross] = 0.5 * h * (u0 * u0 + u1 * u1) / (u0 + u1)
     # fsum reads a list faster than numpy scalars, and rounds the same
     return math.fsum(area.tolist())
 
@@ -482,6 +490,15 @@ def check_k_over_kappa(k_over_kappa: float) -> None:
                          f"most {K_OVER_KAPPA_MAX:g} and k^2/2 a positive float")
 
 
+def check_window_factor(window_factor: float) -> None:
+    """Raise ValueError unless window_factor is positive and at most
+    WINDOW_FACTOR_MAX (nan and inf fail)."""
+    if not 0.0 < window_factor <= WINDOW_FACTOR_MAX:
+        raise ValueError(f"window_factor = {window_factor!r} is out of range: "
+                         f"it must be positive and at most WINDOW_FACTOR_MAX "
+                         f"= {WINDOW_FACTOR_MAX:g}")
+
+
 def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> np.ndarray:
     """Insert roots into the node array; a root within the merge tolerance
     of an interior node replaces that node (window edges stay put)."""
@@ -519,8 +536,8 @@ def build_grid(
     sign selects the dressed-potential branch: +1 for the repulsive
     barrier, -1 for the attractive well.  The window is
     ``profile.default_window(window_factor)``; an empty or non-finite one,
-    or one whose edge phase max(k, 1) * |x| exceeds ``PHASE_MAX``, raises
-    ValueError.  Raises GridResolutionError when the J uniform nodes
+    a window_factor above ``WINDOW_FACTOR_MAX``, or a window whose edge
+    phase max(k, 1) * |x| exceeds ``PHASE_MAX``, raises ValueError.  Raises GridResolutionError when the J uniform nodes
     cannot resolve the mode.
     """
     if sign not in (+1, -1):
@@ -537,6 +554,7 @@ def build_grid(
         raise ValueError(f"window [{x_a}, {x_b}] is not finite")
     if not x_a < x_b:
         raise ValueError(f"empty window [{x_a}, {x_b}]")
+    check_window_factor(window_factor)
     phase = max(k, 1.0) * max(-x_a, x_b)
     if phase > PHASE_MAX:
         raise ValueError(f"window [{x_a:g}, {x_b:g}] at k_over_kappa = {k:g} "

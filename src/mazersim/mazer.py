@@ -32,6 +32,7 @@ from .grid import (
     ModeShape,
     build_grid,
     check_k_over_kappa,
+    check_window_factor,
 )
 from .transfer import ScatterResult, solve_scattering, sweep_products
 
@@ -66,9 +67,7 @@ class MazerParams:
             raise ValueError(f"J = {self.J!r} must be an integer")
         if self.J < 2:
             raise ValueError("J must be at least 2")
-        if not 0.0 < self.window_factor < math.inf:
-            raise ValueError(f"window_factor = {self.window_factor!r} must be "
-                             "positive and finite")
+        check_window_factor(self.window_factor)
 
     @property
     def kappaL(self) -> float:

@@ -265,6 +265,7 @@ def analytic_wronskian(seg: Segment):
 # 1/4, so the terms from m = 16 on add less than 1e-30 relative.
 
 _SERIES_TERMS = 16
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 def _series_coefficients() -> np.ndarray:
@@ -296,8 +297,14 @@ def _basis_series(b: np.ndarray, t: np.ndarray, w: np.ndarray,
     p = t * s_p / cb
     q = cb * s_q
     dp = s_dp / cb
-    # the Q' sum starts at u^1: one power of u comes back as t^2 / (9 b^2)
-    dq = cb * t * t / (9.0 * b * b) * s_dq
+    # the Q' sum starts at u^1: one power of u comes back as t^2 / (9 b^2).
+    # On the shallowest slopes 9 b^2 is below the normal floats; there the
+    # ratio is (t / cb^2)^2 / cb^2, since cb^6 = 9 b^2
+    nine_b2 = 9.0 * b * b
+    normal = nine_b2 >= _NORMAL_MIN
+    r = t / (cb * cb)
+    dq = np.where(normal, cb * t * t / np.where(normal, nine_b2, 1.0),
+                  cb * (r * r / (cb * cb))) * s_dq
     if allowed:
         return (p, (2.0 / _SQRT3) * (0.5 * p - q),
                 b * dp, (2.0 / _SQRT3) * b * (0.5 * dp + dq))

@@ -127,6 +127,8 @@ class TestConfigErrors:
          "--J", "20", "--window-factor", "nan"],
         ["converge", "--profile", "gauss", "--k", "0.5", "--kappaL", "1",
          "--J", "20,40", "--window-factor", "inf"],
+        ["sweep", "--profile", "sech2", "--k", "0.5", "--range", "0:1:0.5",
+         "--J", "20", "--window-factor", "1e4"],
         ["sweep", "--profile", "sech2", "--k", "0.1", "--range=-0.2:0.2:0.1",
          "--J", "50"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:a:1", "--J", "2"],

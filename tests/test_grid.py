@@ -13,6 +13,7 @@ from mazersim.grid import (
     LENGTH_MAX,
     LENGTH_MIN,
     PHASE_MAX,
+    WINDOW_FACTOR_MAX,
     Grid,
     GridResolutionError,
     ModeProfile,
@@ -265,6 +266,17 @@ def test_edge_phase_above_the_bound_refused(shape):
         build_grid(profile_to(math.nextafter(edge, math.inf)), +1, k, 50)
 
 
+@pytest.mark.parametrize("shape", [ModeShape.SECH2, ModeShape.GAUSSIAN])
+def test_window_factor_above_the_bound_refused(shape):
+    # a window WINDOW_FACTOR_MAX lengths wide builds, and one at the next
+    # float is refused by name
+    profile = ModeProfile(shape, 5.0)
+    build_grid(profile, +1, 0.1, 50, window_factor=WINDOW_FACTOR_MAX)
+    with pytest.raises(ValueError, match=r"WINDOW_FACTOR_MAX = 1000"):
+        build_grid(profile, +1, 0.1, 50, window_factor=math.nextafter(
+            WINDOW_FACTOR_MAX, math.inf))
+
+
 def test_interp_abs_area_sign_change_exact():
     # interpolant crosses zero inside the interval: two triangles, not a
     # trapezoid of absolute values
@@ -282,6 +294,31 @@ def test_interp_abs_area_zero_endpoints():
     with np.errstate(all="raise"):
         assert interp_abs_area(xs, us) == 0.0 + 2.0 + 1.0 + 2.0
         assert interp_abs_area(xs[:2], us[:2]) == 0.0
+
+
+def test_interp_abs_area_forms_each_area_once():
+    # the two-triangle form is taken on the crossing interval alone: on the
+    # others its squares overflowed, with a warning, though unused
+    xs = np.array([-1e300, 0.0, 1.0])
+    us = np.array([1e5, 3e5, -1e5])
+    with np.errstate(all="raise"):
+        assert interp_abs_area(xs, us) == pytest.approx(2e305 + 1.25e5,
+                                                        rel=1e-15)
+        assert interp_abs_area(xs[1:], us[1:]) == 1.25e5
+
+
+@pytest.mark.parametrize("kappaL", [float(f"1e{e}") for e in range(287, 297)])
+def test_huge_gaussian_windows_close_or_are_too_coarse(kappaL):
+    # gauss at k 1e5, J 2 warned "overflow encountered in multiply" inside
+    # the area check; now, like kappaL 1e280-1e286, it is too coarse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ev = event_probabilities(
+                MazerParams.for_shape(ModeShape.GAUSSIAN, 1e5, kappaL, 2))
+        except GridResolutionError:
+            return
+    assert ev.closure_defect <= 1e-8
 
 
 # --- turning points -------------------------------------------------------

@@ -15,6 +15,7 @@ from mazersim.grid import (
     LENGTH_MAX,
     ModeProfile,
     ModeShape,
+    WINDOW_FACTOR_MAX,
 )
 from mazersim.mazer import (
     ConvergenceStudy,
@@ -65,6 +66,26 @@ class TestParamsValidation:
         # "grid nodes not strictly increasing"
         with pytest.raises(ValueError, match="window_factor"):
             make_params(window_factor=window_factor)
+
+    def test_refuses_window_factor_just_above_the_bound(self):
+        # the factors in use and the bound itself are accepted; the next
+        # float is refused by name
+        for window_factor in (8.0, 10.0, 16.0, math.nextafter(16.0, 0.0),
+                              math.nextafter(16.0, math.inf),
+                              WINDOW_FACTOR_MAX):
+            make_params(window_factor=window_factor)
+        with pytest.raises(ValueError, match=r"WINDOW_FACTOR_MAX = 1000"):
+            make_params(window_factor=math.nextafter(WINDOW_FACTOR_MAX,
+                                                     math.inf))
+
+    @pytest.mark.parametrize("kappaL,window_factor", [(1.0, 1e200),
+                                                      (1e100, 1e50)])
+    def test_refuses_windows_that_lost_closure(self, kappaL, window_factor):
+        # these rows returned closure defects of 1.35 and 0.48 without an
+        # error
+        with pytest.raises(ValueError, match="WINDOW_FACTOR_MAX"):
+            make_params(ModeShape.SECH2, 1e-150, kappaL, 13,
+                        window_factor=window_factor)
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
@@ -141,6 +162,27 @@ class TestShortLengths:
             for e in range(-100, 1, 10):
                 ev = event_probabilities(make_params(shape, k, 10.0 ** e, 50))
                 assert ev.closure_defect <= 1e-8, e
+
+
+class TestMiddleLengths:
+    @pytest.mark.parametrize("k", [1e-150, 1e-100])
+    @pytest.mark.parametrize("shape", [
+        ModeShape.SIN_FUNDAMENTAL, ModeShape.SIN_FIRST_EXCITED])
+    def test_shallow_sine_slopes_close(self, shape, k):
+        # at tiny k the sines' slopes near the turning points are so
+        # shallow that 9 b^2 left the normal floats in the turning-point
+        # series, whose divide by it made the node states NaN.  At k 1e-150
+        # kappaL 1e24-1e42 still overflow in the sloped propagators or
+        # leave the slope's sign to rounding, and are left out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in range(0, 64, 3):
+                if k == 1e-150 and 24 <= e <= 42:
+                    continue
+                for J in (13, 50, 400):
+                    ev = event_probabilities(
+                        make_params(shape, k, float(f"1e{e}"), J))
+                    assert ev.closure_defect <= 1e-8, (e, J, ev.closure_defect)
 
 
 class TestLongLengths:
