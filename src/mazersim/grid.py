@@ -537,8 +537,9 @@ def build_grid(
     barrier, -1 for the attractive well.  The window is
     ``profile.default_window(window_factor)``; an empty or non-finite one,
     a window_factor above ``WINDOW_FACTOR_MAX``, or a window whose edge
-    phase max(k, 1) * |x| exceeds ``PHASE_MAX``, raises ValueError.  Raises GridResolutionError when the J uniform nodes
-    cannot resolve the mode.
+    phase max(k, 1) * |x| exceeds ``PHASE_MAX``, raises ValueError.
+    Raises GridResolutionError when the J uniform nodes cannot resolve the
+    mode.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")

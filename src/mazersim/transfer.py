@@ -47,9 +47,9 @@ node states as the down-sweep forms them, three arrays (phi, dphi, log)
 over the nodes.  :func:`wavefunction` takes them from :func:`sweep`,
 normalises by the incoming amplitude read out at node 0, and forms the
 propagators from the nodes to all its samples in one call, a sample in
-a free region being a flat entry with z = k^2.  The two asymptotic free regions are
-the plane waves cos kx and sin kx, so the outgoing wave is seeded and
-the incoming amplitudes are read out in closed form.
+a free region being a flat entry with z = k^2.  The two asymptotic free
+regions are the plane waves cos kx and sin kx, so the outgoing wave is
+seeded and the incoming amplitudes are read out in closed form.
 """
 
 from __future__ import annotations

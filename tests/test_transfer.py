@@ -492,6 +492,7 @@ def test_left_right_reciprocity():
 def test_recorded_state_indexing():
     g = build_grid(ModeProfile(ModeShape.MESA, 5.0), +1, 0.1, 2)
     _, _, *states = sweep(g, 1.0 + 0.0j, 1.0j)
+    assert all(isinstance(v, np.ndarray) for v in states)
     assert [len(v) for v in states] == [len(g.points)] * 3  # one per node
     assert states[2][-1] == 0.0                             # the seed itself
 
