@@ -8,12 +8,12 @@ probability P_em.  Everything is parameterized by exactly two numbers,
 k_over_kappa and kappaL, plus the mode shape.
 
 Rows are solved in chunks of up to eight, serial and pooled alike, and a
-lone row is a chunk of one: the branch grids of a chunk are built first,
-then their propagators formed in one pass, multiplied out in one pairwise
-tree over all of them and every grid's outgoing wave carried across its
-product in one step (:func:`~mazersim.transfer.sweep_products`), and each
-branch solved from its own readout.  The results are bit for bit those of
-solving each branch alone.
+lone row is a chunk of one: the parameters and branch grids of a chunk are
+built first, then their propagators formed in one pass, multiplied out in
+one pairwise tree over all of them and every grid's outgoing wave carried
+across its product in one step (:func:`~mazersim.transfer.sweep_products`),
+and each branch solved from its own readout.  The results are bit for bit
+those of solving each branch alone.
 """
 
 from __future__ import annotations
@@ -161,39 +161,33 @@ def elementary_amplitudes(params: MazerParams, branch: int) -> ScatterResult:
 _CHUNK_ROWS = 8
 
 
-def _branch_grids(row) -> list:
-    """The + and - grids of a row in build order, a build that raises
-    ending the list with its exception; a transparent row has none."""
-    if isinstance(row, Exception):
-        return [row]
-    grids: list = []
-    for branch in (+1, -1) if row.kappaL != 0.0 else ():
-        try:
-            grids.append(_grid(row, branch))
-        except Exception as exc:
-            grids.append(exc)
-            break
-    return grids
-
-
-def _solve_chunk(rows: list) -> list:
-    """(plus, minus) amplitudes of every row, or the exception that ends it;
-    a row is a MazerParams or the exception that already ended it.
+def _solve_chunk(make, values: list) -> list:
+    """(plus, minus) amplitudes of the row ``make(value)`` for every value,
+    or the exception that ends it.
 
     All branch grids are built before one :func:`sweep_products` pass over
     them; each branch is then solved from its readout.  A row fails as it
-    would alone, at the first of + grid, + solve, - grid, - solve that
-    raises.  Should the shared pass raise, every grid is solved alone, so
-    each failing row reports the message of a lone solve.
+    would alone, at the first of its parameters, + grid, + solve, - grid
+    and - solve to raise.  Should the shared pass raise, every grid is
+    solved alone, so each failing row reports the message of a lone solve.
     """
-    built = [_branch_grids(row) for row in rows]
+    built = []
+    for value in values:
+        grids: list = []   # in build order, up to the first exception
+        try:
+            params = make(value)
+            for branch in (+1, -1) if params.kappaL != 0.0 else ():
+                grids.append(_grid(params, branch))
+        except Exception as exc:
+            grids.append(exc)
+        built.append(grids)
     try:
         shared = iter(sweep_products(
             [g for grids in built for g in grids if isinstance(g, Grid)]))
     except Exception:
         shared = repeat(None)
     out = []
-    for row, grids in zip(rows, built):
+    for grids in built:
         # every grid takes its readout, also one behind a failed solve
         readouts = [next(shared) if isinstance(g, Grid) else None for g in grids]
         out.append(_solve_branches(grids, readouts) if grids
@@ -217,7 +211,7 @@ def _solve_branches(grids: list, readouts: list):
 
 def branch_amplitudes(params: MazerParams) -> tuple[ScatterResult, ScatterResult]:
     """Both branches of one row, read out in one pass."""
-    (outcome,) = _solve_chunk([params])
+    (outcome,) = _solve_chunk(lambda row: row, [params])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -261,21 +255,9 @@ def _sweep_row(kappaL: float, outcome) -> SweepRow:
         unit_defect_minus=minus.unitarity_defect)
 
 
-def _solve_values(make, values: list) -> list:
-    """:func:`_solve_chunk` over the rows ``make(value)``, one whose
-    ``make`` raises standing as its exception."""
-    rows: list = []
-    for value in values:
-        try:
-            rows.append(make(value))
-        except Exception as exc:
-            rows.append(exc)
-    return _solve_chunk(rows)
-
-
 def _sweep_chunk(params: MazerParams, values: list[float]) -> list[SweepRow]:
     """The rows of a chunk of kappaL values, each failure kept in its row."""
-    return list(map(_sweep_row, values, _solve_values(params.with_kappaL, values)))
+    return list(map(_sweep_row, values, _solve_chunk(params.with_kappaL, values)))
 
 
 def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
@@ -337,7 +319,7 @@ def convergence_study(params: MazerParams, J_list: list[int]) -> ConvergenceStud
     if any(b <= a for a, b in zip(J_list, J_list[1:])):
         raise ValueError("J_list must be strictly ascending")
     entries = []
-    for J, outcome in zip(J_list, _solve_values(
+    for J, outcome in zip(J_list, _solve_chunk(
             lambda J: replace(params, J=J), J_list)):
         if isinstance(outcome, Exception):
             raise outcome

@@ -450,16 +450,43 @@ class TestChunks:
         for row in table.rows:
             assert repr(row) == repr(lone_row(params, row.kappaL))
 
-    def test_failed_grid_build_keeps_the_rest_of_the_chunk(self):
-        # two nodes cannot resolve the first excited sine
+    def test_failed_grid_build_keeps_the_rest_of_the_chunk(self, monkeypatch):
+        # two nodes cannot resolve the first excited sine: the bad row's
+        # + grid fails, so its - grid is never built and it is never solved
         good = [make_params(ModeShape.SECH2, 0.1, L, 100) for L in (4.0, 6.0)]
         bad = make_params(ModeShape.SIN_FIRST_EXCITED, 0.1, 5.0, 2)
-        first, failed, last = _solve_chunk([good[0], bad, good[1]])
+        calls = []
+        for name in ("build_grid", "sweep_products", "solve_scattering"):
+            def counting(*args, _fn=getattr(mazer, name), _name=name, **kwargs):
+                calls.append((_name, args))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mazer, name, counting)
+        first, failed, last = _solve_chunk(lambda row: row,
+                                           [good[0], bad, good[1]])
+        monkeypatch.undo()
+        assert [name for name, _ in calls] == (
+            ["build_grid"] * 5 + ["sweep_products"] + ["solve_scattering"] * 4)
+        (grids,) = calls[5][1]
+        assert len(grids) == 4
         assert f"{type(failed).__name__}: {failed}" == lone_error(bad, +1)
         assert failed.__class__.__name__ == "GridResolutionError"
         for params, outcome in ((good[0], first), (good[1], last)):
             assert repr(outcome) == repr((elementary_amplitudes(params, +1),
                                           elementary_amplitudes(params, -1)))
+
+    def test_refused_parameters_keep_their_row(self):
+        # a length below LENGTH_MIN is refused by the row's parameters,
+        # before any grid; the transparent row at 0 and the rows above the
+        # floor keep their lone values
+        params = make_params(ModeShape.SECH2, 0.1, 2e-100, 50)
+        rows = sweep_kappaL(params, 0.0, 2e-100, 5e-101).rows
+        assert len(rows) == 5
+        assert rows[1].error == ("ValueError: length 5e-101 is below "
+                                 "LENGTH_MIN = 1e-100; use 0 for no mode")
+        assert math.isnan(rows[1].P_em)
+        for i, row in enumerate(rows):
+            if i != 1:
+                assert repr(row) == repr(lone_row(params, row.kappaL))
 
     def test_basis_failure_reports_its_lone_message(self, monkeypatch):
         # a basis error names the segment's index in its batch; once the
