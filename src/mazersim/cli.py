@@ -10,6 +10,7 @@ Exit codes: 0 clean, 1 configuration error, 2 at least one data row failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -236,6 +237,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output CSV path (default: stdout)")
 
 
+# argparse builds a fresh namespace on every parse, so one parser serves
+# every call of main in a process
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mazersim",
                      description="Induced-emission probability calculator")

@@ -17,10 +17,14 @@ Two refinements keep that approximation honest:
 
 The turning points move with alpha and alpha with the nodes, so the builder
 iterates to a fixed point, one :func:`find_turning_points` call per pass.
-The mode does not depend on alpha: a build samples it once on the
-turning-point scan and keeps every bisection midpoint it evaluates, so a
-pass forms alpha*V - E from that scan and reuses the midpoints of the
-passes before it, with the roots a fresh pass would find.  A pass that finds the
+The mode depends neither on alpha nor on the branch or k: the two branch
+builds of a row share one sampling of it (the last build's, held in a
+one-entry memo keyed by the profile object, the window and J), namely the
+uniform nodes and the mode there, the exact area with the first alpha,
+and the turning-point scan with every bisection midpoint evaluated so far.
+So a pass forms alpha*V - E from that scan and reuses the midpoints of the
+passes and the branch before it, with the roots a fresh pass would find.
+The shared arrays are read-only.  A pass that finds the
 previous pass's roots, or leaves alpha unchanged, ends the iteration,
 since the next pass would repeat it.  On a coarse grid the passes can run
 out with alpha still moving in its 7th or 8th digit; if that grid then
@@ -41,6 +45,7 @@ scale with min(1, window width), so tiny cavities keep their resolution.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import numbers
@@ -354,13 +359,15 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
     Not the trapezoid rule on |u_i|: an interval whose endpoints differ in
     sign contributes the two-triangle area h*(u0^2+u1^2)/(2(|u0|+|u1|)).
     """
-    u0, u1 = np.abs(us[:-1]), np.abs(us[1:])
-    h = np.diff(xs)
+    a = np.abs(us)
+    u0, u1 = a[:-1], a[1:]
+    h = xs[1:] - xs[:-1]
     area = 0.5 * h * (u0 + u1)
     # an interval whose ends differ in sign is two triangles, u0 + u1 > 0
     cross = np.flatnonzero(us[:-1] * us[1:] < 0.0)
-    u0, u1, h = u0[cross], u1[cross], h[cross]
-    area[cross] = 0.5 * h * (u0 * u0 + u1 * u1) / (u0 + u1)
+    if cross.size:
+        u0, u1, h = u0[cross], u1[cross], h[cross]
+        area[cross] = 0.5 * h * (u0 * u0 + u1 * u1) / (u0 + u1)
     # fsum reads a list faster than numpy scalars, and rounds the same
     return math.fsum(area.tolist())
 
@@ -383,6 +390,48 @@ class _ModeSamples:
         self.xs = np.linspace(window[0], window[1], max(int(scan_points), 16))
         self.us = eval_mode_array(profile, self.xs)
         self.at: dict[float, float] = {}
+
+
+class _Sampling:
+    """What a build reads of the mode before its first alpha pass: the J
+    uniform nodes and u there, the exact |u| area of the window, the
+    alpha of the uniform nodes and the turning-point scan, whose arrays
+    are all read-only.
+
+    None of it depends on the branch or on k, so :func:`_sampling` hands
+    the two branch builds of a row one of these.
+    """
+
+    __slots__ = ("uniform", "u_uniform", "area_exact", "alpha", "scan")
+
+    def __init__(self, profile: ModeProfile, window: tuple[float, float],
+                 J: int) -> None:
+        self.uniform = np.linspace(window[0], window[1], J)
+        self.u_uniform = eval_mode_array(profile, self.uniform)
+        self.area_exact = abs_area(profile, *window)
+        self.alpha = _alpha(self.area_exact, self.uniform, self.u_uniform, J)
+        self.scan = _ModeSamples(profile, window, 8 * max(J, 64))
+        for a in (self.uniform, self.u_uniform, self.scan.xs, self.scan.us):
+            a.flags.writeable = False
+
+
+# the last build's (profile, window, J) and its _Sampling.  The profile is
+# compared by identity, never hashed (a table would hash all its points),
+# and held here, so its id cannot pass to another profile meanwhile.
+_last_sampling: tuple | None = None
+
+
+def _sampling(profile: ModeProfile, window: tuple[float, float],
+              J: int) -> _Sampling:
+    """The sampling of the last build if it had this profile object,
+    window and J, else a new one, which then becomes the last."""
+    global _last_sampling
+    last = _last_sampling
+    if last is not None and last[0] is profile and last[1] == (window, J):
+        return last[2]
+    sampling = _Sampling(profile, window, J)
+    _last_sampling = profile, (window, J), sampling
+    return sampling
 
 
 def find_turning_points(
@@ -507,7 +556,7 @@ def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> np.ndarray:
     for r in roots:
         if r <= nodes[0] or r >= nodes[-1]:
             continue
-        idx = int(np.searchsorted(nodes, r))
+        idx = bisect.bisect_left(nodes, r)
         near = None
         for j in (idx - 1, idx):
             if 0 <= j < len(nodes) and abs(nodes[j] - r) <= tol:
@@ -569,43 +618,30 @@ def build_grid(
                      np.array([z_top, z_top]))
 
     E = 0.5 * k * k
+    window = (x_a, x_b)
     scale = min(1.0, x_b - x_a)
-    uniform = np.linspace(x_a, x_b, J)
-    u_uniform = eval_mode_array(profile, uniform)
-    area_exact = abs_area(profile, x_a, x_b)
-
-    def alpha_for(nodes: np.ndarray, u_nodes: np.ndarray) -> float:
-        if area_exact == 0.0:
-            return 1.0
-        denom = interp_abs_area(nodes, u_nodes)
-        if denom == 0.0:
-            raise GridResolutionError(
-                f"every one of the J = {J} nodes sits on a zero of the "
-                "mode; increase J")
-        return area_exact / denom
-
-    alpha = alpha_for(uniform, u_uniform)
+    sampling = _sampling(profile, window, J)
+    uniform, area_exact, samples, alpha = (
+        sampling.uniform, sampling.area_exact, sampling.scan, sampling.alpha)
     # the nodes, their mode values and alpha go with the roots: the uniform
     # nodes go with none
-    nodes, u_nodes = uniform, u_uniform
+    nodes, u_nodes = uniform, sampling.u_uniform
     roots: list[float] = []
-    scan_points = 8 * max(J, 64)
-    samples = _ModeSamples(profile, (x_a, x_b), scan_points)
     # (alpha, alpha * area of the nodes its roots give - exact area) of
     # every pass, for the fallback below
     defects: list[tuple[float, float]] = []
     settled = False
     for _ in range(_MAX_ALPHA_ITER):
         new_roots = find_turning_points(
-            profile, sign, E, (x_a, x_b), alpha=alpha,
-            scan_points=scan_points, samples=samples)
+            profile, sign, E, window, alpha=alpha,
+            scan_points=samples.xs.size, samples=samples)
         if new_roots == roots:
             # the same nodes again, so the same alpha: a fixed point
             settled = True
             break
         nodes = _merge_turning_nodes(uniform, new_roots)
         u_nodes = eval_mode_array(profile, nodes)
-        new_alpha = alpha_for(nodes, u_nodes)
+        new_alpha = _alpha(area_exact, nodes, u_nodes, J)
         defects.append((alpha, area_exact * (alpha / new_alpha - 1.0)))
         stable_alpha = abs(new_alpha - alpha) <= _ALPHA_FIXED_POINT_TOL * max(
             abs(new_alpha), 1.0)
@@ -617,7 +653,6 @@ def build_grid(
         if settled:
             break
 
-    window = (x_a, x_b)
     try:
         return _finish_grid(profile, sign, k, window, alpha, roots, nodes,
                             u_nodes, area_exact)
@@ -630,7 +665,7 @@ def build_grid(
         def nodes_at(a: float):
             at_roots = find_turning_points(
                 profile, sign, E, window, alpha=a,
-                scan_points=scan_points, samples=samples)
+                scan_points=samples.xs.size, samples=samples)
             at_nodes = _merge_turning_nodes(uniform, at_roots)
             return at_roots, at_nodes, eval_mode_array(profile, at_nodes)
 
@@ -644,6 +679,20 @@ def build_grid(
     roots, nodes, u_nodes = nodes_at(alpha)
     return _finish_grid(profile, sign, k, window, alpha, roots, nodes,
                         u_nodes, area_exact)
+
+
+def _alpha(area_exact: float, nodes: np.ndarray, u_nodes: np.ndarray,
+           J: int) -> float:
+    """The alpha that gives the interpolant through the nodes the exact
+    area (1 for a mode of zero area)."""
+    if area_exact == 0.0:
+        return 1.0
+    denom = interp_abs_area(nodes, u_nodes)
+    if denom == 0.0:
+        raise GridResolutionError(
+            f"every one of the J = {J} nodes sits on a zero of the mode; "
+            "increase J")
+    return area_exact / denom
 
 
 def _bracketed_root(defect, history: list[tuple[float, float]],
@@ -683,7 +732,9 @@ def _bracketed_root(defect, history: list[tuple[float, float]],
 def _finish_grid(profile, sign, k, window, alpha, roots, nodes, u_nodes,
                  area_exact) -> Grid:
     """Snap the turning nodes, split residual sign changes, check the area
-    and segment the nodes of a build at its final alpha."""
+    and segment the nodes of a build at its final alpha.  u_nodes is
+    copied before the snaps write into it: it may be the shared sampling's."""
+    u_nodes = u_nodes.copy()
     z_free = k * k
     z = z_free - sign * alpha * u_nodes
     # the mode value that z = 0 stands for

@@ -291,16 +291,19 @@ def sweep_kappaL(
     Rows are independent; a failing row is kept with its error message so
     the sweep never silently drops a length.  The rows are solved in
     chunks of eight that share one propagator pass and one product tree;
-    with ``workers`` > 1
-    each chunk is one task of a process pool.  Output order is by kappaL
-    regardless of worker scheduling.
+    with ``workers`` > 1 and more than one chunk, each chunk is one task
+    of a pool of min(workers, chunks) processes, and a single chunk is
+    solved in this process.  Output order is by kappaL regardless of
+    worker scheduling.
     """
     values = kappaL_range(lo, hi, step)
     chunks = [values[i:i + _CHUNK_ROWS]
               for i in range(0, len(values), _CHUNK_ROWS)]
     solve = partial(_sweep_chunk, params)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a pool starts all its processes at once, used or not
+    processes = min(workers, len(chunks))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             tables = list(pool.map(solve, chunks))
     else:
         tables = map(solve, chunks)

@@ -60,8 +60,9 @@ class TestSweep:
         assert first == second
 
     def test_parallel_output_identical(self, capsys):
+        # 17 rows, three chunks: one chunk alone is solved without a pool
         base = ["sweep", "--profile", "mesa", "--k", "0.5",
-                "--range", "0:3:0.5", "--J", "2"]
+                "--range", "0:8:0.5", "--J", "2"]
         _, serial, _ = run(capsys, base)
         _, parallel, _ = run(capsys, base + ["--workers", "2"])
         assert serial == parallel
@@ -317,3 +318,29 @@ def test_module_form_runs_the_command(capsys, argv, exit_code):
     assert done.stderr == err.encode()
     assert bool(out) != bool(exit_code)
     assert err.startswith("error:") == bool(exit_code)
+
+
+def test_back_to_back_calls_print_what_a_first_call_prints(capsys):
+    # main builds its parser once per process; a sweep, a refused call
+    # (argparse error, exit 1), a converge and the sweep again each print
+    # the bytes they print as the first call of a process
+    sweep = ["sweep", "--profile", "sech2", "--k", "0.1",
+             "--range", "0:2:0.5", "--J", "40"]
+    calls = [
+        sweep,
+        ["converge", "--profile", "sech2", "--k", "0.1", "--kappaL", "2"],
+        ["converge", "--profile", "sech2", "--k", "0.1", "--kappaL", "2",
+         "--J", "40,80"],
+        sweep,
+    ]
+    first = []
+    for argv in calls:
+        mazersim.cli._build_parser.cache_clear()
+        first.append(run(capsys, argv))
+    mazersim.cli._build_parser.cache_clear()
+    again = [run(capsys, argv) for argv in calls]
+    assert mazersim.cli._build_parser.cache_info().misses == 1
+    assert again == first
+    assert [code for code, _, _ in first] == [0, 1, 0, 0]
+    assert first[1][2].startswith("error: the following arguments are "
+                                  "required: --J")

@@ -749,3 +749,86 @@ def test_segments_built_on_demand(shape, k, kappaL, J, sign):
                    recorded))
     assert wavefunction(read_first, read_first.points) == sampled
     assert g.segments is g.segments
+
+
+# --- one sampling per row -------------------------------------------------
+
+def _bits(g: Grid) -> tuple:
+    """Every float of a grid as bytes: points, z, alpha, turning points and
+    each ``arrays`` field with its dtype."""
+    return (g.points.tobytes(), g.z.tobytes(), g.alpha.hex(),
+            tuple(t.hex() for t in g.turning_points),
+            tuple((a.dtype.str, a.tobytes()) for a in g.arrays))
+
+
+_TABLE = tuple((0.25 * i, math.sin(0.9 * i) * (1.0 - 0.02 * i))
+               for i in range(41))
+
+# (profile maker, k, J).  At k 1 an odd J puts a uniform node on the peak
+# of sech2 and the Gaussian, where the + branch is tangent: no root is
+# found, so the build finishes on the uniform nodes and assigns into their
+# mode samples when it splits residual crossings, which must be a private
+# copy.  The sin2 rows at k 1e-150, J 13 turn a residual zero onto a node.
+_SHARED_CASES = {
+    "sech2_tangent": (lambda: ModeProfile(ModeShape.SECH2, 5.0), 1.0, 39),
+    "gauss_tangent": (lambda: ModeProfile(ModeShape.GAUSSIAN, 5.0), 1.0, 39),
+    "sin": (lambda: ModeProfile(ModeShape.SIN_FUNDAMENTAL, 1.0e5 + 5.0), 0.01, 100),
+    "sin2": (lambda: ModeProfile(ModeShape.SIN_FIRST_EXCITED, 7.3), 0.2, 100),
+    "sech2": (lambda: ModeProfile(ModeShape.SECH2, 5.0), 0.1, 200),
+    "gauss": (lambda: ModeProfile(ModeShape.GAUSSIAN, 10.0), 0.1, 300),
+    "table": (lambda: ModeProfile(ModeShape.TABULATED, 0.0, table=_TABLE),
+              0.3, 60),
+    **{f"sin2_residual_zero_{L:g}": (
+        lambda L=L: ModeProfile(ModeShape.SIN_FIRST_EXCITED, L), 1e-150, 13)
+       for L in (1e59, 1e95, 1e140, 1e224, 1e233)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_CASES))
+def test_branch_builds_in_either_order_equal_lone_builds(name):
+    # the two branch builds of one profile object share its sampling; in
+    # either order each equals a lone build on a fresh profile, bit for bit
+    make, k, J = _SHARED_CASES[name]
+    lone = {sign: _bits(build_grid(make(), sign, k, J)) for sign in (+1, -1)}
+    for order in ((+1, -1), (-1, +1)):
+        profile = make()
+        for sign in order:
+            assert _bits(build_grid(profile, sign, k, J)) == lone[sign], (
+                name, order, sign)
+
+
+def test_branch_builds_share_one_read_only_sampling():
+    profile = ModeProfile(ModeShape.SIN_FIRST_EXCITED, 7.3)
+    build_grid(profile, +1, 0.2, 100)
+    shared = grid_module._last_sampling[2]
+    build_grid(profile, -1, 0.2, 100)
+    assert grid_module._last_sampling[2] is shared
+    arrays = (shared.uniform, shared.u_uniform, shared.scan.xs, shared.scan.us)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # an equal profile that is another object, another J or another window
+    # samples anew
+    for args in ((ModeProfile(ModeShape.SIN_FIRST_EXCITED, 7.3), 100),
+                 (profile, 101)):
+        build_grid(args[0], +1, 0.2, args[1])
+        assert grid_module._last_sampling[2] is not shared
+    sech2 = ModeProfile(ModeShape.SECH2, 5.0)
+    build_grid(sech2, +1, 0.1, 50)
+    first = grid_module._last_sampling[2]
+    build_grid(sech2, +1, 0.1, 50, window_factor=8.0)
+    assert grid_module._last_sampling[2] is not first
+
+
+def test_merge_turning_nodes():
+    merge = grid_module._merge_turning_nodes
+    uniform = np.array([0.0, 1.0, 2.0, 3.0])
+    # the first root replaces node 1; the second, 1.8e-10 from it and so
+    # beyond the 1e-10 merge tolerance, is inserted
+    assert merge(uniform, [1.0 - 0.9e-10, 1.0 + 0.9e-10]).tolist() == [
+        0.0, 1.0 - 0.9e-10, 1.0 + 0.9e-10, 2.0, 3.0]
+    # window edges never move, roots outside the window are dropped
+    assert merge(uniform, [0.5e-10, 3.0 - 0.5e-10, -1.0, 3.0, 1.5]).tolist() == [
+        0.0, 1.0, 1.5, 2.0, 3.0]
+    assert uniform.tolist() == [0.0, 1.0, 2.0, 3.0]

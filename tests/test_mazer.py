@@ -408,6 +408,34 @@ class TestSweep:
         assert len(serial.rows) == 17
         assert serial.rows == parallel.rows
 
+    def test_pool_starts_no_idle_process(self, monkeypatch):
+        # a pool starts all its processes at once: one chunk is solved in
+        # this process, and 10 rows (two chunks) ask for two processes
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(mazer, "ProcessPoolExecutor", Pool)
+        p = make_params(ModeShape.SIN_FIRST_EXCITED, 0.1, 1.0, 40)
+        one = sweep_kappaL(p, 1.0, 1.0, 0.5, workers=2)
+        assert asked == []
+        assert one.rows == sweep_kappaL(p, 1.0, 1.0, 0.5).rows
+        ten = sweep_kappaL(p, 1.0, 1.9, 0.1, workers=8)
+        assert asked == [2]
+        assert len(ten.rows) == 10
+        assert ten.rows == sweep_kappaL(p, 1.0, 1.9, 0.1).rows
+
 
 def lone_row(params, kappaL):
     """The sweep row at kappaL from two branch solves made one by one,
