@@ -16,7 +16,8 @@ Two refinements keep that approximation honest:
   the linear interpolation.
 
 The turning points move with alpha and alpha with the nodes, so the builder
-iterates to a fixed point, one :func:`find_turning_points` call per pass.
+iterates to a fixed point, one :func:`find_turning_points` call and one
+merge of its roots into the uniform nodes per pass.
 The mode depends neither on alpha nor on the branch or k: the two branch
 builds of a row share one sampling of it (the last build's, held in a
 one-entry memo keyed by the profile object, the window and J), namely the
@@ -374,35 +375,21 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
 
 # --- turning points -------------------------------------------------------
 
-class _ModeSamples:
-    """The mode u on a uniform scan of a window, and at every bisection
-    midpoint evaluated so far (``at``, x -> u(x)).
-
-    u does not depend on alpha, so the alpha passes of one build share one
-    of these: each pass forms alpha*V - E from the same scan and finds
-    there every midpoint that an earlier pass already evaluated.
-    """
-
-    __slots__ = ("xs", "us", "at")
-
-    def __init__(self, profile: ModeProfile, window: tuple[float, float],
-                 scan_points: int) -> None:
-        self.xs = np.linspace(window[0], window[1], max(int(scan_points), 16))
-        self.us = eval_mode_array(profile, self.xs)
-        self.at: dict[float, float] = {}
+def _scan(profile: ModeProfile, window, scan_points: int) -> tuple:
+    """A uniform scan of at least 16 points, u there, no midpoints yet."""
+    xs = np.linspace(window[0], window[1], max(int(scan_points), 16))
+    return xs, eval_mode_array(profile, xs), {}
 
 
 class _Sampling:
-    """What a build reads of the mode before its first alpha pass: the J
-    uniform nodes and u there, the exact |u| area of the window, the
-    alpha of the uniform nodes and the turning-point scan, whose arrays
-    are all read-only.
+    """What a build reads of the mode, none of it dependent on alpha, the
+    branch or k: the J uniform nodes and u there, the exact |u| area of
+    the window, the alpha of the uniform nodes, the turning-point scan
+    (``scan_x``, ``scan_u``) and u at every bisection midpoint evaluated
+    so far (``midpoints``, x -> u(x)).  The arrays are read-only."""
 
-    None of it depends on the branch or on k, so :func:`_sampling` hands
-    the two branch builds of a row one of these.
-    """
-
-    __slots__ = ("uniform", "u_uniform", "area_exact", "alpha", "scan")
+    __slots__ = ("uniform", "u_uniform", "area_exact", "alpha",
+                 "scan_x", "scan_u", "midpoints")
 
     def __init__(self, profile: ModeProfile, window: tuple[float, float],
                  J: int) -> None:
@@ -410,8 +397,9 @@ class _Sampling:
         self.u_uniform = eval_mode_array(profile, self.uniform)
         self.area_exact = abs_area(profile, *window)
         self.alpha = _alpha(self.area_exact, self.uniform, self.u_uniform, J)
-        self.scan = _ModeSamples(profile, window, 8 * max(J, 64))
-        for a in (self.uniform, self.u_uniform, self.scan.xs, self.scan.us):
+        self.scan_x, self.scan_u, self.midpoints = _scan(
+            profile, window, 8 * max(J, 64))
+        for a in (self.uniform, self.u_uniform, self.scan_x, self.scan_u):
             a.flags.writeable = False
 
 
@@ -442,7 +430,7 @@ def find_turning_points(
     *,
     alpha: float = 1.0,
     scan_points: int = 4096,
-    samples: _ModeSamples | None = None,
+    samples: _Sampling | None = None,
 ) -> list[float]:
     """All solutions of sign * alpha * u(x)/2 = E inside the window.
 
@@ -450,9 +438,9 @@ def find_turning_points(
     by bisection to 1e-12 times min(1, window width) (or a few ulps at
     large |x|, whichever is coarser).  Mesa is special: its edges are
     potential jumps, handled as segment boundaries rather than roots, so
-    the list is empty.  ``samples``, the mode on this window's scan of
-    ``scan_points`` points and at earlier midpoints, lets the passes of one
-    build share their mode values; the roots do not depend on it.
+    the list is empty.  ``samples``, a build's sampling of this window,
+    replaces the scan of ``scan_points`` points with its own and keeps
+    the midpoints for later passes; the roots are a lone call's.
     """
     if E <= 0.0:
         raise ValueError("turning points are defined for E > 0")
@@ -462,11 +450,10 @@ def find_turning_points(
     if not a < b:
         raise ValueError(f"empty window [{a}, {b}]")
     scale = min(1.0, b - a)
-    if samples is None:
-        samples = _ModeSamples(profile, window, scan_points)
-    xs, u_at = samples.xs, samples.at
+    xs, us, u_at = (_scan(profile, window, scan_points) if samples is None
+                    else (samples.scan_x, samples.scan_u, samples.midpoints))
     signed_alpha = sign * alpha
-    hs = signed_alpha * samples.us * 0.5 - E
+    hs = signed_alpha * us * 0.5 - E
     roots = xs[hs == 0.0].tolist()
     for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0).tolist():
         lo, hi = float(xs[i]), float(xs[i + 1])
@@ -548,11 +535,14 @@ def check_window_factor(window_factor: float) -> None:
                          f"= {WINDOW_FACTOR_MAX:g}")
 
 
-def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> np.ndarray:
+def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> tuple:
     """Insert roots into the node array; a root within the merge tolerance
-    of an interior node replaces that node (window edges stay put)."""
+    of an interior node replaces that node (window edges stay put).  Also
+    returns the index of each root's turning node, its own or the window
+    edge within the tolerance of it; a root outside the window has none."""
     nodes = uniform.tolist()
     tol = TURNING_MERGE_TOL * min(1.0, nodes[-1] - nodes[0])
+    turning = []
     for r in roots:
         if r <= nodes[0] or r >= nodes[-1]:
             continue
@@ -562,13 +552,16 @@ def _merge_turning_nodes(uniform: np.ndarray, roots: list[float]) -> np.ndarray:
             if 0 <= j < len(nodes) and abs(nodes[j] - r) <= tol:
                 near = j
                 break
-        if near is not None:
-            if near == 0 or near == len(nodes) - 1:
-                continue   # never move a window edge
-            nodes[near] = r
-        else:
+        if near is None:
             nodes.insert(idx, r)
-    return np.array(nodes)
+        elif near == 0 or near == len(nodes) - 1:
+            r = nodes[near]   # never move a window edge
+        else:
+            nodes[near] = r
+        turning.append(r)
+    nodes = np.array(nodes)
+    # by value: a later insertion shifts the indices
+    return nodes, np.searchsorted(nodes, turning)
 
 
 def build_grid(
@@ -621,26 +614,31 @@ def build_grid(
     window = (x_a, x_b)
     scale = min(1.0, x_b - x_a)
     sampling = _sampling(profile, window, J)
-    uniform, area_exact, samples, alpha = (
-        sampling.uniform, sampling.area_exact, sampling.scan, sampling.alpha)
-    # the nodes, their mode values and alpha go with the roots: the uniform
-    # nodes go with none
-    nodes, u_nodes = uniform, sampling.u_uniform
+    area_exact, alpha = sampling.area_exact, sampling.alpha
+
+    def roots_at(a: float) -> list[float]:
+        return find_turning_points(profile, sign, E, window, alpha=a,
+                                   samples=sampling)
+
+    def nodes_at(at_roots: list[float]):
+        at_nodes, turning = _merge_turning_nodes(sampling.uniform, at_roots)
+        return at_nodes, turning, eval_mode_array(profile, at_nodes)
+
+    # the nodes, their turning nodes, mode values and alpha go with the
+    # roots: the uniform nodes go with none
+    nodes, turning, u_nodes = sampling.uniform, [], sampling.u_uniform
     roots: list[float] = []
     # (alpha, alpha * area of the nodes its roots give - exact area) of
     # every pass, for the fallback below
     defects: list[tuple[float, float]] = []
     settled = False
     for _ in range(_MAX_ALPHA_ITER):
-        new_roots = find_turning_points(
-            profile, sign, E, window, alpha=alpha,
-            scan_points=samples.xs.size, samples=samples)
+        new_roots = roots_at(alpha)
         if new_roots == roots:
             # the same nodes again, so the same alpha: a fixed point
             settled = True
             break
-        nodes = _merge_turning_nodes(uniform, new_roots)
-        u_nodes = eval_mode_array(profile, nodes)
+        nodes, turning, u_nodes = nodes_at(new_roots)
         new_alpha = _alpha(area_exact, nodes, u_nodes, J)
         defects.append((alpha, area_exact * (alpha / new_alpha - 1.0)))
         stable_alpha = abs(new_alpha - alpha) <= _ALPHA_FIXED_POINT_TOL * max(
@@ -654,7 +652,7 @@ def build_grid(
             break
 
     try:
-        return _finish_grid(profile, sign, k, window, alpha, roots, nodes,
+        return _finish_grid(profile, sign, k, window, alpha, turning, nodes,
                             u_nodes, area_exact)
     except GridResolutionError:
         if settled:
@@ -662,22 +660,15 @@ def build_grid(
         # the passes ran out with alpha still moving: take instead the
         # alpha whose own roots give the exact area, a root of the defect
 
-        def nodes_at(a: float):
-            at_roots = find_turning_points(
-                profile, sign, E, window, alpha=a,
-                scan_points=samples.xs.size, samples=samples)
-            at_nodes = _merge_turning_nodes(uniform, at_roots)
-            return at_roots, at_nodes, eval_mode_array(profile, at_nodes)
-
         def defect(a: float) -> float:
-            _, at_nodes, at_u = nodes_at(a)
+            at_nodes, _, at_u = nodes_at(roots_at(a))
             return a * interp_abs_area(at_nodes, at_u) - area_exact
 
         alpha = _bracketed_root(defect, defects, alpha)
         if alpha is None:
             raise
-    roots, nodes, u_nodes = nodes_at(alpha)
-    return _finish_grid(profile, sign, k, window, alpha, roots, nodes,
+    nodes, turning, u_nodes = nodes_at(roots_at(alpha))
+    return _finish_grid(profile, sign, k, window, alpha, turning, nodes,
                         u_nodes, area_exact)
 
 
@@ -729,11 +720,11 @@ def _bracketed_root(defect, history: list[tuple[float, float]],
     return root if result.converged else None
 
 
-def _finish_grid(profile, sign, k, window, alpha, roots, nodes, u_nodes,
+def _finish_grid(profile, sign, k, window, alpha, turning, nodes, u_nodes,
                  area_exact) -> Grid:
-    """Snap the turning nodes, split residual sign changes, check the area
-    and segment the nodes of a build at its final alpha.  u_nodes is
-    copied before the snaps write into it: it may be the shared sampling's."""
+    """Snap the turning nodes (indices), split residual sign changes,
+    check the area and segment the nodes of a build at its final alpha.
+    u_nodes is copied before the snaps write into it: it may be shared."""
     u_nodes = u_nodes.copy()
     z_free = k * k
     z = z_free - sign * alpha * u_nodes
@@ -741,20 +732,15 @@ def _finish_grid(profile, sign, k, window, alpha, roots, nodes, u_nodes,
     u_turn = sign * z_free / alpha
     # a converged root satisfies its equation to ~1e-12 in x; snap the
     # sampled z there to exactly zero so the adjacent tags come out clean
-    root_positions = []
-    for r in roots:
-        if nodes[0] < r < nodes[-1]:
-            i = int(np.argmin(np.abs(nodes - r)))
-            z[i] = 0.0
-            u_nodes[i] = u_turn
-            root_positions.append(float(nodes[i]))
+    z[turning] = 0.0
+    u_nodes[turning] = u_turn
+    turning_x = nodes[turning].tolist()
 
     # safety net: any residual sign change inside an interval is a turning
     # point of the interpolant itself and must become a node
     nodes, z, u_nodes, extra = _split_residual_crossings(nodes, z, u_nodes, u_turn)
-    root_positions = sorted(root_positions + extra)
     _verify_grid(nodes, u_nodes, alpha, area_exact)
-    return _grid(profile, k, window, alpha, root_positions, nodes, z)
+    return _grid(profile, k, window, alpha, sorted(turning_x + extra), nodes, z)
 
 
 def _grid(profile, k, window, alpha, turning_points, nodes, z) -> Grid:

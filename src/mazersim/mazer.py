@@ -260,8 +260,15 @@ def _sweep_chunk(params: MazerParams, values: list[float]) -> list[SweepRow]:
     return list(map(_sweep_row, values, _solve_chunk(params.with_kappaL, values)))
 
 
+# the most points a kappaL range may have, checked before its list is
+# built, so a range such as 0:1e15:1 fails at once instead of exhausting
+# memory; the largest stored lattice has 501
+SWEEP_ROWS_MAX = 10**6
+
+
 def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo+step, ... inclusive of hi whenever it lands within half a step."""
+    """lo, lo+step, ... inclusive of hi whenever it lands within half a step;
+    at most ``SWEEP_ROWS_MAX`` points."""
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError(f"range {lo}:{hi}:{step} must be finite")
     if not step > 0.0:
@@ -274,6 +281,9 @@ def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
     if not math.isfinite(count):
         raise ValueError(f"range {lo}:{hi}:{step} has no finite point count")
     n = int(math.floor(count + 0.5))
+    if n + 1 > SWEEP_ROWS_MAX:
+        raise ValueError(f"range {lo}:{hi}:{step} has {n + 1} points, above "
+                         f"SWEEP_ROWS_MAX = {SWEEP_ROWS_MAX}")
     values = [lo + i * step for i in range(n + 1)]
     return [v for v in values if v <= hi + 0.5 * step]
 

@@ -90,14 +90,17 @@ def sech2_analytic(k_over_kappa: float, kappaL: float, branch: int) -> OracleRes
         return OracleResult(1.0 + 0.0j, 0.0 + 0.0j)
     kL = k_over_kappa * kappaL
     xi = cmath.sqrt(complex(branch * kappaL * kappaL - 0.25))
-    t = cmath.exp(
-        log_gamma_complex(0.5 - 1j * (kL + xi))
-        + log_gamma_complex(0.5 - 1j * (kL - xi))
-        - log_gamma_complex(-1j * kL)
-        - log_gamma_complex(1.0 - 1j * kL))
+    lt = (log_gamma_complex(0.5 - 1j * (kL + xi))
+          + log_gamma_complex(0.5 - 1j * (kL - xi))
+          - log_gamma_complex(-1j * kL)
+          - log_gamma_complex(1.0 - 1j * kL))
+    t = cmath.exp(lt)
     try:
-        r = t * cmath.exp(
-            log_gamma_complex(1j * kL)
+        # one exp of the summed logs: at large L, t underflows while the
+        # factor that takes it to r overflows
+        r = cmath.exp(
+            lt
+            + log_gamma_complex(1j * kL)
             + log_gamma_complex(1.0 - 1j * kL)
             - log_gamma_complex(0.5 + 1j * xi)
             - log_gamma_complex(0.5 - 1j * xi))

@@ -145,6 +145,8 @@ class TestConfigErrors:
          "--J", "2"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1e308:1e-300",
          "--J", "2"],
+        ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1e6:1",
+         "--J", "2"],
     ])
     def test_exit_1(self, capsys, argv):
         code, out, err = run(capsys, argv)

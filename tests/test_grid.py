@@ -669,8 +669,8 @@ def test_warm_build_equals_cold_build(monkeypatch):
     # find_turning_points does when called on its own, gives the same grid
     warm_find = grid_module.find_turning_points
 
-    def cold_find(*args, samples=None, **kwargs):
-        return warm_find(*args, **kwargs)
+    def cold_find(*args, samples, **kwargs):
+        return warm_find(*args, scan_points=samples.scan_x.size, **kwargs)
 
     rng = np.random.default_rng(20261018)
     shapes = [ModeShape.SIN_FUNDAMENTAL, ModeShape.SIN_FIRST_EXCITED,
@@ -803,7 +803,7 @@ def test_branch_builds_share_one_read_only_sampling():
     shared = grid_module._last_sampling[2]
     build_grid(profile, -1, 0.2, 100)
     assert grid_module._last_sampling[2] is shared
-    arrays = (shared.uniform, shared.u_uniform, shared.scan.xs, shared.scan.us)
+    arrays = (shared.uniform, shared.u_uniform, shared.scan_x, shared.scan_u)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -825,10 +825,26 @@ def test_merge_turning_nodes():
     merge = grid_module._merge_turning_nodes
     uniform = np.array([0.0, 1.0, 2.0, 3.0])
     # the first root replaces node 1; the second, 1.8e-10 from it and so
-    # beyond the 1e-10 merge tolerance, is inserted
-    assert merge(uniform, [1.0 - 0.9e-10, 1.0 + 0.9e-10]).tolist() == [
-        0.0, 1.0 - 0.9e-10, 1.0 + 0.9e-10, 2.0, 3.0]
-    # window edges never move, roots outside the window are dropped
-    assert merge(uniform, [0.5e-10, 3.0 - 0.5e-10, -1.0, 3.0, 1.5]).tolist() == [
-        0.0, 1.0, 1.5, 2.0, 3.0]
+    # beyond the 1e-10 merge tolerance, is inserted; each is its own
+    # turning node
+    nodes, turning = merge(uniform, [1.0 - 0.9e-10, 1.0 + 0.9e-10])
+    assert nodes.tolist() == [0.0, 1.0 - 0.9e-10, 1.0 + 0.9e-10, 2.0, 3.0]
+    assert turning.tolist() == [1, 2]
+    # window edges never move: a root within the tolerance of one makes the
+    # edge its turning node, counted after the later insertion of 1.5;
+    # roots outside the open window are dropped and have none
+    nodes, turning = merge(uniform, [0.5e-10, 3.0 - 0.5e-10, -1.0, 3.0, 1.5])
+    assert nodes.tolist() == [0.0, 1.0, 1.5, 2.0, 3.0]
+    assert turning.tolist() == [0, 4, 2]
+    assert merge(uniform, [-1.0, 0.0, 3.0])[1].tolist() == []
     assert uniform.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_roots_within_merge_tolerance_of_the_edges_turn_there():
+    # sin at k 1e-5 turns about 3e-11 from both edges of [0, 1], inside the
+    # window but within the merge tolerance: the edges stay put and are
+    # the turning nodes, with z exactly 0
+    grid = build_grid(ModeProfile(ModeShape.SIN_FUNDAMENTAL, 1.0), +1, 1e-5, 20)
+    assert grid.points.size == 20
+    assert grid.turning_points == (grid.points[0], grid.points[-1])
+    assert grid.z[0] == grid.z[-1] == 0.0

@@ -342,6 +342,9 @@ class TestSweep:
         # finite input whose point count overflows
         with pytest.raises(ValueError, match="no finite point count"):
             kappaL_range(0.0, 1e308, 1e-300)
+        # a finite count above the row bound, refused before the list
+        with pytest.raises(ValueError, match="SWEEP_ROWS_MAX"):
+            kappaL_range(0.0, 1e6, 1.0)
 
     def test_negative_lower_bound_rejected_before_any_row(self, monkeypatch):
         with pytest.raises(ValueError, match="negative"):

@@ -77,6 +77,29 @@ def test_sech2_golden_P_em():
         SECH2_PEM_GOLDEN, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [0.01, 0.1, 1.0])
+def test_sech2_long_cavity_against_mpmath(k):
+    # from kappaL ~ 228 at k 0.01, t underflows while the Gamma factor that
+    # takes it to r overflows; both come from one exp of their log sum.
+    # The reference sums mpmath's log Gammas at 40 digits.  An amplitude
+    # below 1e-300 need only come out that small.
+    g = mp.loggamma
+    for L in (228.0, 300.0, 1000.0):
+        for branch in (+1, -1):
+            res = sech2_analytic(k, L, branch)
+            with mp.workdps(40):
+                kL = mp.mpf(k) * L
+                xi = mp.sqrt(mp.mpc(branch * mp.mpf(L) ** 2 - mp.mpf(1) / 4))
+                lt = (g(0.5 - 1j * (kL + xi)) + g(0.5 - 1j * (kL - xi))
+                      - g(-1j * kL) - g(1 - 1j * kL))
+                lr = (lt + g(1j * kL) + g(1 - 1j * kL)
+                      - g(0.5 + 1j * xi) - g(0.5 - 1j * xi))
+                for got, log_ref in ((res.t, lt), (res.r, lr)):
+                    ref = mp.exp(log_ref)
+                    assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-300), (
+                        L, branch, got, ref)
+
+
 def test_sech2_reflectionless_well():
     # well depths with sqrt(L^2 + 1/4) = m + 1/2 reflect nothing
     for m in (1, 2, 3):
