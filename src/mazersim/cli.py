@@ -1,10 +1,13 @@
 """Command-line front end: sweeps, convergence studies, oracle comparisons,
 and wavefunction dumps as deterministic CSV.
 
-Output discipline: every file starts with '#' comment lines echoing the
-parsed configuration plus a hash of that echo, then a fixed column header.
-No timestamps anywhere, so identical invocations produce identical bytes.
-Exit codes: 0 clean, 1 configuration error, 2 at least one data row failed.
+Every command writes through one function, ``_write``: '#' comment lines
+echoing the profile, k_over_kappa and the command's settings plus a hash
+of that echo, a fixed column header, then the rows, to stdout or
+``--output``. No timestamps anywhere, so identical invocations produce
+identical bytes. Exit codes: 0 clean; 1 configuration error or unwritable
+``--output``, with one ``error:`` line on stderr; 2 a data row failed or
+the computation raised, which the CSV records in a ``# error`` line.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import functools
 import hashlib
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -89,107 +93,91 @@ def _worker_count(requested: int | None) -> int:
     return min(requested, bound) if bound is not None else requested
 
 
-def _header(command: str, settings: list[tuple[str, object]]) -> list[str]:
-    echo = " ".join(f"{key}={value}" for key, value in settings)
-    digest = hashlib.sha256(f"{command} {echo}".encode()).hexdigest()[:12]
-    return [
-        f"# mazersim {command}",
-        f"# {echo}",
-        f"# config_sha256={digest}",
-    ]
-
-
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _ConfigError(f"cannot write {path!r}: {exc}")
-
-
-def _base_params(args, *, J: int | None = None) -> MazerParams:
+def _params(args, kappaL: float, J: int) -> MazerParams:
     shape = _PROFILE_NAMES.get(args.profile)
     if shape is None:
         raise _ConfigError(f"unknown profile {args.profile!r}")
-    kappaL = getattr(args, "kappaL", None) or 0.0
     try:
         return MazerParams.for_shape(
-            shape, args.k, kappaL, J if J is not None else args.J,
-            window_factor=args.window_factor)
+            shape, args.k, kappaL, J, window_factor=args.window_factor)
     except (TypeError, ValueError) as exc:
         raise _ConfigError(str(exc))
 
 
-def _sweep_row_lines(row) -> list[str]:
-    values = (row.kappaL, row.P_em, row.T_a_sq, row.T_b_sq,
-              row.R_a_sq, row.R_b_sq,
-              row.unit_defect_plus, row.unit_defect_minus)
-    lines = [",".join(_fmt(v) for v in values)]
-    if row.error is not None:
-        lines.append(f"# error kappaL={_fmt(row.kappaL)}: {row.error}")
-    return lines
+def _write(args, settings: list[tuple[str, object]], columns: str,
+           rows: Callable[[], tuple[list[str], int]]) -> int:
+    """Writes one command's CSV to stdout or ``--output``; returns its status.
+
+    ``rows()`` gives the body and the status; an exception it raises
+    becomes one ``# error:`` line and status 2.
+    """
+    echo = " ".join(f"{key}={value}" for key, value in [
+        ("profile", args.profile), ("k_over_kappa", _fmt(args.k)), *settings])
+    digest = hashlib.sha256(f"{args.command} {echo}".encode()).hexdigest()[:12]
+    try:
+        body, status = rows()
+    except Exception as exc:
+        body, status = [f"# error: {type(exc).__name__}: {exc}"], 2
+    text = "\n".join([f"# mazersim {args.command}", f"# {echo}",
+                      f"# config_sha256={digest}", columns, *body]) + "\n"
+    if args.output is None:
+        sys.stdout.write(text)
+        return status
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {args.output!r}: {exc}")
+    return status
 
 
 def _cmd_sweep(args) -> int:
-    """Runs ``sweep``, and ``compare-oracle``, which adds the oracle's P_em."""
-    oracle = None
+    """Runs ``sweep``, and ``compare-oracle``, which adds the oracle's P_em.
+    A failed row keeps its line, so the table is solved before ``_write``."""
+    oracle, columns = None, _SWEEP_COLUMNS
     if args.command == "compare-oracle":
         if args.profile not in ("sech2", "mesa"):
             raise _ConfigError(
                 "oracle comparison needs a profile with a closed form: sech2 or mesa")
         oracle = sech2_analytic if args.profile == "sech2" else mesa_analytic
+        columns += ",P_em_oracle,abs_dev"
     lo, hi, step = _parse_range(args.range)
-    params = _base_params(args)
+    params = _params(args, 0.0, args.J)
     workers = _worker_count(args.workers)
     table = sweep_kappaL(params, lo, hi, step, workers=workers)
-    lines = _header(args.command, [
-        ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
-        ("range", args.range), ("J", args.J),
-        ("window_factor", _fmt(args.window_factor)),
-    ])
-    lines.append(_SWEEP_COLUMNS if oracle is None
-                 else _SWEEP_COLUMNS + ",P_em_oracle,abs_dev")
-    max_dev = 0.0
+    lines, max_dev = [], 0.0
     for row in table.rows:
-        body = _sweep_row_lines(row)
+        values = [row.kappaL, row.P_em, row.T_a_sq, row.T_b_sq, row.R_a_sq,
+                  row.R_b_sq, row.unit_defect_plus, row.unit_defect_minus]
         if oracle is not None:
             reference = _combine(oracle(args.k, row.kappaL, +1),
                                  oracle(args.k, row.kappaL, -1)).P_em
             dev = abs(row.P_em - reference)    # nan on a failed row
             if row.error is None:
                 max_dev = max(max_dev, dev)
-            body[0] += f",{_fmt(reference)},{_fmt(dev)}"
-        lines.extend(body)
+            values += [reference, dev]
+        lines.append(",".join(_fmt(v) for v in values))
+        if row.error is not None:
+            lines.append(f"# error kappaL={_fmt(row.kappaL)}: {row.error}")
     if oracle is not None:
         lines.append(f"# max_abs_dev={_fmt(max_dev)}")
-    _write_lines(args.output, lines)
-    return 2 if table.has_errors else 0
+    return _write(args, [("range", args.range), ("J", args.J),
+                         ("window_factor", _fmt(args.window_factor))],
+                  columns, lambda: (lines, 2 if table.has_errors else 0))
 
 
 def _cmd_converge(args) -> int:
     J_list = _parse_J_list(args.J)
-    params = _base_params(args, J=J_list[0])
-    lines = _header("converge", [
-        ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
-        ("kappaL", _fmt(args.kappaL)), ("J", args.J),
-        ("window_factor", _fmt(args.window_factor)),
-    ])
-    lines.append("J,P_em")
-    try:
+    params = _params(args, args.kappaL, J_list[0])
+
+    def rows():
         study = convergence_study(params, J_list)
-    except Exception as exc:
-        lines.append(f"# error: {type(exc).__name__}: {exc}")
-        _write_lines(args.output, lines)
-        return 2
-    for J, P_em in study.entries:
-        lines.append(f"{J},{_fmt(P_em)}")
-    lines.append(f"# settle={_fmt(study.settle)}")
-    _write_lines(args.output, lines)
-    return 0
+        return [*(f"{J},{_fmt(P_em)}" for J, P_em in study.entries),
+                f"# settle={_fmt(study.settle)}"], 0
+
+    return _write(args, [("kappaL", _fmt(args.kappaL)), ("J", args.J),
+                         ("window_factor", _fmt(args.window_factor))],
+                  "J,P_em", rows)
 
 
 def _cmd_wavefunction(args) -> int:
@@ -198,31 +186,23 @@ def _cmd_wavefunction(args) -> int:
     branch = 1 if args.branch in ("+1", "1") else -1
     if args.samples < 2:
         raise _ConfigError("--samples must be at least 2")
-    params = _base_params(args)
+    params = _params(args, args.kappaL, args.J)
     if params.kappaL == 0.0:
         raise _ConfigError("wavefunction dump needs kappaL > 0")
-    lines = _header("wavefunction", [
-        ("profile", args.profile), ("k_over_kappa", _fmt(args.k)),
-        ("kappaL", _fmt(args.kappaL)), ("J", args.J),
-        ("branch", f"{branch:+d}"),
-        ("window_factor", _fmt(args.window_factor)),
-        ("samples", args.samples),
-    ])
-    lines.append("x,re_psi,im_psi,abs2_psi")
-    try:
+
+    def rows():
         grid = build_grid(
             params.profile, branch, params.k_over_kappa, params.J,
             window_factor=params.window_factor)
         samples = wavefunction(grid, np.linspace(*grid.window, args.samples))
-    except Exception as exc:
-        lines.append(f"# error: {type(exc).__name__}: {exc}")
-        _write_lines(args.output, lines)
-        return 2
-    for x, phi in samples:
-        lines.append(",".join(
-            (_fmt(x), _fmt(phi.real), _fmt(phi.imag), _fmt(abs(phi) ** 2))))
-    _write_lines(args.output, lines)
-    return 0
+        return [",".join(map(_fmt, (x, phi.real, phi.imag, abs(phi) ** 2)))
+                for x, phi in samples], 0
+
+    return _write(args, [("kappaL", _fmt(args.kappaL)), ("J", args.J),
+                         ("branch", f"{branch:+d}"),
+                         ("window_factor", _fmt(args.window_factor)),
+                         ("samples", args.samples)],
+                  "x,re_psi,im_psi,abs2_psi", rows)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

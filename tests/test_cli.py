@@ -40,18 +40,6 @@ class TestSweep:
         assert float(first[0]) == 0.0
         assert float(rows[-1].split(",")[0]) == 20.0
 
-    def test_header_echoes_config_with_hash(self, capsys):
-        code, out, _ = run(capsys, [
-            "sweep", "--profile", "mesa", "--k", "0.5",
-            "--range", "0:1:0.5", "--J", "2"])
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "# mazersim sweep"
-        assert "profile=mesa" in lines[1]
-        assert "k_over_kappa=0.5" in lines[1]
-        assert lines[2].startswith("# config_sha256=")
-        assert len(lines[2].split("=")[1]) == 12
-
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--profile", "sech2", "--k", "0.1",
                 "--range", "0:2:0.5", "--J", "40"]
@@ -346,3 +334,104 @@ def test_back_to_back_calls_print_what_a_first_call_prints(capsys):
     assert [code for code, _, _ in first] == [0, 1, 0, 0]
     assert first[1][2].startswith("error: the following arguments are "
                                   "required: --J")
+
+
+# The exact bytes four commands print, one of each: the echo, its hash, the
+# column line, every value and every trailing '#' line.  A change to the
+# CSV layout or to a printed value fails here.
+GOLDEN = {
+    "sweep --profile mesa --k 0.5 --range 0:1:0.5 --J 2": """\
+# mazersim sweep
+# profile=mesa k_over_kappa=0.5 range=0:1:0.5 J=2 window_factor=16.0
+# config_sha256=a128b55b4fa4
+kappaL,P_em,Ta2,Tb2,Ra2,Rb2,unit_defect_plus,unit_defect_minus
+0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0
+0.5,0.3185787313245416,0.641733279506678,0.16136167107188415,0.03968798916878013,0.1572170602526575,4.440892098500626e-16,1.1102230246251565e-16
+1.0,0.5008464823362198,0.2523530309839087,0.2708924912683209,0.2468004866798713,0.2299539910678989,0.0,2.220446049250313e-16
+""",
+    "compare-oracle --profile mesa --k 0.01 --range 0:0.1:0.05 --J 2": """\
+# mazersim compare-oracle
+# profile=mesa k_over_kappa=0.01 range=0:0.1:0.05 J=2 window_factor=16.0
+# config_sha256=a7fa0313f382
+kappaL,P_em,Ta2,Tb2,Ra2,Rb2,unit_defect_plus,unit_defect_minus,P_em_oracle,abs_dev
+0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0
+0.05,0.2378121243566377,0.019024984448466377,0.11890609809785913,0.7431628911948958,0.11890602625877858,2.220446049250313e-16,0.0,0.23781212435663793,2.220446049250313e-16
+0.1,0.07396447486700634,0.00147938384338535,0.036982397690010625,0.9245561412896082,0.03698207717699572,3.3306690738754696e-16,0.0,0.0739644748670063,4.163336342344337e-17
+# max_abs_dev=2.220446049250313e-16
+""",
+    "converge --profile mesa --k 0.5 --kappaL 1 --J 2,3": """\
+# mazersim converge
+# profile=mesa k_over_kappa=0.5 kappaL=1.0 J=2,3 window_factor=16.0
+# config_sha256=eac897dc15b9
+J,P_em
+2,0.5008464823362198
+3,0.5008464823362198
+# settle=0.0
+""",
+    "wavefunction --profile mesa --k 0.5 --kappaL 2 --J 2 --samples 5 --branch -1": """\
+# mazersim wavefunction
+# profile=mesa k_over_kappa=0.5 kappaL=2.0 J=2 branch=-1 window_factor=16.0 samples=5
+# config_sha256=beaa64e49bb6
+x,re_psi,im_psi,abs2_psi
+0.0,0.5032241237052026,-0.2905127299472454,0.33763216494027026
+0.5,0.3577176360228555,0.1087169935577733,0.13978129181002105
+1.0,0.10330534519116544,0.47484823293148476,0.23615283866321946
+1.5,-0.182557873564428,0.696413694793054,0.5183194114956787
+2.0,-0.41284202704715384,0.7059585987674717,0.6688160824701349
+""",
+}
+
+# Failed data exits 2 and keeps its header: the echo, its hash, the column
+# line, then the error line (the sweep's follows its refused row).
+GOLDEN_FAILURES = {
+    "sweep --profile sech2 --k 0.1 --range 0:2e-100:5e-101 --J 50": [
+        "# mazersim sweep",
+        "# profile=sech2 k_over_kappa=0.1 range=0:2e-100:5e-101 J=50 "
+        "window_factor=16.0",
+        "# config_sha256=53e82c3f2566",
+        SWEEP_HEADER,
+        "# error kappaL=5e-101: ValueError: length 5e-101 is below "
+        "LENGTH_MIN = 1e-100; use 0 for no mode",
+    ],
+    "converge --profile sin2 --k 0.1 --kappaL 5 --J 2,3": [
+        "# mazersim converge",
+        "# profile=sin2 k_over_kappa=0.1 kappaL=5.0 J=2,3 window_factor=16.0",
+        "# config_sha256=dc7b6003233c",
+        "J,P_em",
+        "# error: GridResolutionError: every one of the J = 2 nodes sits on "
+        "a zero of the mode; increase J",
+    ],
+    "wavefunction --profile sin2 --k 0.1 --kappaL 5 --J 2": [
+        "# mazersim wavefunction",
+        "# profile=sin2 k_over_kappa=0.1 kappaL=5.0 J=2 branch=+1 "
+        "window_factor=16.0 samples=400",
+        "# config_sha256=ca5a9bb1e78f",
+        "x,re_psi,im_psi,abs2_psi",
+        "# error: GridResolutionError: every one of the J = 2 nodes sits on "
+        "a zero of the mode; increase J",
+    ],
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("command", GOLDEN)
+    def test_exact_bytes_on_stdout_and_in_output_file(
+            self, capsys, tmp_path, command):
+        assert run(capsys, command.split()) == (0, GOLDEN[command], "")
+        target = tmp_path / "out.csv"
+        assert run(capsys, command.split() + ["--output", str(target)]) == (
+            0, "", "")
+        assert target.read_bytes() == GOLDEN[command].encode()
+
+    @pytest.mark.parametrize("command", GOLDEN_FAILURES)
+    def test_failure_header_and_error_line(self, capsys, command):
+        code, out, err = run(capsys, command.split())
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert lines[:4] + [ln for ln in lines if ln.startswith("# error")] == (
+            GOLDEN_FAILURES[command])
+
+    def test_config_error_on_stderr_alone(self, capsys):
+        assert run(capsys, ["converge", "--profile", "mesa", "--k", "0.5",
+                            "--kappaL", "1", "--J", "100,50"]) == (
+            1, "", "error: J list must be strictly ascending\n")

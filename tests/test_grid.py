@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from mazersim.grid import (
+    _bracketed_root,
     _split_residual_crossings,
+    _verify_grid,
     DEFAULT_WINDOW_FACTOR,
     LENGTH_MAX,
     LENGTH_MIN,
@@ -116,6 +118,8 @@ def test_tabulated_validation():
         ModeProfile(ModeShape.TABULATED, 0.0, table=((0.0, 0.0), (1.0, 1.5)))
     with pytest.raises(ValueError):
         ModeProfile(ModeShape.TABULATED, 0.0, table=((0.0, 0.0),))
+    with pytest.raises(ValueError, match="SECH2 does not take a table"):
+        ModeProfile(ModeShape.SECH2, 1.0, table=((0.0, 0.0), (1.0, 0.5)))
     nan, inf = math.nan, math.inf
     for table in (((0.0, 0.0), (1.0, nan), (2.0, 0.0)),     # NaN u
                   ((0.0, 0.0), (nan, 0.5), (2.0, 0.0)),     # NaN x
@@ -346,6 +350,8 @@ def test_turning_points_require_positive_energy():
     p = ModeProfile(ModeShape.SECH2, 10.0)
     with pytest.raises(ValueError):
         find_turning_points(p, +1, 0.0, (-80.0, 80.0))
+    with pytest.raises(ValueError, match="empty window"):
+        find_turning_points(p, +1, 0.1, (1.0, 1.0))
 
 
 def test_sech2_turning_points_closed_form():
@@ -530,6 +536,24 @@ def test_refinement_nesting_and_quadratic_convergence():
             diffs.append(float(np.max(np.abs(coarse_on_fine - gf.z))))
         slope = -float(np.polyfit(np.log(Js), np.log(diffs), 1)[0])
         assert 1.7 <= slope <= 2.3
+
+
+def test_bracket_search_gives_up_on_a_one_signed_defect():
+    # every step onward from alpha keeps the defect's sign, so there is no
+    # root to refine and the alpha passes keep their last value
+    calls = []
+
+    def defect(alpha):
+        calls.append(alpha)
+        return 1.0 + alpha * alpha
+
+    assert _bracketed_root(defect, [(1.0, 2.0), (2.0, 5.0)], 3.0) is None
+    assert len(calls) == grid_module._MAX_BRACKET_STEPS
+
+
+def test_verify_grid_refuses_repeated_nodes():
+    with pytest.raises(GridResolutionError, match="not strictly increasing"):
+        _verify_grid(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4), 1.0, 0.0)
 
 
 def test_alpha_monotone_decrease():
@@ -739,6 +763,8 @@ def test_segments_built_on_demand(shape, k, kappaL, J, sign):
     z_free = g.k * g.k
     # a read builds the records; the sweep makes none
     assert read_first.segments == read_first.arrays.records(z_free)
+    with pytest.raises(ValueError, match="carries no plane wave"):
+        read_first.arrays.records(0.0)
     assert "segments" not in vars(g)
     solved = solve_scattering(g)
     recorded = sweep(g, 1.0 + 0.0j, 1.0j)

@@ -190,3 +190,8 @@ def test_log_gamma_poles_raise():
     for z in (0.0 + 0j, -1.0 + 0j, -7.0 + 0j):
         with pytest.raises(ValueError):
             log_gamma_complex(z)
+
+
+def test_log_gamma_nan_raises():
+    with pytest.raises(ValueError, match="log gamma failed"):
+        log_gamma_complex(complex(math.nan, 0.0))

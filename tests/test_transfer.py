@@ -312,6 +312,16 @@ def test_degenerate_products_raise_typed_errors(monkeypatch):
         sweep_products([g, other])
 
 
+def test_degenerate_readouts_raise_typed_errors():
+    # a readout (C0, D0, log scale) with C0 - i*D0 = 0 has no unit-incidence
+    # normalization; one whose log scale puts |t| above 1e300 overflows
+    g = build_grid(ModeProfile(ModeShape.SECH2, 5.0), +1, 0.1, 50)
+    with pytest.raises(TransferError, match="degenerate normalization"):
+        solve_scattering(g, readout=(1.0, -1j, 0.0))
+    with pytest.raises(TransferError, match="transmission overflow"):
+        solve_scattering(g, readout=(1.0, 0j, -1000.0))
+
+
 def test_non_finite_seeds_raise_typed_errors():
     g = build_grid(ModeProfile(ModeShape.SECH2, 5.0), +1, 0.1, 50)
     for seed in (math.nan, math.inf):
