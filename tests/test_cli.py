@@ -40,6 +40,18 @@ class TestSweep:
         assert float(first[0]) == 0.0
         assert float(rows[-1].split(",")[0]) == 20.0
 
+    def test_header_echoes_config_with_hash(self, capsys):
+        code, out, _ = run(capsys, [
+            "sweep", "--profile", "mesa", "--k", "0.5",
+            "--range", "0:1:0.5", "--J", "2"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# mazersim sweep"
+        assert "profile=mesa" in lines[1]
+        assert "k_over_kappa=0.5" in lines[1]
+        assert lines[2].startswith("# config_sha256=")
+        assert len(lines[2].split("=")[1]) == 12
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--profile", "sech2", "--k", "0.1",
                 "--range", "0:2:0.5", "--J", "40"]
