@@ -32,11 +32,11 @@ out with alpha still moving in its 7th or 8th digit; if that grid then
 fails its area check, the builder takes instead the alpha whose own roots
 give the exact area, by Brent's method on a bracket of the area defect.
 
-The nodes and their coefficients z = k^2 - 2*alpha*V go to
-:func:`segment_basis.build_segments`, which slopes, classifies, demotes and
-anchors every segment between the nodes in one array pass.  The grid keeps
-those arrays, and the sweep and the wavefunction read the segments from
-them in batches, nothing else.  ``Grid.segments``, a tuple of records
+The grid is the nodes and their coefficients z = k^2 - 2*alpha*V.
+:func:`segment_basis.build_segments` slopes, classifies, demotes and
+anchors every segment between them in one array pass, the first time
+``Grid.arrays`` is read; a sweep over several grids classifies all their
+segments in one such pass instead.  ``Grid.segments``, a tuple of records
 framed by the two outer free segments, is built the first time it is
 read; no solve reads it.  The mesa skips the iteration: its grid is the
 two edges of its support, with z = k^2 -+ 1 at both.
@@ -488,12 +488,12 @@ def find_turning_points(
 class Grid:
     """The full segmentation of one scattering problem.
 
-    ``arrays`` holds the segments between the nodes as arrays, all the
-    solver reads of them.  ``z`` holds the solver's coefficient
-    z = k^2 - 2*alpha*V at ``points``; turning nodes carry z = 0 exactly
-    so no segment straddles a sign change of z.  ``segments``, the same
-    segments as records framed by the two semi-infinite free regions, is
-    built on first read.  The atom's energy is k^2/2.
+    ``z`` holds the solver's coefficient z = k^2 - 2*alpha*V at
+    ``points``; turning nodes carry z = 0 exactly so no segment straddles
+    a sign change of z.  ``arrays``, the segments between the nodes as
+    arrays, and ``segments``, the same segments as records framed by the
+    two semi-infinite free regions, are built on first read.  The atom's
+    energy is k^2/2.
     """
 
     points: np.ndarray
@@ -503,11 +503,15 @@ class Grid:
     profile: ModeProfile
     window: tuple[float, float]
     turning_points: tuple[float, ...]
-    arrays: SegmentArrays
 
     def __post_init__(self) -> None:
         self.points.flags.writeable = False
         self.z.flags.writeable = False
+
+    @cached_property
+    def arrays(self) -> SegmentArrays:
+        """``build_segments(points, z)``."""
+        return build_segments(self.points, self.z)
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
@@ -573,7 +577,7 @@ def build_grid(
     window_factor: float = DEFAULT_WINDOW_FACTOR,
 ) -> Grid:
     """Uniform J-point grid over the window, turning points inserted,
-    potential samples renormalized, segments tagged.
+    potential samples renormalized; segments are tagged on first read.
 
     sign selects the dressed-potential branch: +1 for the repulsive
     barrier, -1 for the attractive well.  The window is
@@ -607,8 +611,8 @@ def build_grid(
     if profile.shape is _MESA:
         # one flat segment across the support, no interpolation
         z_top = k * k - sign
-        return _grid(profile, k, (x_a, x_b), 1.0, (), np.array([x_a, x_b]),
-                     np.array([z_top, z_top]))
+        return Grid(np.array([x_a, x_b]), np.array([z_top, z_top]), 1.0, k,
+                    profile, (x_a, x_b), ())
 
     E = 0.5 * k * k
     window = (x_a, x_b)
@@ -723,7 +727,7 @@ def _bracketed_root(defect, history: list[tuple[float, float]],
 def _finish_grid(profile, sign, k, window, alpha, turning, nodes, u_nodes,
                  area_exact) -> Grid:
     """Snap the turning nodes (indices), split residual sign changes,
-    check the area and segment the nodes of a build at its final alpha.
+    and check the area of the nodes of a build at its final alpha.
     u_nodes is copied before the snaps write into it: it may be shared."""
     u_nodes = u_nodes.copy()
     z_free = k * k
@@ -740,14 +744,8 @@ def _finish_grid(profile, sign, k, window, alpha, turning, nodes, u_nodes,
     # point of the interpolant itself and must become a node
     nodes, z, u_nodes, extra = _split_residual_crossings(nodes, z, u_nodes, u_turn)
     _verify_grid(nodes, u_nodes, alpha, area_exact)
-    return _grid(profile, k, window, alpha, sorted(turning_x + extra), nodes, z)
-
-
-def _grid(profile, k, window, alpha, turning_points, nodes, z) -> Grid:
-    """The grid of the final nodes and their z, segmented."""
-    return Grid(points=nodes, z=z, alpha=float(alpha), k=k, profile=profile,
-                window=window, turning_points=tuple(turning_points),
-                arrays=build_segments(nodes, z))
+    return Grid(nodes, z, float(alpha), k, profile, window,
+                tuple(sorted(turning_x + extra)))
 
 
 def _split_residual_crossings(

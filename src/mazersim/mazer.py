@@ -9,11 +9,12 @@ k_over_kappa and kappaL, plus the mode shape.
 
 Rows are solved in chunks of up to eight, serial and pooled alike, and a
 lone row is a chunk of one: the parameters and branch grids of a chunk are
-built first, then their propagators formed in one pass, multiplied out in
-one pairwise tree over all of them and every grid's outgoing wave carried
-across its product in one step (:func:`~mazersim.transfer.sweep_products`),
-and each branch solved from its own readout.  The results are bit for bit
-those of solving each branch alone.
+built first, then their segments classified and their propagators formed
+in one pass, multiplied out in one pairwise tree over all of them and
+every grid's outgoing wave carried across its product in one step
+(:func:`~mazersim.transfer.sweep_products`), and each branch solved from
+its own readout.  The results are bit for bit those of solving each
+branch alone.  A pooled sweep gives every process at least two chunks.
 """
 
 from __future__ import annotations
@@ -300,18 +301,19 @@ def sweep_kappaL(
 
     Rows are independent; a failing row is kept with its error message so
     the sweep never silently drops a length.  The rows are solved in
-    chunks of eight that share one propagator pass and one product tree;
-    with ``workers`` > 1 and more than one chunk, each chunk is one task
-    of a pool of min(workers, chunks) processes, and a single chunk is
-    solved in this process.  Output order is by kappaL regardless of
-    worker scheduling.
+    chunks of eight that share one propagator pass and one product tree.
+    Each chunk is one task of a pool of min(workers, chunks // 2)
+    processes when that is at least two, so every process gets two chunks
+    or more; otherwise all chunks are solved in this process.  Output
+    order is by kappaL regardless of worker scheduling.
     """
     values = kappaL_range(lo, hi, step)
     chunks = [values[i:i + _CHUNK_ROWS]
               for i in range(0, len(values), _CHUNK_ROWS)]
     solve = partial(_sweep_chunk, params)
-    # a pool starts all its processes at once, used or not
-    processes = min(workers, len(chunks))
+    # a pool starts all its processes at once, used or not, and a process
+    # costs about one chunk's solve to start: below two chunks each it loses
+    processes = min(workers, len(chunks) // 2)
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             tables = list(pool.map(solve, chunks))

@@ -33,13 +33,14 @@ from order 2/3.  Nothing here calls scipy.  The series and the kernel,
 and the kernel's two bands, agree to about 1e-14 at each switch, so
 propagators never see a jump.
 
-Every segment comes from :func:`build_segments`, one array pass over the
-node values that computes the slope, the regime (including the demotion of
-sloped segments whose argument w passes W_FLAT_COLLAPSE to the flat regime
-of their midpoint value), the anchor, the flat constant and the sign-check
-scale, and keeps them as :class:`SegmentArrays`; the sweep takes its
-batches from there with :meth:`SegmentArrays.take`, and the grid its
-tuple of records, framed by the free regions, from
+Every segment comes from :func:`classify_intervals`, one array pass over
+the end values of intervals (:func:`build_segments` hands it a grid's
+consecutive nodes) that computes the slope, the regime (including the
+demotion of sloped segments whose argument w passes W_FLAT_COLLAPSE to
+the flat regime of their midpoint value), the anchor, the flat constant
+and the sign-check scale, and keeps them as :class:`SegmentArrays`; the
+sweep takes its batches from there with :meth:`SegmentArrays.take`, and
+the grid its tuple of records, framed by the free regions, from
 :meth:`SegmentArrays.records`.  A regime is always derived from the
 values, so it cannot contradict them.
 """
@@ -61,6 +62,7 @@ __all__ = [
     "BasisEval",
     "SegmentRegimeError",
     "build_segments",
+    "classify_intervals",
     "basis_eval",
     "analytic_wronskian",
     "W_SERIES_SWITCH",
@@ -201,7 +203,13 @@ def build_segments(x, z) -> SegmentArrays:
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    x_lo, x_hi, z_lo, z_hi = x[:-1], x[1:], z[:-1], z[1:]
+    return classify_intervals(x[:-1], x[1:], z[:-1], z[1:])
+
+
+def classify_intervals(x_lo, x_hi, z_lo, z_hi) -> SegmentArrays:
+    """:func:`build_segments` of the intervals [x_lo[i], x_hi[i]], with z_lo
+    and z_hi at their ends: float arrays of one length, each interval
+    classified alone, so the intervals of several grids take one call."""
     cross = z_lo * z_hi < 0.0
     if np.count_nonzero(cross):
         i = int(np.argmax(cross))
@@ -210,8 +218,7 @@ def build_segments(x, z) -> SegmentArrays:
             f"{z_hi[i]} on [{x_lo[i]}, {x_hi[i]}]); a turning point must be "
             "a segment endpoint")
     b = (z_hi - z_lo) / (x_hi - x_lo)
-    z_abs = np.abs(z)
-    z_scale = np.maximum(z_abs[:-1], z_abs[1:])
+    z_scale = np.maximum(np.abs(z_lo), np.abs(z_hi))
     level = b == 0.0
     # w grows with |z|, so its larger end value is w at z_scale; only a
     # sloped segment divides, so a level one raises no 0/0.  A slope so

@@ -19,9 +19,10 @@ table of five entries per segment: one batch per sloped regime, where one
 ``basis_eval`` call covers both ends of every segment of the regime, and a
 closed form per flat segment (a shear, a rotation, or scaled cosh and
 sinh), which needs no basis evaluation at all.  Every row is an
-elementwise function of its own segment, so a pass over the concatenated
-arrays of several grids (:func:`sweep_products`) gives each grid the
-floats of a pass over it alone.
+elementwise function of its own segment, so a pass over several grids
+(:func:`sweep_products`), whose segments are classified in one call over
+their concatenated nodes, gives each grid the floats of a pass over it
+alone.
 
 The product is associated as a pairwise tree over all the grids of a
 batch at once (:func:`sweep_products`), each grid padded at its end with
@@ -67,6 +68,7 @@ from .segment_basis import (
     SegmentArrays,
     analytic_wronskian,
     basis_eval,
+    classify_intervals,
 )
 
 __all__ = [
@@ -184,11 +186,20 @@ def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
 
 
 def _pass(grids: Sequence[Grid]) -> np.ndarray:
-    """The propagator table of ``grids``' concatenated segment arrays, one
-    ``basis_eval`` batch per sloped regime present in any of them; an
-    error raised inside a batch names the segment's index in it."""
-    arrays = grids[0].arrays if len(grids) == 1 else SegmentArrays(
-        *map(np.concatenate, zip(*(g.arrays for g in grids))))
+    """The propagator table of ``grids``' segments, one ``basis_eval``
+    batch per sloped regime present in any of them; an error raised inside
+    a batch names the segment's index in it.  Several grids' segments are
+    classified in one call over their concatenated nodes, less the
+    interval from each grid's last node to the next one's first."""
+    if len(grids) == 1:
+        arrays = grids[0].arrays
+    else:
+        x = np.concatenate([g.points for g in grids])
+        z = np.concatenate([g.z for g in grids])
+        # the join of two grids is no segment: it may cross a sign of z
+        lo = np.delete(np.arange(len(x) - 1),
+                       np.cumsum([len(g.points) for g in grids[:-1]]) - 1)
+        arrays = classify_intervals(x[lo], x[lo + 1], z[lo], z[lo + 1])
     return _propagators(arrays, arrays.x_hi, arrays.x_lo)
 
 
@@ -265,7 +276,7 @@ def _outgoing(grid: Grid, c: complex, d: complex) -> tuple[float, complex, compl
     # sqrt(k^2), the wavenumber _flat_propagator takes from z = k^2 in the
     # free regions
     k = math.sqrt(grid.k * grid.k)
-    x = float(grid.arrays.x_hi[-1])
+    x = float(grid.points[-1])
     cs, sn = math.cos(k * x), math.sin(k * x)
     return k, c * cs + d * sn, c * (-k * sn) + d * (k * cs)
 
@@ -303,7 +314,7 @@ def sweep(grid: Grid, c: complex, d: complex) -> tuple:
         state = tuple(map(_children, state, carried, (m,) * 3))
     # the leaves hold nodes 1 to n; segment 0 carries node 1 to node 0
     first = _step(*(v[:1] for v in levels[0]), *(v[:1] for v in state))
-    c0, d0 = _plane_wave_amplitudes(k, float(grid.arrays.x_lo[0]),
+    c0, d0 = _plane_wave_amplitudes(k, float(grid.points[0]),
                                     first[0].item(), first[1].item())
     return (c0, d0, *(np.concatenate(v) for v in zip(first, state)))
 
@@ -322,18 +333,18 @@ def _children(parent: np.ndarray, carried: np.ndarray, m: int) -> np.ndarray:
 def sweep_products(grids: Sequence[Grid]) -> list[Readout]:
     """Each grid's (C0, D0, log_scale) for the outgoing wave (1, i), the
     C0, D0 and log[0] of :func:`sweep`, from one propagator pass over the
-    concatenated segment arrays of ``grids``, one pairwise tree over all
-    their products and one :func:`_step` across every root."""
+    segments of ``grids``, one pairwise tree over all their products and
+    one :func:`_step` across every root."""
     if not grids:
         return []
     prod, log, exponent = _levels(
-        _pass(grids), [len(g.arrays.code) for g in grids])[-1]
+        _pass(grids), [len(g.points) - 1 for g in grids])[-1]
     k, phi, dphi = zip(*(_outgoing(g, 1.0 + 0.0j, 1.0j) for g in grids))
     # scaled so that the result does not depend on the power of two that
     # the product carries, which differs for a one-segment grid alone
     phi, dphi, log = _step(*prod.reshape(4, -1), log[:, 0], exponent[:, 0],
                            np.array(phi), np.array(dphi), 0.0)
-    return [(*_plane_wave_amplitudes(kg, float(g.arrays.x_lo[0]), p, dp), lg)
+    return [(*_plane_wave_amplitudes(kg, float(g.points[0]), p, dp), lg)
             for g, kg, p, dp, lg in zip(grids, k, phi.tolist(), dphi.tolist(),
                                         log.tolist())]
 

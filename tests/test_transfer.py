@@ -210,6 +210,67 @@ def test_products_do_not_depend_on_the_batch(monkeypatch):
     assert sweep_products([]) == []
 
 
+# a table whose mode changes sign, so that its grids have turning nodes
+# on both sides of a zero of u
+_SIGN_CHANGING_TABLE = tuple((0.25 * i, math.sin(0.9 * i) * (1.0 - 0.02 * i))
+                             for i in range(41))
+
+
+def test_chunk_pass_segments_once(monkeypatch):
+    # build_grid segments nothing, and a grid segments itself once, on its
+    # first read of arrays; a pass over several grids classifies all their
+    # segments in one call, whose arrays are byte for byte those of each
+    # grid's own build_segments, joined, and its readouts those of lone
+    # solves.  The mesa row's + grid ends at z = k^2 - 1 < 0 and its - grid
+    # starts at k^2 + 1 > 0: the join between them is no segment
+    from mazersim import grid as grid_module
+    from mazersim.segment_basis import build_segments
+
+    built = []
+
+    def counted_build(x, z):
+        built.append(len(x))
+        return build_segments(x, z)
+
+    monkeypatch.setattr(grid_module, "build_segments", counted_build)
+    grids = [build_grid(profile, sign, k, J)
+             for profile, k, J in (
+                 (ModeProfile(ModeShape.MESA, 3.0), 0.5, 2),
+                 (ModeProfile(ModeShape.SECH2, 4.0), 0.3, 120),
+                 (ModeProfile(ModeShape.SIN_FIRST_EXCITED, 5.0), 0.1, 100),
+                 (ModeProfile(ModeShape.TABULATED, 0.0,
+                              table=_SIGN_CHANGING_TABLE), 0.2, 200))
+             for sign in (+1, -1)]
+    assert built == []
+    assert grids[0].z[-1] < 0.0 < grids[1].z[0]
+    assert grids[-1].turning_points
+
+    passes = []
+    classify = transfer.classify_intervals
+
+    def counted_pass(*columns):
+        passes.append(classify(*columns))
+        return passes[-1]
+
+    monkeypatch.setattr(transfer, "classify_intervals", counted_pass)
+    readouts = sweep_products(grids)
+    assert len(passes) == 1 and built == []
+    joined = map(np.concatenate, zip(*(build_segments(g.points, g.z)
+                                       for g in grids)))
+    for column, want in zip(passes[0], joined, strict=True):
+        assert column.dtype.str == want.dtype.str
+        assert column.tobytes() == want.tobytes()
+
+    for grid, readout in zip(grids, readouts, strict=True):
+        assert repr(readout) == repr(sweep_products([grid])[0])
+        assert repr(solve_scattering(grid, readout=readout)) == repr(
+            solve_scattering(grid))
+    # the lone solves read each grid's arrays, built once
+    assert built == [len(g.points) for g in grids]
+    assert all(g.arrays is g.arrays for g in grids)
+    assert len(built) == len(grids) and len(passes) == 1
+
+
 # the down-sweep's node states against the recorded loop's, each put on
 # the loop's log scale and compared relative to the loop state's larger
 # component.  The two associate and rescale differently: 2.5e-14, or 4
