@@ -14,7 +14,7 @@ in one pass, multiplied out in one pairwise tree over all of them and
 every grid's outgoing wave carried across its product in one step
 (:func:`~mazersim.transfer.sweep_products`), and each branch solved from
 its own readout.  The results are bit for bit those of solving each
-branch alone.  A pooled sweep gives every process at least two chunks.
+branch alone.
 """
 
 from __future__ import annotations
@@ -301,19 +301,18 @@ def sweep_kappaL(
 
     Rows are independent; a failing row is kept with its error message so
     the sweep never silently drops a length.  The rows are solved in
-    chunks of eight that share one propagator pass and one product tree.
-    Each chunk is one task of a pool of min(workers, chunks // 2)
-    processes when that is at least two, so every process gets two chunks
-    or more; otherwise all chunks are solved in this process.  Output
-    order is by kappaL regardless of worker scheduling.
+    chunks of eight that share one propagator pass and one product tree;
+    with ``workers`` > 1 and more than one chunk, each chunk is one task
+    of a pool of min(workers, chunks) processes, and a single chunk is
+    solved in this process.  Output order is by kappaL regardless of
+    worker scheduling.
     """
     values = kappaL_range(lo, hi, step)
     chunks = [values[i:i + _CHUNK_ROWS]
               for i in range(0, len(values), _CHUNK_ROWS)]
     solve = partial(_sweep_chunk, params)
-    # a pool starts all its processes at once, used or not, and a process
-    # costs about one chunk's solve to start: below two chunks each it loses
-    processes = min(workers, len(chunks) // 2)
+    # a pool starts all its processes at once, used or not
+    processes = min(workers, len(chunks))
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             tables = list(pool.map(solve, chunks))

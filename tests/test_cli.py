@@ -60,9 +60,9 @@ class TestSweep:
         assert first == second
 
     def test_parallel_output_identical(self, capsys):
-        # 33 rows, five chunks: enough for a pool of two processes
+        # 17 rows, three chunks: one chunk alone is solved without a pool
         base = ["sweep", "--profile", "mesa", "--k", "0.5",
-                "--range", "0:16:0.5", "--J", "2"]
+                "--range", "0:8:0.5", "--J", "2"]
         _, serial, _ = run(capsys, base)
         _, parallel, _ = run(capsys, base + ["--workers", "2"])
         assert serial == parallel

@@ -404,19 +404,16 @@ class TestSweep:
         serial = sweep_kappaL(p, 0.0, 3.0, 0.5)
         parallel = sweep_kappaL(p, 0.0, 3.0, 0.5, workers=2)
         assert serial.rows == parallel.rows
-        # a sloped shape over 33 rows: four full chunks of 8 and one of 1,
-        # enough for a pool of two
+        # a sloped shape over 17 rows: two full chunks of 8 and one of 1
         p = make_params(ModeShape.SECH2, 0.1, 8.0, 50)
-        serial = sweep_kappaL(p, 0.0, 16.0, 0.5)
-        parallel = sweep_kappaL(p, 0.0, 16.0, 0.5, workers=2)
-        assert len(serial.rows) == 33
+        serial = sweep_kappaL(p, 0.0, 8.0, 0.5)
+        parallel = sweep_kappaL(p, 0.0, 8.0, 0.5, workers=2)
+        assert len(serial.rows) == 17
         assert serial.rows == parallel.rows
 
     def test_pool_starts_no_idle_process(self, monkeypatch):
-        # a pool starts all its processes at once, each costing about one
-        # chunk's solve: every process gets two chunks or more, so 10 rows
-        # (two chunks) and 17 rows (three) are solved in this process, and
-        # 32 rows (four chunks) and 64 (eight) ask for two and four
+        # a pool starts all its processes at once: one chunk is solved in
+        # this process, and 10 rows (two chunks) ask for two processes
         asked = []
 
         class Pool:
@@ -434,13 +431,13 @@ class TestSweep:
 
         monkeypatch.setattr(mazer, "ProcessPoolExecutor", Pool)
         p = make_params(ModeShape.SIN_FIRST_EXCITED, 0.1, 1.0, 40)
-        for hi, rows, processes in ((1.9, 10, []), (2.6, 17, []),
-                                    (4.1, 32, [2]), (7.3, 64, [4])):
-            asked.clear()
-            pooled = sweep_kappaL(p, 1.0, hi, 0.1, workers=8)
-            assert asked == processes, rows
-            assert len(pooled.rows) == rows
-            assert pooled.rows == sweep_kappaL(p, 1.0, hi, 0.1).rows
+        one = sweep_kappaL(p, 1.0, 1.0, 0.5, workers=2)
+        assert asked == []
+        assert one.rows == sweep_kappaL(p, 1.0, 1.0, 0.5).rows
+        ten = sweep_kappaL(p, 1.0, 1.9, 0.1, workers=8)
+        assert asked == [2]
+        assert len(ten.rows) == 10
+        assert ten.rows == sweep_kappaL(p, 1.0, 1.9, 0.1).rows
 
 
 def lone_row(params, kappaL):
