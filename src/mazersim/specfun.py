@@ -92,6 +92,8 @@ _ORDER_ROWS = np.arange(2)[:, None]
 _N0 = -_bessel_band.QUADRANTS[0]     # the column of n = 0
 _COS_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+# arguments from which a power table is filled by column (see _powers)
+_COLUMN_FILL_MIN = 256
 
 
 class BesselArgumentError(ValueError):
@@ -236,11 +238,18 @@ def _modified(y: np.ndarray, i_rows: np.ndarray, k_rows: np.ndarray) -> np.ndarr
 
 
 def _powers(v: np.ndarray, terms: int) -> np.ndarray:
-    """The (v.size, terms) table of v**k, from one cumulative product."""
+    """The (v.size, terms) table of v**k: one cumulative product along
+    each row, which numpy runs row by row, or from ``_COLUMN_FILL_MIN``
+    arguments on the same floats by one multiply across all v per power."""
     powers = np.empty((v.size, terms))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = v[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
+    columns = powers.T
+    columns[0] = 1.0
+    if v.size < _COLUMN_FILL_MIN:
+        columns[1:] = v
+        np.multiply.accumulate(powers, axis=1, out=powers)
+    else:
+        for k in range(1, terms):
+            np.multiply(columns[k - 1], v, out=columns[k])
     return powers
 
 
@@ -248,11 +257,11 @@ def poly_rows(coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_k coefficients[:, k] * v**k at every v of a 1-d array, as a
     (rows, v.size) array.
 
-    The powers come from one cumulative product along each row of a
-    (v.size, terms) table and the sums from one einsum over its rows: a
-    few numpy calls whatever the number of terms, where Horner's rule
-    would make two per term.  einsum sums each row the same way whatever
-    the number of rows (a BLAS matrix product does not), so a value does
-    not depend on the batch it is evaluated in.
+    The powers come from one (v.size, terms) table (:func:`_powers`) and
+    the sums from one einsum over its rows: a few numpy calls, or on large
+    batches one multiply per term, where Horner's rule would make two per
+    term.  einsum sums each row the same way whatever the number of rows
+    (a BLAS matrix product does not), so a value does not depend on the
+    batch it is evaluated in.
     """
     return np.einsum("nk,rk->rn", _powers(v, coefficients.shape[1]), coefficients)

@@ -18,7 +18,8 @@ The propagators are formed first from the grid's segment arrays, as one
 table of five entries per segment: one batch per sloped regime, where one
 ``basis_eval`` call covers both ends of every segment of the regime, and a
 closed form per flat segment (a shear, a rotation, or scaled cosh and
-sinh), which needs no basis evaluation at all.  Every row is an
+sinh), which needs no basis evaluation at all; a pass with many flat
+segments forms its rotations in one array step.  Every row is an
 elementwise function of its own segment, so a pass over several grids
 (:func:`sweep_products`), whose segments are classified in one call over
 their concatenated nodes, gives each grid the floats of a pass over it
@@ -90,6 +91,7 @@ _SLOPED_CODES = tuple((regime, list(Regime).index(regime))
 _FIRST_SLOPED_CODE = min(code for _, code in _SLOPED_CODES)
 # the code of a flat segment with z > 0, which a free-region sample takes
 _PLANE_WAVE_CODE = list(Regime).index(Regime.FLAT_ALLOWED)
+_FLAT_BATCH = 32    # flat segments from which a pass's rotations are one array step
 
 
 class TransferError(Exception):
@@ -163,6 +165,26 @@ def _flat_propagator(z: float, dx: float) -> tuple:
     return ch, sh / rho, rho * sh, ch, a
 
 
+def _flat_propagators(z: np.ndarray, dx: np.ndarray):
+    """The rows of :func:`_flat_propagator` for flat segments with
+    constants z over dx.  From ``_FLAT_BATCH`` segments on, which repay
+    numpy's call costs, the rotations (z > 0) are one array step: math's
+    floats as long as numpy's float64 sin and cos, whose SIMD loop numpy
+    picks by CPU and release, give libm's."""
+    if z.size < _FLAT_BATCH:
+        return list(map(_flat_propagator, z.tolist(), dx.tolist()))
+    rows = np.empty((z.size, 5))
+    rot = z > 0.0
+    k = np.sqrt(z[rot])
+    kdx = k * dx[rot]
+    cs, sn = np.cos(kdx), np.sin(kdx)
+    rows[rot] = np.transpose((cs, sn / k, -k * sn, cs, np.zeros_like(cs)))
+    rest = ~rot
+    rows[rest] = np.reshape(list(map(_flat_propagator, z[rest].tolist(),
+                                     dx[rest].tolist())), (-1, 5))
+    return rows
+
+
 def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
                  x_to: np.ndarray) -> np.ndarray:
     """Propagator of segment i of ``arrays`` from x_from[i] to x_to[i], for
@@ -180,8 +202,7 @@ def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
                 arrays.take(sel, regime), x_from[sel], x_to[sel]))
     flat = np.flatnonzero(code < _FIRST_SLOPED_CODE)
     if flat.size:
-        table[flat] = list(map(_flat_propagator, arrays.z_flat[flat].tolist(),
-                               (x_to[flat] - x_from[flat]).tolist()))
+        table[flat] = _flat_propagators(arrays.z_flat[flat], x_to[flat] - x_from[flat])
     return table
 
 

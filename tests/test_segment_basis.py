@@ -18,6 +18,7 @@ import pytest
 import scipy.special as sp
 
 from mazersim import segment_basis, specfun, transfer
+from mazersim.grid import ModeProfile, ModeShape, build_grid
 from mazersim.segment_basis import (
     Regime,
     SegmentRegimeError,
@@ -143,6 +144,54 @@ def test_batch_errors_name_their_segment(monkeypatch):
     with pytest.raises(ValueError, match=r"^slope_forbidden segment 2 at "
                        r"x = 2\.0: refused: y = 3\.46"):
         basis_eval(forb, forb.x_lo)
+
+
+def test_all_kernel_batch_errors_name_their_segment(monkeypatch):
+    # at their right ends no segment of the batch is in the series band
+    # (w = 1.9, 3.5, 5.3), so the kernel takes every entry: a refusal
+    # still names the segment it came from, also with both ends at once
+    arrays = build_segments([0.0, 1.0, 2.0, 3.0], [-1.0, -2.0, -3.0, -4.0])
+    forb = arrays.take(np.arange(3), Regime.SLOPE_FORBIDDEN)
+    # w ~ 2e10 at the middle segment's right end passes ARG_LIMIT
+    far = forb._replace(b=np.array([-1.0, -1.0e-10, -1.0]))
+    with pytest.raises(ValueError, match=r"^slope_forbidden segment 1 at "
+                       r"x = 2\.0: argument must be finite and lie in "
+                       r"\[1\.0, 1000000000\.0\]"):
+        basis_eval(far, forb.x_hi)
+
+    def refuse_largest(family, y):
+        i = int(np.argmax(y))
+        raise specfun.BesselArgumentError(f"refused: y = {float(y.flat[i])!r}", i)
+
+    monkeypatch.setattr(segment_basis, "cyl_bessel", refuse_largest)
+    with pytest.raises(ValueError, match=r"^slope_forbidden segment 2 at "
+                       r"x = 3\.0: refused: y = 5\.33"):
+        basis_eval(forb, forb.x_hi)
+    # the largest of six arguments is entry 5, segment 2 at its second x
+    x = np.array((forb.x_hi, forb.x_hi + 0.5))
+    with pytest.raises(ValueError, match=r"^slope_forbidden segment 2 at "
+                       r"x = 3\.5: refused: y = 6\.36"):
+        basis_eval(forb, x)
+
+
+@pytest.mark.parametrize("regime", [Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN])
+def test_mixed_batch_matches_batches_of_one(regime):
+    # a Gaussian's sloped batches, both ends of every segment as the sweep
+    # evaluates them, hold series, fitted and Hankel entries; each entry's
+    # five values are those of the entry evaluated alone, bit for bit
+    arrays = build_grid(ModeProfile(ModeShape.GAUSSIAN, 12.0), +1, 0.1, 300).arrays
+    sel = np.flatnonzero(arrays.code == tuple(Regime).index(regime))
+    seg = arrays.take(sel, regime)
+    x = np.array((arrays.x_hi[sel], arrays.x_lo[sel]))
+    t = np.abs(seg.z(x))
+    w = 2.0 * t * np.sqrt(t) / (3.0 * np.abs(seg.b))
+    assert (w < W_SERIES_SWITCH).any() and (w > specfun.HANKEL_MIN).any()
+    assert ((w >= W_SERIES_SWITCH) & (w <= specfun.HANKEL_MIN)).any()
+    batch_values = basis_eval(seg, x)
+    for (end, j), xv in np.ndenumerate(x):
+        alone = basis_eval(arrays.take(sel[j:j + 1], regime), xv)
+        for got, want in zip(batch_values, alone):
+            assert got[end, j].tobytes() == want[0].tobytes()
 
 
 # --- flat regimes against elementary forms -------------------------------

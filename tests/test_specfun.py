@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from mazersim import specfun
 from mazersim.specfun import ARG_LIMIT, BesselFamily, cyl_bessel
 
 mp.mp.dps = 50
@@ -129,3 +130,33 @@ def test_domain_errors():
     with pytest.raises(ValueError, match=r"lie in \[1\.0, 1000000000\.0\]"):
         cyl_bessel(IK, 1.5e9)
     assert np.isfinite(cyl_bessel(IK, ARG_LIMIT)).all()
+
+
+def accumulated_powers(v: np.ndarray, terms: int) -> np.ndarray:
+    """The power table as one cumulative product along each row: the form
+    ``specfun._powers`` keeps below ``_COLUMN_FILL_MIN`` arguments, and the
+    reference for its column fill from there on."""
+    powers = np.empty((v.size, terms))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = v[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return powers
+
+
+@pytest.mark.parametrize("terms", [2, 13, 16, 17])
+@pytest.mark.parametrize("n", [1, 2, 18, 256, 300, 1548])
+def test_power_table_is_the_cumulative_product(n, terms):
+    # byte for byte: the table, and poly_rows' sums over it, for the term
+    # counts of the Hankel sums (13), the series (16) and the fitted band
+    # (17), at batch sizes on both sides of _COLUMN_FILL_MIN = 256, up to
+    # a sech2 chunk's series entries
+    rng = np.random.default_rng(1000 * n + terms)
+    v = rng.uniform(-1.0, 1.0, n)
+    v[:3] = (0.0, -0.25, 1.0)[:n]
+    want = accumulated_powers(v, terms)
+    got = specfun._powers(v, terms)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    coefficients = rng.standard_normal((4, terms))
+    sums = np.einsum("nk,rk->rn", want, coefficients)
+    assert specfun.poly_rows(coefficients, v).tobytes() == sums.tobytes()

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import loggamma
 
 from mazersim.grid import DEFAULT_WINDOW_FACTOR, ModeProfile, ModeShape, build_grid
-from mazersim.segment_basis import Regime, SegmentArrays, basis_eval
+from mazersim.segment_basis import Regime, SegmentArrays, basis_eval, build_segments
 from mazersim import transfer
 from mazersim.transfer import (
     TransferError,
@@ -423,6 +423,41 @@ def test_flat_closed_forms_match_basis(z, x_from, x_to):
     p11, p12, p21, p22, a = got
     det = p11 * p22 - p12 * p21
     assert det == pytest.approx(math.exp(-2.0 * a), rel=0.0, abs=1e-15 * scale ** 2)
+
+
+def test_flat_rows_match_their_closed_forms():
+    # one chunk of a mesa row (a rotation and a forbidden flat) and a
+    # Gaussian row (over 150 rotations on its demoted tails), with a
+    # z = 0 segment and a rotation of phase k dx ~ 1e5 appended, carried
+    # both ways: every flat row is _flat_propagator's for its segment, bit
+    # for bit, whether the rotations of the pass are one array step (the
+    # whole chunk) or not (the mesa row alone, below _FLAT_BATCH)
+    grids = [build_grid(ModeProfile(shape, L), sign, k, J)
+             for shape, L, k, J in ((ModeShape.MESA, 5.0, 0.3, 2),
+                                    (ModeShape.GAUSSIAN, 12.0, 0.1, 300))
+             for sign in (+1, -1)]
+    extra = (build_segments([-2.0, 3.0], [0.0, 0.0]),
+             build_segments([0.0, 7.0e4], [2.0, 2.0]))     # k dx = 98994.9
+    chunk = SegmentArrays(*map(np.concatenate, zip(
+        *(g.arrays for g in grids), *extra)))
+    mesa = SegmentArrays(*map(np.concatenate, zip(grids[0].arrays,
+                                                  grids[1].arrays)))
+    # codes 0, 1 and 2: the flat regimes z = 0, z > 0 and z < 0
+    free, rotations, forbidden = np.bincount(chunk.code)[:3].tolist()
+    assert free == 1 and rotations > 150 and forbidden >= 2
+    assert np.count_nonzero(mesa.code < 3) < transfer._FLAT_BATCH
+    for arrays in (chunk, mesa):
+        for x_from, x_to in ((arrays.x_hi, arrays.x_lo),
+                             (arrays.x_lo, arrays.x_hi)):
+            table = transfer._propagators(arrays, x_from, x_to)
+            for i in np.flatnonzero(arrays.code < 3).tolist():
+                z, dx = float(arrays.z_flat[i]), float(x_to[i] - x_from[i])
+                want = np.array(transfer._flat_propagator(z, dx))
+                assert table[i].tobytes() == want.tobytes(), (
+                    f"flat row z = {z!r}, dx = {dx!r}: {table[i].tolist()} "
+                    f"against {want.tolist()}; if z > 0, numpy's float64 sin or cos (its SIMD "
+                    f"loop, picked by CPU feature and numpy release) is not "
+                    f"math's here")
 
 
 def test_flat_forbidden_closed_form_deep():
