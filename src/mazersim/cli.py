@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid
+from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid, check_J
 from .mazer import (
-    MazerParams, _combine, convergence_study, kappaL_range, sweep_kappaL)
+    SWEEP_ROWS_MAX, MazerParams, _combine, convergence_study, kappaL_range,
+    sweep_kappaL)
 from .oracles import mesa_analytic, sech2_analytic
 # solve_scattering is unused here; perfbench/tracing.py wraps it by this name
 from .transfer import solve_scattering, wavefunction
@@ -65,8 +66,11 @@ def _parse_J_list(text: str) -> list[int]:
         values = [int(p) for p in text.split(",")]
     except ValueError:
         raise _ConfigError(f"malformed J list {text!r}")
-    if any(v < 2 for v in values):
-        raise _ConfigError("every J must be at least 2")
+    try:
+        for v in values:
+            check_J(v)
+    except ValueError as exc:
+        raise _ConfigError(str(exc))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise _ConfigError("J list must be strictly ascending")
     return values
@@ -184,8 +188,9 @@ def _cmd_wavefunction(args) -> int:
     if args.branch not in ("+1", "-1", "1"):
         raise _ConfigError("--branch must be +1 or -1")
     branch = 1 if args.branch in ("+1", "1") else -1
-    if args.samples < 2:
-        raise _ConfigError("--samples must be at least 2")
+    if not 2 <= args.samples <= SWEEP_ROWS_MAX:
+        raise _ConfigError(f"--samples must be at least 2 and at most "
+                           f"SWEEP_ROWS_MAX = {SWEEP_ROWS_MAX}")
     params = _params(args, args.kappaL, args.J)
     if params.kappaL == 0.0:
         raise _ConfigError("wavefunction dump needs kappaL > 0")

@@ -78,6 +78,8 @@ __all__ = [
     "K_OVER_KAPPA_MAX",
     "check_window_factor",
     "WINDOW_FACTOR_MAX",
+    "check_J",
+    "J_MAX",
     "build_grid",
 ]
 
@@ -113,6 +115,12 @@ K_OVER_KAPPA_MAX = 1.0e75
 # lost closure without an error (sech2 at k 1e-150 with a factor of 1e200:
 # closure defect 1.35).  The factors in use are 8 to 16.
 WINDOW_FACTOR_MAX = 1.0e3
+
+# the most uniform nodes accepted.  The build allocates about 144 bytes
+# per node before it solves anything (the nodes, the mode there and a
+# scan of 8 J points), so J = 1e8 would ask for 14 GB.  The grids in use
+# reach J = 6,400.
+J_MAX = 10**5
 
 # a turning point closer than this to an existing node replaces the node;
 # like every length tolerance of the builder it is scaled by
@@ -530,6 +538,15 @@ def check_k_over_kappa(k_over_kappa: float) -> None:
                          f"most {K_OVER_KAPPA_MAX:g} and k^2/2 a positive float")
 
 
+def check_J(J: int) -> None:
+    """Raise ValueError unless J is an integer from 2 to J_MAX."""
+    if not isinstance(J, numbers.Integral):
+        raise ValueError(f"J = {J!r} must be an integer")
+    if not 2 <= J <= J_MAX:
+        raise ValueError(f"J = {J} is out of range: it must be at least 2 "
+                         f"and at most J_MAX = {J_MAX}")
+
+
 def check_window_factor(window_factor: float) -> None:
     """Raise ValueError unless window_factor is positive and at most
     WINDOW_FACTOR_MAX (nan and inf fail)."""
@@ -582,17 +599,15 @@ def build_grid(
     sign selects the dressed-potential branch: +1 for the repulsive
     barrier, -1 for the attractive well.  The window is
     ``profile.default_window(window_factor)``; an empty or non-finite one,
-    a window_factor above ``WINDOW_FACTOR_MAX``, or a window whose edge
-    phase max(k, 1) * |x| exceeds ``PHASE_MAX``, raises ValueError.
+    a window_factor above ``WINDOW_FACTOR_MAX``, a J outside 2 to
+    ``J_MAX``, or a window whose edge phase max(k, 1) * |x| exceeds
+    ``PHASE_MAX``, raises ValueError.
     Raises GridResolutionError when the J uniform nodes cannot resolve the
     mode.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not isinstance(J, numbers.Integral):
-        raise ValueError(f"J = {J!r} must be an integer")
-    if J < 2:
-        raise ValueError("J must be at least 2")
+    check_J(J)
     check_k_over_kappa(k_over_kappa)
     k = float(k_over_kappa)
 

@@ -20,7 +20,6 @@ branch alone.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -32,6 +31,7 @@ from .grid import (
     ModeProfile,
     ModeShape,
     build_grid,
+    check_J,
     check_k_over_kappa,
     check_window_factor,
 )
@@ -64,10 +64,7 @@ class MazerParams:
 
     def __post_init__(self) -> None:
         check_k_over_kappa(self.k_over_kappa)
-        if not isinstance(self.J, numbers.Integral):
-            raise ValueError(f"J = {self.J!r} must be an integer")
-        if self.J < 2:
-            raise ValueError("J must be at least 2")
+        check_J(self.J)
         check_window_factor(self.window_factor)
 
     @property

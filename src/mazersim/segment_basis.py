@@ -1,7 +1,7 @@
 """Fundamental-solution pairs for linear-potential segments.
 
 On a segment where the coefficient of the wave equation varies linearly,
-``phi'' + z(x) phi = 0`` with ``z(x) = z_ref + b*(x - x_ref)``, the solution
+``phi'' + z(x) phi = 0`` with ``z(x) = z_ref + b*(x - x_lo)``, the solution
 space is spanned by a pair of real functions that depends only on the sign
 of z and on whether the segment actually slopes.  Five regimes cover every
 case: on the three flat ones (z == 0, z > 0, z < 0) the pair is {1, x},
@@ -35,13 +35,13 @@ propagators never see a jump.
 
 Every segment comes from :func:`classify_intervals`, one array pass over
 the end values of intervals (:func:`build_segments` hands it a grid's
-consecutive nodes) that computes the slope, the regime (including the
-demotion of sloped segments whose argument w passes W_FLAT_COLLAPSE to
-the flat regime of their midpoint value), the anchor, the flat constant
-and the sign-check scale, and keeps them as :class:`SegmentArrays`; the
-sweep takes its batches from there with :meth:`SegmentArrays.take`, and
-the grid its tuple of records, framed by the free regions, from
-:meth:`SegmentArrays.records`.  A regime is always derived from the
+consecutive nodes) that computes the slope, the regime's
+:data:`REGIME_CODE` (including the demotion of sloped segments whose
+argument w passes W_FLAT_COLLAPSE to the flat regime of their midpoint
+value), the flat constant and the sign-check scale, and keeps them as
+:class:`SegmentArrays`; the sweep takes its batches from there with
+:meth:`SegmentArrays.take`, and the grid its tuple of records, framed by
+the free regions, from :meth:`SegmentArrays.records`.  A regime is always derived from the
 values, so it cannot contradict them.
 """
 
@@ -57,6 +57,7 @@ from .specfun import BAND_MIN, BesselArgumentError, BesselFamily, cyl_bessel, po
 
 __all__ = [
     "Regime",
+    "REGIME_CODE",
     "Segment",
     "SegmentArrays",
     "BasisEval",
@@ -99,8 +100,10 @@ class Regime(enum.Enum):
     SLOPE_FORBIDDEN = "slope_forbidden"
 
 
-# regime codes of build_segments follow the definition order above
+# a regime's code in SegmentArrays.code is its definition order above:
+# the flat regimes first, sloped forbidden one above sloped allowed
 _REGIME_OF_CODE = tuple(Regime)
+REGIME_CODE = {regime: code for code, regime in enumerate(_REGIME_OF_CODE)}
 
 
 class Segment(NamedTuple):
@@ -108,10 +111,11 @@ class Segment(NamedTuple):
     a batch from :meth:`SegmentArrays.take`, whose numeric fields are
     arrays, or a record of floats from :meth:`SegmentArrays.records`.
 
-    Every field derives from the node values.  ``x_ref`` anchors the basis functions; keeping it inside
-    the segment keeps every evaluation numerically local even when x itself
-    is ~1e5.  ``z_ref`` is z at the anchor, kept as sampled because
-    recomputing it would shred the tiny z values near turning points.
+    Every field derives from the node values.  The left end ``x_lo``
+    anchors the basis functions, z(x) = z_ref + b*(x - x_lo), which keeps
+    every evaluation numerically local even when x itself is ~1e5.
+    ``z_ref`` is z at the anchor, kept as sampled because recomputing it
+    would shred the tiny z values near turning points.
     ``z_flat`` is the constant of the flat regimes (z at the midpoint, the
     best single value for a demoted stretch), ``z_scale`` the larger |z| at
     the two ends, which scales the sign check of :func:`basis_eval`.
@@ -121,15 +125,9 @@ class Segment(NamedTuple):
     x_hi: float
     b: float
     regime: Regime
-    x_ref: float
     z_ref: float
     z_flat: float
     z_scale: float
-
-    def z(self, x):
-        """Coefficient z_ref + b*(x - x_ref), evaluated relative to the
-        anchor; elementwise on a batch."""
-        return self.z_ref + self.b * (x - self.x_ref)
 
 
 class BasisEval(NamedTuple):
@@ -151,10 +149,9 @@ class SegmentArrays(NamedTuple):
     """The segments between the nodes of a grid as arrays, one entry per
     segment, left to right.
 
-    ``code`` is the segment's position in ``tuple(Regime)``; the other
-    fields are those of :class:`Segment`, whose anchor ``x_ref`` is always
-    ``x_lo`` here.  The sweep takes its batches of sloped segments from
-    here, so it never reads them record by record.
+    ``code`` is the segment's regime as its :data:`REGIME_CODE`; the other
+    fields are those of :class:`Segment`.  The sweep takes its batches of
+    sloped segments from here, so it never reads them record by record.
     """
 
     code: np.ndarray
@@ -168,24 +165,23 @@ class SegmentArrays(NamedTuple):
     def take(self, idx, regime: Regime) -> Segment:
         """The segments at ``idx``, all of ``regime``, as one batch: a
         Segment whose numeric fields are arrays."""
-        x_lo = self.x_lo[idx]
-        return Segment(x_lo, self.x_hi[idx], self.b[idx], regime, x_lo,
+        return Segment(self.x_lo[idx], self.x_hi[idx], self.b[idx], regime,
                        self.z_ref[idx], self.z_flat[idx], self.z_scale[idx])
 
     def records(self, z_free: float) -> tuple[Segment, ...]:
         """One Segment of Python floats per entry, framed by the two
-        semi-infinite free segments z = z_free beyond the nodes, anchored
-        at x = 0, whose plane waves define the scattering amplitudes;
-        z_free must be positive.
+        semi-infinite free segments z = z_free beyond the nodes, whose
+        plane waves define the scattering amplitudes; z_free must be
+        positive.
         """
         x_lo = self.x_lo.tolist()
         segments = map(
             Segment, x_lo, self.x_hi.tolist(), self.b.tolist(),
-            map(_REGIME_OF_CODE.__getitem__, self.code.tolist()), x_lo,
+            map(_REGIME_OF_CODE.__getitem__, self.code.tolist()),
             self.z_ref.tolist(), self.z_flat.tolist(), self.z_scale.tolist())
         if not 0.0 < z_free < math.inf:
             raise ValueError(f"free coefficient z = {z_free} carries no plane wave")
-        free = (0.0, Regime.FLAT_ALLOWED, 0.0, z_free, z_free, z_free)
+        free = (0.0, Regime.FLAT_ALLOWED, z_free, z_free, z_free)
         return (Segment(-math.inf, x_lo[0], *free), *segments,
                 Segment(self.x_hi[-1].item(), math.inf, *free))
 
@@ -231,8 +227,10 @@ def classify_intervals(x_lo, x_hi, z_lo, z_hi) -> SegmentArrays:
     z_flat = z_lo + b * (0.5 * (x_lo + x_hi) - x_lo)
     z_sign = np.where(flat, z_flat, z_lo + z_hi)
     neg = z_sign < 0.0
-    # flat: 0, 1 or 2 for z = 0, > 0 or < 0; sloped: 3 or 4 for z > 0 or < 0
-    code = neg + np.where(flat, (z_sign > 0.0) | neg, 3)
+    # REGIME_CODE's order: flat 0, 1 or 2 for z = 0, > 0 or < 0; sloped,
+    # the allowed code for z > 0 and the next for z < 0
+    code = neg + np.where(flat, (z_sign > 0.0) | neg,
+                          REGIME_CODE[Regime.SLOPE_ALLOWED])
     return SegmentArrays(code, x_lo, x_hi, b, z_lo, z_flat, z_scale)
 
 
@@ -343,7 +341,7 @@ def basis_eval(seg: Segment, x) -> BasisEval:
     """
     allowed = _is_allowed(seg)
     b = seg.b
-    z = np.atleast_1d(seg.z(x))
+    z = np.atleast_1d(seg.z_ref + b * (x - seg.x_lo))
     slack = _SIGN_SLACK * np.maximum(seg.z_scale, 1.0e-300)
     wrong = z < -slack if allowed else z > slack
     if wrong.any():

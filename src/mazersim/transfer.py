@@ -64,6 +64,7 @@ import numpy as np
 
 from .grid import Grid
 from .segment_basis import (
+    REGIME_CODE,
     Regime,
     Segment,
     SegmentArrays,
@@ -83,14 +84,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
-
-# (regime, code) of the sloped regimes; SegmentArrays.code numbers the
-# regimes in their definition order, the flat ones first
-_SLOPED_CODES = tuple((regime, list(Regime).index(regime))
-                      for regime in (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN))
-_FIRST_SLOPED_CODE = min(code for _, code in _SLOPED_CODES)
-# the code of a flat segment with z > 0, which a free-region sample takes
-_PLANE_WAVE_CODE = list(Regime).index(Regime.FLAT_ALLOWED)
 _FLAT_BATCH = 32    # flat segments from which a pass's rotations are one array step
 
 
@@ -195,12 +188,13 @@ def _propagators(arrays: SegmentArrays, x_from: np.ndarray,
     table = np.empty((len(code), 5))
     # a list lookup keeps grids without sloped segments (the mesa) cheap
     present = code.tolist()
-    for regime, regime_code in _SLOPED_CODES:
-        if regime_code in present:
-            sel = np.flatnonzero(code == regime_code)
+    for regime in (Regime.SLOPE_ALLOWED, Regime.SLOPE_FORBIDDEN):
+        if REGIME_CODE[regime] in present:
+            sel = np.flatnonzero(code == REGIME_CODE[regime])
             table[sel] = np.transpose(_sloped_propagators(
                 arrays.take(sel, regime), x_from[sel], x_to[sel]))
-    flat = np.flatnonzero(code < _FIRST_SLOPED_CODE)
+    # the flat codes come before the sloped ones
+    flat = np.flatnonzero(code < REGIME_CODE[Regime.SLOPE_ALLOWED])
     if flat.size:
         table[flat] = _flat_propagators(arrays.z_flat[flat], x_to[flat] - x_from[flat])
     return table
@@ -443,7 +437,7 @@ def wavefunction(grid: Grid,
     entry = np.clip(seg_of - 1, 0, n - 1)
     samples = SegmentArrays(*(col[entry] for col in arrays))
     samples = samples._replace(
-        code=np.where(free, _PLANE_WAVE_CODE, samples.code),
+        code=np.where(free, REGIME_CODE[Regime.FLAT_ALLOWED], samples.code),
         z_flat=np.where(free, z_free, samples.z_flat))
     p11, p12, _, _, log_factor = _propagators(samples, grid.points[node], xs).T
     psi = (p11 * phi[node] + p12 * dphi[node]) * np.exp(

@@ -282,7 +282,7 @@ class TestProperties:
         h = 1e-3
         for seg in cases:
             for x in (0.4, 1.1, 1.7):
-                z = float(seg.take([0], regime(seg)).z(x)[0])
+                z = float(seg.z_ref[0] + seg.b[0] * (x - seg.x_lo[0]))
                 for pick in (0, 1):
                     v = [
                         solution(seg, xx, pick)

@@ -232,7 +232,7 @@ def mp_basis(seg, x, z_sign):
     one."""
     b = mpmath.mpf(seg.b.item())
     t = abs(mpmath.mpf(seg.z_ref.item())
-            + b * (mpmath.mpf(x) - mpmath.mpf(seg.x_ref.item())))
+            + b * (mpmath.mpf(x) - mpmath.mpf(seg.x_lo.item())))
     wm = 2 * t ** mpmath.mpf(1.5) / (3 * abs(b))
     sq, sb = mpmath.sqrt(t), mpmath.sign(b)
     if z_sign > 0:
@@ -307,7 +307,7 @@ def band_of(w: float) -> int:
 def w_at(seg, x: float) -> float:
     """Cylinder argument (2 / 3|b|) |z|^{3/2} of a batch of one at x, as
     basis_eval forms it."""
-    t = abs(seg.z(x).item())
+    t = abs((seg.z_ref + seg.b * (x - seg.x_lo)).item())
     return 2.0 * t * math.sqrt(t) / (3.0 * abs(seg.b.item()))
 
 

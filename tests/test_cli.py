@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ import pytest
 import mazersim
 import mazersim.cli
 from mazersim.cli import main
+from mazersim.grid import J_MAX
+from mazersim.mazer import SWEEP_ROWS_MAX
 from mazersim.transfer import TransferError
 
 SWEEP_HEADER = "kappaL,P_em,Ta2,Tb2,Ra2,Rb2,unit_defect_plus,unit_defect_minus"
@@ -152,6 +155,34 @@ class TestConfigErrors:
         code, out, err = run(capsys, argv)
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["sweep", "--profile", "sech2", "--k", "0.1", "--range", "0:1:0.5",
+          "--J", str(J_MAX + 1)], "J_MAX"),
+        (["compare-oracle", "--profile", "sech2", "--k", "0.1",
+          "--range", "0:1:0.5", "--J", str(J_MAX + 1)], "J_MAX"),
+        (["wavefunction", "--profile", "sech2", "--k", "0.1", "--kappaL", "5",
+          "--J", str(J_MAX + 1)], "J_MAX"),
+        (["converge", "--profile", "sech2", "--k", "0.1", "--kappaL", "5",
+          "--J", f"100,{J_MAX + 1}"], "J_MAX"),
+        (["wavefunction", "--profile", "sech2", "--k", "0.1", "--kappaL", "5",
+          "--J", "100", "--samples", str(SWEEP_ROWS_MAX + 1)], "SWEEP_ROWS_MAX"),
+    ])
+    def test_size_above_its_bound_refused_before_allocation(self, capsys,
+                                                            argv, bound):
+        # a grid of J_MAX + 1 nodes samples 14 MB of mode and SWEEP_ROWS_MAX
+        # + 1 samples are 8 MB of positions; neither is allocated
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert bound in err
+        assert peak < 1_000_000
 
     def test_unwritable_output_path(self, capsys):
         code, _, err = run(capsys, [

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from mazersim.grid import (
     _split_residual_crossings,
     _verify_grid,
     DEFAULT_WINDOW_FACTOR,
+    J_MAX,
     LENGTH_MAX,
     LENGTH_MIN,
     PHASE_MAX,
@@ -401,6 +403,21 @@ def test_build_grid_input_errors():
                           build_grid(p, +1, 0.1, 50).points)
 
 
+@pytest.mark.parametrize("shape", [ModeShape.SECH2, ModeShape.MESA])
+def test_grid_size_above_the_bound_refused_before_sampling(shape):
+    # a build samples the mode at about 144 bytes per uniform node before
+    # it solves anything; J_MAX + 1 is refused by name first, for the
+    # mesa, which samples nothing, as for the other shapes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"J_MAX = 100000"):
+            build_grid(ModeProfile(shape, 10.0), +1, 0.1, J_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_zero_potential_single_free_regime():
     p = ModeProfile(ModeShape.TABULATED, 0.0,
                     table=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
@@ -438,7 +455,6 @@ def test_asymptotic_segments_free_and_absolute():
         assert seg.regime is Regime.FLAT_ALLOWED
         assert seg.z_ref == g.k * g.k
         assert seg.b == 0.0
-        assert seg.x_ref == 0.0     # asymptotic basis anchored at the origin
     assert first.x_lo == -math.inf and first.x_hi == g.points[0]
     assert last.x_lo == g.points[-1] and last.x_hi == math.inf
 

@@ -11,6 +11,7 @@ import pytest
 from mazersim import mazer
 from mazersim.grid import (
     GridResolutionError,
+    J_MAX,
     K_OVER_KAPPA_MAX,
     LENGTH_MAX,
     ModeProfile,
@@ -94,6 +95,15 @@ class TestParamsValidation:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             make_params(J=1)
+
+    def test_refuses_grid_size_above_the_bound(self):
+        # the bound itself is accepted (nothing is built here); the next
+        # integer is refused by name
+        make_params(J=J_MAX)
+        with pytest.raises(ValueError, match=r"J_MAX = 100000"):
+            make_params(J=J_MAX + 1)
+        with pytest.raises(ValueError, match=r"J_MAX = 100000"):
+            convergence_study(make_params(), [50, J_MAX + 1])
 
     @pytest.mark.parametrize("J", [2.5, 100.0])
     def test_rejects_non_integer_grid_size(self, J):

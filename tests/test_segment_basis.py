@@ -183,7 +183,7 @@ def test_mixed_batch_matches_batches_of_one(regime):
     sel = np.flatnonzero(arrays.code == tuple(Regime).index(regime))
     seg = arrays.take(sel, regime)
     x = np.array((arrays.x_hi[sel], arrays.x_lo[sel]))
-    t = np.abs(seg.z(x))
+    t = np.abs(seg.z_ref + seg.b * (x - seg.x_lo))
     w = 2.0 * t * np.sqrt(t) / (3.0 * np.abs(seg.b))
     assert (w < W_SERIES_SWITCH).any() and (w > specfun.HANKEL_MIN).any()
     assert ((w >= W_SERIES_SWITCH) & (w <= specfun.HANKEL_MIN)).any()
@@ -202,7 +202,7 @@ def test_mixed_batch_matches_batches_of_one(regime):
 def test_flat_allowed_matches_trig():
     k = math.sqrt(2.0)
     for x in (-4.0, -0.3, 0.0, 1.7):
-        dx = x + 5.0                          # anchored at x_ref = -5
+        dx = x + 5.0                          # anchored at x_lo = -5
         p11, p12, p21, p22, a = propagator(segment(-5.0, 5.0, 2.0, 2.0), -5.0, x)
         assert a == 0.0
         assert p11 == pytest.approx(math.cos(k * dx), abs=1e-15)
@@ -213,7 +213,7 @@ def test_flat_allowed_matches_trig():
 
 
 def test_flat_free_is_affine():
-    # anchored at x_ref = 1
+    # anchored at x_lo = 1
     assert propagator(segment(1.0, 4.0, 0.0, 0.0), 1.0, 3.5) == (
         1.0, 2.5, 0.0, 1.0, 0.0)
 
@@ -299,7 +299,7 @@ def test_turning_point_wronskians_match_analytic():
 def test_allowed_interior_matches_mpmath():
     seg = batch(0.0, 40.0, 0.1, 60.1)         # b = 1.5
     for x in (0.2, 1.0, 7.5, 33.0):
-        z = float(seg.z(x)[0])
+        z = float(seg.z_ref[0] + seg.b[0] * (x - seg.x_lo[0]))
         w = mpmath.mpf(2.0) * mpmath.mpf(z) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(seg.b[0]))
         be = true_eval(seg, x)
         sz = mpmath.sqrt(z)
@@ -316,7 +316,7 @@ def test_allowed_interior_matches_mpmath():
 def test_forbidden_interior_matches_mpmath():
     seg = batch(0.0, 40.0, -0.1, -60.1)       # b = -1.5
     for x in (0.2, 1.0, 7.5, 33.0):
-        zeta = -float(seg.z(x)[0])
+        zeta = -float(seg.z_ref[0] + seg.b[0] * (x - seg.x_lo[0]))
         w = mpmath.mpf(2.0) * mpmath.mpf(zeta) ** mpmath.mpf(1.5) / (3 * mpmath.mpf(-seg.b[0]))
         be = true_eval(seg, x)
         sz = mpmath.sqrt(zeta)
@@ -419,7 +419,7 @@ def test_ode_residual_and_derivative_by_fd():
         xs = np.linspace(seg.x_lo[0] + 3 * h, seg.x_hi[0] - 3 * h, 7)
         for x in xs:
             x = float(x)
-            z = float(seg.z(x)[0])
+            z = float(seg.z_ref[0] + seg.b[0] * (x - seg.x_lo[0]))
             bm = true_eval(seg, x - h)
             b0 = true_eval(seg, x)
             bp = true_eval(seg, x + h)
