@@ -50,6 +50,7 @@ import bisect
 import enum
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -248,27 +249,40 @@ def load_tabulated(path: str) -> ModeProfile:
 def eval_mode(profile: ModeProfile, x: float) -> float:
     """Mode value u(x); exactly zero outside the support, and everywhere
     for a mode of zero length other than the mesa."""
+    return _mode_function(profile)(x)
+
+
+def _mode_function(profile: ModeProfile) -> Callable[[float], float]:
+    """u as a function of x alone: :func:`eval_mode` with the shape
+    dispatch and the mode's widths resolved once."""
     L = profile.length
     s = profile.shape
     if L == 0.0 and s is not _MESA:
-        return 0.0
+        return lambda x: 0.0
     if s is _MESA:
-        return 1.0 if 0.0 <= x <= L else 0.0
+        return lambda x: 1.0 if 0.0 <= x <= L else 0.0
     if s is _SECH2:
-        t = abs(x) / L
-        if t > 350.0:
-            return 0.0
-        e = math.exp(-t)
-        sech = 2.0 * e / (1.0 + e * e)
-        return sech * sech
+        def sech2(x: float) -> float:
+            t = abs(x) / L
+            if t > 350.0:
+                return 0.0
+            e = math.exp(-t)
+            sech = 2.0 * e / (1.0 + e * e)
+            return sech * sech
+        return sech2
     if s is _SIN1 or s is _SIN2:
-        n = 1.0 if s is _SIN1 else 2.0
-        return math.sin(n * math.pi * x / L) if 0.0 < x < L else 0.0
+        c = (1.0 if s is _SIN1 else 2.0) * math.pi
+        return lambda x: math.sin(c * x / L) if 0.0 < x < L else 0.0
     if s is _GAUSS:
-        t = x / profile.sigma
-        arg = 0.5 * t * t
-        return math.exp(-arg) if arg < 745.0 else 0.0
-    return float(eval_mode_array(profile, x))
+        sigma = profile.sigma
+
+        def gauss(x: float) -> float:
+            t = x / sigma
+            arg = 0.5 * t * t
+            return math.exp(-arg) if arg < 745.0 else 0.0
+        return gauss
+    tx, tu = profile.table_x, profile.table_u
+    return lambda x: float(np.interp(x, tx, tu, left=0.0, right=0.0))
 
 
 def eval_mode_array(profile: ModeProfile, xs: np.ndarray) -> np.ndarray:
@@ -460,6 +474,7 @@ def find_turning_points(
     scale = min(1.0, b - a)
     xs, us, u_at = (_scan(profile, window, scan_points) if samples is None
                     else (samples.scan_x, samples.scan_u, samples.midpoints))
+    u_of = _mode_function(profile)
     signed_alpha = sign * alpha
     hs = signed_alpha * us * 0.5 - E
     roots = xs[hs == 0.0].tolist()
@@ -471,7 +486,7 @@ def find_turning_points(
             mid = 0.5 * (lo + hi)
             u = u_at.get(mid)
             if u is None:
-                u = u_at[mid] = eval_mode(profile, mid)
+                u = u_at[mid] = u_of(mid)
             fm = signed_alpha * u * 0.5 - E
             if fm == 0.0:
                 lo = hi = mid

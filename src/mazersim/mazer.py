@@ -20,7 +20,11 @@ branch alone.
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
@@ -286,6 +290,71 @@ def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
     return [v for v in values if v <= hi + 0.5 * step]
 
 
+# The pool of pooled sweeps.  The first sweep that needs more than one
+# process starts it, every later sweep that needs no more reuses it, and
+# one that needs more replaces it, shutting the old pool down first so no
+# executor thread is alive at the fork.  Its idle workers keep their
+# memory until the interpreter exits, when concurrent.futures' exit hook
+# ends them, and they hold the module state of the sweep that started
+# them.  The lock covers getting the pool and submitting the chunks, so a
+# replacement's shutdown waits for every chunk already handed out.
+_pool: ProcessPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child holds a copy of the parent's executor without its
+    # threads or workers
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down, and forget it if it is the cached pool."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is pool:
+            _pool, _pool_size = None, 0
+    pool.shutdown(wait=True)
+
+
+def _pooled_map(solve, chunks: list, processes: int) -> list:
+    """``solve`` of every chunk, in order, on the cached pool, replaced
+    first by one of ``processes`` processes if it has fewer.  A pool
+    found broken (a worker killed between sweeps, say) is dropped and the
+    chunks are solved once more on a fresh one; a second break raises."""
+    global _pool, _pool_size
+    for retry in (False, True):
+        try:
+            with _pool_lock:
+                if _pool is None or _pool_size < processes:
+                    if _pool is not None:
+                        _pool.shutdown(wait=True)
+                    _pool = ProcessPoolExecutor(max_workers=processes)
+                    _pool_size = processes
+                pool = _pool
+                results = pool.map(solve, chunks)
+            return list(results)
+        except BrokenProcessPool:
+            _drop_pool(pool)
+            if retry:
+                raise
+
+
 def sweep_kappaL(
     params: MazerParams,
     lo: float,
@@ -300,19 +369,21 @@ def sweep_kappaL(
     the sweep never silently drops a length.  The rows are solved in
     chunks of eight that share one propagator pass and one product tree;
     with ``workers`` > 1 and more than one chunk, each chunk is one task
-    of a pool of min(workers, chunks) processes, and a single chunk is
-    solved in this process.  Output order is by kappaL regardless of
-    worker scheduling.
+    on min(workers, chunks, usable CPUs) processes of a pool kept for
+    later sweeps, and a single chunk is solved in this process.  Output
+    order is by kappaL regardless of worker scheduling.
     """
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers = {workers!r} must be an integer of at "
+                         "least 1")
     values = kappaL_range(lo, hi, step)
     chunks = [values[i:i + _CHUNK_ROWS]
               for i in range(0, len(values), _CHUNK_ROWS)]
     solve = partial(_sweep_chunk, params)
     # a pool starts all its processes at once, used or not
-    processes = min(workers, len(chunks))
+    processes = min(workers, len(chunks), _usable_cpus())
     if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            tables = list(pool.map(solve, chunks))
+        tables = _pooled_map(solve, chunks, processes)
     else:
         tables = map(solve, chunks)
     return SweepTable(rows=tuple(row for table in tables for row in table))

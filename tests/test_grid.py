@@ -742,27 +742,33 @@ def test_warm_build_equals_cold_build(monkeypatch):
 
 
 @pytest.mark.parametrize("shape,k,kappaL,J,evals,passes", [
-    # scalar eval_mode and find_turning_points calls of the barrier build
-    # when every pass rescanned and re-bisected from scratch
+    # scalar mode evaluations and find_turning_points calls of the barrier
+    # build when every pass rescanned and re-bisected from scratch
     (ModeShape.SIN_FUNDAMENTAL, 0.01, 1.0e5 + 5.0, 100, 264, 3),
     (ModeShape.GAUSSIAN, 0.1, 10.0, 300, 288, 4),
 ])
 def test_build_halves_scalar_mode_evaluations(monkeypatch, shape, k, kappaL, J,
                                               evals, passes):
-    calls = {"eval_mode": 0, "find_turning_points": 0}
+    calls = {"mode": 0, "find_turning_points": 0}
+    bind = grid_module._mode_function
+    find = grid_module.find_turning_points
 
-    def counted(name):
-        fn = getattr(grid_module, name)
+    def counted_mode(profile):
+        u = bind(profile)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+        def counted(x):
+            calls["mode"] += 1
+            return u(x)
+        return counted
 
-    for name in calls:
-        monkeypatch.setattr(grid_module, name, counted(name))
+    def counted_find(*args, **kwargs):
+        calls["find_turning_points"] += 1
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "_mode_function", counted_mode)
+    monkeypatch.setattr(grid_module, "find_turning_points", counted_find)
     build_grid(ModeProfile(shape, kappaL), +1, k, J)
-    assert 0 < calls["eval_mode"] <= evals // 2
+    assert 0 < calls["mode"] <= evals // 2
     assert 0 < calls["find_turning_points"] <= passes
 
 

@@ -2,8 +2,17 @@
 convergence studies, and the zero-length shortcut."""
 
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +45,17 @@ from mazersim.oracles import sech2_analytic
 # Reference value pinned from the closed-form amplitudes at
 # k_over_kappa=0.01, kappaL=10 (same combination rule as the solver).
 SECH2_PEM_GOLDEN = 0.023762721955837014
+
+
+@pytest.fixture
+def fresh_pool():
+    """No cached sweep pool before the test, nor after it."""
+    def drop():
+        if mazer._pool is not None:
+            mazer._drop_pool(mazer._pool)
+    drop()
+    yield
+    drop()
 
 
 def make_params(shape=ModeShape.SECH2, k=0.1, L=5.0, J=100, **kw):
@@ -421,25 +441,22 @@ class TestSweep:
         assert len(serial.rows) == 17
         assert serial.rows == parallel.rows
 
-    def test_pool_starts_no_idle_process(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
+    def test_rejects_bad_worker_counts(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep_kappaL(make_params(ModeShape.MESA, 0.4, 1.0, 2),
+                         0.0, 1.0, 0.5, workers=workers)
+
+    def test_usable_cpus_is_the_affinity_mask(self, monkeypatch):
+        assert mazer._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert mazer._usable_cpus() == os.cpu_count()
+
+    def test_pool_starts_no_idle_process(self, monkeypatch, fresh_pool):
         # a pool starts all its processes at once: one chunk is solved in
-        # this process, and 10 rows (two chunks) ask for two processes
-        asked = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(mazer, "ProcessPoolExecutor", Pool)
+        # this process, and 10 rows (two chunks) ask for two processes; the
+        # cache is empty, so the first pooled sweep starts a pool
+        asked = fake_executor(monkeypatch)
         p = make_params(ModeShape.SIN_FIRST_EXCITED, 0.1, 1.0, 40)
         one = sweep_kappaL(p, 1.0, 1.0, 0.5, workers=2)
         assert asked == []
@@ -448,6 +465,171 @@ class TestSweep:
         assert asked == [2]
         assert len(ten.rows) == 10
         assert ten.rows == sweep_kappaL(p, 1.0, 1.9, 0.1).rows
+
+    def test_pool_is_bounded_by_the_usable_cpus(self, monkeypatch, fresh_pool):
+        # five chunks at a million workers on three usable CPUs; the fake
+        # executor only records its size and starts no process
+        asked = fake_executor(monkeypatch)
+        monkeypatch.setattr(mazer, "_usable_cpus", lambda: 3)
+        p = make_params(ModeShape.MESA, 0.4, 1.0, 2)
+        table = sweep_kappaL(p, 0.0, 3.9, 0.1, workers=10**6)
+        assert asked == [3]
+        assert table.rows == sweep_kappaL(p, 0.0, 3.9, 0.1).rows
+
+
+def fake_executor(monkeypatch) -> list:
+    """Replace the process pool by one that solves in this process and
+    records each size it is asked for in the returned list."""
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+        def shutdown(self, wait=True):
+            pass
+
+    monkeypatch.setattr(mazer, "ProcessPoolExecutor", Pool)
+    return asked
+
+
+def pool_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def die_in_worker(params, values):
+    """A chunk solver that kills the worker process solving it."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestCachedPool:
+    """The pool of pooled sweeps outlives one sweep.  Each test starts
+    and ends with no cached pool and sees at most four usable CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(mazer, "_usable_cpus", lambda: 4)
+
+    def test_sweeps_reuse_the_pool_processes(self):
+        p = make_params(ModeShape.SECH2, 0.1, 8.0, 50)
+        serial = sweep_kappaL(p, 0.0, 8.0, 0.5)
+        first = sweep_kappaL(p, 0.0, 8.0, 0.5, workers=2)
+        pids = pool_pids()
+        second = sweep_kappaL(p, 0.0, 8.0, 0.5, workers=2)
+        assert len(pids) == 2
+        assert pool_pids() == pids
+        assert first.rows == serial.rows
+        assert second.rows == serial.rows
+
+    def test_sweep_needing_more_processes_replaces_the_pool(self):
+        p = make_params(ModeShape.MESA, 0.4, 1.0, 2)
+        sweep_kappaL(p, 0.0, 1.5, 0.1, workers=3)     # 2 chunks
+        two = pool_pids()
+        table = sweep_kappaL(p, 0.0, 2.3, 0.1, workers=3)   # 3 chunks
+        three = pool_pids()
+        assert len(two) == 2 and len(three) == 3
+        assert two.isdisjoint(three)
+        assert table.rows == sweep_kappaL(p, 0.0, 2.3, 0.1).rows
+        # a sweep needing fewer processes keeps the larger pool
+        sweep_kappaL(p, 0.0, 1.5, 0.1, workers=2)
+        assert pool_pids() == three
+
+    def test_killed_worker_does_not_fail_the_next_sweep(self):
+        p = make_params(ModeShape.SECH2, 0.1, 8.0, 50)
+        serial = sweep_kappaL(p, 0.0, 8.0, 0.5)
+        sweep_kappaL(p, 0.0, 8.0, 0.5, workers=2)
+        old = pool_pids()
+        os.kill(min(old), signal.SIGKILL)
+        assert sweep_kappaL(p, 0.0, 8.0, 0.5, workers=2).rows == serial.rows
+        assert len(pool_pids()) == 2
+        assert pool_pids().isdisjoint(old)
+
+    def test_second_break_raises_and_drops_the_pool(self, monkeypatch):
+        # the pool forks after the patch, so its workers solve with it
+        monkeypatch.setattr(mazer, "_sweep_chunk", die_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            sweep_kappaL(make_params(ModeShape.MESA, 0.4, 1.0, 2),
+                         0.0, 1.5, 0.1, workers=2)
+        assert mazer._pool is None
+
+    def test_threads_share_one_pool(self):
+        # four threads, each sweeping on two and on three
+        # processes, switching often: every sweep returns the serial rows,
+        # and no pool is left running beside the cached one
+        p = make_params(ModeShape.MESA, 0.4, 1.0, 2)
+        serial = {n: sweep_kappaL(p, 0.0, hi, 0.1).rows
+                  for n, hi in ((2, 1.5), (3, 2.3))}
+        outcomes = []
+
+        def sweeps():
+            for n, hi in ((2, 1.5), (3, 2.3), (2, 1.5)):
+                rows = sweep_kappaL(p, 0.0, hi, 0.1, workers=n).rows
+                outcomes.append(rows == serial[n])
+
+        threads = [threading.Thread(target=sweeps) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [True] * 12
+        assert len(pool_pids()) == mazer._pool_size == 3
+
+    def test_workers_end_with_their_interpreter(self):
+        out = python_script("""
+            import multiprocessing
+            from mazersim import mazer
+            from mazersim.grid import ModeShape
+            mazer._usable_cpus = lambda: 2
+            p = mazer.MazerParams.for_shape(ModeShape.MESA, 0.4, 1.0, 2)
+            for _ in range(2):
+                mazer.sweep_kappaL(p, 0.0, 1.5, 0.1, workers=2)
+            print(*(c.pid for c in multiprocessing.active_children()))
+            """)
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_forked_child_starts_its_own_pool(self):
+        # the child's copy of the parent's executor has none of its
+        # threads; the child forgets it and pools with its own workers
+        python_script("""
+            import os, sys
+            from mazersim import mazer
+            from mazersim.grid import ModeShape
+            mazer._usable_cpus = lambda: 2
+            p = mazer.MazerParams.for_shape(ModeShape.MESA, 0.4, 1.0, 2)
+            rows = mazer.sweep_kappaL(p, 0.0, 1.5, 0.1, workers=2).rows
+            pid = os.fork()
+            if pid == 0:
+                same = mazer.sweep_kappaL(p, 0.0, 1.5, 0.1, workers=2).rows == rows
+                sys.exit(0 if same and mazer._pool is not None else 3)
+            _, status = os.waitpid(pid, 0)
+            sys.exit(os.waitstatus_to_exitcode(status))
+            """)
+
+
+def python_script(source: str) -> str:
+    """Run ``source`` in a fresh interpreter with this package's source on
+    PYTHONPATH; its stdout, after checking that it exited with 0."""
+    src = str(Path(mazer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def lone_row(params, kappaL):
