@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 from typing import Callable
 
@@ -23,8 +22,8 @@ import numpy as np
 
 from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid, check_J
 from .mazer import (
-    SWEEP_ROWS_MAX, MazerParams, _combine, convergence_study, kappaL_range,
-    sweep_kappaL)
+    SWEEP_ROWS_MAX, MazerParams, _combine, check_workers, convergence_study,
+    kappaL_range, sweep_kappaL)
 from .oracles import mesa_analytic, sech2_analytic
 # solve_scattering is unused here; perfbench/tracing.py wraps it by this name
 from .transfer import solve_scattering, wavefunction
@@ -80,23 +79,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _worker_count(requested: int | None) -> int:
-    env = os.environ.get("MAZER_THREADS")
-    bound = None
-    if env is not None:
-        try:
-            bound = int(env)
-        except ValueError:
-            raise _ConfigError(f"MAZER_THREADS must be an integer, got {env!r}")
-        if bound < 1:
-            raise _ConfigError("MAZER_THREADS must be at least 1")
-    if requested is None:
-        return bound if bound is not None else 1
-    if requested < 1:
-        raise _ConfigError("--workers must be at least 1")
-    return min(requested, bound) if bound is not None else requested
-
-
 def _params(args, kappaL: float, J: int) -> MazerParams:
     shape = _PROFILE_NAMES.get(args.profile)
     if shape is None:
@@ -147,8 +129,11 @@ def _cmd_sweep(args) -> int:
         columns += ",P_em_oracle,abs_dev"
     lo, hi, step = _parse_range(args.range)
     params = _params(args, 0.0, args.J)
-    workers = _worker_count(args.workers)
-    table = sweep_kappaL(params, lo, hi, step, workers=workers)
+    try:
+        check_workers(args.workers)
+    except ValueError as exc:
+        raise _ConfigError(str(exc))
+    table = sweep_kappaL(params, lo, hi, step, workers=args.workers)
     lines, max_dev = [], 0.0
     for row in table.rows:
         values = [row.kappaL, row.P_em, row.T_a_sq, row.T_b_sq, row.R_a_sq,
@@ -240,8 +225,9 @@ def _build_parser() -> _Parser:
     for p in (sweep, cmp):
         p.add_argument("--range", required=True, help="kappaL range lo:hi:step")
         p.add_argument("--J", type=int, required=True, help="grid point count")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (bounded by MAZER_THREADS)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (at most one per chunk of "
+                            "eight rows and per usable CPU)")
         p.set_defaults(func=_cmd_sweep)
 
     conv.add_argument("--kappaL", type=float, required=True)

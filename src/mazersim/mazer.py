@@ -290,9 +290,17 @@ def kappaL_range(lo: float, hi: float, step: float) -> list[float]:
     return [v for v in values if v <= hi + 0.5 * step]
 
 
+def check_workers(workers: int) -> None:
+    """Raise ValueError unless workers is an integer of at least 1."""
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers = {workers!r} must be an integer of at "
+                         "least 1")
+
+
 # The pool of pooled sweeps.  The first sweep that needs more than one
-# process starts it, every later sweep that needs no more reuses it, and
-# one that needs more replaces it, shutting the old pool down first so no
+# process starts it.  A later sweep reuses it only when it would run on
+# exactly the processes asked for, min(pool size, chunks) == processes;
+# any other replaces it, shutting the old pool down first so no
 # executor thread is alive at the fork.  Its idle workers keep their
 # memory until the interpreter exits, when concurrent.futures' exit hook
 # ends them, and they hold the module state of the sweep that started
@@ -334,14 +342,15 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
 
 def _pooled_map(solve, chunks: list, processes: int) -> list:
     """``solve`` of every chunk, in order, on the cached pool, replaced
-    first by one of ``processes`` processes if it has fewer.  A pool
-    found broken (a worker killed between sweeps, say) is dropped and the
-    chunks are solved once more on a fresh one; a second break raises."""
+    first by one of ``processes`` processes unless it would run the
+    chunks on exactly that many.  A pool found broken (a worker killed
+    between sweeps, say) is dropped and the chunks are solved once more
+    on a fresh one; a second break raises."""
     global _pool, _pool_size
     for retry in (False, True):
         try:
             with _pool_lock:
-                if _pool is None or _pool_size < processes:
+                if min(_pool_size, len(chunks)) != processes:
                     if _pool is not None:
                         _pool.shutdown(wait=True)
                     _pool = ProcessPoolExecutor(max_workers=processes)
@@ -370,12 +379,12 @@ def sweep_kappaL(
     chunks of eight that share one propagator pass and one product tree;
     with ``workers`` > 1 and more than one chunk, each chunk is one task
     on min(workers, chunks, usable CPUs) processes of a pool kept for
-    later sweeps, and a single chunk is solved in this process.  Output
-    order is by kappaL regardless of worker scheduling.
+    later sweeps, and a single chunk is solved in this process.  A later
+    sweep reuses the pool only when the pool would run its chunks on
+    exactly that many processes.  Output order is by kappaL regardless of
+    worker scheduling.
     """
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers = {workers!r} must be an integer of at "
-                         "least 1")
+    check_workers(workers)
     values = kappaL_range(lo, hi, step)
     chunks = [values[i:i + _CHUNK_ROWS]
               for i in range(0, len(values), _CHUNK_ROWS)]

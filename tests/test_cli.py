@@ -150,6 +150,8 @@ class TestConfigErrors:
          "--J", "2"],
         ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1e6:1",
          "--J", "2"],
+        ["sweep", "--profile", "mesa", "--k", "0.5", "--range", "0:1:0.5", "--J", "2",
+         "--workers", "-1"],
     ])
     def test_exit_1(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -191,23 +193,6 @@ class TestConfigErrors:
             "--output", "/no/such/dir/out.csv"])
         assert code == 1
         assert "cannot write" in err
-
-    @pytest.mark.parametrize("value", ["many", "0"])
-    def test_bad_threads_env(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MAZER_THREADS", value)
-        code, _, err = run(capsys, [
-            "sweep", "--profile", "mesa", "--k", "0.5",
-            "--range", "0:1:0.5", "--J", "2"])
-        assert code == 1
-        assert "MAZER_THREADS" in err
-
-    def test_threads_env_bounds_workers(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAZER_THREADS", "1")
-        code, out, _ = run(capsys, [
-            "sweep", "--profile", "mesa", "--k", "0.5",
-            "--range", "0:1:0.5", "--J", "2", "--workers", "8"])
-        assert code == 0
-        assert len(data_rows(out)) == 1 + 3
 
 
 class TestConverge:

@@ -86,6 +86,11 @@ def test_mode_peaks_and_zeros():
     sech = ModeProfile(ModeShape.SECH2, L)
     assert eval_mode(sech, 0.0) == 1.0
     assert eval_mode(sech, L) == pytest.approx(1.0 / math.cosh(1.0) ** 2, rel=1e-14)
+    # beyond 350 lengths, where sech^2 is still a normal float near 1e-304,
+    # the scalar path gives exactly 0 as the array path does
+    far = [-351.0 * L, 351.0 * L]
+    assert [eval_mode(sech, x) for x in far] == [0.0, 0.0]
+    assert eval_mode_array(sech, np.array(far)).tolist() == [0.0, 0.0]
 
 
 def test_mode_values_bounded():
@@ -197,13 +202,13 @@ def test_load_tabulated(tmp_path):
 def test_exact_areas_against_quadrature():
     from scipy.integrate import quad
     # the table spans [-1, 3], so the intervals clip it as they clip the
-    # mesa and the sines on [0, 4]
+    # mesa and the sines on [0, 4]; [5, 8] misses all four
     table = ModeProfile(ModeShape.TABULATED, 0.0, table=(
         (-1.0, 0.0), (0.5, 1.0), (2.0, -0.5), (3.0, 0.25)))
     for p in [ModeProfile(shape, 4.0) for shape in (
             ModeShape.MESA, ModeShape.SECH2, ModeShape.GAUSSIAN,
             ModeShape.SIN_FUNDAMENTAL, ModeShape.SIN_FIRST_EXCITED)] + [table]:
-        for a, b in [(-3.0, 5.0), (0.5, 3.5), (-20.0, 20.0)]:
+        for a, b in [(-3.0, 5.0), (0.5, 3.5), (-20.0, 20.0), (5.0, 8.0)]:
             kinks = [x for x in (-1.0, 0.0, 0.5, 2.0, 3.0, 4.0) if a < x < b]
             want, _ = quad(lambda x: eval_mode(p, x), a, b,
                            limit=400, points=kinks)
@@ -211,6 +216,8 @@ def test_exact_areas_against_quadrature():
             want_abs, _ = quad(lambda x: abs(eval_mode(p, x)), a, b,
                                limit=400, points=kinks)
             assert abs_area(p, a, b) == pytest.approx(want_abs, abs=1e-9)
+            if want_abs == 0.0:
+                assert signed_area(p, a, b) == abs_area(p, a, b) == 0.0
 
 
 ANALYTIC_SHAPES = [shape for shape in ModeShape if shape is not ModeShape.TABULATED]

@@ -537,6 +537,18 @@ class TestCachedPool:
         sweep_kappaL(p, 0.0, 1.5, 0.1, workers=2)
         assert pool_pids() == three
 
+    def test_sweep_asking_fewer_processes_never_runs_more(self):
+        # four chunks on a pool of four would run on all four; a sweep
+        # asking for two replaces it by a pool of two
+        p = make_params(ModeShape.MESA, 0.4, 1.0, 2)
+        serial = sweep_kappaL(p, 0.0, 3.1, 0.1)
+        sweep_kappaL(p, 0.0, 3.1, 0.1, workers=4)     # 4 chunks
+        four = pool_pids()
+        table = sweep_kappaL(p, 0.0, 3.1, 0.1, workers=2)
+        assert len(four) == 4
+        assert len(pool_pids()) == 2
+        assert table.rows == serial.rows
+
     def test_killed_worker_does_not_fail_the_next_sweep(self):
         p = make_params(ModeShape.SECH2, 0.1, 8.0, 50)
         serial = sweep_kappaL(p, 0.0, 8.0, 0.5)

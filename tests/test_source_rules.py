@@ -20,6 +20,20 @@ def test_package_source_holds_no_assert():
     assert found == []
 
 
+def test_package_source_reads_no_environment():
+    # configuration comes in arguments, so the same call gives the same
+    # result whatever the environment holds
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Attribute) and node.attr in readers
+                 and isinstance(node.value, ast.Name) and node.value.id == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in readers for alias in node.names))]
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     # a deletion that leaves its name in a module's __all__ would break
     # `from mazersim.<module> import *`
