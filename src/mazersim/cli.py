@@ -22,8 +22,8 @@ import numpy as np
 
 from .grid import DEFAULT_WINDOW_FACTOR, ModeShape, build_grid, check_J
 from .mazer import (
-    SWEEP_ROWS_MAX, MazerParams, _combine, check_workers, convergence_study,
-    kappaL_range, sweep_kappaL)
+    SWEEP_ROWS_MAX, MazerParams, _combine, check_J_list, check_workers,
+    convergence_study, kappaL_range, sweep_kappaL)
 from .oracles import mesa_analytic, sech2_analytic
 # solve_scattering is unused here; perfbench/tracing.py wraps it by this name
 from .transfer import solve_scattering, wavefunction
@@ -68,10 +68,9 @@ def _parse_J_list(text: str) -> list[int]:
     try:
         for v in values:
             check_J(v)
+        check_J_list(values)
     except ValueError as exc:
         raise _ConfigError(str(exc))
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise _ConfigError("J list must be strictly ascending")
     return values
 
 

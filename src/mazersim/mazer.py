@@ -7,14 +7,17 @@ amplitudes, and their squared magnitudes give the induced emission
 probability P_em.  Everything is parameterized by exactly two numbers,
 k_over_kappa and kappaL, plus the mode shape.
 
-Rows are solved in chunks of up to eight, serial and pooled alike, and a
-lone row is a chunk of one: the parameters and branch grids of a chunk are
-built first, then their segments classified and their propagators formed
-in one pass, multiplied out in one pairwise tree over all of them and
-every grid's outgoing wave carried across its product in one step
+Rows are solved in chunks, and a lone row is a chunk of one: the
+parameters and branch grids of a chunk are built first, then their
+segments classified and their propagators formed in one pass, multiplied
+out in one pairwise tree over all of them and every grid's outgoing wave
+carried across its product in one step
 (:func:`~mazersim.transfer.sweep_products`), and each branch solved from
-its own readout.  The results are bit for bit those of solving each
-branch alone.
+its own readout.  A pooled sweep hands its workers chunks of eight rows; a
+sweep in this process takes as many rows as keep a chunk's grids within
+the 4,096 nodes of eight rows at J = 256, and never fewer than eight.
+Should the shared pass raise, every grid of the chunk is solved alone.
+The results are bit for bit those of solving each branch alone.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from itertools import repeat
 
 from .grid import (
     DEFAULT_WINDOW_FACTOR,
+    J_MAX,
     Grid,
     ModeProfile,
     ModeShape,
@@ -158,9 +162,13 @@ def elementary_amplitudes(params: MazerParams, branch: int) -> ScatterResult:
     return solve_scattering(_grid(params, branch))
 
 
-# rows per chunk: the rows of a chunk share one propagator pass and one
-# product tree, and a pooled sweep hands its workers one chunk per task
+# rows per task of a pooled sweep.  A sweep in this process takes
+# max(_CHUNK_ROWS, _CHUNK_NODES // (2 * J)) rows a chunk, two grids of J
+# nodes a row: a chunk's pass and tree cost about 60 numpy calls whatever
+# its size, and no chunk holds more nodes, nor memory, than eight rows at
+# J = 256 (1,024 rows at J = 2, 20 at J = 100, eight from J = 256)
 _CHUNK_ROWS = 8
+_CHUNK_NODES = 4096
 
 
 def _solve_chunk(make, values: list) -> list:
@@ -376,26 +384,50 @@ def sweep_kappaL(
 
     Rows are independent; a failing row is kept with its error message so
     the sweep never silently drops a length.  The rows are solved in
-    chunks of eight that share one propagator pass and one product tree;
-    with ``workers`` > 1 and more than one chunk, each chunk is one task
-    on min(workers, chunks, usable CPUs) processes of a pool kept for
-    later sweeps, and a single chunk is solved in this process.  A later
-    sweep reuses the pool only when the pool would run its chunks on
-    exactly that many processes.  Output order is by kappaL regardless of
-    worker scheduling.
+    chunks that share one propagator pass and one product tree; should a
+    chunk's shared pass raise, each of its grids is solved alone.  With
+    ``workers`` > 1 and more than eight rows, each chunk of eight rows is
+    one task on min(workers, ceil(rows / 8), usable CPUs) processes of a
+    pool kept for later sweeps, which a later sweep reuses only when the
+    pool would run its chunks on exactly that many processes.  Otherwise
+    the sweep runs in this process, in chunks of max(8, 4096 // (2 * J))
+    rows, which hold no more grid nodes than eight rows at J = 256.
+    Output order is by kappaL regardless of worker scheduling.
     """
     check_workers(workers)
     values = kappaL_range(lo, hi, step)
-    chunks = [values[i:i + _CHUNK_ROWS]
-              for i in range(0, len(values), _CHUNK_ROWS)]
     solve = partial(_sweep_chunk, params)
     # a pool starts all its processes at once, used or not
-    processes = min(workers, len(chunks), _usable_cpus())
+    processes = min(workers, math.ceil(len(values) / _CHUNK_ROWS),
+                    _usable_cpus())
+    size = (_CHUNK_ROWS if processes > 1
+            else max(_CHUNK_ROWS, _CHUNK_NODES // (2 * params.J)))
+    chunks = [values[i:i + size] for i in range(0, len(values), size)]
     if processes > 1:
         tables = _pooled_map(solve, chunks, processes)
     else:
         tables = map(solve, chunks)
     return SweepTable(rows=tuple(row for table in tables for row in table))
+
+
+# the largest sum of a convergence list's grid sizes, checked before any
+# of its grids is built: a study builds them all for its one pass, which
+# peaks near 1.6 kB per unit of the sum (sech2, tracemalloc), and
+# 8 * J_MAX is the sum of an 8-row sweep chunk at J_MAX
+J_LIST_SUM_MAX = _CHUNK_ROWS * J_MAX
+
+
+def check_J_list(J_list: list[int]) -> None:
+    """Raise ValueError unless J_list is a nonempty, strictly ascending
+    list of grid sizes that sum to at most ``J_LIST_SUM_MAX``.  Each J is
+    checked by its row, so the first J that fails raises."""
+    if not J_list:
+        raise ValueError("J list must be nonempty")
+    if any(b <= a for a, b in zip(J_list, J_list[1:])):
+        raise ValueError("J list must be strictly ascending")
+    if sum(J_list) > J_LIST_SUM_MAX:
+        raise ValueError(f"J list sums to {sum(J_list)}, above "
+                         f"J_LIST_SUM_MAX = {J_LIST_SUM_MAX}")
 
 
 def convergence_study(params: MazerParams, J_list: list[int]) -> ConvergenceStudy:
@@ -405,10 +437,7 @@ def convergence_study(params: MazerParams, J_list: list[int]) -> ConvergenceStud
     The J values are solved as one chunk, one propagator pass and one
     product tree; the first J that fails raises its exception, as
     :func:`event_probabilities` would at that J alone."""
-    if not J_list:
-        raise ValueError("J_list must be nonempty")
-    if any(b <= a for a, b in zip(J_list, J_list[1:])):
-        raise ValueError("J_list must be strictly ascending")
+    check_J_list(J_list)
     entries = []
     for J, outcome in zip(J_list, _solve_chunk(
             lambda J: replace(params, J=J), J_list)):

@@ -169,11 +169,16 @@ class TestConfigErrors:
           "--J", f"100,{J_MAX + 1}"], "J_MAX"),
         (["wavefunction", "--profile", "sech2", "--k", "0.1", "--kappaL", "5",
           "--J", "100", "--samples", str(SWEEP_ROWS_MAX + 1)], "SWEEP_ROWS_MAX"),
+        # each J within J_MAX, their sum above J_LIST_SUM_MAX
+        (["converge", "--profile", "sech2", "--k", "0.1", "--kappaL", "5",
+          "--J", ",".join(map(str, range(J_MAX - 8, J_MAX + 1)))],
+         "J_LIST_SUM_MAX"),
     ])
     def test_size_above_its_bound_refused_before_allocation(self, capsys,
                                                             argv, bound):
-        # a grid of J_MAX + 1 nodes samples 14 MB of mode and SWEEP_ROWS_MAX
-        # + 1 samples are 8 MB of positions; neither is allocated
+        # a grid of J_MAX + 1 nodes samples 14 MB of mode, SWEEP_ROWS_MAX
+        # + 1 samples are 8 MB of positions and a J list above
+        # J_LIST_SUM_MAX would peak above 1 GB; none is allocated
         tracemalloc.start()
         try:
             code, out, err = run(capsys, argv)

@@ -125,6 +125,21 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=r"J_MAX = 100000"):
             convergence_study(make_params(), [50, J_MAX + 1])
 
+    def test_refuses_J_lists_summing_above_the_bound(self, monkeypatch):
+        # every J is within J_MAX, but the grids of the whole list would
+        # be built at once; the list is refused before any of them
+        J_list = list(range(J_MAX - 8, J_MAX + 1))
+        assert sum(J_list) > mazer.J_LIST_SUM_MAX == 8 * J_MAX
+        monkeypatch.setattr(mazer, "build_grid", None)
+        with pytest.raises(ValueError, match=r"J_LIST_SUM_MAX = 800000"):
+            convergence_study(make_params(), J_list)
+        # the eight largest grid sizes and 28 sum to the bound, which is
+        # accepted; one node more is refused
+        top = list(range(J_MAX - 7, J_MAX + 1))
+        mazer.check_J_list([28, *top])
+        with pytest.raises(ValueError, match="sums to 800001"):
+            mazer.check_J_list([29, *top])
+
     @pytest.mark.parametrize("J", [2.5, 100.0])
     def test_rejects_non_integer_grid_size(self, J):
         # a float J used to pass and fail later inside numpy with
@@ -434,7 +449,8 @@ class TestSweep:
         serial = sweep_kappaL(p, 0.0, 3.0, 0.5)
         parallel = sweep_kappaL(p, 0.0, 3.0, 0.5, workers=2)
         assert serial.rows == parallel.rows
-        # a sloped shape over 17 rows: two full chunks of 8 and one of 1
+        # a sloped shape over 17 rows: one serial chunk, and pooled tasks
+        # of 8, 8 and 1
         p = make_params(ModeShape.SECH2, 0.1, 8.0, 50)
         serial = sweep_kappaL(p, 0.0, 8.0, 0.5)
         parallel = sweep_kappaL(p, 0.0, 8.0, 0.5, workers=2)
@@ -512,6 +528,16 @@ class TestCachedPool:
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch, fresh_pool):
         monkeypatch.setattr(mazer, "_usable_cpus", lambda: 4)
+
+    def test_pooled_tasks_keep_eight_rows(self, monkeypatch):
+        # the 100 rows a serial sweep solves as one chunk
+        asked = fake_executor(monkeypatch)
+        sizes = record_chunks(monkeypatch)
+        p = make_params(ModeShape.MESA, 0.01, 4.95, 2)
+        table = sweep_kappaL(p, 0.0, 4.95, 0.05, workers=2)
+        assert asked == [2]
+        assert sizes == [8] * 12 + [4]
+        assert table.rows == sweep_kappaL(p, 0.0, 4.95, 0.05).rows
 
     def test_sweeps_reuse_the_pool_processes(self):
         p = make_params(ModeShape.SECH2, 0.1, 8.0, 50)
@@ -663,27 +689,60 @@ def lone_error(params, branch):
     return f"{info.type.__name__}: {info.value}"
 
 
+def record_chunks(monkeypatch) -> list:
+    """The row count of every chunk a sweep solves, in order."""
+    sizes = []
+    real = mazer._sweep_chunk
+
+    def recording(params, values):
+        sizes.append(len(values))
+        return real(params, values)
+
+    monkeypatch.setattr(mazer, "_sweep_chunk", recording)
+    return sizes
+
+
 class TestChunks:
     """The rows of a chunk share one propagator pass, bit for bit."""
 
-    # (shape, k, J, lo, step): 11 rows, one full chunk of 8 and one of 3;
-    # the sin rows are deep_sin lattice points
+    # (shape, k, J, lo, step, rows): two full serial chunks of
+    # max(8, 4096 // (2 * J)) rows and one of 3; the sin rows are deep_sin
+    # lattice points
     CASES = {
-        "sin": (ModeShape.SIN_FUNDAMENTAL, 0.01, 100, 1.0e5, 0.02),
-        "sech2": (ModeShape.SECH2, 0.1, 200, 0.0, 2.0),
-        "gauss": (ModeShape.GAUSSIAN, 0.1, 300, 1.0, 1.9),
-        "sin2": (ModeShape.SIN_FIRST_EXCITED, 0.2, 100, 2.0, 2.7),
-        "mesa": (ModeShape.MESA, 0.4, 2, 0.0, 0.3),
+        "sin": (ModeShape.SIN_FUNDAMENTAL, 0.01, 100, 1.0e5, 0.02, 43),
+        "sech2": (ModeShape.SECH2, 0.1, 200, 0.0, 1.0, 23),
+        "gauss": (ModeShape.GAUSSIAN, 0.1, 300, 1.0, 1.1, 19),
+        "sin2": (ModeShape.SIN_FIRST_EXCITED, 0.2, 100, 2.0, 0.6, 43),
+        "mesa": (ModeShape.MESA, 0.4, 2, 0.0, 0.01, 2051),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_rows_equal_lone_branch_solves(self, name):
-        shape, k, J, lo, step = self.CASES[name]
-        params = make_params(shape, k, lo + 10 * step, J)
-        table = sweep_kappaL(params, lo, lo + 10 * step, step)
-        assert len(table.rows) == 11 and not table.has_errors
+    def test_rows_equal_lone_branch_solves(self, name, monkeypatch):
+        shape, k, J, lo, step, n = self.CASES[name]
+        hi = lo + (n - 1) * step
+        params = make_params(shape, k, hi, J)
+        sizes = record_chunks(monkeypatch)
+        table = sweep_kappaL(params, lo, hi, step)
+        size = max(8, 4096 // (2 * J))
+        assert sizes == [size, size, 3]
+        assert len(table.rows) == n and not table.has_errors
         for row in table.rows:
             assert repr(row) == repr(lone_row(params, row.kappaL))
+
+    @pytest.mark.parametrize("shape, J, lo, hi, step, sizes", [
+        # cli_session's mesa oracle rows: one chunk
+        (ModeShape.MESA, 2, 0.0, 4.95, 0.05, [100]),
+        (ModeShape.SIN_FUNDAMENTAL, 100, 1.0e5, 1.0e5 + 0.84, 0.02,
+         [20, 20, 3]),
+        # from J = 256 a serial chunk keeps eight rows
+        (ModeShape.GAUSSIAN, 300, 1.0, 20.0, 1.9, [8, 3]),
+    ], ids=["mesa", "sin", "gauss"])
+    def test_serial_chunks_are_sized_by_grid_nodes(self, monkeypatch, shape,
+                                                   J, lo, hi, step, sizes):
+        got = record_chunks(monkeypatch)
+        table = sweep_kappaL(make_params(shape, 0.1, hi, J), lo, hi, step)
+        assert got == sizes
+        assert len(table.rows) == sum(sizes)
 
     def test_failed_grid_build_keeps_the_rest_of_the_chunk(self, monkeypatch):
         # two nodes cannot resolve the first excited sine: the bad row's
