@@ -21,10 +21,13 @@ merge of its roots into the uniform nodes per pass.
 The mode depends neither on alpha nor on the branch or k: the two branch
 builds of a row share one sampling of it (the last build's, held in a
 one-entry memo keyed by the profile object, the window and J), namely the
-uniform nodes and the mode there, the exact area with the first alpha,
-and the turning-point scan with every bisection midpoint evaluated so far.
-So a pass forms alpha*V - E from that scan and reuses the midpoints of the
-passes and the branch before it, with the roots a fresh pass would find.
+uniform nodes and the mode there, the exact area, the area of the uniform
+nodes with the first alpha, and the turning-point scan with its extremes
+and every bisection midpoint evaluated so far.  So a pass forms
+alpha*V - E from that scan and reuses the midpoints of the passes and the
+branch before it, with the roots a fresh pass would find; a pass whose
+branch cannot reach E even at the scan's extreme forms nothing, and a
+build left on the uniform nodes checks its area with the sampling's sum.
 The shared arrays are read-only.  A pass that finds the
 previous pass's roots, or leaves alpha unchanged, ends the iteration,
 since the next pass would repeat it.  On a coarse grid the passes can run
@@ -295,11 +298,11 @@ def eval_mode_array(profile: ModeProfile, xs: np.ndarray) -> np.ndarray:
     if s is _MESA:
         return np.where((xs >= 0.0) & (xs <= L), 1.0, 0.0)
     if s is _SECH2:
-        t = np.minimum(np.abs(xs) / L, 350.0)
-        e = np.exp(-t)
+        r = np.abs(xs) / L
+        e = np.exp(-np.minimum(r, 350.0))
         sech = 2.0 * e / (1.0 + e * e)
         out = sech * sech
-        out[np.abs(xs) / L > 350.0] = 0.0
+        out[r > 350.0] = 0.0
         return out
     if s is _SIN1 or s is _SIN2:
         n = 1.0 if s is _SIN1 else 2.0
@@ -381,6 +384,11 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
 
     Not the trapezoid rule on |u_i|: an interval whose endpoints differ in
     sign contributes the two-triangle area h*(u0^2+u1^2)/(2(|u0|+|u1|)).
+    The interval areas are summed by ``math.fsum``, correctly rounded, so
+    the result is that of any order; they are handed to it from the
+    largest outward, rightward and then leftward, which keeps its partial
+    sums few: a Gaussian at J = 300, whose areas span 1e-23 to 0.27, sums
+    about twice as fast from its peak as in index order.
     """
     a = np.abs(us)
     u0, u1 = a[:-1], a[1:]
@@ -391,8 +399,11 @@ def interp_abs_area(xs: np.ndarray, us: np.ndarray) -> float:
     if cross.size:
         u0, u1, h = u0[cross], u1[cross], h[cross]
         area[cross] = 0.5 * h * (u0 * u0 + u1 * u1) / (u0 + u1)
+    if not area.size:
+        return 0.0
+    peak = int(area.argmax())
     # fsum reads a list faster than numpy scalars, and rounds the same
-    return math.fsum(area.tolist())
+    return math.fsum(np.concatenate((area[peak:], area[:peak][::-1])).tolist())
 
 
 # --- turning points -------------------------------------------------------
@@ -406,21 +417,28 @@ def _scan(profile: ModeProfile, window, scan_points: int) -> tuple:
 class _Sampling:
     """What a build reads of the mode, none of it dependent on alpha, the
     branch or k: the J uniform nodes and u there, the exact |u| area of
-    the window, the alpha of the uniform nodes, the turning-point scan
-    (``scan_x``, ``scan_u``) and u at every bisection midpoint evaluated
-    so far (``midpoints``, x -> u(x)).  The arrays are read-only."""
+    the window, the |u| area of the interpolant through the uniform nodes
+    (``area_uniform``) and the alpha it gives, the turning-point scan
+    (``scan_x``, ``scan_u``) with the least and greatest u on it
+    (``scan_min``, ``scan_max``), and u at every bisection midpoint
+    evaluated so far (``midpoints``, x -> u(x)).  The arrays are
+    read-only."""
 
-    __slots__ = ("uniform", "u_uniform", "area_exact", "alpha",
-                 "scan_x", "scan_u", "midpoints")
+    __slots__ = ("uniform", "u_uniform", "area_exact", "area_uniform",
+                 "alpha", "scan_x", "scan_u", "scan_min", "scan_max",
+                 "midpoints")
 
     def __init__(self, profile: ModeProfile, window: tuple[float, float],
                  J: int) -> None:
         self.uniform = np.linspace(window[0], window[1], J)
         self.u_uniform = eval_mode_array(profile, self.uniform)
         self.area_exact = abs_area(profile, *window)
-        self.alpha = _alpha(self.area_exact, self.uniform, self.u_uniform, J)
+        self.area_uniform = interp_abs_area(self.uniform, self.u_uniform)
+        self.alpha = _alpha(self.area_exact, self.area_uniform, J)
         self.scan_x, self.scan_u, self.midpoints = _scan(
             profile, window, 8 * max(J, 64))
+        self.scan_min = float(self.scan_u.min())
+        self.scan_max = float(self.scan_u.max())
         for a in (self.uniform, self.u_uniform, self.scan_x, self.scan_u):
             a.flags.writeable = False
 
@@ -462,7 +480,11 @@ def find_turning_points(
     potential jumps, handled as segment boundaries rather than roots, so
     the list is empty.  ``samples``, a build's sampling of this window,
     replaces the scan of ``scan_points`` points with its own and keeps
-    the midpoints for later passes; the roots are a lone call's.
+    the midpoints for later passes; the roots are a lone call's.  With
+    ``samples``, a branch whose greatest value of sign * alpha * u/2 - E
+    on the scan, at the scan's least or greatest u, is negative has no
+    root, and no array is formed: rounding is monotone, so no scan point
+    reaches E either.
     """
     if E <= 0.0:
         raise ValueError("turning points are defined for E > 0")
@@ -471,11 +493,16 @@ def find_turning_points(
     a, b = window
     if not a < b:
         raise ValueError(f"empty window [{a}, {b}]")
-    scale = min(1.0, b - a)
-    xs, us, u_at = (_scan(profile, window, scan_points) if samples is None
-                    else (samples.scan_x, samples.scan_u, samples.midpoints))
-    u_of = _mode_function(profile)
     signed_alpha = sign * alpha
+    if samples is None:
+        xs, us, u_at = _scan(profile, window, scan_points)
+    else:
+        top = samples.scan_max if signed_alpha > 0.0 else samples.scan_min
+        if signed_alpha * top * 0.5 - E < 0.0:
+            return []
+        xs, us, u_at = samples.scan_x, samples.scan_u, samples.midpoints
+    scale = min(1.0, b - a)
+    u_of = _mode_function(profile)
     hs = signed_alpha * us * 0.5 - E
     roots = xs[hs == 0.0].tolist()
     for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0).tolist():
@@ -673,7 +700,7 @@ def build_grid(
             settled = True
             break
         nodes, turning, u_nodes = nodes_at(new_roots)
-        new_alpha = _alpha(area_exact, nodes, u_nodes, J)
+        new_alpha = _alpha(area_exact, interp_abs_area(nodes, u_nodes), J)
         defects.append((alpha, area_exact * (alpha / new_alpha - 1.0)))
         stable_alpha = abs(new_alpha - alpha) <= _ALPHA_FIXED_POINT_TOL * max(
             abs(new_alpha), 1.0)
@@ -685,9 +712,11 @@ def build_grid(
         if settled:
             break
 
+    # the sampling holds the area of its own nodes
+    area_nodes = sampling.area_uniform if nodes is sampling.uniform else None
     try:
         return _finish_grid(profile, sign, k, window, alpha, turning, nodes,
-                            u_nodes, area_exact)
+                            u_nodes, area_exact, area_nodes)
     except GridResolutionError:
         if settled:
             raise
@@ -706,13 +735,11 @@ def build_grid(
                         u_nodes, area_exact)
 
 
-def _alpha(area_exact: float, nodes: np.ndarray, u_nodes: np.ndarray,
-           J: int) -> float:
-    """The alpha that gives the interpolant through the nodes the exact
-    area (1 for a mode of zero area)."""
+def _alpha(area_exact: float, denom: float, J: int) -> float:
+    """The alpha that gives an interpolant of |u| area ``denom`` through
+    J or more nodes the exact area (1 for a mode of zero area)."""
     if area_exact == 0.0:
         return 1.0
-    denom = interp_abs_area(nodes, u_nodes)
     if denom == 0.0:
         raise GridResolutionError(
             f"every one of the J = {J} nodes sits on a zero of the mode; "
@@ -755,25 +782,32 @@ def _bracketed_root(defect, history: list[tuple[float, float]],
 
 
 def _finish_grid(profile, sign, k, window, alpha, turning, nodes, u_nodes,
-                 area_exact) -> Grid:
+                 area_exact, area_nodes=None) -> Grid:
     """Snap the turning nodes (indices), split residual sign changes,
     and check the area of the nodes of a build at its final alpha.
-    u_nodes is copied before the snaps write into it: it may be shared."""
-    u_nodes = u_nodes.copy()
+    u_nodes is copied before the snaps write into it: it may be shared.
+    ``area_nodes``, the |u| area through nodes and u_nodes when the
+    caller holds it, stands in for the check's own sum when no node is
+    snapped or split."""
     z_free = k * k
     z = z_free - sign * alpha * u_nodes
     # the mode value that z = 0 stands for
     u_turn = sign * z_free / alpha
-    # a converged root satisfies its equation to ~1e-12 in x; snap the
-    # sampled z there to exactly zero so the adjacent tags come out clean
-    z[turning] = 0.0
-    u_nodes[turning] = u_turn
-    turning_x = nodes[turning].tolist()
+    turning_x: list[float] = []
+    if len(turning):
+        # a converged root satisfies its equation to ~1e-12 in x; snap the
+        # sampled z there to exactly zero so the adjacent tags come out clean
+        u_nodes = u_nodes.copy()
+        z[turning] = 0.0
+        u_nodes[turning] = u_turn
+        turning_x = nodes[turning].tolist()
+        area_nodes = None
 
     # safety net: any residual sign change inside an interval is a turning
     # point of the interpolant itself and must become a node
     nodes, z, u_nodes, extra = _split_residual_crossings(nodes, z, u_nodes, u_turn)
-    _verify_grid(nodes, u_nodes, alpha, area_exact)
+    _verify_grid(nodes, u_nodes, alpha, area_exact,
+                 None if extra else area_nodes)
     return Grid(nodes, z, float(alpha), k, profile, window,
                 tuple(sorted(turning_x + extra)))
 
@@ -784,11 +818,12 @@ def _split_residual_crossings(
     """Make the linear zero of every sign-changing interval a z = 0 node,
     with mode value u_turn.  A zero that rounds onto the interval's left
     node, as beside a node whose z is a rounding residue of 0, makes that
-    node the turning node instead."""
+    node the turning node instead.  The arrays passed in are not written."""
     z0, z1 = z[:-1], z[1:]
     idx = np.flatnonzero(z0 * z1 < 0.0)
     if not idx.size:
         return nodes, z, u, []
+    z, u = z.copy(), u.copy()
     x0, x1 = nodes[idx], nodes[idx + 1]
     xc = x0 + (x1 - x0) * (z0[idx] / (z0[idx] - z1[idx]))
     on_node = idx[xc <= x0]
@@ -801,15 +836,18 @@ def _split_residual_crossings(
 
 
 def _verify_grid(nodes: np.ndarray, u: np.ndarray, alpha: float,
-                 area_exact: float) -> None:
+                 area_exact: float, area: float | None = None) -> None:
     """Nodes strictly increasing, and alpha times the |u| area of the
     interpolant through the mode samples u equal to the exact area.  u is
     the builder's own sample array: rebuilding it as (k^2 - z)/alpha would
-    cancel at large k."""
+    cancel at large k.  ``area`` is that |u| area when the caller holds
+    it, else it is summed here."""
     if not np.all(np.diff(nodes) > 0.0):
         raise GridResolutionError("grid nodes not strictly increasing")
     if area_exact > 0.0:
-        approx = alpha * interp_abs_area(nodes, u)
+        if area is None:
+            area = interp_abs_area(nodes, u)
+        approx = alpha * area
         if abs(approx - area_exact) > 1.0e-11 * area_exact:
             raise GridResolutionError(
                 f"area renormalization off: {approx} vs {area_exact}")

@@ -23,6 +23,7 @@ The results are bit for bit those of solving each branch alone.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
 import threading
@@ -309,11 +310,15 @@ def check_workers(workers: int) -> None:
 # process starts it.  A later sweep reuses it only when it would run on
 # exactly the processes asked for, min(pool size, chunks) == processes;
 # any other replaces it, shutting the old pool down first so no
-# executor thread is alive at the fork.  Its idle workers keep their
-# memory until the interpreter exits, when concurrent.futures' exit hook
-# ends them, and they hold the module state of the sweep that started
-# them.  The lock covers getting the pool and submitting the chunks, so a
-# replacement's shutdown waits for every chunk already handed out.
+# executor thread is alive at the fork.  Each worker moves at its start
+# to its own CPU of this process's affinity mask (_start_worker): a
+# kernel that does not balance load keeps a forked worker on its
+# parent's CPU, where the pool's workers would take turns.  Its idle
+# workers keep their memory until the interpreter exits, when
+# concurrent.futures' exit hook ends them, and they hold the module state
+# of the sweep that started them.  The lock covers getting the pool and
+# submitting the chunks, so a replacement's shutdown waits for every
+# chunk already handed out.
 _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
 _pool_lock = threading.Lock()
@@ -339,6 +344,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _start_worker(cpus: list[int], started) -> None:
+    """Move this new pool worker to CPU ``cpus[n % len(cpus)]``, n the
+    count of the pool's workers started before it (``started``, a shared
+    integer), and then allow it every CPU of ``cpus`` again, so a kernel
+    that balances load may still move it.  A refused call leaves the
+    worker where it is."""
+    with started.get_lock():
+        order = started.value
+        started.value += 1
+    try:
+        os.sched_setaffinity(0, (cpus[order % len(cpus)],))
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _new_pool(processes: int) -> ProcessPoolExecutor:
+    """A pool of ``processes`` workers, each started on its own CPU of
+    this process's affinity mask, round robin, where the platform has
+    one."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ProcessPoolExecutor(max_workers=processes)
+    cpus = sorted(os.sched_getaffinity(0))
+    return ProcessPoolExecutor(
+        max_workers=processes, initializer=_start_worker,
+        initargs=(cpus, multiprocessing.Value("i", 0)))
+
+
 def _drop_pool(pool: ProcessPoolExecutor) -> None:
     """Shut ``pool`` down, and forget it if it is the cached pool."""
     global _pool, _pool_size
@@ -361,7 +394,7 @@ def _pooled_map(solve, chunks: list, processes: int) -> list:
                 if min(_pool_size, len(chunks)) != processes:
                     if _pool is not None:
                         _pool.shutdown(wait=True)
-                    _pool = ProcessPoolExecutor(max_workers=processes)
+                    _pool = _new_pool(processes)
                     _pool_size = processes
                 pool = _pool
                 results = pool.map(solve, chunks)
@@ -389,7 +422,9 @@ def sweep_kappaL(
     ``workers`` > 1 and more than eight rows, each chunk of eight rows is
     one task on min(workers, ceil(rows / 8), usable CPUs) processes of a
     pool kept for later sweeps, which a later sweep reuses only when the
-    pool would run its chunks on exactly that many processes.  Otherwise
+    pool would run its chunks on exactly that many processes; each worker
+    of a new pool starts on its own CPU of this process's affinity mask,
+    and may then run on any of them.  Otherwise
     the sweep runs in this process, in chunks of max(8, 4096 // (2 * J))
     rows, which hold no more grid nodes than eight rows at J = 256.
     Output order is by kappaL regardless of worker scheduling.

@@ -334,6 +334,39 @@ def test_huge_gaussian_windows_close_or_are_too_coarse(kappaL):
     assert ev.closure_defect <= 1e-8
 
 
+def index_order_abs_area(xs, us) -> float:
+    """``interp_abs_area`` formed one interval at a time and summed by
+    ``math.fsum`` in index order."""
+    areas = []
+    for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], us[:-1], us[1:]):
+        h, u0, u1 = x1 - x0, abs(v0), abs(v1)
+        areas.append(0.5 * h * (u0 * u0 + u1 * u1) / (u0 + u1) if v0 * v1 < 0.0
+                     else 0.5 * h * (u0 + u1))
+    return math.fsum(areas)
+
+
+def uniform_samples(shape, length, J):
+    profile = ModeProfile(shape, length)
+    xs = np.linspace(*profile.default_window(), J)
+    return xs, eval_mode_array(profile, xs)
+
+
+@pytest.mark.parametrize("xs,us", [
+    # areas from 1e-23 to 0.27
+    uniform_samples(ModeShape.GAUSSIAN, 10.0, 300),
+    # the node pair around L/2 crosses zero
+    uniform_samples(ModeShape.SIN_FIRST_EXCITED, 10.0, 100),
+    (np.array([-1e300, 0.0, 1.0]), np.array([1e5, 3e5, -1e5])),
+    (np.linspace(0.0, 1.0, 7), np.zeros(7)),
+    (np.array([0.5, 2.0]), np.array([0.25, -1.5])),
+], ids=["gauss", "sin2", "2e305", "zeros", "one-interval"])
+def test_interp_abs_area_is_the_index_order_sum(xs, us):
+    # fsum rounds correctly in any order: from the largest area outward
+    # gives the float of index order
+    assert interp_abs_area(xs, us) == index_order_abs_area(xs.tolist(),
+                                                           us.tolist())
+
+
 # --- turning points -------------------------------------------------------
 
 def test_turning_points_mesa_empty():
@@ -361,6 +394,43 @@ def test_turning_points_require_positive_energy():
         find_turning_points(p, +1, 0.0, (-80.0, 80.0))
     with pytest.raises(ValueError, match="empty window"):
         find_turning_points(p, +1, 0.1, (1.0, 1.0))
+
+
+SIGN_CHANGING_TABLE = ModeProfile(ModeShape.TABULATED, 0.0, table=(
+    (0.0, 0.0), (1.0, 0.8), (2.0, -0.5), (3.0, 0.3), (4.0, 0.0)))
+
+
+@pytest.mark.parametrize("profile", [
+    ModeProfile(ModeShape.SECH2, 5.0), ModeProfile(ModeShape.GAUSSIAN, 5.0),
+    ModeProfile(ModeShape.SIN_FUNDAMENTAL, 10.0),
+    ModeProfile(ModeShape.SIN_FIRST_EXCITED, 10.0), SIGN_CHANGING_TABLE,
+], ids=["sech2", "gauss", "sin", "sin2", "table"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_sampled_turning_points_equal_a_lone_call(profile, sign):
+    # a sampling skips the scan of a branch whose greatest
+    # sign * alpha * u/2 - E is negative; E one ulp either side of that
+    # bound, and on it, gives the roots of a lone scan
+    window = profile.default_window()
+    sampling = grid_module._Sampling(profile, window, 100)
+    alpha = sampling.alpha
+    top = sampling.scan_max if sign > 0 else sampling.scan_min
+    energies = [0.005, 0.5]
+    if sign * top > 0.0:
+        peak = sign * alpha * top / 2.0
+        energies += [math.nextafter(peak, 0.0), peak,
+                     math.nextafter(peak, math.inf), 0.3 * peak]
+    for E in energies:
+        lone = find_turning_points(profile, sign, E, window, alpha=alpha,
+                                   scan_points=sampling.scan_x.size)
+        sampled = find_turning_points(profile, sign, E, window, alpha=alpha,
+                                      samples=sampling)
+        assert sampled == lone, E
+    if sign * top > 0.0:
+        # the roots at the bound are the scan's extremes, and none lie above
+        assert find_turning_points(profile, sign, peak, window, alpha=alpha,
+                                   samples=sampling)
+        assert find_turning_points(profile, sign, math.nextafter(
+            peak, math.inf), window, alpha=alpha, samples=sampling) == []
 
 
 def test_sech2_turning_points_closed_form():

@@ -499,7 +499,7 @@ def fake_executor(monkeypatch) -> list:
     asked = []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             asked.append(max_workers)
 
         def map(self, fn, chunks):
@@ -514,6 +514,13 @@ def fake_executor(monkeypatch) -> list:
 
 def pool_pids() -> set[int]:
     return {child.pid for child in multiprocessing.active_children()}
+
+
+def last_cpu(pid: int) -> int:
+    """The CPU the process last ran on, field 39 of /proc/<pid>/stat;
+    the fields are counted after the parenthesised command name."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[36])
 
 
 def die_in_worker(params, values):
@@ -549,6 +556,21 @@ class TestCachedPool:
         assert pool_pids() == pids
         assert first.rows == serial.rows
         assert second.rows == serial.rows
+
+    @pytest.mark.skipif(mazer._usable_cpus() < 2
+                        or not os.path.exists("/proc/self/stat"),
+                        reason="needs two usable CPUs and /proc")
+    def test_workers_start_on_distinct_cpus(self):
+        # a kernel that does not balance load keeps a forked worker on its
+        # parent's CPU; each worker moves to its own CPU as it starts, and
+        # then takes back the parent's whole mask
+        p = make_params(ModeShape.SECH2, 0.01, 8.0, 200)
+        table = sweep_kappaL(p, 0.5, 2.0, 0.1, workers=2)   # 2 chunks
+        pids = pool_pids()
+        assert len(table.rows) == 16 and len(pids) == 2
+        assert len({last_cpu(pid) for pid in pids}) == 2
+        for pid in pids:
+            assert os.sched_getaffinity(pid) == os.sched_getaffinity(0)
 
     def test_sweep_needing_more_processes_replaces_the_pool(self):
         p = make_params(ModeShape.MESA, 0.4, 1.0, 2)
